@@ -60,12 +60,8 @@ from .process_tensor import (
     ConditionalState,
     ControlSequence,
     ProcessTensor,
-    apply,
-    conditional_state,
     default_break,
     from_tomography,
-    marginal_map,
-    restrict,
 )
 from .qops import (
     CausalBreak,

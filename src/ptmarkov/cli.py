@@ -2,16 +2,15 @@
 
 Subcommands::
 
-    ptr simulate <config.json> [-o out.ptf] [--workers N]
+    ptr simulate <config.json> [-o out.ptf]
     ptr analyze <file.ptf> [--markov --divisibility --measure --bonddim
                             --classical] [--tol X] [--exhaustive]
                             [-o report.json] [--csv data.csv]
     ptr examples <b1|b2|b3> [params] [--csv data.csv]
 
-Exit codes: 0 success, 2 configuration or sweep-guard error, 3 malformed
+Exit codes: 0 success, 2 configuration or size-guard error, 3 malformed
 data file. Reports are deterministic for a fixed configuration and seed
-except for the ``wall_time_s`` provenance field. ``PTR_WORKERS`` overrides
-the worker count.
+except for the ``wall_time_s`` provenance field.
 """
 
 from __future__ import annotations
@@ -162,12 +161,10 @@ def _sha256_obj(obj) -> str:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     model, grid = _model_from_config(cfg)
-    basis = ic_basis(model.system_dim)
     out_path = args.output or cfg.get("output")
     if not out_path:
         raise ConfigError("no output path: pass -o or set 'output' in the config")
-    workers = args.workers if args.workers is not None else cfg.get("workers")
-    pt = models.build_process_tensor(model, grid, basis, workers=workers)
+    pt = models.build_process_tensor(model, grid)
     pt.save(out_path)
     print(f"wrote {out_path}")
     print(f"shape: {pt.dim} x {pt.dim}  (legs {' '.join(pt.legs.labels)})")
@@ -214,13 +211,16 @@ def cmd_analyze(args) -> int:
     if "divisibility" in analyses:
         rep = divisibility_test(pt, basis, tol=tol)
         report["analyses"]["divisibility"] = rep.as_dict()
+    measure = None
     if "measure" in analyses:
-        rep = non_markovianity(pt, metric=args.metric, bond_cutoff=bond_cutoff)
-        report["analyses"]["measure"] = rep.as_dict()
+        measure = non_markovianity(pt, metric=args.metric,
+                                   bond_cutoff=bond_cutoff)
+        report["analyses"]["measure"] = measure.as_dict()
         for n in range(0, 21):
-            csv_rows.append(("confusion", float(n), rep.confusion(n)))
+            csv_rows.append(("confusion", float(n), measure.confusion(n)))
     if "bonddim" in analyses:
-        dims = bond_dimension(pt, cutoff=bond_cutoff)
+        dims = list(measure.bond_dims) if measure is not None \
+            else bond_dimension(pt, cutoff=bond_cutoff)
         report["analyses"]["bonddim"] = {"bond_dims": dims,
                                          "cutoff": bond_cutoff}
         csv_rows.extend(("bonddim", float(i), float(v))
@@ -319,8 +319,7 @@ def _examples_b2(args, csv_rows) -> bool:
     ok = _print_check(f"b2 trace-distance contraction at omega*dt = {theta:g}",
                       contraction, math.cos(theta) ** 2, 1e-9)
 
-    basis = ic_basis(2)
-    pt = models.build_process_tensor(model, grid, basis)
+    pt = models.build_process_tensor(model, grid)
     brk = default_break(2)
     deviation = 0.0
     closed_err = 0.0
@@ -368,9 +367,8 @@ def _examples_b3(args, csv_rows) -> bool:
     print(f"[{'PASS' if fid_ok else 'FAIL'}] b3 output equals the initial "
           f"system state for 20 random intermediate channels "
           f"(max distance {worst:.3e})")
-    basis = ic_basis(2)
-    pt = models.build_process_tensor(model, grid, basis)
-    rep = markov_test(pt, basis)
+    pt = models.build_process_tensor(model, grid)
+    rep = markov_test(pt, ic_basis(2))
     print(f"[{'PASS' if not rep.is_markov else 'FAIL'}] b3 flagged "
           f"non-Markovian (deviation {rep.max_deviation:.6f})")
     dims = bond_dimension(pt)
@@ -414,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                                             "model config and write PTF1")
     p_sim.add_argument("config")
     p_sim.add_argument("-o", "--output", default=None)
-    p_sim.add_argument("--workers", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="run analyses on a PTF1 file")

@@ -34,8 +34,9 @@ MARKOV_TOL = 1e-8
 # Relative singular-value cutoff for temporal bond-dimension counting.
 BOND_CUTOFF = 1e-10
 
-# Tomography sweeps larger than this many sequences require an explicit
-# override (d**(4K) <= 65536 covers qubits up to K = 4).
+# Building a process tensor with d**(4K) above this requires an explicit
+# override. Its Choi matrix holds d**2 * d**(4K) entries, so the default
+# admits qubits up to K = 4 (512 x 512); K = 5 would be 2048 x 2048.
 SWEEP_GUARD = 65536
 
 # Default node count for classical-noise ensembles.

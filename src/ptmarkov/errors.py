@@ -36,7 +36,7 @@ class TomographyDataError(PtError):
 
 
 class SweepGuardError(PtError):
-    """A tomography sweep would exceed the configured size guard."""
+    """A process tensor would exceed the configured size guard."""
 
 
 class QuadratureError(PtError):

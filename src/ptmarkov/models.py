@@ -18,10 +18,7 @@ fresh environment per interval and is memoryless by construction.
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -29,7 +26,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .defaults import B1_NODES, CPTP_DEFECT_TOL, SWEEP_GUARD, UNITARY_ATOL
+from .defaults import (
+    B1_NODES,
+    CPTP_DEFECT_TOL,
+    SUPPORT_CUTOFF,
+    SWEEP_GUARD,
+    UNITARY_ATOL,
+)
 from .errors import (
     DimensionMismatch,
     QuadratureError,
@@ -37,8 +40,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Array, as_operator, permute_legs, tensor_product
-from .process_tensor import ControlSequence, ProcessTensor, from_tomography
-from .qops import DensityMatrix, OperationBasis, QuantumMap
+from .process_tensor import ControlSequence, ProcessTensor
+from .qops import DensityMatrix, QuantumMap
 
 __all__ = [
     "ExperimentGrid",
@@ -185,6 +188,10 @@ class _QuantumEngine:
         sys = np.trace(joint.reshape(d, e, d, e), axis1=1, axis2=3)
         return sys, joint
 
+    def comb(self) -> Array:
+        return _link_product(self.joint0, self.unitaries, np.ones(1),
+                             self.d, self.e)
+
 
 class _ClassicalEngine:
     def __init__(self, model: SEModel, grid: ExperimentGrid):
@@ -214,6 +221,40 @@ class _ClassicalEngine:
         sys = np.einsum("n,nab->ab", self.weights, states)
         return sys, None
 
+    def comb(self) -> Array:
+        return _link_product(self.states0[0], self.unitaries, self.weights,
+                             self.d, 1)
+
+
+def _link_product(rho0: Array, unitaries: Sequence[Array], weights: Array,
+                  d: int, e: int) -> Array:
+    """Choi matrix Upsilon = M M^dagger of a dilation, Hermitized.
+
+    ``rho0`` is purified on its support (eigenvalues above
+    SUPPORT_CUTOFF). ``unitaries`` hold one joint (d*e)-square unitary per step, or a stack
+    of them over the ensemble axis n. M carries axes (n, system, env, past
+    legs, purification); the past legs are kept newest first, so that after
+    the last step they are already in the stored order
+    [O_{K-1}, I_{K-1}, ..., O_0, I_0] behind the final output O_K.
+    """
+    w, v = np.linalg.eigh(rho0)
+    keep = w > SUPPORT_CUTOFF
+    psi = v[:, keep] * np.sqrt(w[keep])
+    r = psi.shape[1]
+    m = psi.reshape(1, d, e, 1, r)
+    for u in unitaries:
+        # M'[n, s', e', O_j, I_j, P, r] = sum_e U[n, (s', e'), (O_j, e)]
+        #                                    M[n, I_j, e, P, r]
+        u = u.reshape(-1, d * e * d, e)
+        n_past = m.shape[3]
+        rows = m.transpose(0, 2, 1, 3, 4).reshape(m.shape[0], e, -1)
+        m = (u @ rows).reshape(-1, d, e, d * d * n_past, r)
+    n, _, _, n_past, _ = m.shape
+    m = m * np.sqrt(weights).reshape(n, 1, 1, 1, 1)
+    cols = m.transpose(1, 3, 0, 2, 4).reshape(d * n_past, n * e * r)
+    ups = cols @ cols.conj().T
+    return (ups + ups.conj().T) / 2
+
 
 def _make_engine(model: SEModel, grid: ExperimentGrid):
     if model.kind == "quantum":
@@ -241,62 +282,29 @@ def simulate_sequence(model: SEModel, grid, controls):
     return DensityMatrix(sys), None if joint is None else DensityMatrix(joint)
 
 
-# ---------------------------------------------------------------------------
-# tomography sweep
-# ---------------------------------------------------------------------------
+def build_process_tensor(model: SEModel, grid, *,
+                         allow_large: bool = False) -> ProcessTensor:
+    """Process tensor of a dilation, written down directly as the link
+    product of the initial joint state and the step unitaries.
 
-def _sweep_chunk(model: SEModel, grid: ExperimentGrid, basis: OperationBasis,
-                 keys: Sequence[tuple[int, ...]]) -> list[Array]:
-    engine = _make_engine(model, grid)
-    sups = [e.superoperator for e in basis.elements]
-    outs = []
-    for key in keys:
-        sys, _ = engine.run([sups[i] for i in key])
-        outs.append(sys)
-    return outs
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get("PTR_WORKERS", "1") or "1")
-    return max(1, int(workers))
-
-
-def build_process_tensor(model: SEModel, grid, basis: OperationBasis,
-                         workers: int | None = None,
-                         allow_large: bool = False,
-                         spot_check: int = 16) -> ProcessTensor:
-    """Sweep every basis-element sequence through the dilation and feed the
-    records to tomographic reconstruction.
-
-    The sweep is distributed over ``workers`` processes (chunked by
-    sequence index, reduced in fixed order, so results are reproducible
-    independent of the worker count).
+    The tensor is the Choi state of the multi-time dilation: with the
+    initial joint state purified into columns psi, each slot turns the
+    current system index into its input leg I_j, injects a fresh output
+    leg O_j as the new system index, and the step unitary acts on system
+    and environment. Tracing the environment and the purification leaves
+    Upsilon = M M^dagger, PSD by construction. Classical-noise models stack
+    the columns sqrt(w_n) M_n of every ensemble node.
     """
     grid = _as_grid(grid)
     k = grid.n_steps
     if k < 1:
         raise ValidationError("process tensors need at least one step")
     d = model.system_dim
-    n_seq = len(basis) ** k
-    if n_seq > SWEEP_GUARD and not allow_large:
+    if d ** (4 * k) > SWEEP_GUARD and not allow_large:
         raise SweepGuardError(
-            f"sweep of {n_seq} sequences exceeds guard {SWEEP_GUARD}; "
-            f"pass allow_large=True to override")
-    workers = _resolve_workers(workers)
-    keys = list(itertools.product(range(len(basis)), repeat=k))
-    if workers == 1 or len(keys) < 4 * workers:
-        outs = _sweep_chunk(model, grid, basis, keys)
-    else:
-        chunk = (len(keys) + workers - 1) // workers
-        parts = [keys[i:i + chunk] for i in range(0, len(keys), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_sweep_chunk, [model] * len(parts),
-                               [grid] * len(parts), [basis] * len(parts),
-                               parts)
-            outs = [o for part in results for o in part]
-    return from_tomography(zip(keys, outs), basis, d, k, times=grid.times,
-                           spot_check=spot_check)
+            f"{k}-step tensor with d**(4K) = {d ** (4 * k)} exceeds the size "
+            f"guard {SWEEP_GUARD}; pass allow_large=True to override")
+    return ProcessTensor(_make_engine(model, grid).comb(), d, grid.times)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ __all__ = [
     "ControlSequence",
     "ConditionalState",
     "leg_labels",
-    "apply",
-    "conditional_state",
-    "marginal_map",
-    "restrict",
     "from_tomography",
 ]
 
@@ -505,29 +501,3 @@ def from_tomography(records, basis: OperationBasis, d: int, k: int,
                 raise TomographyDataError(
                     f"reconstruction mismatch {err:.3e} at key {key}")
     return pt
-
-
-# ---------------------------------------------------------------------------
-# module-level operation aliases
-# ---------------------------------------------------------------------------
-
-def apply(pt: ProcessTensor, controls) -> DensityMatrix:
-    return pt.apply(controls)
-
-
-def conditional_state(pt: ProcessTensor, k: int, prep_index: int,
-                      povm_outcome: int, past=(), future=(),
-                      break_set: CausalBreak | None = None,
-                      prob_floor: float = PROBABILITY_FLOOR) -> ConditionalState:
-    return pt.conditional_state(k, prep_index, povm_outcome, past=past,
-                                future=future, break_set=break_set,
-                                prob_floor=prob_floor)
-
-
-def marginal_map(pt: ProcessTensor, j: int, l: int, filler: str = "identity",
-                 basis: OperationBasis | None = None) -> QuantumMap:
-    return pt.marginal_map(j, l, filler=filler, basis=basis)
-
-
-def restrict(pt: ProcessTensor, subset: Sequence[int]) -> ProcessTensor:
-    return pt.restrict(subset)

@@ -11,6 +11,7 @@ The same header-plus-blob scheme serializes plain matrix bundles
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -64,6 +65,10 @@ def _read_header(fh) -> dict:
     return header
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load(path):
     from .process_tensor import ProcessTensor
 
@@ -74,18 +79,34 @@ def load(path):
         for key in ("system_dim", "k", "times", "leg_dims"):
             if key not in header:
                 raise FormatError(f"header missing field {key!r}")
-        d = int(header["system_dim"])
-        k = int(header["k"])
-        times = [float(t) for t in header["times"]]
+        d = header["system_dim"]
+        k = header["k"]
+        times = header["times"]
+        leg_dims = header["leg_dims"]
+        if not _is_int(d) or d < 1:
+            raise FormatError(f"system_dim must be a positive integer, got {d!r}")
+        if not _is_int(k) or k < 0:
+            raise FormatError(f"k must be a nonnegative integer, got {k!r}")
+        if not isinstance(times, list) or not all(
+                isinstance(t, (int, float)) and not isinstance(t, bool)
+                and math.isfinite(t) for t in times):
+            raise FormatError(f"times must be a list of finite numbers, "
+                              f"got {times!r}")
         if len(times) != k + 1:
             raise FormatError(f"{len(times)} times for k={k}")
-        dim = int(np.prod(header["leg_dims"]))
+        if not isinstance(leg_dims, list) or not all(
+                _is_int(n) and n >= 1 for n in leg_dims):
+            raise FormatError(f"leg_dims must be a list of positive integers, "
+                              f"got {leg_dims!r}")
+        dim = math.prod(leg_dims)
         if dim != d ** (2 * k + 1):
             raise FormatError(
-                f"leg dims {header['leg_dims']} inconsistent with "
+                f"leg dims {leg_dims} inconsistent with "
                 f"system_dim={d}, k={k}")
         blob = fh.read()
     choi = _deinterleave(blob, dim, dim)
+    if not np.isfinite(choi).all():
+        raise FormatError("blob holds non-finite entries")
     try:
         return ProcessTensor(choi, d, times, validate=False)
     except Exception as exc:  # dimension bookkeeping failed

@@ -27,9 +27,9 @@ def b1_model():
 
 
 @pytest.fixture(scope="session")
-def b1_pt(b1_model, basis2):
+def b1_pt(b1_model):
     """B.1 tensor on a gamma*g*dt = 1 two-step grid."""
-    return build_process_tensor(b1_model, (0.0, 1.0, 2.0), basis2)
+    return build_process_tensor(b1_model, (0.0, 1.0, 2.0))
 
 
 @pytest.fixture(scope="session")
@@ -38,10 +38,10 @@ def b2_model():
 
 
 @pytest.fixture(scope="session")
-def b2_pt(b2_model, basis2):
+def b2_pt(b2_model):
     """B.2 tensor with omega*dt = pi/4 steps."""
     theta = math.pi / 4
-    return build_process_tensor(b2_model, (0.0, theta, 2 * theta), basis2)
+    return build_process_tensor(b2_model, (0.0, theta, 2 * theta))
 
 
 @pytest.fixture(scope="session")
@@ -56,8 +56,8 @@ def b3_model(b3_states):
 
 
 @pytest.fixture(scope="session")
-def b3_pt(b3_model, basis2):
-    return build_process_tensor(b3_model, (0.0, 1.0, 2.0), basis2)
+def b3_pt(b3_model):
+    return build_process_tensor(b3_model, (0.0, 1.0, 2.0))
 
 
 @pytest.fixture(scope="session")
@@ -67,17 +67,24 @@ def markov_maps():
 
 
 @pytest.fixture(scope="session")
-def markov_pt2(markov_maps, basis2):
-    model = model_markov(markov_maps[:2], np.eye(2) / 2)
-    return build_process_tensor(model, (0.0, 1.0, 2.0), basis2)
+def markov_model2(markov_maps):
+    return model_markov(markov_maps[:2], np.eye(2) / 2)
 
 
 @pytest.fixture(scope="session")
-def markov_pt3(markov_maps, basis2):
+def markov_pt2(markov_model2):
+    return build_process_tensor(markov_model2, (0.0, 1.0, 2.0))
+
+
+@pytest.fixture(scope="session")
+def markov_model3(markov_maps):
     rng = np.random.default_rng(12)
-    rho0 = None
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho0 = a @ a.conj().T
     rho0 /= np.trace(rho0).real
-    model = model_markov(markov_maps, rho0)
-    return build_process_tensor(model, (0.0, 1.0, 2.0, 3.0), basis2)
+    return model_markov(markov_maps, rho0)
+
+
+@pytest.fixture(scope="session")
+def markov_pt3(markov_model3):
+    return build_process_tensor(markov_model3, (0.0, 1.0, 2.0, 3.0))

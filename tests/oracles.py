@@ -5,6 +5,8 @@ the package (explicit index loops, direct dense evolution, enumeration, or
 closed forms derived by hand), so agreement is meaningful.
 """
 
+import itertools
+
 import numpy as np
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -104,6 +106,21 @@ def swap(d=2):
         for j in range(d):
             s[i * d + j, j * d + i] = 1.0
     return s
+
+
+def tomography_process_tensor(model, grid, basis):
+    """Process tensor by the data route: every basis-element sequence run
+    through the public ``simulate_sequence`` and reconstructed by
+    ``from_tomography``."""
+    from ptmarkov import from_tomography, simulate_sequence
+
+    k = len(grid) - 1
+    records = []
+    for key in itertools.product(range(len(basis)), repeat=k):
+        out, _ = simulate_sequence(model, grid,
+                                   [basis.elements[i] for i in key])
+        records.append((key, out))
+    return from_tomography(records, basis, model.system_dim, k, times=grid)
 
 
 # ---------------------------------------------------------------------------

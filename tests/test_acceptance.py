@@ -152,8 +152,7 @@ def test_criterion_6_markov_soundness(basis2):
         maps = [random_cptp(2, rng) for _ in range(k)]
         rho0 = random_density(2, rng)
         model = model_markov(maps, rho0)
-        pt = build_process_tensor(model, tuple(float(i) for i in range(k + 1)),
-                                  basis2)
+        pt = build_process_tensor(model, tuple(float(i) for i in range(k + 1)))
         mk = markov_test(pt, basis2, tol=1e-8)
         assert mk.is_markov, f"trial {trial} flagged non-Markov"
         meas = non_markovianity(pt)

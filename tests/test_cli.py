@@ -89,6 +89,38 @@ def test_analyze_malformed_file_exit_3(tmp_path):
     assert main(["analyze", str(bad)]) == 3
 
 
+def _saved_identity_ptf(tmp_path):
+    """A valid two-step PTF1 file, split into its header and doubles."""
+    ident = QuantumMap.identity(2).choi
+    pt = ProcessTensor(np.kron(np.kron(ident, ident), np.eye(2) / 2), 2,
+                       (0.0, 1.0, 2.0))
+    path = tmp_path / "id.ptf"
+    pt.save(path)
+    line, blob = path.read_bytes().split(b"\n", 1)
+    return path, json.loads(line), np.frombuffer(blob, dtype="<f8").copy()
+
+
+def _write_ptf(path, header, raw):
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
+                     + raw.tobytes())
+
+
+def test_analyze_non_numeric_leg_dims_exit_3(tmp_path, capsys):
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    header["leg_dims"] = "abc"
+    _write_ptf(path, header, raw)
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: leg_dims")
+
+
+def test_analyze_nan_blob_exit_3(tmp_path, capsys):
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    raw[0] = np.nan
+    _write_ptf(path, header, raw)
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: blob holds non-finite")
+
+
 def test_analyze_full_report(tmp_path):
     cfg = tmp_path / "b3.json"
     cfg.write_text(json.dumps({

@@ -93,7 +93,7 @@ def test_markov_test_flags_b1(b1_pt, basis2):
 
 def test_markov_test_requires_two_steps(basis2):
     model = model_markov([IDENT], P0)
-    pt = build_process_tensor(model, (0.0, 1.0), basis2)
+    pt = build_process_tensor(model, (0.0, 1.0))
     with pytest.raises(ValidationError):
         markov_test(pt, basis2)
 
@@ -351,9 +351,9 @@ def test_classical_markov_process_satisfies_condition(markov_pt3, basis2):
         assert chk.max_violation <= 1e-9
 
 
-def test_classical_single_step_trivially_markov(basis2):
+def test_classical_single_step_trivially_markov():
     model = model_markov([IDENT], PP)
-    pt = build_process_tensor(model, (0.0, 1.0), basis2)
+    pt = build_process_tensor(model, (0.0, 1.0))
     inst = computational_reprepare_instrument(2)
     cp = classical_process(pt, [inst], final_povm=[P0, P1])
     chk = classical_markov_check(cp)

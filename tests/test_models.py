@@ -33,6 +33,7 @@ from oracles import (
     b2_env_state_direct,
     b2_output_direct,
     schmidt_rank_across,
+    tomography_process_tensor,
     von_neumann_entropy,
 )
 
@@ -328,23 +329,26 @@ def test_simulation_with_trace_decreasing_controls(b2_model):
     assert abs(joint.trace - 0.5) <= 1e-12
 
 
-def test_build_guard(basis2):
+def test_build_guard():
     model = model_b2(omega=1.0)
     grid = tuple(float(i) for i in range(6))  # K = 5 -> 16**5 sequences
     from ptmarkov import SweepGuardError
     with pytest.raises(SweepGuardError):
-        build_process_tensor(model, grid, basis2)
+        build_process_tensor(model, grid)
 
 
-def test_build_workers_agree(b2_model, b2_pt, basis2):
-    """The sweep reduction is deterministic and worker-count independent."""
-    pt = build_process_tensor(b2_model, (0.0, math.pi / 4, math.pi / 2),
-                              basis2, workers=2)
-    assert np.array_equal(pt.choi, b2_pt.choi)
-
-
-def test_worker_count_from_environment(b2_model, b2_pt, basis2, monkeypatch):
-    monkeypatch.setenv("PTR_WORKERS", "2")
-    pt = build_process_tensor(b2_model, (0.0, math.pi / 4, math.pi / 2),
-                              basis2)
-    assert np.array_equal(pt.choi, b2_pt.choi)
+def test_direct_construction_matches_tomography(
+        b1_model, b1_pt, b2_model, b2_pt, b3_model, b3_pt, markov_model2,
+        markov_pt2, markov_model3, markov_pt3, basis2):
+    """The link-product tensor equals the tomographic reconstruction from
+    simulated basis-sequence outputs on the whole fixture corpus."""
+    corpus = [
+        (b1_model, b1_pt),
+        (b2_model, b2_pt),
+        (b3_model, b3_pt),
+        (markov_model2, markov_pt2),
+        (markov_model3, markov_pt3),
+    ]
+    for model, pt in corpus:
+        tomo = tomography_process_tensor(model, pt.times, basis2)
+        assert np.abs(pt.choi - tomo.choi).max() <= 1e-12

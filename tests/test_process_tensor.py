@@ -24,7 +24,7 @@ from ptmarkov.random_ops import (
     random_reprepare_instrument,
 )
 
-from oracles import P0, P1, PP, b3_choi_analytic
+from oracles import P0, P1, PP, b3_choi_analytic, tomography_process_tensor
 
 RNG = np.random.default_rng(202)
 IDENT = QuantumMap.identity(2)
@@ -152,16 +152,11 @@ def test_conditional_probability_floor():
     prep_zero = QuantumMap.prepare(P0)
     maps = [prep_zero, QuantumMap.identity(2)]
     pt = build_process_tensor(model_markov(maps, np.eye(2) / 2),
-                              (0.0, 1.0, 2.0), _basis())
+                              (0.0, 1.0, 2.0))
     brk = _orthogonal_break()
     with pytest.raises(UnresolvableConditional):
         pt.conditional_state(1, prep_index=0, povm_outcome=1,
                              past=[prep_zero], break_set=brk)
-
-
-def _basis():
-    from ptmarkov import ic_basis
-    return ic_basis(2)
 
 
 def _orthogonal_break():
@@ -177,7 +172,7 @@ def test_from_tomography_identity_single_step(basis2):
     """k=1 identity dynamics on the maximally mixed state reconstructs the
     product of the identity Choi and the initial state."""
     model = model_markov([QuantumMap.identity(2)], np.eye(2) / 2)
-    pt = build_process_tensor(model, (0.0, 1.0), basis2)
+    pt = tomography_process_tensor(model, (0.0, 1.0), basis2)
     expected = tensor_product(QuantumMap.identity(2).choi, np.eye(2) / 2)
     assert np.abs(pt.choi - expected).max() <= 1e-9
 
@@ -261,8 +256,8 @@ def test_restrict_full_subset_is_identity(b2_pt):
     assert b2_pt.restrict([0, 1, 2]) is b2_pt
 
 
-def test_restrict_matches_direct_tomography(b2_model, b2_pt, basis2):
-    direct = build_process_tensor(b2_model, (0.0, math.pi / 4), basis2)
+def test_restrict_matches_direct_tomography(b2_model, b2_pt):
+    direct = build_process_tensor(b2_model, (0.0, math.pi / 4))
     restricted = b2_pt.restrict([0, 1])
     assert np.abs(restricted.choi - direct.choi).max() <= 1e-9
     assert restricted.times == direct.times
