@@ -135,9 +135,6 @@ def _model_from_config(cfg: dict):
             step_unitaries=tuple(unitaries), label="custom")
     else:
         raise ConfigError(f"unknown model {name!r}")
-    basis_name = cfg.get("basis", "ic-default")
-    if basis_name != "ic-default":
-        raise ConfigError(f"unknown basis {basis_name!r}")
     return model, models.ExperimentGrid(tuple(float(t) for t in times))
 
 

@@ -12,7 +12,6 @@ of the process tensor makes that finite sweep sufficient.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -200,21 +199,124 @@ def _bloch_vectors(states: Array) -> Array:
     return np.stack([bx, by, bz], axis=1)
 
 
-def _diameter_qubit(states: Array) -> tuple[float, int, int]:
-    """Exact max pairwise trace distance of normalized qubit states
-    (Euclidean diameter in Bloch space)."""
-    b = _bloch_vectors(states)
+# The diameter search splits n points into about n / _CELL_POINTS cells and
+# evaluates the distances of _PAIR_BATCH cell pairs per numpy call; bounds of
+# at most _BOUND_BLOCK cell pairs are held at once, so memory stays linear.
+_CELL_POINTS = 32
+_PAIR_BATCH = 256
+_BOUND_BLOCK = 2 ** 16
+# Pairs whose distances round to the same maximum are ranked as the
+# all-pairs scan that the search replaced ranked them, so that witnesses
+# stay the same: that scan took rows in blocks of _SCAN_ENTRIES // n, kept
+# the earliest block reaching the maximum and, inside it, the first pair of
+# largest squared distance. Squared distances one ulp apart share a root
+# often in real groups (B.2 data at K = 3 and 4).
+_SCAN_ENTRIES = 2 ** 22
+
+
+def _median_cells(b: Array) -> Array:
+    """Split points into 2**L cells of equal width by halving every cell at
+    the median of its widest axis; L is the smallest depth that leaves at
+    most ``_CELL_POINTS`` points per cell.
+
+    Returns an (n_cells, width) index array. When n is not a multiple of
+    the cell count, the lowest indices are repeated to fill it; a repeated
+    point adds no new distance and no new index pair.
+    """
     n = b.shape[0]
-    best = (0.0, 0, 0)
-    chunk = max(1, min(n, 2 ** 22 // max(n, 1)))
-    for start in range(0, n, chunk):
-        block = b[start:start + chunk]
-        d2 = ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        idx = np.unravel_index(np.argmax(d2), d2.shape)
-        val = math.sqrt(float(d2[idx]))
-        if val > best[0]:
-            best = (val, start + int(idx[0]), int(idx[1]))
-    return best
+    n_cells = 1 << max(0, math.ceil(math.log2(n / _CELL_POINTS)))
+    idx = np.resize(np.arange(n), n_cells * -(-n // n_cells))[None]
+    while idx.shape[0] < n_cells:
+        pts = b[idx]
+        axis = np.argmax(pts.max(axis=1) - pts.min(axis=1), axis=1)
+        key = np.take_along_axis(pts, axis[:, None, None], axis=2)[..., 0]
+        part = np.argpartition(key, idx.shape[1] // 2, axis=1)
+        idx = np.take_along_axis(idx, part, axis=1).reshape(
+            2 * idx.shape[0], -1)
+    return idx
+
+
+def _box_bound(lo_a: Array, hi_a: Array, lo_c: Array, hi_c: Array) -> Array:
+    """Upper bound on the distance between a point of box a and a point of
+    box c, computed with the float operations of
+    ``sqrt(((x - y) ** 2).sum(axis=-1))``. Rounding is monotone, so the
+    bound holds exactly for the rounded distances."""
+    return np.sqrt((np.maximum(hi_a - lo_c, hi_c - lo_a) ** 2).sum(axis=-1))
+
+
+def _bloch_diameter(b: Array) -> tuple[float, int, int]:
+    """Exact Euclidean diameter of an (n, 3) cloud of Bloch vectors: the
+    largest distance ``sqrt(((b_i - b_j) ** 2).sum())`` and a pair (i < j)
+    at that distance, or (0.0, 0, 0) when no two points differ.
+
+    Among pairs at the largest distance the pair is the first by the key
+    (i // rows, -squared distance, i, j), rows = min(n, _SCAN_ENTRIES // n);
+    for n <= 2048 that is the lexicographically first pair of largest
+    squared distance.
+
+    Cell pairs are visited in descending order of their box bound, starting
+    from the distance of the point farthest from the point farthest from
+    the centroid; a pair whose bound lies below the best distance found, or
+    equals it with only later-ranked index pairs inside, is skipped. The
+    bound is exact (see ``_box_bound``), so nothing that could win is
+    skipped.
+    """
+    n = b.shape[0]
+    lo_all, hi_all = b.min(axis=0), b.max(axis=0)
+    if n < 2 or not (hi_all > lo_all).any():
+        return (0.0, 0, 0)
+    rows = max(1, min(n, _SCAN_ENTRIES // n))
+    p = int(np.argmax(((b - b.mean(axis=0)) ** 2).sum(axis=-1)))
+    d2_p = ((b - b[p]) ** 2).sum(axis=-1)
+    q = int(np.argmax(d2_p))
+    i0, j0 = min(p, q), max(p, q)
+    best = math.sqrt(d2_p[q])
+    rank = (i0 // rows, -float(d2_p[q]), i0, j0)
+
+    cells = _median_cells(b)
+    pts = b[cells]
+    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    # a cell that cannot reach the best distance within the whole cloud's
+    # box takes part in no candidate pair
+    live = _box_bound(lo, hi, lo_all, hi_all) >= best
+    cells, pts, lo, hi = cells[live], pts[live], lo[live], hi[live]
+    first = cells.min(axis=1)
+
+    ca, cc, cb = [], [], []
+    step = max(1, _BOUND_BLOCK // len(cells))
+    for a0 in range(0, len(cells), step):
+        bound = _box_bound(lo[a0:a0 + step, None], hi[a0:a0 + step, None],
+                           lo, hi)
+        a, c = np.nonzero(bound >= best)
+        keep = a + a0 <= c
+        a, c = a[keep], c[keep]
+        ca.append(a + a0)
+        cc.append(c)
+        cb.append(bound[a, c])
+    ca, cc, cb = np.concatenate(ca), np.concatenate(cc), np.concatenate(cb)
+    first_block = np.minimum(first[ca], first[cc]) // rows
+
+    todo = np.argsort(-cb)
+    while todo.size:
+        batch, todo = todo[:_PAIR_BATCH], todo[_PAIR_BATCH:]
+        a, c = ca[batch], cc[batch]
+        d2 = ((pts[a][:, :, None] - pts[c][:, None]) ** 2).sum(axis=-1)
+        dist = np.sqrt(d2)
+        top = float(dist.max())
+        if top >= best:
+            t, r, s = np.nonzero(dist == top)
+            i, j = cells[a[t], r], cells[c[t], s]
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            d2_top = d2[t, r, s]
+            w = np.lexsort((j, i, -d2_top, i // rows))[0]
+            key = (int(i[w]) // rows, -float(d2_top[w]), int(i[w]), int(j[w]))
+            if top > best or key < rank:
+                best, rank = top, key
+        todo = todo[(cb[todo] > best)
+                    | ((cb[todo] == best) & (first_block[todo] <= rank[0]))]
+    if best == 0.0:
+        return (0.0, 0, 0)
+    return (best, rank[2], rank[3])
 
 
 def _diameter_general(states: Array) -> tuple[float, int, int]:
@@ -255,18 +357,24 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     of the break are realized; conditional states sharing a preparation are
     compared pairwise in trace distance. Break positions are scanned from
     the latest downward and the sweep stops at the first deviation above
-    tolerance unless ``exhaustive`` is set.
+    tolerance unless ``exhaustive`` is set. A process with fewer than two
+    steps has no break to test and is reported Markovian.
 
     Informational completeness of the basis and of the break POVM makes the
     sweep sufficient: equality across the swept controls implies equality
     for every control sequence.
+
+    Each group's diameter is exact, not estimated. The group's computed
+    states run in (past, outcome) order, past sequences in
+    ``itertools.product`` order, and its witness is the lexicographically
+    first pair at the maximal distance. For qubits, pairs whose distances
+    round to the same maximum are first ranked by the block of the first
+    index and by squared Bloch distance (see ``_bloch_diameter``); with at
+    most 2048 states per group that is the lexicographically first pair of
+    largest squared distance.
     """
     n_steps = pt.n_steps
     d = pt.system_dim
-    if n_steps < 2:
-        raise ValidationError(
-            "the causal-break test needs at least two steps; a single-step "
-            "process is Markovian by construction")
     if break_set is None:
         break_set = default_break(d)
     n_basis = len(basis)
@@ -278,55 +386,47 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     n_out = break_set.n_outcomes
     n_prep = break_set.n_preparations
 
+    def record(k: int, l: int, s: int, row: int) -> ConditioningRecord:
+        past, r = divmod(int(row), n_out)
+        return ConditioningRecord(
+            break_slot=k, readout_step=l, povm_outcome=r, preparation=s,
+            past=tuple(int(m) for m in np.unravel_index(past, (n_basis,) * k)))
+
     best = 0.0
     witness = None
     skipped = 0
     inconclusive: list[tuple[int, int, int]] = []
     breaks_tested: list[tuple[int, int]] = []
-    stop = False
 
-    for k in range(n_steps - 1, 0, -1):
-        for l in range(k + 1, n_steps + 1):
-            breaks_tested.append((k, l))
-            form = _reduced_form(pt, k, l)
-            states_by_prep: dict[int, list[Array]] = {s: [] for s in range(n_prep)}
-            records_by_prep: dict[int, list[ConditioningRecord]] = \
-                {s: [] for s in range(n_prep)}
-            for past in itertools.product(range(n_basis), repeat=k):
-                arr = form
-                for mu in past:  # slot 0 sits on the last axis
-                    arr = arr @ basis_vecs[mu]
-                outs = (arr @ break_vecs.T).reshape(d, d, n_out, n_prep)
-                probs = np.einsum("aars->rs", outs).real
-                for r in range(n_out):
-                    for s in range(n_prep):
-                        p = probs[r, s]
-                        if p <= prob_floor:
-                            skipped += 1
-                            continue
-                        states_by_prep[s].append(outs[:, :, r, s] / p)
-                        records_by_prep[s].append(ConditioningRecord(
-                            break_slot=k, readout_step=l, povm_outcome=r,
-                            preparation=s, past=past))
-            for s in range(n_prep):
-                group = states_by_prep[s]
-                if not group:
-                    inconclusive.append((k, l, s))
-                    continue
-                stack = np.stack(group)
-                if d == 2:
-                    dev, i, j = _diameter_qubit(stack)
-                else:
-                    dev, i, j = _diameter_general(stack)
-                if dev > best:
-                    best = dev
-                    witness = (records_by_prep[s][i], records_by_prep[s][j])
-                if best > tol and not exhaustive:
-                    stop = True
-                    break
-            if stop:
+    for k, l in [(k, l) for k in range(n_steps - 1, 0, -1)
+                 for l in range(k + 1, n_steps + 1)]:
+        breaks_tested.append((k, l))
+        arr = _reduced_form(pt, k, l)[None]
+        for _ in range(k):  # slot 0 sits on the last axis
+            arr = np.moveaxis(arr @ basis_vecs.T, -1, 1)
+            arr = arr.reshape(-1, *arr.shape[2:])
+        # axes (past, row, col, r, s); past[0] varies slowest
+        outs = (arr @ break_vecs.T).reshape(-1, d, d, n_out, n_prep)
+        probs = np.einsum("paars->prs", outs).real
+        kept = probs > prob_floor
+        skipped += kept.size - int(np.count_nonzero(kept))
+        for s in range(n_prep):
+            rows = np.flatnonzero(kept[:, :, s])  # flat (past, r) indices
+            if rows.size == 0:
+                inconclusive.append((k, l, s))
+                continue
+            states = outs[..., s].transpose(0, 3, 1, 2).reshape(-1, d, d)
+            group = states[rows] / probs[:, :, s].reshape(-1)[rows, None, None]
+            if d == 2:
+                dev, i, j = _bloch_diameter(_bloch_vectors(group))
+            else:
+                dev, i, j = _diameter_general(group)
+            if dev > best:
+                best = dev
+                witness = (record(k, l, s, rows[i]), record(k, l, s, rows[j]))
+            if best > tol and not exhaustive:
                 break
-        if stop:
+        if best > tol and not exhaustive:
             break
 
     return MarkovReport(
@@ -353,10 +453,9 @@ def divisibility_test(pt: ProcessTensor, basis: OperationBasis | None = None,
     The defect for a triple j < k < l is the max-norm difference of the
     superoperators of the extracted map (l:j) and the composition
     (l:k) o (k:j). Each extracted map's CP defect is reported alongside.
+    A process with fewer than two steps has no triple and zero defect.
     """
     n_steps = pt.n_steps
-    if n_steps < 2:
-        raise ValidationError("divisibility needs at least two steps")
     maps: dict[tuple[int, int], QuantumMap] = {}
     for j in range(n_steps):
         for l in range(j + 1, n_steps + 1):

@@ -98,11 +98,11 @@ def load(path):
                 _is_int(n) and n >= 1 for n in leg_dims):
             raise FormatError(f"leg_dims must be a list of positive integers, "
                               f"got {leg_dims!r}")
-        dim = math.prod(leg_dims)
-        if dim != d ** (2 * k + 1):
+        if leg_dims != [d] * (2 * k + 1):
             raise FormatError(
                 f"leg dims {leg_dims} inconsistent with "
                 f"system_dim={d}, k={k}")
+        dim = d ** (2 * k + 1)
         blob = fh.read()
     choi = _deinterleave(blob, dim, dim)
     if not np.isfinite(choi).all():

@@ -45,6 +45,15 @@ def b2_pt(b2_model):
 
 
 @pytest.fixture(scope="session")
+def b2_pure_pt3():
+    """B.2 tensor from the pure state |0> over three omega*dt = 0.7 steps:
+    memory behind a break with a two-slot past, and conditionals of zero
+    probability."""
+    return build_process_tensor(model_b2(omega=1.0, rho_s=P0),
+                                (0.0, 0.7, 1.4, 2.1))
+
+
+@pytest.fixture(scope="session")
 def b3_states():
     return PP.copy(), P0.copy()
 

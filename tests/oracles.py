@@ -6,6 +6,7 @@ closed forms derived by hand), so agreement is meaningful.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -237,3 +238,128 @@ def schmidt_rank_across(mat, dims_early, dims_late, cutoff=1e-10):
                                                                   dl * dl)
     s = np.linalg.svd(t, compute_uv=False)
     return int((s > cutoff * s.max()).sum())
+
+
+# ---------------------------------------------------------------------------
+# the causal-break test by brute force: one Python pass per past sequence
+# and an all-pairs Bloch diameter
+# ---------------------------------------------------------------------------
+
+def diameter_qubit_all_pairs(states):
+    """Max pairwise trace distance of normalized qubit states by the
+    all-pairs Bloch-space distance matrix, scanned in blocks of rows; the
+    pair is the blocked argmax (first row, then first column)."""
+    from ptmarkov.markov import _bloch_vectors
+
+    b = _bloch_vectors(states)
+    n = b.shape[0]
+    best = (0.0, 0, 0)
+    chunk = max(1, min(n, 2 ** 22 // max(n, 1)))
+    for start in range(0, n, chunk):
+        block = b[start:start + chunk]
+        d2 = ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        idx = np.unravel_index(np.argmax(d2), d2.shape)
+        val = math.sqrt(float(d2[idx]))
+        if val > best[0]:
+            best = (val, start + int(idx[0]), int(idx[1]))
+    return best
+
+
+def _break_vectors(break_set):
+    # break realization (r, s) has Choi  P_s (x) Pi_r^T
+    return np.stack([np.kron(p, e.T).reshape(-1)
+                     for e in break_set.effects
+                     for p in break_set.preparations])
+
+
+def conditional_output_loop(pt, basis, break_set, k, l, past, r, s):
+    """Unnormalized output at step l for one past sequence and one break
+    realization, contracting one basis element at a time."""
+    from ptmarkov.markov import _reduced_form
+
+    d = pt.system_dim
+    arr = _reduced_form(pt, k, l)
+    for mu in past:  # slot 0 sits on the last axis
+        arr = arr @ basis.elements[mu].choi.reshape(-1)
+    outs = (arr @ _break_vectors(break_set).T).reshape(
+        d, d, break_set.n_outcomes, break_set.n_preparations)
+    return outs[:, :, r, s]
+
+
+def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
+                     prob_floor=None):
+    """The causal-break sweep with a Python loop over every past sequence
+    and the all-pairs diameter; returns a ``MarkovReport``."""
+    from ptmarkov.defaults import MARKOV_TOL, PROBABILITY_FLOOR
+    from ptmarkov.markov import (ConditioningRecord, MarkovReport,
+                                 _diameter_general, _reduced_form)
+    from ptmarkov.process_tensor import default_break
+
+    tol = MARKOV_TOL if tol is None else tol
+    prob_floor = PROBABILITY_FLOOR if prob_floor is None else prob_floor
+    n_steps = pt.n_steps
+    d = pt.system_dim
+    if break_set is None:
+        break_set = default_break(d)
+    basis_vecs = np.stack([e.choi.reshape(-1) for e in basis.elements])
+    break_vecs = _break_vectors(break_set)
+    n_out = break_set.n_outcomes
+    n_prep = break_set.n_preparations
+
+    best = 0.0
+    witness = None
+    skipped = 0
+    inconclusive = []
+    breaks_tested = []
+    stop = False
+    for k in range(n_steps - 1, 0, -1):
+        for l in range(k + 1, n_steps + 1):
+            breaks_tested.append((k, l))
+            form = _reduced_form(pt, k, l)
+            states_by_prep = {s: [] for s in range(n_prep)}
+            records_by_prep = {s: [] for s in range(n_prep)}
+            for past in itertools.product(range(len(basis)), repeat=k):
+                arr = form
+                for mu in past:
+                    arr = arr @ basis_vecs[mu]
+                outs = (arr @ break_vecs.T).reshape(d, d, n_out, n_prep)
+                probs = np.einsum("aars->rs", outs).real
+                for r in range(n_out):
+                    for s in range(n_prep):
+                        p = probs[r, s]
+                        if p <= prob_floor:
+                            skipped += 1
+                            continue
+                        states_by_prep[s].append(outs[:, :, r, s] / p)
+                        records_by_prep[s].append(ConditioningRecord(
+                            break_slot=k, readout_step=l, povm_outcome=r,
+                            preparation=s, past=past))
+            for s in range(n_prep):
+                group = states_by_prep[s]
+                if not group:
+                    inconclusive.append((k, l, s))
+                    continue
+                stack = np.stack(group)
+                if d == 2:
+                    dev, i, j = diameter_qubit_all_pairs(stack)
+                else:
+                    dev, i, j = _diameter_general(stack)
+                if dev > best:
+                    best = dev
+                    witness = (records_by_prep[s][i], records_by_prep[s][j])
+                if best > tol and not exhaustive:
+                    stop = True
+                    break
+            if stop:
+                break
+        if stop:
+            break
+    return MarkovReport(
+        is_markov=bool(best <= tol),
+        max_deviation=float(best),
+        witness=witness if best > tol else None,
+        tolerance=float(tol),
+        breaks_tested=tuple(breaks_tested),
+        skipped_conditionals=skipped,
+        inconclusive_groups=tuple(inconclusive),
+    )

@@ -66,6 +66,12 @@ def test_simulate_markov_product_form(tmp_path):
     assert trace_norm_distance(closest_markov(pt).choi, pt.choi) <= 1e-9
 
 
+def test_simulate_ignores_basis_key(tmp_path):
+    """"basis" selects nothing, so like any unknown key it is ignored."""
+    cfg = _write_config(tmp_path / "b2.json", basis="pauli")
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "b2.ptf")]) == 0
+
+
 def test_simulate_missing_output_is_config_error(tmp_path):
     cfg = _write_config(tmp_path / "b2.json")
     assert main(["simulate", str(cfg)]) == 2
@@ -111,6 +117,35 @@ def test_analyze_non_numeric_leg_dims_exit_3(tmp_path, capsys):
     _write_ptf(path, header, raw)
     assert main(["analyze", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: leg_dims")
+
+
+def test_analyze_leg_dims_mismatch_exit_3(tmp_path, capsys):
+    """The product matches d**(2K+1), but the legs are not all qubits."""
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    header["leg_dims"] = [4, 8, 1, 1, 1]
+    _write_ptf(path, header, raw)
+    assert main(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: leg dims")
+    assert "Traceback" not in err
+
+
+def test_analyze_one_step_file(tmp_path):
+    """A one-step process is Markovian by construction: every analysis
+    runs and the causal-break and divisibility reports are vacuous."""
+    ident = QuantumMap.identity(2).choi
+    path = tmp_path / "k1.ptf"
+    ProcessTensor(np.kron(ident, np.eye(2) / 2), 2, (0.0, 1.0)).save(path)
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(path), "-o", str(report_path)]) == 0
+    analyses = json.loads(report_path.read_text())["analyses"]
+    assert sorted(analyses) == ["bonddim", "classical", "divisibility",
+                                "markov", "measure"]
+    assert analyses["markov"]["is_markov"] is True
+    assert analyses["markov"]["breaks_tested"] == []
+    assert analyses["markov"]["max_deviation"] == 0.0
+    assert analyses["divisibility"]["triple_defects"] == []
+    assert analyses["divisibility"]["max_defect"] == 0.0
 
 
 def test_analyze_nan_blob_exit_3(tmp_path, capsys):

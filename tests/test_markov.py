@@ -16,6 +16,7 @@ from ptmarkov import (
     confusion_probability,
     divisibility_test,
     markov_test,
+    model_b2,
     model_markov,
     non_markovianity,
     partial_trace,
@@ -36,6 +37,9 @@ from oracles import (
     PP,
     b3_choi_analytic,
     b3_classical_table,
+    conditional_output_loop,
+    diameter_qubit_all_pairs,
+    markov_test_loop,
     relative_entropy_eig,
     schmidt_rank_across,
 )
@@ -91,11 +95,18 @@ def test_markov_test_flags_b1(b1_pt, basis2):
     assert rep.max_deviation > 0.1
 
 
-def test_markov_test_requires_two_steps(basis2):
+def test_one_step_process_is_vacuously_markov(basis2):
+    """A single step has no causal break and no triple of times."""
     model = model_markov([IDENT], P0)
     pt = build_process_tensor(model, (0.0, 1.0))
-    with pytest.raises(ValidationError):
-        markov_test(pt, basis2)
+    rep = markov_test(pt, basis2)
+    assert rep.is_markov
+    assert rep.max_deviation == 0.0
+    assert rep.breaks_tested == ()
+    assert rep.witness is None
+    div = divisibility_test(pt, basis2)
+    assert div.triple_defects == ()
+    assert div.max_defect == 0.0
 
 
 def test_markov_test_breaks_scanned(b3_pt, basis2):
@@ -113,6 +124,145 @@ def test_markov_test_inconclusive_on_degenerate_data(b3_pt, basis2):
     assert not rep.conclusive
     assert rep.inconclusive_groups
     assert rep.skipped_conditionals > 0
+
+
+def _states_from_bloch(b):
+    """Qubit states (I + b.sigma) / 2 for the rows of b."""
+    b = np.asarray(b, dtype=float)
+    out = np.empty((len(b), 2, 2), dtype=complex)
+    out[:, 0, 0] = (1 + b[:, 2]) / 2
+    out[:, 1, 1] = (1 - b[:, 2]) / 2
+    out[:, 0, 1] = (b[:, 0] - 1j * b[:, 1]) / 2
+    out[:, 1, 0] = (b[:, 0] + 1j * b[:, 1]) / 2
+    return out
+
+
+def _cloud(kind, rng):
+    if kind == "ball":
+        v = rng.normal(size=(2000, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True) \
+            * rng.uniform(size=(2000, 1)) ** (1 / 3)
+    if kind == "shell":
+        v = rng.normal(size=(1500, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+    if kind == "ball-multiblock":  # the oracle scans it in several blocks
+        v = rng.normal(size=(5000, 3))
+        return 0.9 * v / np.linalg.norm(v, axis=1, keepdims=True) \
+            * rng.uniform(size=(5000, 1)) ** (1 / 3)
+    if kind == "cluster-1e-15":
+        return np.array([0.3, -0.2, 0.5]) + 1e-15 * rng.normal(size=(1024, 3))
+    if kind == "identical":
+        return np.tile([0.1, 0.2, -0.3], (300, 1))
+    if kind == "duplicates":
+        return rng.normal(size=(7, 3))[rng.integers(0, 7, size=900)] / 3
+    if kind == "axis-copies":
+        # only exact copies of +-e_x, +-e_y, +-e_z: every box is a point,
+        # every bound between opposite copies equals the diameter, and
+        # more than one batch of cell pairs ties with it. Extra +e_y
+        # copies put the seed on the y axis; the first pair is (0, first
+        # -e_x copy).
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        pick = rng.choice(6, size=4000, p=[1 / 7, 2 / 7] + [1 / 7] * 4)
+        pick[0] = 0
+        return axes[pick]
+    if kind == "ties":
+        # +-e_x, +-e_y, +-e_z, 48 copies each, scattered among interior
+        # points: thousands of pairs at distance 2, and the farthest-point
+        # seed need not be the first of them
+        pts = 0.5 * rng.uniform(-1, 1, size=(600, 3))
+        slots = rng.permutation(600)[:288].reshape(6, 48)
+        for axis in range(3):
+            for sign in (0, 1):
+                pts[slots[2 * axis + sign]] = 0.0
+                pts[slots[2 * axis + sign], axis] = 1.0 - 2.0 * sign
+        return pts
+    if kind in ("near-tie", "near-tie-multiblock"):
+        # |q - (-q)| and |q' - (-q')| for a permutation q' of q round to the
+        # same distance, but their squared distances differ in the last
+        # bit; the smaller one comes first, and 2998 interior points push
+        # the larger one into a later block of the oracle's scan
+        q = np.array([0.34, 0.39, 0.2])
+        n_fill = 196 if kind == "near-tie" else 2996
+        return np.concatenate([[q, -q], 0.1 * rng.uniform(-1, 1, (n_fill, 3)),
+                               [q[[0, 2, 1]], -q[[0, 2, 1]]]])
+    if kind == "one":
+        return np.array([[0.1, 0.2, 0.3]])
+    if kind == "two":
+        return np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.2]])
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["ball", "shell", "ball-multiblock",
+                                  "cluster-1e-15", "identical", "duplicates",
+                                  "axis-copies", "ties", "near-tie",
+                                  "near-tie-multiblock", "one", "two"])
+def test_bloch_diameter_bit_identical_to_all_pairs(kind):
+    from ptmarkov.markov import _bloch_diameter, _bloch_vectors
+    states = _states_from_bloch(_cloud(kind, np.random.default_rng(71)))
+    b = _bloch_vectors(states)
+    if kind.startswith("near-tie"):
+        d2 = [float(((b[i] - b[i + 1]) ** 2).sum()) for i in (0, len(b) - 2)]
+        assert d2[0] < d2[1] and math.sqrt(d2[0]) == math.sqrt(d2[1])
+    got = _bloch_diameter(b)
+    assert got == diameter_qubit_all_pairs(states)
+    assert type(got[0]) is float
+
+
+def test_bloch_diameter_bit_identical_on_b2_groups(basis2, monkeypatch):
+    """Every group of a three-step B.2 sweep; several hold pairs whose
+    distances round to the same maximum while their squared distances
+    differ in the last bit."""
+    import ptmarkov.markov as markov
+    from ptmarkov.markov import _bloch_diameter
+    rng = np.random.default_rng(1)
+    theta = rng.uniform(0.6, 1.0)
+    model = model_b2(1.0, rho_s=random_density(2, rng))
+    pt = build_process_tensor(model, [j * theta for j in range(4)])
+    groups = []
+    bloch = markov._bloch_vectors
+    monkeypatch.setattr(markov, "_bloch_vectors",
+                        lambda states: groups.append(states) or bloch(states))
+    markov_test(pt, basis2, exhaustive=True)
+    monkeypatch.undo()
+    assert groups
+    for states in groups:
+        assert _bloch_diameter(bloch(states)) == \
+            diameter_qubit_all_pairs(states)
+
+
+def _trace_norm_eig(a, b):
+    """||a - b||_1 of Hermitian a, b, the unit of ``max_deviation``."""
+    return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+@pytest.mark.parametrize("name", ["b1_pt", "b2_pt", "b3_pt", "markov_pt2",
+                                  "markov_pt3", "b2_pure_pt3"])
+def test_markov_test_matches_per_past_loop(name, exhaustive, basis2, request):
+    from ptmarkov import default_break
+    pt = request.getfixturevalue(name)
+    rep = markov_test(pt, basis2, exhaustive=exhaustive)
+    ref = markov_test_loop(pt, basis2, exhaustive=exhaustive)
+    assert abs(rep.max_deviation - ref.max_deviation) <= 1e-12
+    assert rep.is_markov == ref.is_markov
+    assert rep.breaks_tested == ref.breaks_tested
+    assert rep.skipped_conditionals == ref.skipped_conditionals
+    assert rep.inconclusive_groups == ref.inconclusive_groups
+    if name == "b2_pure_pt3":
+        assert rep.skipped_conditionals > 0
+    assert (rep.witness is None) == (ref.witness is None)
+    if rep.witness is None:
+        return
+    a, b = rep.witness
+    assert (a.break_slot, a.readout_step, a.preparation) == \
+        (b.break_slot, b.readout_step, b.preparation)
+    states = []
+    for w in (a, b):
+        out = conditional_output_loop(pt, basis2, default_break(2),
+                                      w.break_slot, w.readout_step, w.past,
+                                      w.povm_outcome, w.preparation)
+        states.append(out / np.trace(out).real)
+    assert abs(_trace_norm_eig(*states) - rep.max_deviation) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
