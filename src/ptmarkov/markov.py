@@ -134,7 +134,6 @@ class DivisibilityReport:
 class MeasureReport:
     n_value: float
     metric: str
-    closest_markov: ProcessTensor
     bond_dims: tuple[int, ...]
     is_upper_bound: bool = False
 
@@ -320,13 +319,18 @@ def _bloch_diameter(b: Array) -> tuple[float, int, int]:
 
 
 def _diameter_general(states: Array) -> tuple[float, int, int]:
-    n = states.shape[0]
+    """Largest pairwise trace-norm distance in a stack of (d, d) states and
+    the first pair (i < j) in (i, j) order that reaches it, or (0.0, 0, 0)
+    when no two states differ. Row i is compared with every later state in
+    one batched SVD, the same singular values ``trace_norm_distance``
+    computes pair by pair."""
     best = (0.0, 0, 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = trace_norm_distance(states[i], states[j])
-            if val > best[0]:
-                best = (val, i, j)
+    for i in range(states.shape[0] - 1):
+        dist = np.linalg.svd(states[i] - states[i + 1:],
+                             compute_uv=False).sum(axis=-1)
+        j = int(np.argmax(dist))
+        if dist[j] > best[0]:
+            best = (float(dist[j]), i, i + 1 + j)
     return best
 
 
@@ -493,9 +497,9 @@ def _block_legs(n_steps: int) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _block_marginals(pt: ProcessTensor) -> list[Array]:
-    dims = pt.legs.dims
-    return [partial_trace(pt.choi, dims, block)
+def _block_marginals(pt: ProcessTensor, m: Array) -> list[Array]:
+    """Block marginals of ``m``, an operator on the legs of ``pt``."""
+    return [partial_trace(m, pt.legs.dims, block)
             for block in _block_legs(pt.n_steps)]
 
 
@@ -505,7 +509,7 @@ def closest_markov(pt: ProcessTensor) -> ProcessTensor:
     trace convention (trace d per step block, trace 1 for the initial
     state)."""
     d = pt.system_dim
-    marginals = _block_marginals(pt)
+    marginals = _block_marginals(pt, pt.choi)
     scaled = []
     for i, m in enumerate(marginals):
         target = float(d) if i < pt.n_steps else 1.0
@@ -541,36 +545,52 @@ def relative_entropy(rho: Array, sigma: Array,
     return term_r - term_cross
 
 
+def _entropy(w: Array) -> float:
+    """Von Neumann entropy in nats of a unit-trace spectrum. Eigenvalues
+    at or below SUPPORT_CUTOFF contribute nothing (0 log 0 = 0)."""
+    if w.min() < -1e-10:
+        raise NotPositive(f"measure input not PSD: eigenvalue {w.min():.3e}")
+    w = w[w > SUPPORT_CUTOFF]
+    return float(-(w * np.log(w)).sum())
+
+
 def non_markovianity(pt: ProcessTensor, metric: str = "relative_entropy",
                      bond_cutoff: float = BOND_CUTOFF) -> MeasureReport:
-    """Distance from the unit-trace-normalized tensor to the closest
-    memoryless one.
+    """Distance from the unit-trace-normalized tensor rho to the closest
+    memoryless one, in nats and clamped at 0.
 
     For relative entropy the minimizer over product structures is the
-    product of the block marginals, so the measure evaluates in closed
-    form; the trace-distance variant uses the same candidate and is
-    reported as an upper bound. The result is in nats and clamped at 0.
+    product of the normalized block marginals rho_b, so the measure is the
+    multi-information
+
+        N = sum_b S(rho_b) - S(rho),
+
+    with S(rho) read from ``pt.spectrum`` (rescaled by the trace; the same
+    cached eigensolve that gives ``pt.min_eigenvalue``) and each S(rho_b)
+    from the spectrum of a d**2 x d**2 (or d x d) marginal. The general
+    ``relative_entropy`` returns +inf when rho has weight outside the
+    support of sigma; that cannot happen here, since the support of rho
+    lies inside the support of the product of its marginals. The
+    trace-distance variant builds the product sigma, uses the same
+    candidate and is reported as an upper bound.
     """
     if metric not in ("relative_entropy", "trace_distance"):
         raise ValidationError(f"unknown metric {metric!r}")
+    herm = hermitize(pt.choi, atol=1e-8)
     tr = pt.trace
-    rho = hermitize(pt.choi, atol=1e-8) / tr
-    marginals = _block_marginals(pt)
-    sigma = tensor_product(*[m / np.trace(m).real for m in marginals])
+    marginals = [m / np.trace(m).real for m in _block_marginals(pt, herm)]
     if metric == "relative_entropy":
-        n_value = relative_entropy(rho, sigma)
+        n_value = sum(_entropy(np.linalg.eigvalsh(m)) for m in marginals) \
+            - _entropy(pt.spectrum / tr)
         upper = False
     else:
-        n_value = trace_norm_distance(rho, sigma)
+        n_value = trace_norm_distance(herm / tr, tensor_product(*marginals))
         upper = True
-    if n_value != math.inf:
-        if n_value < -1e-10:
-            raise ValidationError(f"measure came out negative: {n_value}")
-        n_value = max(0.0, float(n_value))
+    if n_value < -1e-10:
+        raise ValidationError(f"measure came out negative: {n_value}")
     return MeasureReport(
-        n_value=n_value,
+        n_value=max(0.0, float(n_value)),
         metric=metric,
-        closest_markov=closest_markov(pt),
         bond_dims=tuple(bond_dimension(pt, cutoff=bond_cutoff)),
         is_upper_bound=upper,
     )

@@ -120,15 +120,12 @@ class ControlSequence:
 
 
 def _resolve_controls(controls, n_slots: int, d: int) -> list[Array]:
-    if not isinstance(controls, ControlSequence):
-        controls = ControlSequence(controls, system_dim=d)
+    if isinstance(controls, ControlSequence):
+        controls = controls.maps
+    controls = ControlSequence(controls, system_dim=d)
     if len(controls) != n_slots:
         raise DimensionMismatch(
             f"sequence has {len(controls)} slots, tensor has {n_slots}")
-    for pos, m in enumerate(controls.maps):
-        if m.in_dim != d or m.out_dim != d:
-            raise DimensionMismatch(
-                f"slot {pos} dims ({m.in_dim}, {m.out_dim}) != system dim {d}")
     return controls.chois()
 
 
@@ -174,7 +171,7 @@ class ProcessTensor:
             if asym > 1e-8:
                 raise ValidationError(f"choi asymmetry {asym:.3e} exceeds 1e-8")
         self._form = None
-        self._min_eig = None
+        self._spectrum = None
 
     # -- basic properties ----------------------------------------------------
 
@@ -191,11 +188,19 @@ class ProcessTensor:
         return float(np.trace(self.choi).real)
 
     @property
+    def spectrum(self) -> Array:
+        """Cached ascending eigenvalues of the Hermitian part
+        (Upsilon + Upsilon^dagger) / 2, read-only; the one full-size
+        eigensolve that the report header and the entropy measure share."""
+        if self._spectrum is None:
+            w = np.linalg.eigvalsh((self.choi + self.choi.conj().T) / 2)
+            w.setflags(write=False)
+            self._spectrum = w
+        return self._spectrum
+
+    @property
     def min_eigenvalue(self) -> float:
-        if self._min_eig is None:
-            self._min_eig = float(np.linalg.eigvalsh(
-                (self.choi + self.choi.conj().T) / 2).min())
-        return self._min_eig
+        return float(self.spectrum[0])
 
     def as_tensor(self) -> Array:
         """View with one axis per leg: row legs first, then column legs."""

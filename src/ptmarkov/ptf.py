@@ -70,7 +70,7 @@ def _is_int(value) -> bool:
 
 
 def load(path):
-    from .process_tensor import ProcessTensor
+    from .process_tensor import ProcessTensor, leg_labels
 
     with open(path, "rb") as fh:
         header = _read_header(fh)
@@ -102,6 +102,14 @@ def load(path):
             raise FormatError(
                 f"leg dims {leg_dims} inconsistent with "
                 f"system_dim={d}, k={k}")
+        if header.get("leg_labels") != list(leg_labels(k)):
+            raise FormatError(
+                f"leg labels {header.get('leg_labels')!r} are not the "
+                f"k={k} labels {list(leg_labels(k))}")
+        if header.get("trace_convention") != TRACE_CONVENTION:
+            raise FormatError(
+                f"trace convention {header.get('trace_convention')!r} is "
+                f"not {TRACE_CONVENTION!r}")
         dim = d ** (2 * k + 1)
         blob = fh.read()
     choi = _deinterleave(blob, dim, dim)

@@ -265,6 +265,21 @@ def diameter_qubit_all_pairs(states):
     return best
 
 
+def diameter_general_loop(states):
+    """Max pairwise trace distance of (d, d) states by a double loop of
+    pairwise SVDs; the pair is the first strict maximum in (i, j) order."""
+    from ptmarkov.linalg import trace_norm_distance
+
+    n = states.shape[0]
+    best = (0.0, 0, 0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = trace_norm_distance(states[i], states[j])
+            if val > best[0]:
+                best = (val, i, j)
+    return best
+
+
 def _break_vectors(break_set):
     # break realization (r, s) has Choi  P_s (x) Pi_r^T
     return np.stack([np.kron(p, e.T).reshape(-1)
@@ -292,7 +307,7 @@ def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
     and the all-pairs diameter; returns a ``MarkovReport``."""
     from ptmarkov.defaults import MARKOV_TOL, PROBABILITY_FLOOR
     from ptmarkov.markov import (ConditioningRecord, MarkovReport,
-                                 _diameter_general, _reduced_form)
+                                 _reduced_form)
     from ptmarkov.process_tensor import default_break
 
     tol = MARKOV_TOL if tol is None else tol
@@ -343,7 +358,7 @@ def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
                 if d == 2:
                     dev, i, j = diameter_qubit_all_pairs(stack)
                 else:
-                    dev, i, j = _diameter_general(stack)
+                    dev, i, j = diameter_general_loop(stack)
                 if dev > best:
                     best = dev
                     witness = (records_by_prep[s][i], records_by_prep[s][j])

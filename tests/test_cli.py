@@ -130,6 +130,50 @@ def test_analyze_leg_dims_mismatch_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_analyze_trace_convention_mismatch_exit_3(tmp_path, capsys):
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    header["trace_convention"] = "unit_trace"
+    _write_ptf(path, header, raw)
+    assert main(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace convention")
+    assert "Traceback" not in err
+
+
+def test_analyze_leg_labels_mismatch_exit_3(tmp_path, capsys):
+    """The labels of a two-step file in chronological, not stored, order."""
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    header["leg_labels"] = header["leg_labels"][::-1]
+    _write_ptf(path, header, raw)
+    assert main(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: leg labels")
+    assert "Traceback" not in err
+
+
+def test_analyze_measure_solves_one_full_size_spectrum(tmp_path, b2_pure_pt3,
+                                                       monkeypatch):
+    """`ptr analyze --measure` eigensolves the full tensor once (for the
+    header's min eigenvalue, reused by the measure) and decomposes nothing
+    larger than a block marginal."""
+    path = tmp_path / "b2.ptf"
+    b2_pure_pt3.save(path)
+    d, dim = 2, b2_pure_pt3.dim
+    sizes = {"eigh": [], "eigvalsh": []}
+    for name in sizes:
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, _orig=orig, _name=name, **kwargs):
+            sizes[_name].append(np.shape(a)[-1])
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(["analyze", str(path), "--measure",
+                 "-o", str(tmp_path / "r.json")]) == 0
+    assert all(n <= d * d for n in sizes["eigh"]), sizes["eigh"]
+    assert sizes["eigvalsh"].count(dim) == 1, sizes["eigvalsh"]
+    assert max(sizes["eigvalsh"]) == dim
+
+
 def test_analyze_one_step_file(tmp_path):
     """A one-step process is Markovian by construction: every analysis
     runs and the causal-break and divisibility reports are vacuous."""

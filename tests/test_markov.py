@@ -5,6 +5,9 @@ import pytest
 
 from ptmarkov import (
     ClassicalProcess,
+    NotHermitian,
+    NotPositive,
+    ProcessTensor,
     QuantumMap,
     ValidationError,
     apply_local_channel,
@@ -38,6 +41,7 @@ from oracles import (
     b3_choi_analytic,
     b3_classical_table,
     conditional_output_loop,
+    diameter_general_loop,
     diameter_qubit_all_pairs,
     markov_test_loop,
     relative_entropy_eig,
@@ -230,6 +234,34 @@ def test_bloch_diameter_bit_identical_on_b2_groups(basis2, monkeypatch):
             diameter_qubit_all_pairs(states)
 
 
+def _qutrit_group(kind, rng):
+    if kind == "random":
+        return np.stack([random_density(3, rng) for _ in range(150)])
+    if kind == "duplicates":
+        pool = np.stack([random_density(3, rng) for _ in range(6)])
+        return pool[rng.integers(0, 6, size=120)]
+    if kind == "identical":
+        return np.tile(random_density(3, rng), (40, 1, 1))
+    if kind == "one":
+        return random_density(3, rng)[None]
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicates", "identical", "one"])
+def test_general_diameter_bit_identical_to_loop(kind):
+    """The batched d > 2 diameter: same value and same first pair as the
+    pairwise loop, bit for bit."""
+    from ptmarkov.markov import _diameter_general
+    states = _qutrit_group(kind, np.random.default_rng(72))
+    got = _diameter_general(states)
+    assert got == diameter_general_loop(states)
+    assert type(got[0]) is float
+    if kind == "duplicates":
+        assert got[0] > 0.0
+    if kind in ("identical", "one"):
+        assert got == (0.0, 0, 0)
+
+
 def _trace_norm_eig(a, b):
     """||a - b||_1 of Hermitian a, b, the unit of ``max_deviation``."""
     return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
@@ -362,6 +394,40 @@ def test_measure_monotone_under_local_channels(b3_pt, b2_pt):
             chan = random_cptp(2, rng)
             post = apply_local_channel(pt, leg, chan)
             assert non_markovianity(post).n_value <= base + 1e-9
+
+
+def test_closed_form_measure_matches_eigen_route(b1_pt, b2_pt, b3_pt,
+                                                 markov_pt2, markov_pt3,
+                                                 b2_pure_pt3):
+    """The multi-information equals the relative entropy to the normalized
+    product of marginals, computed from two eigendecompositions."""
+    rng = np.random.default_rng(64)
+    corpus = [b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3]
+    for _ in range(5):
+        leg = int(rng.integers(0, b2_pt.legs.n_legs))
+        corpus.append(apply_local_channel(b2_pt, leg, random_cptp(2, rng)))
+    for pt in corpus:
+        rho = pt.choi / pt.trace
+        sigma = closest_markov(pt).choi
+        eigen_route = relative_entropy(rho, sigma / np.trace(sigma).real)
+        assert abs(non_markovianity(pt).n_value - eigen_route) <= 1e-12
+
+
+def test_measure_rejects_non_hermitian_tensor(b2_pt):
+    choi = b2_pt.choi.copy()
+    choi[0, 1] += 1e-6
+    pt = ProcessTensor(choi, 2, b2_pt.times, validate=False)
+    with pytest.raises(NotHermitian):
+        non_markovianity(pt)
+
+
+def test_measure_rejects_non_psd_tensor(b2_pt):
+    w, v = np.linalg.eigh(b2_pt.choi)
+    w[0] = -1e-6 * b2_pt.trace
+    pt = ProcessTensor((v * w) @ v.conj().T, 2, b2_pt.times)
+    assert pt.min_eigenvalue < -1e-7
+    with pytest.raises(NotPositive):
+        non_markovianity(pt)
 
 
 def test_measure_trace_distance_variant(b3_pt):
