@@ -166,7 +166,6 @@ def cmd_simulate(args) -> int:
     print(f"wrote {out_path}")
     print(f"shape: {pt.dim} x {pt.dim}  (legs {' '.join(pt.legs.labels)})")
     print(f"trace: {pt.trace:.12g}")
-    print(f"min eigenvalue: {pt.min_eigenvalue:.3e}")
     return 0
 
 

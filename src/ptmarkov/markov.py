@@ -578,7 +578,13 @@ def non_markovianity(pt: ProcessTensor, metric: str = "relative_entropy",
         raise ValidationError(f"unknown metric {metric!r}")
     herm = hermitize(pt.choi, atol=1e-8)
     tr = pt.trace
-    marginals = [m / np.trace(m).real for m in _block_marginals(pt, herm)]
+    marginals = _block_marginals(pt, herm)
+    traces = [tr] + [float(np.trace(m).real) for m in marginals]
+    if not all(math.isfinite(t) and t > 0 for t in traces):
+        raise ValidationError(
+            f"measure needs a positive finite trace on the tensor and every "
+            f"block marginal, got {traces}")
+    marginals = [m / t for m, t in zip(marginals, traces[1:])]
     if metric == "relative_entropy":
         n_value = sum(_entropy(np.linalg.eigvalsh(m)) for m in marginals) \
             - _entropy(pt.spectrum / tr)
@@ -608,31 +614,57 @@ def confusion_probability(n_value: float, n: int) -> float:
     return float(math.exp(-n * n_value))
 
 
+# bond_dimension carries singular values down to this fraction of its
+# counting threshold from one cut to the next; a fixed margin, not a knob.
+_CARRY_MARGIN = 1e-3
+
+
 def bond_dimension(pt: ProcessTensor, cutoff: float = BOND_CUTOFF) -> list[int]:
     """Operator-Schmidt ranks across the temporal cuts.
 
     Legs are ordered chronologically and cut at each control time t_j
-    (between the slot's input and output legs); the rank counts singular
-    values above ``cutoff`` times the largest. A memoryless process is
-    rank 1 across every cut.
+    (between the slot's input and output legs); the rank counts the
+    singular values of that cut's unfolding above ``cutoff`` times the
+    largest. A memoryless process is rank 1 across every cut.
+
+    The ranks come from one left-to-right sweep, the TT-SVD of Oseledets
+    (SIAM J. Sci. Comput. 33, 2295, 2011), not from an SVD of each
+    unfolding. The tensor is transposed once into chronological legs with
+    each leg's row and column axes adjacent, shaped (d*d, -1) for cut 0.
+    Each cut factors the current remainder; a wide one is first reduced to
+    the R factor of a QR of its transpose, so no SVD is larger than the
+    remainder's row count. The sweep then carries U^H times the remainder,
+    reshaped to (r * d**4, -1), to the next cut: the r left singular
+    vectors kept times the two legs between the cuts. Since the kept U has
+    orthonormal columns, the unfolding at the next cut is (U (x) 1) times
+    that remainder and has the same singular values, so each count is the
+    rank of that cut's own unfolding. Only singular values at or below
+    ``cutoff * _CARRY_MARGIN`` times the largest are dropped from the
+    carry; the dropped tail moves later singular values by far less than
+    the counting threshold.
     """
     k = pt.n_steps
     d = pt.system_dim
     n = 2 * k + 1
-    t = pt.as_tensor()
     # chronological leg order is the reverse of the stored order
-    chrono = list(range(n - 1, -1, -1))
-    t = t.transpose([*chrono, *[c + n for c in chrono]])
+    order = [a for leg in range(n - 1, -1, -1) for a in (leg, leg + n)]
+    rest = pt.as_tensor().transpose(order).reshape(d * d, -1)
     dims = []
     for j in range(k):
-        n_early = 2 * j + 1
-        n_late = n - n_early
-        order = (list(range(n_early)) + [n + i for i in range(n_early)]
-                 + list(range(n_early, n)) + [n + i for i in range(n_early, n)])
-        mat = t.transpose(order).reshape(d ** (2 * n_early), d ** (2 * n_late))
-        svals = np.linalg.svd(mat, compute_uv=False)
-        top = svals.max()
-        dims.append(int((svals > cutoff * top).sum()) if top > 0 else 0)
+        if rest.shape[0] < rest.shape[1]:
+            # rest = R^T Q^T and Q^T has orthonormal rows: no conjugate
+            # copy of rest is needed
+            u, s, _ = np.linalg.svd(np.linalg.qr(rest.T, mode="r").T)
+        else:
+            u, s, _ = np.linalg.svd(rest, full_matrices=False)
+        top = s[0]
+        if top == 0:  # every unfolding of a zero tensor is zero
+            return [0] * k
+        dims.append(int((s > cutoff * top).sum()))
+        if j < k - 1:
+            # the largest always stays, so the next cut has a remainder
+            keep = max(1, int((s > cutoff * _CARRY_MARGIN * top).sum()))
+            rest = (u[:, :keep].conj().T @ rest).reshape(keep * d ** 4, -1)
     return dims
 
 

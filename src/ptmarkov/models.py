@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Array, as_operator, permute_legs, tensor_product
-from .process_tensor import ControlSequence, ProcessTensor
+from .process_tensor import ControlSequence, ProcessTensor, checked_times
 from .qops import DensityMatrix, QuantumMap
 
 __all__ = [
@@ -71,12 +71,7 @@ class ExperimentGrid:
     times: tuple[float, ...]
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        object.__setattr__(self, "times", times)
-        if len(times) < 1:
-            raise ValidationError("grid needs at least one time")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError(f"grid times must strictly increase: {times}")
+        object.__setattr__(self, "times", checked_times(self.times))
 
     @property
     def n_steps(self) -> int:

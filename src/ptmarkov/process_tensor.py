@@ -119,6 +119,17 @@ class ControlSequence:
         return [m.choi for m in self.maps]
 
 
+def checked_times(times: Iterable[float]) -> tuple[float, ...]:
+    """Time tags t_0 ... t_K as floats; raises ValidationError unless
+    there is at least one and they strictly increase."""
+    times = tuple(float(t) for t in times)
+    if not times:
+        raise ValidationError("need at least one time tag")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValidationError(f"times must be strictly increasing: {times}")
+    return times
+
+
 def _resolve_controls(controls, n_slots: int, d: int) -> list[Array]:
     if isinstance(controls, ControlSequence):
         controls = controls.maps
@@ -151,12 +162,8 @@ class ProcessTensor:
                  validate: bool = True):
         choi = np.asarray(choi, dtype=complex)
         self.system_dim = int(system_dim)
-        self.times = tuple(float(t) for t in times)
+        self.times = checked_times(times)
         n_steps = len(self.times) - 1
-        if n_steps < 0:
-            raise ValidationError("need at least one time tag")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValidationError(f"times must be strictly increasing: {self.times}")
         n_legs = 2 * n_steps + 1
         dim = self.system_dim ** n_legs
         if choi.shape != (dim, dim):

@@ -240,6 +240,29 @@ def schmidt_rank_across(mat, dims_early, dims_late, cutoff=1e-10):
     return int((s > cutoff * s.max()).sum())
 
 
+def bond_dimension_unfoldings(pt, cutoff=1e-10):
+    """Operator-Schmidt rank of every temporal cut from a full SVD of that
+    cut's own unfolding of the chronologically ordered tensor; the route
+    that the package's one-sweep bond_dimension replaced."""
+    k = pt.n_steps
+    d = pt.system_dim
+    n = 2 * k + 1
+    t = pt.as_tensor()
+    chrono = list(range(n - 1, -1, -1))
+    t = t.transpose([*chrono, *[c + n for c in chrono]])
+    dims = []
+    for j in range(k):
+        n_early = 2 * j + 1
+        n_late = n - n_early
+        order = (list(range(n_early)) + [n + i for i in range(n_early)]
+                 + list(range(n_early, n)) + [n + i for i in range(n_early, n)])
+        mat = t.transpose(order).reshape(d ** (2 * n_early), d ** (2 * n_late))
+        svals = np.linalg.svd(mat, compute_uv=False)
+        top = svals.max()
+        dims.append(int((svals > cutoff * top).sum()) if top > 0 else 0)
+    return dims
+
+
 # ---------------------------------------------------------------------------
 # the causal-break test by brute force: one Python pass per past sequence
 # and an all-pairs Bloch diameter

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ptmarkov import ProcessTensor, QuantumMap
+from ptmarkov import ProcessTensor, QuantumMap, build_process_tensor, model_b2
 from ptmarkov.cli import main
 
 from oracles import PP
@@ -64,6 +66,23 @@ def test_simulate_markov_product_form(tmp_path):
     # and the tensor factorizes into its block marginals
     from ptmarkov import closest_markov, trace_norm_distance
     assert trace_norm_distance(closest_markov(pt).choi, pt.choi) <= 1e-9
+
+
+def test_simulate_solves_no_spectrum(tmp_path, monkeypatch):
+    """The tensor is M M^dagger, PSD by construction: `ptr simulate` writes
+    it without eigensolving anything of its size (only the small initial
+    and step states are decomposed)."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, _orig=orig, **kwargs):
+            calls.append(np.shape(a))
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = _write_config(tmp_path / "b2.json")
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "b2.ptf")]) == 0
+    assert all(shape[-1] < 32 for shape in calls), calls
 
 
 def test_simulate_ignores_basis_key(tmp_path):
@@ -198,6 +217,73 @@ def test_analyze_nan_blob_exit_3(tmp_path, capsys):
     _write_ptf(path, header, raw)
     assert main(["analyze", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: blob holds non-finite")
+
+
+def test_analyze_zero_tensor_exit_2(tmp_path, capsys):
+    """A well-formed one-step file of zeros has no state to normalize; the
+    measure says so instead of eigensolving NaNs."""
+    path = tmp_path / "zero.ptf"
+    ProcessTensor(np.zeros((8, 8)), 2, (0.0, 1.0)).save(path)
+    assert main(["analyze", str(path), "--measure"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: measure needs a positive finite trace")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8)
+_HEADER_KEYS = ("format", "system_dim", "k", "times", "leg_labels",
+                "leg_dims", "trace_convention")
+_BAD_DOUBLES = (0.0, math.inf, -math.inf, math.nan, 1e300, -1e300)
+_MUTATION = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(_HEADER_KEYS), _JSON),
+    st.tuples(st.just("delete"), st.sampled_from(_HEADER_KEYS)),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("overwrite"), st.floats(0.0, 1.0, exclude_max=True),
+              st.floats(0.0, 1.0), st.sampled_from(_BAD_DOUBLES)),
+)
+
+
+@pytest.fixture(scope="module")
+def saved_b2(tmp_path_factory):
+    """B.2 files at K = 1 and 2, each split into its header and doubles."""
+    out = {}
+    for k in (1, 2):
+        path = tmp_path_factory.mktemp("fuzz") / f"b2-k{k}.ptf"
+        build_process_tensor(model_b2(omega=1.0),
+                             [0.7 * j for j in range(k + 1)]).save(path)
+        line, blob = path.read_bytes().split(b"\n", 1)
+        out[k] = (path, json.loads(line), np.frombuffer(blob, dtype="<f8"))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.sampled_from((1, 2)),
+       mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_analyze_fuzzed_ptf_never_raises(saved_b2, k, mutations):
+    """Mutated header fields, truncated blobs and runs of overwritten
+    doubles end in exit code 0, 2 or 3, never in a traceback."""
+    path, header, raw = saved_b2[k]
+    header, raw = dict(header), raw.copy()
+    truncate_to = None
+    for mutation in mutations:
+        kind = mutation[0]
+        if kind == "replace":
+            header[mutation[1]] = mutation[2]
+        elif kind == "delete":
+            header.pop(mutation[1], None)
+        elif kind == "truncate":
+            truncate_to = int(mutation[1] * raw.nbytes)
+        else:  # a run of doubles, from one up to the whole blob
+            start = int(mutation[1] * raw.size)
+            stop = start + max(1, int(mutation[2] * raw.size))
+            raw[start:stop] = mutation[3]
+    blob = raw.tobytes()[:truncate_to]
+    fuzzed = path.with_name("fuzzed.ptf")
+    fuzzed.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    assert main(["analyze", str(fuzzed)]) in (0, 2, 3)
 
 
 def test_analyze_full_report(tmp_path):

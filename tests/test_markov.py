@@ -9,6 +9,7 @@ from ptmarkov import (
     NotPositive,
     ProcessTensor,
     QuantumMap,
+    SEModel,
     ValidationError,
     apply_local_channel,
     bond_dimension,
@@ -29,9 +30,11 @@ from ptmarkov import (
 )
 from ptmarkov.random_ops import (
     computational_reprepare_instrument,
+    random_control_sequence,
     random_cptp,
     random_density,
     random_reprepare_instrument,
+    random_unitary,
 )
 
 from oracles import (
@@ -40,6 +43,7 @@ from oracles import (
     PP,
     b3_choi_analytic,
     b3_classical_table,
+    bond_dimension_unfoldings,
     conditional_output_loop,
     diameter_general_loop,
     diameter_qubit_all_pairs,
@@ -514,6 +518,51 @@ def test_bond_dimension_monotone_in_cutoff(b3_pt):
     loose = bond_dimension(b3_pt, cutoff=1e-2)
     tight = bond_dimension(b3_pt, cutoff=1e-12)
     assert all(a <= b for a, b in zip(loose, tight))
+
+
+def test_bond_dimension_matches_unfoldings(b1_pt, b2_pt, b3_pt, markov_pt2,
+                                           markov_pt3, b2_pure_pt3,
+                                           b2_model):
+    """The one-sweep ranks equal the ranks of each cut's own unfolding."""
+    rng = np.random.default_rng(55)
+    corpus = [b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3]
+    for _ in range(5):
+        leg = int(rng.integers(0, b2_pt.legs.n_legs))
+        corpus.append(apply_local_channel(b2_pt, leg, random_cptp(2, rng)))
+    qutrit = SEModel(system_dim=3, env_dim=2,
+                     initial_joint=random_density(6, rng),
+                     step_unitaries=(random_unitary(6, rng),
+                                     random_unitary(6, rng)))
+    corpus.append(build_process_tensor(qutrit, (0.0, 1.0, 2.0)))
+    corpus.append(build_process_tensor(b2_model, (0.0, 1.0)))
+    corpus.append(ProcessTensor(np.zeros((32, 32)), 2, (0.0, 1.0, 2.0)))
+    for pt in corpus:
+        for cutoff in (1e-2, 1e-6, 1e-10, 1e-12):
+            assert bond_dimension(pt, cutoff) == \
+                bond_dimension_unfoldings(pt, cutoff)
+    assert bond_dimension(corpus[-1]) == [0, 0]
+    # a cutoff that drops every singular value from the carry as well
+    assert bond_dimension(b3_pt, 1e4) == bond_dimension_unfoldings(b3_pt, 1e4)
+
+
+def test_bond_dimension_decomposes_only_small_matrices(monkeypatch):
+    """No SVD in the sweep is larger than the carried rank times the d**4
+    entries of the two legs between cuts: on a memoryless K = 4 tensor
+    every input has min(shape) <= d**4."""
+    rng = np.random.default_rng(56)
+    pt = build_process_tensor(
+        model_markov(random_control_sequence(2, 4, rng), random_density(2, rng)),
+        (0.0, 1.0, 2.0, 3.0, 4.0))
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert bond_dimension(pt) == [1, 1, 1, 1]
+    assert shapes and all(min(s) <= 2 ** 4 for s in shapes)
 
 
 def test_measure_faithfulness_on_corpus(markov_pt2, markov_pt3, b1_pt, b2_pt,
