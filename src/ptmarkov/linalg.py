@@ -55,10 +55,6 @@ class LegShape:
     def n_legs(self) -> int:
         return len(self.dims)
 
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
-
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
@@ -177,7 +173,3 @@ def fidelity(a: Array, b: Array) -> float:
     sa = sqrtm_psd(a)
     w = np.linalg.eigvalsh(sa @ as_operator(b) @ sa)
     return float(np.sqrt(np.clip(w, 0.0, None)).sum() ** 2)
-
-
-def max_abs(m: Array) -> float:
-    return float(np.abs(m).max())

@@ -168,10 +168,6 @@ class ClassicalProcess:
         if abs(t.sum() - 1.0) > 1e-9:
             raise ValidationError(f"table sums to {t.sum()}, not 1")
 
-    @property
-    def n_points(self) -> int:
-        return self.table.ndim
-
     def as_dict(self) -> dict:
         return {
             "shape": list(self.table.shape),
@@ -340,8 +336,7 @@ def _reduced_form(pt: ProcessTensor, k: int, l: int) -> Array:
 
     Returns an array of shape (d*d, d**4 [slot k], d**4 [slot k-1], ...,
     d**4 [slot 0])."""
-    base = pt if l == pt.n_steps else pt.restrict(range(l + 1))
-    form = base.contraction_form()
+    form = pt.contraction_form(l)
     ident = QuantumMap.identity(pt.system_dim).choi.reshape(-1)
     # slots l-1 ... k+1 occupy the leading slot axes (axis 1 onward)
     for _ in range(l - 1 - k):

@@ -24,6 +24,12 @@ Contraction of slot Chois A_j against the tensor follows
 
 which reproduces ordinary channel composition on product tensors and defines
 the multilinear action in general.
+
+Earlier steps are read off through the causal-comb condition
+Tr_{O_l} Upsilon_l = 1_{O_{l-1}} (x) Upsilon_{l-1} (Chiribella, D'Ariano and
+Perinotti, PRA 80, 022339, 2009): ``contraction_form(l)`` traces one trailing
+step at a time, every contraction reads that form, and ``causality_defect``
+measures how far a tensor is from satisfying the condition.
 """
 
 from __future__ import annotations
@@ -108,10 +114,6 @@ class ControlSequence:
         self.maps = maps
         self.break_slot = break_slots[0] if break_slots else None
 
-    @classmethod
-    def identity(cls, d: int, n_slots: int) -> "ControlSequence":
-        return cls([QuantumMap.identity(d)] * n_slots)
-
     def __len__(self):
         return len(self.maps)
 
@@ -177,7 +179,7 @@ class ProcessTensor:
             asym = np.abs(choi - choi.conj().T).max()
             if asym > 1e-8:
                 raise ValidationError(f"choi asymmetry {asym:.3e} exceeds 1e-8")
-        self._form = None
+        self._forms: dict[int, Array] = {}
         self._spectrum = None
 
     # -- basic properties ----------------------------------------------------
@@ -214,32 +216,66 @@ class ProcessTensor:
         d, n = self.system_dim, self.legs.n_legs
         return self.choi.reshape((d,) * (2 * n))
 
-    def contraction_form(self) -> Array:
-        """Cached slot-major array of shape (d*d, d**4, ..., d**4).
+    def contraction_form(self, l: int | None = None) -> Array:
+        """Cached slot-major form of the tensor restricted to readout step
+        l (default: the final step K), of shape (d*d, d**4, ..., d**4)
+        with l slot axes.
 
-        Axis 0 combines the final-output row/column indices; slot axes run
-        from slot K-1 down to slot 0, each combining that slot's
+        Axis 0 combines the readout leg's row/column indices; slot axes run
+        from slot l-1 down to slot 0, each combining that slot's
         (O_row, I_row, O_col, I_col) indices in Choi-flattening order.
+
+        Below K each form comes from the one above through the comb
+        condition Tr_{O_{l+1}} Upsilon_{l+1} = 1_{O_l} (x) Upsilon_l: trace
+        the readout leg and slot l's O leg, keep its I leg as the new
+        readout leg, and divide by d. ``ptf.load`` refuses tensors for
+        which this fails (see :meth:`causality_defect`).
         """
-        if self._form is None:
-            d, k = self.system_dim, self.n_steps
-            n = 2 * k + 1
-            t = self.as_tensor()
-            order = [0, n]
-            for j in range(k - 1, -1, -1):
-                o, i = _slot_row_axes(k, j)
-                order.extend((o, i, o + n, i + n))
-            self._form = np.ascontiguousarray(
-                t.transpose(order).reshape((d * d,) + (d ** 4,) * k))
-        return self._form
+        k = self.n_steps
+        l = k if l is None else int(l)
+        if not 0 <= l <= k:
+            raise ValidationError(f"readout step {l} outside [0, {k}]")
+        form = self._forms.get(l)
+        if form is None:
+            d = self.system_dim
+            if l == k:
+                n = 2 * k + 1
+                order = [0, n]
+                for j in range(k - 1, -1, -1):
+                    o, i = _slot_row_axes(k, j)
+                    order.extend((o, i, o + n, i + n))
+                form = np.ascontiguousarray(self.as_tensor().transpose(order)
+                                            .reshape((d * d,) + (d ** 4,) * k))
+            else:
+                up = self.contraction_form(l + 1)
+                form = np.einsum("aabibj...->ij...",
+                                 up.reshape((d,) * 6 + up.shape[2:]))
+                form = form.reshape((d * d,) + up.shape[2:]) / d
+            self._forms[l] = form
+        return form
+
+    def causality_defect(self) -> float:
+        """Largest entry of Tr_{O_l} Upsilon_l - 1_{O_{l-1}} (x)
+        Upsilon_{l-1} over l = K ... 1, read off the cached contraction
+        forms: rounding level for a causal comb, NaN when entries overflow.
+        """
+        d = self.system_dim
+        eye = np.eye(d).reshape(d, 1, d, 1, 1)
+        gaps = [0.0]
+        for l in range(self.n_steps, 0, -1):
+            up = self.contraction_form(l)
+            traced = np.einsum("aa...->...", up.reshape((d, d) + up.shape[1:]))
+            low = self.contraction_form(l - 1).reshape(1, d, 1, d, -1)
+            gaps.append(np.abs(traced.reshape(d, d, d, d, -1) - eye * low).max())
+        return float(np.max(gaps))
 
     # -- contraction ----------------------------------------------------------
 
     def _contract(self, chois: Sequence[Array]) -> Array:
         """Contract one Choi per slot (chronological order) to a raw
-        (d, d) output matrix."""
+        (d, d) output matrix at readout step ``len(chois)``."""
         d = self.system_dim
-        res = self.contraction_form()
+        res = self.contraction_form(len(chois))
         for c in chois:  # slot 0 sits on the last axis
             res = res @ np.asarray(c, dtype=complex).reshape(-1)
         return res.reshape(d, d)
@@ -255,9 +291,9 @@ class ProcessTensor:
     def restrict(self, subset: Sequence[int]) -> "ProcessTensor":
         """Tensor on a subset of the time grid.
 
-        Identity controls are contracted into skipped interior slots; times
-        after the new final time are discarded using the causal structure
-        (each removed step contributes a factor d that is divided out).
+        Starts from the contraction form at the subset's last step, which
+        discards later times through the comb condition, and contracts
+        identity controls into the skipped interior slots.
         """
         k = self.n_steps
         subset = sorted({int(s) for s in subset})
@@ -267,59 +303,21 @@ class ProcessTensor:
             raise ValidationError(f"subset {subset} outside grid [0, {k}]")
         if len(subset) == k + 1:
             return self
-        l_max = subset[-1]
-        keep_slots = [j for j in subset if j < l_max]
-        d, n = self.system_dim, self.legs.n_legs
-
-        labels = {}
-        next_label = 0
-
-        def fresh():
-            nonlocal next_label
-            next_label += 1
-            return next_label - 1
-
-        row = [None] * n
-        col = [None] * n
-        # final output leg of the original tensor
-        if l_max == k:
-            row[0], col[0] = fresh(), fresh()
-            out_rows, out_cols = [row[0]], [col[0]]
-        else:
-            lbl = fresh()
-            row[0] = col[0] = lbl
-            out_rows, out_cols = [], []
-        for j in range(k - 1, -1, -1):
-            o, i = _slot_row_axes(k, j)
-            if j >= l_max:
-                # future slot: trace both legs
-                row[o] = col[o] = fresh()
-                row[i] = col[i] = fresh()
-            elif j in keep_slots:
-                row[o], col[o] = fresh(), fresh()
-                row[i], col[i] = fresh(), fresh()
-            else:
-                # contract an identity control: O and I legs pair up
-                lbl_r, lbl_c = fresh(), fresh()
-                row[o] = row[i] = lbl_r
-                col[o] = col[i] = lbl_c
-        if l_max < k:
-            # I_{l_max} becomes the new final output
-            o, i = _slot_row_axes(k, l_max)
-            # the O_{l_max} leg was traced above (j >= l_max branch); undo for I
-            row[i], col[i] = fresh(), fresh()
-            out_rows, out_cols = [row[i]], [col[i]]
-        for j in sorted(keep_slots, reverse=True):
-            o, i = _slot_row_axes(k, j)
-            out_rows.extend((row[o], row[i]))
-            out_cols.extend((col[o], col[i]))
-
-        t = self.as_tensor()
-        res = np.einsum(t, row + col, out_rows + out_cols)
-        new_dim = d ** len(out_rows)
-        res = res.reshape(new_dim, new_dim) / d ** (k - l_max)
-        new_times = [self.times[s] for s in subset]
-        return ProcessTensor(res, self.system_dim, new_times, validate=False)
+        d, l = self.system_dim, subset[-1]
+        form = self.contraction_form(l)
+        ident = QuantumMap.identity(d).choi.reshape(-1)
+        # slot j sits on axis l - j; contracting from slot 0 (the last axis)
+        # up leaves the later slots on their axes
+        for j in range(l):
+            if j not in subset:
+                form = np.tensordot(form, ident, axes=([l - j], [0]))
+        m = form.ndim - 1
+        rows = [0] + [a for s in range(m) for a in (2 + 4 * s, 3 + 4 * s)]
+        cols = [1] + [a for s in range(m) for a in (4 + 4 * s, 5 + 4 * s)]
+        dim = d ** (2 * m + 1)
+        choi = form.reshape((d,) * (2 + 4 * m)).transpose(rows + cols)
+        return ProcessTensor(choi.reshape(dim, dim), d,
+                             [self.times[s] for s in subset], validate=False)
 
     # -- conditional states ----------------------------------------------------
 
@@ -348,9 +346,7 @@ class ProcessTensor:
                 f"readout step {l} beyond final step {n_steps}")
         break_map = break_set.map(povm_outcome, prep_index)
         slots = list(past) + [break_map] + list(future)
-        base = self if l == n_steps else self.restrict(range(l + 1))
-        chois = _resolve_controls(slots, l, d)
-        out = base._contract(chois)
+        out = self._contract(_resolve_controls(slots, l, d))
         p = float(np.trace(out).real)
         if p <= prob_floor:
             raise UnresolvableConditional(
@@ -388,13 +384,12 @@ class ProcessTensor:
             fill = tensor_product(np.eye(d) / d, np.eye(d))
         else:
             raise ValidationError(f"unknown filler policy {filler!r}")
-        base = self if l == n_steps else self.restrict(range(l + 1))
         ident = QuantumMap.identity(d).choi
         choi_map = np.zeros((d * d, d * d), dtype=complex)
         for prep, dual in zip(basis.preparations, basis.prep_duals):
             slots = [fill] * j + [tensor_product(prep, np.eye(d))] \
                 + [ident] * (l - j - 1)
-            out = base._contract(slots)
+            out = self._contract(slots)
             choi_map += tensor_product(out, dual.conj())
         return QuantumMap.from_choi(hermitize(choi_map, atol=1e-8),
                                     in_dim=d, out_dim=d)

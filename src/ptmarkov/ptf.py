@@ -4,6 +4,9 @@ Layout: one UTF-8 JSON header line terminated by ``\\n``, then a binary
 blob of 2 * dim**2 little-endian IEEE-754 doubles (row-major entries,
 interleaved real/imaginary). Round-trips are bit exact.
 
+``load`` raises ``FormatError`` unless the tensor is a causal comb:
+Hermitian, and PSD and causal within ``PSD_CLIP`` times max(1, |trace|).
+
 The same header-plus-blob scheme serializes plain matrix bundles
 (``PTF1-mats``), used to supply unitaries for custom models.
 """
@@ -15,25 +18,23 @@ import math
 
 import numpy as np
 
-from .errors import FormatError
+from .defaults import PSD_CLIP
+from .errors import FormatError, PtError
 
 TRACE_CONVENTION = "tp_choi_trace_d"
 
 
 def _interleave(matrix: np.ndarray) -> bytes:
-    flat = np.ascontiguousarray(matrix, dtype=complex).reshape(-1)
-    out = np.empty(2 * flat.size, dtype="<f8")
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out.tobytes()
+    return np.asarray(matrix).astype("<c16", copy=False).tobytes()
 
 
 def _deinterleave(blob: bytes, rows: int, cols: int) -> np.ndarray:
+    """Read-only complex view of a blob; every bit, signed zeros included,
+    comes back as written."""
     expected = 2 * rows * cols * 8
     if len(blob) != expected:
         raise FormatError(f"blob holds {len(blob)} bytes, expected {expected}")
-    raw = np.frombuffer(blob, dtype="<f8")
-    return (raw[0::2] + 1j * raw[1::2]).reshape(rows, cols)
+    return np.frombuffer(blob, dtype="<c16").reshape(rows, cols)
 
 
 def save(pt, path) -> None:
@@ -111,14 +112,26 @@ def load(path):
                 f"trace convention {header.get('trace_convention')!r} is "
                 f"not {TRACE_CONVENTION!r}")
         dim = d ** (2 * k + 1)
-        blob = fh.read()
-    choi = _deinterleave(blob, dim, dim)
+        choi = _deinterleave(fh.read(), dim, dim)
     if not np.isfinite(choi).all():
         raise FormatError("blob holds non-finite entries")
     try:
-        return ProcessTensor(choi, d, times, validate=False)
-    except Exception as exc:  # dimension bookkeeping failed
+        pt = ProcessTensor(choi, d, times)
+        tol = PSD_CLIP * max(1.0, abs(pt.trace))
+        # the spectrum's full-size temporaries are freed before the
+        # contraction forms that the defect caches are built
+        min_eig = pt.min_eigenvalue
+        defect = pt.causality_defect()
+    except (PtError, np.linalg.LinAlgError) as exc:
         raise FormatError(str(exc)) from exc
+    # each check passes in its own direction, so a NaN fails it
+    if not defect <= tol:
+        raise FormatError(f"not a causal comb: causality defect {defect:.3e} "
+                          f"exceeds {tol:.1e}")
+    if not min_eig >= -tol:
+        raise FormatError(f"not positive semidefinite: eigenvalue "
+                          f"{min_eig:.3e} below {-tol:.1e}")
+    return pt
 
 
 def save_matrices(path, matrices) -> None:

@@ -269,10 +269,6 @@ class QuantumMap:
         w = np.linalg.eigvalsh(hermitize(self.choi, atol=np.inf))
         return float(max(0.0, -w.min()))
 
-    @property
-    def is_trace_preserving(self) -> bool:
-        return self.tp_defect <= HERMITIAN_ATOL
-
     def __repr__(self):
         return f"QuantumMap(in_dim={self.in_dim}, out_dim={self.out_dim})"
 

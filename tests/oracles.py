@@ -124,6 +124,49 @@ def tomography_process_tensor(model, grid, basis):
     return from_tomography(records, basis, model.system_dim, k, times=grid)
 
 
+def restrict_einsum(pt, subset):
+    """Tensor on a subset of the time grid by one einsum over the full
+    tensor: future legs traced, identity controls paired into skipped
+    interior slots, a factor d divided out per discarded step; the route
+    that the package's trailing-step trace replaced."""
+    from ptmarkov import ProcessTensor
+
+    k, d, n = pt.n_steps, pt.system_dim, 2 * pt.n_steps + 1
+    subset = sorted(set(subset))
+    l_max = subset[-1]
+    labels = itertools.count()
+    row, col = [None] * n, [None] * n
+    if l_max == k:  # the final output leg stays open
+        row[0], col[0] = next(labels), next(labels)
+        out_rows, out_cols = [row[0]], [col[0]]
+    else:
+        row[0] = col[0] = next(labels)
+        out_rows, out_cols = [], []
+    for j in range(k - 1, -1, -1):
+        o, i = 1 + 2 * (k - 1 - j), 2 + 2 * (k - 1 - j)
+        if j >= l_max:  # a future slot: both legs traced
+            row[o] = col[o] = next(labels)
+            if j == l_max:  # I_{l_max} becomes the new final output
+                row[i], col[i] = next(labels), next(labels)
+                out_rows, out_cols = [row[i]], [col[i]]
+            else:
+                row[i] = col[i] = next(labels)
+        elif j in subset:
+            row[o], col[o] = next(labels), next(labels)
+            row[i], col[i] = next(labels), next(labels)
+        else:  # an identity control pairs the O and I legs
+            row[o] = row[i] = next(labels)
+            col[o] = col[i] = next(labels)
+    for j in sorted((j for j in subset if j < l_max), reverse=True):
+        o, i = 1 + 2 * (k - 1 - j), 2 + 2 * (k - 1 - j)
+        out_rows.extend((row[o], row[i]))
+        out_cols.extend((col[o], col[i]))
+    res = np.einsum(pt.as_tensor(), row + col, out_rows + out_cols)
+    dim = d ** len(out_rows)
+    return ProcessTensor(res.reshape(dim, dim) / d ** (k - l_max), d,
+                         [pt.times[s] for s in subset], validate=False)
+
+
 # ---------------------------------------------------------------------------
 # partial-swap (B.2-style) closed forms, derived by hand and verified against
 # direct dense evolution in test_models

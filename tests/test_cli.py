@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptmarkov import ProcessTensor, QuantumMap, build_process_tensor, model_b2
+from ptmarkov import (
+    FormatError,
+    ProcessTensor,
+    QuantumMap,
+    build_process_tensor,
+    model_b2,
+)
 from ptmarkov.cli import main
+from ptmarkov.defaults import PSD_CLIP
 
 from oracles import PP
 
@@ -219,6 +226,37 @@ def test_analyze_nan_blob_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: blob holds non-finite")
 
 
+def test_analyze_non_hermitian_blob_exit_3(tmp_path, capsys):
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    raw[1] = 0.5  # an imaginary part on the diagonal
+    _write_ptf(path, header, raw)
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: choi asymmetry")
+
+
+def test_analyze_non_causal_blob_exit_3(tmp_path, capsys):
+    """A B.2 tensor with its legs reversed is Hermitian and PSD, but its
+    final output no longer traces out to the earlier steps."""
+    pt = build_process_tensor(model_b2(omega=1.0), (0.0, 0.7, 1.4))
+    n = pt.legs.n_legs
+    rev = list(range(n - 1, -1, -1))
+    t = pt.as_tensor().transpose(rev + [a + n for a in rev])
+    path = tmp_path / "reversed.ptf"
+    ProcessTensor(t.reshape(pt.dim, pt.dim), 2, pt.times).save(path)
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: not a causal comb")
+
+
+def test_analyze_non_psd_blob_exit_3(tmp_path, capsys):
+    """Causal, but its initial 'state' has a negative eigenvalue."""
+    path = tmp_path / "negative.ptf"
+    ProcessTensor(np.kron(QuantumMap.identity(2).choi, np.diag([1.5, -0.5])),
+                  2, (0.0, 1.0)).save(path)
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: not positive semidefinite")
+
+
 def test_analyze_zero_tensor_exit_2(tmp_path, capsys):
     """A well-formed one-step file of zeros has no state to normalize; the
     measure says so instead of eigensolving NaNs."""
@@ -264,7 +302,9 @@ def saved_b2(tmp_path_factory):
        mutations=st.lists(_MUTATION, min_size=1, max_size=3))
 def test_analyze_fuzzed_ptf_never_raises(saved_b2, k, mutations):
     """Mutated header fields, truncated blobs and runs of overwritten
-    doubles end in exit code 0, 2 or 3, never in a traceback."""
+    doubles end in exit code 3 when the file does not load and 0 or 2
+    when it does, never in a traceback; a file that loads is Hermitian,
+    causal and PSD within the load tolerance."""
     path, header, raw = saved_b2[k]
     header, raw = dict(header), raw.copy()
     truncate_to = None
@@ -283,7 +323,17 @@ def test_analyze_fuzzed_ptf_never_raises(saved_b2, k, mutations):
     blob = raw.tobytes()[:truncate_to]
     fuzzed = path.with_name("fuzzed.ptf")
     fuzzed.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
-    assert main(["analyze", str(fuzzed)]) in (0, 2, 3)
+    code = main(["analyze", str(fuzzed)])
+    try:
+        pt = ProcessTensor.load(fuzzed)
+    except FormatError:
+        assert code == 3
+        return
+    assert code in (0, 2)
+    tol = PSD_CLIP * max(1.0, abs(pt.trace))
+    assert np.abs(pt.choi - pt.choi.conj().T).max() <= 1e-8
+    assert pt.causality_defect() <= tol
+    assert pt.min_eigenvalue >= -tol
 
 
 def test_analyze_full_report(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,15 @@ from ptmarkov import (
     DimensionMismatch,
     ProcessTensor,
     QuantumMap,
+    SEModel,
     TomographyDataError,
     UnresolvableConditional,
     build_process_tensor,
     compose,
     default_break,
+    divisibility_test,
     from_tomography,
+    markov_test,
     model_markov,
     simulate_sequence,
     tensor_product,
@@ -21,10 +25,19 @@ from ptmarkov import (
 from ptmarkov.random_ops import (
     random_cptp,
     random_control_sequence,
+    random_density,
     random_reprepare_instrument,
+    random_unitary,
 )
 
-from oracles import P0, P1, PP, b3_choi_analytic, tomography_process_tensor
+from oracles import (
+    P0,
+    P1,
+    PP,
+    b3_choi_analytic,
+    restrict_einsum,
+    tomography_process_tensor,
+)
 
 RNG = np.random.default_rng(202)
 IDENT = QuantumMap.identity(2)
@@ -289,6 +302,74 @@ def test_restrict_empty_subset_raises(b2_pt):
         b2_pt.restrict([])
 
 
+def test_restrict_matches_einsum_oracle(b1_pt, b2_pt, b3_pt, markov_pt2,
+                                       markov_pt3, b2_pure_pt3):
+    """The trailing-step trace plus identity contractions equal the
+    one-einsum restriction on every proper subset of the time grid."""
+    rng = np.random.default_rng(61)
+    qutrit = SEModel(system_dim=3, env_dim=2,
+                     initial_joint=random_density(6, rng),
+                     step_unitaries=(random_unitary(6, rng),
+                                     random_unitary(6, rng)))
+    corpus = [b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3,
+              build_process_tensor(qutrit, (0.0, 1.0, 2.0))]
+    for pt in corpus:
+        for size in range(1, pt.n_steps + 1):
+            for subset in itertools.combinations(range(pt.n_steps + 1), size):
+                got = pt.restrict(subset)
+                want = restrict_einsum(pt, subset)
+                assert got.times == want.times
+                assert np.abs(got.choi - want.choi).max() <= \
+                    1e-14 * max(1.0, pt.trace)
+
+
+def _legs_reversed(pt):
+    """The same matrix entries with the leg order reversed: Hermitian and
+    PSD, but the final output now sits where the initial state was."""
+    n = pt.legs.n_legs
+    rev = list(range(n - 1, -1, -1))
+    t = pt.as_tensor().transpose(rev + [a + n for a in rev])
+    return ProcessTensor(t.reshape(pt.dim, pt.dim), pt.system_dim, pt.times)
+
+
+def test_causality_defect_separates_combs(b1_model, b1_pt, b2_model, b2_pt,
+                                          b3_model, b3_pt, markov_model2,
+                                          markov_pt2, markov_pt3,
+                                          b2_pure_pt3, basis2):
+    """Tensors built by every model, directly or through tomography, are
+    causal combs to rounding; a random PSD matrix and a leg-reversed B.2
+    tensor are not."""
+    for pt in (b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3):
+        assert pt.causality_defect() <= 1e-13
+    for model, pt in ((b1_model, b1_pt), (b2_model, b2_pt),
+                      (b3_model, b3_pt), (markov_model2, markov_pt2)):
+        tomo = tomography_process_tensor(model, pt.times, basis2)
+        assert tomo.causality_defect() <= 1e-13
+    g = RNG.normal(size=(32, 32)) + 1j * RNG.normal(size=(32, 32))
+    wishart = g @ g.conj().T
+    wishart *= 4 / np.trace(wishart).real
+    assert ProcessTensor(wishart, 2, (0.0, 1.0, 2.0)).causality_defect() > 1e-3
+    assert _legs_reversed(b2_pt).causality_defect() > 1e-3
+    assert _legs_reversed(b2_pure_pt3).causality_defect() > 1e-3
+    # causal at the last step, not below it
+    lower = _legs_reversed(build_process_tensor(b2_model, (0.0, 1.0)))
+    stacked = ProcessTensor(np.kron(IDENT.choi, lower.choi), 2, (0.0, 1.0, 2.0))
+    assert stacked.causality_defect() > 1e-3
+
+
+def test_analyses_build_no_restricted_tensor(markov_pt3, basis2, monkeypatch):
+    """The causal-break test, the divisibility test and a conditional state
+    read before the final step all contract the cached form at their
+    readout step; none of them builds a restricted tensor."""
+    def tripwire(self, subset):
+        raise AssertionError(f"restrict({subset}) called")
+    monkeypatch.setattr(ProcessTensor, "restrict", tripwire)
+    markov_test(markov_pt3, basis2, exhaustive=True)
+    divisibility_test(markov_pt3, basis2)
+    cond = markov_pt3.conditional_state(1, 0, 0, past=[IDENT])
+    assert cond.conditioning["readout_step"] == 2 < markov_pt3.n_steps
+
+
 # ---------------------------------------------------------------------------
 # PTF1 serialization
 # ---------------------------------------------------------------------------
@@ -303,6 +384,15 @@ def test_ptf_round_trip_bit_exact(tmp_path, b2_pt):
     assert loaded.legs.labels == b2_pt.legs.labels
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_ptf_round_trip_keeps_signed_zeros(tmp_path):
+    """The blob is read back bit for bit, signed zeros included."""
+    choi = np.kron(IDENT.choi, np.eye(2) / 2)
+    choi[choi == 0] = complex(-0.0, -0.0)
+    path = tmp_path / "zeros.ptf"
+    ProcessTensor(choi, 2, (0.0, 1.0)).save(path)
+    assert ProcessTensor.load(path).choi.tobytes() == choi.tobytes()
 
 
 def test_ptf_rejects_garbage(tmp_path):
