@@ -8,9 +8,10 @@ Subcommands::
                             [-o report.json] [--csv data.csv]
     ptr examples <b1|b2|b3> [params] [--csv data.csv]
 
-Exit codes: 0 success, 2 configuration or size-guard error, 3 malformed
-data file. Reports are deterministic for a fixed configuration and seed
-except for the ``wall_time_s`` provenance field.
+Exit codes: 0 success, 2 configuration or size-guard error or an
+unreadable or unwritable path, 3 malformed data file. Reports are
+deterministic for a fixed configuration and seed except for the
+``wall_time_s`` provenance field.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     ConfigError,
     FormatError,
     PtError,
-    SweepGuardError,
     TomographyDataError,
 )
 from .linalg import fidelity, trace_norm_distance
@@ -80,8 +80,6 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -89,23 +87,41 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _typed(kind, value, key: str, minimum=-math.inf):
+    """``kind(value)`` if it is at least ``minimum`` (so never NaN), else a
+    ConfigError naming the config key."""
+    try:
+        out = kind(value)
+        if out >= minimum:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    bound = f" >= {minimum}" if minimum > -math.inf else ""
+    raise ConfigError(f"config key {key!r}: expected {kind.__name__}{bound}, "
+                      f"got {value!r}")
+
+
 def _model_from_config(cfg: dict):
     name = cfg.get("model")
     params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"config key 'params': expected an object, "
+                          f"got {params!r}")
     times = cfg.get("times")
     if not isinstance(times, list) or len(times) < 2:
         raise ConfigError("config needs a 'times' list with at least 2 entries")
+    times = tuple(_typed(float, t, "times") for t in times)
     if name == "b1":
         model = models.model_b1(
-            gamma=float(params.get("gamma", 1.0)),
-            g=float(params.get("g", 1.0)),
+            gamma=_typed(float, params.get("gamma", 1.0), "gamma"),
+            g=_typed(float, params.get("g", 1.0), "g"),
             dephasing_axis=params.get("dephasing_axis", "z"),
             rho0=_parse_state(params["rho0"], "rho0") if "rho0" in params else None,
-            nodes=int(params.get("nodes", 2001)),
+            nodes=_typed(int, params.get("nodes", 2001), "nodes"),
         )
     elif name == "b2":
         model = models.model_b2(
-            omega=float(params.get("omega", 1.0)),
+            omega=_typed(float, params.get("omega", 1.0), "omega"),
             rho_s=_parse_state(params["rho_s"], "rho_s")
             if "rho_s" in params else None,
         )
@@ -116,10 +132,11 @@ def _model_from_config(cfg: dict):
         )
     elif name == "markov":
         n_steps = len(times) - 1
-        seed = int(cfg.get("seed", params.get("seed", 0)))
-        rng = np.random.default_rng(seed)
+        seed = _typed(int, cfg.get("seed", params.get("seed", 0)), "seed", 0)
         maps = random_control_sequence(
-            2, n_steps, rng, kraus_rank=int(params.get("kraus_rank", 2)))
+            2, n_steps, np.random.default_rng(seed),
+            kraus_rank=_typed(int, params.get("kraus_rank", 2), "kraus_rank",
+                              1))
         rho0 = _parse_state(params.get("rho0", "mixed"), "rho0")
         model = models.model_markov(maps, rho0)
     elif name == "custom":
@@ -128,14 +145,14 @@ def _model_from_config(cfg: dict):
             joint = ptf.load_matrices(params["initial_joint_file"])[0]
         except KeyError as exc:
             raise ConfigError(f"custom model config missing {exc}")
-        d = int(params.get("system_dim", 2))
+        d = _typed(int, params.get("system_dim", 2), "system_dim", 1)
         env_dim = joint.shape[0] // d
         model = models.SEModel(
             system_dim=d, env_dim=env_dim, initial_joint=joint,
             step_unitaries=tuple(unitaries), label="custom")
     else:
         raise ConfigError(f"unknown model {name!r}")
-    return model, models.ExperimentGrid(tuple(float(t) for t in times))
+    return model, models.ExperimentGrid(times)
 
 
 def _sha256_file(path) -> str:
@@ -450,10 +467,7 @@ def main(argv=None) -> int:
     except (FormatError, TomographyDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, SweepGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PtError as exc:
+    except (PtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

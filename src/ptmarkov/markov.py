@@ -511,7 +511,7 @@ def closest_markov(pt: ProcessTensor) -> ProcessTensor:
         tr = np.trace(m).real
         scaled.append(m * (target / tr))
     product = tensor_product(*scaled)
-    return ProcessTensor(product, d, pt.times, validate=False)
+    return ProcessTensor(product, d, pt.times)
 
 
 def relative_entropy(rho: Array, sigma: Array,
@@ -567,13 +567,13 @@ def non_markovianity(pt: ProcessTensor, metric: str = "relative_entropy",
     support of sigma; that cannot happen here, since the support of rho
     lies inside the support of the product of its marginals. The
     trace-distance variant builds the product sigma, uses the same
-    candidate and is reported as an upper bound.
+    candidate and is reported as an upper bound. Both read ``pt.choi``
+    as stored, since a ProcessTensor is Hermitian by construction.
     """
     if metric not in ("relative_entropy", "trace_distance"):
         raise ValidationError(f"unknown metric {metric!r}")
-    herm = hermitize(pt.choi, atol=1e-8)
     tr = pt.trace
-    marginals = _block_marginals(pt, herm)
+    marginals = _block_marginals(pt, pt.choi)
     traces = [tr] + [float(np.trace(m).real) for m in marginals]
     if not all(math.isfinite(t) and t > 0 for t in traces):
         raise ValidationError(
@@ -585,7 +585,7 @@ def non_markovianity(pt: ProcessTensor, metric: str = "relative_entropy",
             - _entropy(pt.spectrum / tr)
         upper = False
     else:
-        n_value = trace_norm_distance(herm / tr, tensor_product(*marginals))
+        n_value = trace_norm_distance(pt.choi / tr, tensor_product(*marginals))
         upper = True
     if n_value < -1e-10:
         raise ValidationError(f"measure came out negative: {n_value}")
@@ -782,5 +782,4 @@ def apply_local_channel(pt: ProcessTensor, leg: int,
     sub = [srow, scol, row[leg], col[leg]]
     out[leg], out[n + leg] = srow, scol
     res = np.einsum(s4, sub, t, row + col, out)
-    return ProcessTensor(res.reshape(pt.dim, pt.dim), d, pt.times,
-                         validate=False)
+    return ProcessTensor(res.reshape(pt.dim, pt.dim), d, pt.times)

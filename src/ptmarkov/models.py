@@ -223,7 +223,8 @@ class _ClassicalEngine:
 
 def _link_product(rho0: Array, unitaries: Sequence[Array], weights: Array,
                   d: int, e: int) -> Array:
-    """Choi matrix Upsilon = M M^dagger of a dilation, Hermitized.
+    """Choi matrix Upsilon = M M^dagger of a dilation, Hermitian up to
+    rounding; ProcessTensor symmetrizes it on construction.
 
     ``rho0`` is purified on its support (eigenvalues above
     SUPPORT_CUTOFF). ``unitaries`` hold one joint (d*e)-square unitary per step, or a stack
@@ -247,8 +248,7 @@ def _link_product(rho0: Array, unitaries: Sequence[Array], weights: Array,
     n, _, _, n_past, _ = m.shape
     m = m * np.sqrt(weights).reshape(n, 1, 1, 1, 1)
     cols = m.transpose(1, 3, 0, 2, 4).reshape(d * n_past, n * e * r)
-    ups = cols @ cols.conj().T
-    return (ups + ups.conj().T) / 2
+    return cols @ cols.conj().T
 
 
 def _make_engine(model: SEModel, grid: ExperimentGrid):

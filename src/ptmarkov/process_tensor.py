@@ -158,10 +158,10 @@ class ConditionalState:
 
 class ProcessTensor:
     """Generalized Choi matrix of a K-step process with time and leg
-    metadata. Immutable after construction."""
+    metadata. Immutable and Hermitian after construction: an asymmetry
+    above 1e-8 is refused and a smaller one symmetrized away."""
 
-    def __init__(self, choi: Array, system_dim: int, times: Sequence[float],
-                 validate: bool = True):
+    def __init__(self, choi: Array, system_dim: int, times: Sequence[float]):
         choi = np.asarray(choi, dtype=complex)
         self.system_dim = int(system_dim)
         self.times = checked_times(times)
@@ -172,13 +172,14 @@ class ProcessTensor:
             raise DimensionMismatch(
                 f"choi shape {choi.shape} != ({dim}, {dim}) for "
                 f"{n_steps} steps of dimension {self.system_dim}")
-        self.choi = choi
+        # no adjoint is kept across the scan (a full-size array more at the
+        # peak); the check passes in its own direction, so a NaN fails it
+        asym = np.abs(choi - choi.conj().T).max()
+        if not asym <= 1e-8:
+            raise ValidationError(f"choi asymmetry {asym:.3e} exceeds 1e-8")
+        self.choi = (choi + choi.conj().T) / 2 if asym else choi
         self.legs = LegShape(dims=(self.system_dim,) * n_legs,
                              labels=leg_labels(n_steps))
-        if validate:
-            asym = np.abs(choi - choi.conj().T).max()
-            if asym > 1e-8:
-                raise ValidationError(f"choi asymmetry {asym:.3e} exceeds 1e-8")
         self._forms: dict[int, Array] = {}
         self._spectrum = None
 
@@ -198,11 +199,11 @@ class ProcessTensor:
 
     @property
     def spectrum(self) -> Array:
-        """Cached ascending eigenvalues of the Hermitian part
-        (Upsilon + Upsilon^dagger) / 2, read-only; the one full-size
-        eigensolve that the report header and the entropy measure share."""
+        """Cached ascending eigenvalues of the (Hermitian) tensor,
+        read-only; the one full-size eigensolve that the report header and
+        the entropy measure share."""
         if self._spectrum is None:
-            w = np.linalg.eigvalsh((self.choi + self.choi.conj().T) / 2)
+            w = np.linalg.eigvalsh(self.choi)
             w.setflags(write=False)
             self._spectrum = w
         return self._spectrum
@@ -317,7 +318,7 @@ class ProcessTensor:
         dim = d ** (2 * m + 1)
         choi = form.reshape((d,) * (2 + 4 * m)).transpose(rows + cols)
         return ProcessTensor(choi.reshape(dim, dim), d,
-                             [self.times[s] for s in subset], validate=False)
+                             [self.times[s] for s in subset])
 
     # -- conditional states ----------------------------------------------------
 
@@ -495,8 +496,7 @@ def from_tomography(records, basis: OperationBasis, d: int, k: int,
         if tr_after > 0:
             ups *= tr_before / tr_after
 
-    pt = ProcessTensor(ups, d, times if times is not None else range(k + 1),
-                       validate=False)
+    pt = ProcessTensor(ups, d, times if times is not None else range(k + 1))
 
     if spot_check and count:
         flat = [tuple(idx) for idx in np.ndindex(shape)]

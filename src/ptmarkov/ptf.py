@@ -53,7 +53,7 @@ def save(pt, path) -> None:
         fh.write(_interleave(pt.choi))
 
 
-def _read_header(fh) -> dict:
+def _read_header(fh, fmt: str) -> dict:
     line = fh.readline()
     if not line.endswith(b"\n"):
         raise FormatError("missing header line")
@@ -63,6 +63,8 @@ def _read_header(fh) -> dict:
         raise FormatError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("header is not a JSON object")
+    if header.get("format") != fmt:
+        raise FormatError(f"unsupported format {header.get('format')!r}")
     return header
 
 
@@ -74,9 +76,7 @@ def load(path):
     from .process_tensor import ProcessTensor, leg_labels
 
     with open(path, "rb") as fh:
-        header = _read_header(fh)
-        if header.get("format") != "PTF1":
-            raise FormatError(f"unsupported format {header.get('format')!r}")
+        header = _read_header(fh, "PTF1")
         for key in ("system_dim", "k", "times", "leg_dims"):
             if key not in header:
                 raise FormatError(f"header missing field {key!r}")
@@ -149,14 +149,29 @@ def save_matrices(path, matrices) -> None:
 
 
 def load_matrices(path) -> list[np.ndarray]:
+    """Matrices of a ``PTF1-mats`` bundle; ``FormatError`` unless ``dims``
+    lists ``count`` (at least one) pairs of positive integers and the blob
+    holds exactly those matrices, all finite."""
     with open(path, "rb") as fh:
-        header = _read_header(fh)
-        if header.get("format") != "PTF1-mats":
-            raise FormatError(f"unsupported format {header.get('format')!r}")
-        mats = []
-        for rows, cols in header["dims"]:
-            blob = fh.read(2 * rows * cols * 8)
-            mats.append(_deinterleave(blob, rows, cols))
-        if fh.read():
-            raise FormatError("trailing bytes after declared matrices")
+        header = _read_header(fh, "PTF1-mats")
+        count, dims = header.get("count"), header.get("dims")
+        if not (_is_int(count) and isinstance(dims, list)
+                and len(dims) == count > 0 and all(
+                    isinstance(pair, list) and len(pair) == 2
+                    and all(_is_int(n) and n >= 1 for n in pair)
+                    for pair in dims)):
+            raise FormatError(f"dims must be a nonempty list of "
+                              f"count={count!r} pairs of positive integers, "
+                              f"got {dims!r}")
+        # one read of the whole file, so no header can make it allocate more
+        blob = memoryview(fh.read())
+    mats, start = [], 0
+    for rows, cols in dims:
+        stop = start + 2 * rows * cols * 8
+        mats.append(_deinterleave(blob[start:stop], rows, cols))
+        start = stop
+    if start != len(blob):
+        raise FormatError("trailing bytes after declared matrices")
+    if not all(np.isfinite(m).all() for m in mats):
+        raise FormatError("blob holds non-finite entries")
     return mats

@@ -164,7 +164,7 @@ def restrict_einsum(pt, subset):
     res = np.einsum(pt.as_tensor(), row + col, out_rows + out_cols)
     dim = d ** len(out_rows)
     return ProcessTensor(res.reshape(dim, dim) / d ** (k - l_max), d,
-                         [pt.times[s] for s in subset], validate=False)
+                         [pt.times[s] for s in subset])
 
 
 # ---------------------------------------------------------------------------

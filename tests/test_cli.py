@@ -10,13 +10,19 @@ from ptmarkov import (
     FormatError,
     ProcessTensor,
     QuantumMap,
+    SEModel,
     build_process_tensor,
+    linalg,
+    markov,
     model_b2,
+    process_tensor,
+    ptf,
+    qops,
 )
 from ptmarkov.cli import main
 from ptmarkov.defaults import PSD_CLIP
 
-from oracles import PP
+from oracles import P0, PP, partial_swap_unitary
 
 
 def _write_config(path, **overrides):
@@ -115,6 +121,109 @@ def test_simulate_guard_exit_2(tmp_path):
     assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 2
 
 
+def _write_custom_config(tmp_path, **params):
+    """A `custom` config: two partial swaps of a |+> system with a |0>
+    environment, supplied as PTF1-mats bundles."""
+    u = partial_swap_unitary(0.7)
+    ptf.save_matrices(tmp_path / "unitaries.mats", [u, u])
+    ptf.save_matrices(tmp_path / "joint.mats", [np.kron(PP, P0)])
+    cfg = tmp_path / "custom.json"
+    cfg.write_text(json.dumps({
+        "model": "custom",
+        "params": {"unitaries_file": str(tmp_path / "unitaries.mats"),
+                   "initial_joint_file": str(tmp_path / "joint.mats"),
+                   **params},
+        "times": [0.0, 1.0, 2.0],
+    }))
+    return cfg
+
+
+def test_simulate_custom_round_trip(tmp_path):
+    cfg = _write_custom_config(tmp_path, system_dim=2)
+    out = tmp_path / "custom.ptf"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    u = partial_swap_unitary(0.7)
+    direct = build_process_tensor(
+        SEModel(system_dim=2, env_dim=2, initial_joint=np.kron(PP, P0),
+                step_unitaries=(u, u)), (0.0, 1.0, 2.0))
+    assert np.array_equal(ProcessTensor.load(out).choi, direct.choi)
+    report = tmp_path / "report.json"
+    assert main(["analyze", str(out), "--markov", "--bonddim",
+                 "-o", str(report)]) == 0
+    analyses = json.loads(report.read_text())["analyses"]
+    assert analyses["markov"]["is_markov"] is False
+    assert analyses["bonddim"]["bond_dims"][1] > 1
+
+
+@pytest.mark.parametrize("dims", ["ab", [[4.5, 4], [4, 4]],
+                                  [[-1, 4], [4, 4]], [[4, 4]], None])
+def test_simulate_custom_malformed_bundle_exit_3(tmp_path, capsys, dims):
+    """`dims` that is not `count` pairs of positive integers, or is
+    missing, is a malformed file, found before any blob is read."""
+    cfg = _write_custom_config(tmp_path)
+    bundle = tmp_path / "unitaries.mats"
+    line, blob = bundle.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    if dims is None:
+        del header["dims"]
+    else:
+        header["dims"] = dims
+    bundle.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: dims must be"), err
+
+
+def test_simulate_custom_non_finite_bundle_exit_3(tmp_path, capsys):
+    cfg = _write_custom_config(tmp_path)
+    ptf.save_matrices(tmp_path / "joint.mats", [np.full((4, 4), np.nan)])
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 3
+    assert capsys.readouterr().err.startswith("error: blob holds non-finite")
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("times", {"times": ["a", 1]}),
+    ("omega", {"params": {"omega": "x"}}),
+    ("nodes", {"model": "b1", "params": {"nodes": "x"}}),
+    ("seed", {"model": "markov", "seed": "s"}),
+    ("system_dim", None),
+    ("params", {"params": [1]}),
+])
+def test_simulate_malformed_config_value_exit_2(tmp_path, capsys, key,
+                                                overrides):
+    if overrides is None:
+        cfg = _write_custom_config(tmp_path, system_dim="x")
+    else:
+        cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r}"), err
+
+
+@pytest.mark.parametrize("case", ["missing ptf", "missing bundle",
+                                  "simulate -o", "analyze -o", "analyze --csv",
+                                  "missing config"])
+def test_unreadable_or_unwritable_path_exit_2(tmp_path, capsys, case):
+    cfg = _write_config(tmp_path / "b2.json")
+    ptf_path = tmp_path / "b2.ptf"
+    assert main(["simulate", str(cfg), "-o", str(ptf_path)]) == 0
+    capsys.readouterr()
+    nowhere = str(tmp_path / "no" / "such" / "file")
+    argv = {
+        "missing ptf": ["analyze", nowhere],
+        "missing bundle": ["simulate", str(_write_custom_config(
+            tmp_path, unitaries_file=nowhere)), "-o", str(ptf_path)],
+        "simulate -o": ["simulate", str(cfg), "-o", nowhere],
+        "analyze -o": ["analyze", str(ptf_path), "--bonddim", "-o", nowhere],
+        "analyze --csv": ["analyze", str(ptf_path), "--bonddim",
+                          "--csv", nowhere],
+        "missing config": ["simulate", nowhere, "-o", str(ptf_path)],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and nowhere in err, err
+
+
 def test_analyze_malformed_file_exit_3(tmp_path):
     bad = tmp_path / "bad.ptf"
     bad.write_bytes(b"this is not a process tensor\n\x00\x01")
@@ -181,23 +290,40 @@ def test_analyze_measure_solves_one_full_size_spectrum(tmp_path, b2_pure_pt3,
                                                        monkeypatch):
     """`ptr analyze --measure` eigensolves the full tensor once (for the
     header's min eigenvalue, reused by the measure) and decomposes nothing
-    larger than a block marginal."""
+    larger than a block marginal. It Hermitizes no full-size copy: the
+    eigensolve reads the loaded tensor itself."""
     path = tmp_path / "b2.ptf"
     b2_pure_pt3.save(path)
     d, dim = 2, b2_pure_pt3.dim
-    sizes = {"eigh": [], "eigvalsh": []}
-    for name in sizes:
+    inputs = {"eigh": [], "eigvalsh": [], "hermitize": []}
+    for name in ("eigh", "eigvalsh"):
         orig = getattr(np.linalg, name)
 
         def counted(a, *args, _orig=orig, _name=name, **kwargs):
-            sizes[_name].append(np.shape(a)[-1])
+            inputs[_name].append(a)
             return _orig(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    for module in (linalg, markov, process_tensor, qops):
+        def recorded(m, *args, _orig=module.hermitize, **kwargs):
+            inputs["hermitize"].append(m)
+            return _orig(m, *args, **kwargs)
+        monkeypatch.setattr(module, "hermitize", recorded)
+    loaded = []
+
+    def load(p, _orig=ptf.load):
+        loaded.append(_orig(p))
+        return loaded[-1]
+    monkeypatch.setattr(ptf, "load", load)
     assert main(["analyze", str(path), "--measure",
                  "-o", str(tmp_path / "r.json")]) == 0
+    sizes = {name: [np.shape(a)[-1] for a in arrays]
+             for name, arrays in inputs.items()}
     assert all(n <= d * d for n in sizes["eigh"]), sizes["eigh"]
     assert sizes["eigvalsh"].count(dim) == 1, sizes["eigvalsh"]
     assert max(sizes["eigvalsh"]) == dim
+    assert all(n < dim for n in sizes["hermitize"]), sizes["hermitize"]
+    full = inputs["eigvalsh"][sizes["eigvalsh"].index(dim)]
+    assert np.shares_memory(full, loaded[0].choi)
 
 
 def test_analyze_one_step_file(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from ptmarkov import (
     ClassicalProcess,
-    NotHermitian,
     NotPositive,
     ProcessTensor,
     QuantumMap,
@@ -126,8 +125,7 @@ def test_markov_test_inconclusive_on_degenerate_data(b3_pt, basis2):
     """When every conditional at some group falls below the probability
     floor, the report is marked inconclusive rather than guessed."""
     from ptmarkov import ProcessTensor
-    degenerate = ProcessTensor(np.zeros_like(b3_pt.choi), 2, b3_pt.times,
-                               validate=False)
+    degenerate = ProcessTensor(np.zeros_like(b3_pt.choi), 2, b3_pt.times)
     rep = markov_test(degenerate, basis2, exhaustive=True)
     assert not rep.conclusive
     assert rep.inconclusive_groups
@@ -418,11 +416,12 @@ def test_closed_form_measure_matches_eigen_route(b1_pt, b2_pt, b3_pt,
 
 
 def test_measure_rejects_non_hermitian_tensor(b2_pt):
+    """A non-Hermitian Choi cannot reach the measure: the tensor that
+    would carry it is refused at construction."""
     choi = b2_pt.choi.copy()
     choi[0, 1] += 1e-6
-    pt = ProcessTensor(choi, 2, b2_pt.times, validate=False)
-    with pytest.raises(NotHermitian):
-        non_markovianity(pt)
+    with pytest.raises(ValidationError, match="choi asymmetry"):
+        ProcessTensor(choi, 2, b2_pt.times)
 
 
 def test_measure_rejects_non_psd_tensor(b2_pt):

@@ -371,6 +371,47 @@ def test_analyses_build_no_restricted_tensor(markov_pt3, basis2, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Hermitian invariant
+# ---------------------------------------------------------------------------
+
+def test_every_construction_route_stores_exactly_hermitian_choi(
+        tmp_path, b2_model, b2_pt, basis2):
+    """Each route that makes a tensor leaves ``choi`` equal to its adjoint
+    bit for bit: rounding-level asymmetry is symmetrized at construction,
+    and an asymmetry above 1e-8 is refused there."""
+    from ptmarkov import (FormatError, ValidationError, apply_local_channel,
+                          closest_markov)
+    path = tmp_path / "planted.ptf"
+    b2_pt.save(path)
+    line, blob = path.read_bytes().split(b"\n", 1)
+    raw = np.frombuffer(blob, dtype="<f8").copy()
+    raw[2] += 1e-10  # real part of entry (0, 1) only
+    path.write_bytes(line + b"\n" + raw.tobytes())
+    routes = {
+        "build_process_tensor": b2_pt,
+        "tomography": tomography_process_tensor(b2_model, b2_pt.times,
+                                                basis2),
+        "restrict": b2_pt.restrict([0, 2]),
+        "closest_markov": closest_markov(b2_pt),
+        "apply_local_channel": apply_local_channel(
+            b2_pt, 2, random_cptp(2, np.random.default_rng(5))),
+        "ptf.load": ProcessTensor.load(path),
+    }
+    for route, pt in routes.items():
+        assert np.array_equal(pt.choi, pt.choi.conj().T), route
+    assert routes["ptf.load"].choi[0, 1] != b2_pt.choi[0, 1]
+
+    choi = b2_pt.choi.copy()
+    choi[0, 1] += 2e-8
+    with pytest.raises(ValidationError, match="choi asymmetry"):
+        ProcessTensor(choi, 2, b2_pt.times)
+    raw[2] += 2e-8
+    path.write_bytes(line + b"\n" + raw.tobytes())
+    with pytest.raises(FormatError, match="choi asymmetry"):
+        ProcessTensor.load(path)
+
+
+# ---------------------------------------------------------------------------
 # PTF1 serialization
 # ---------------------------------------------------------------------------
 
