@@ -222,7 +222,7 @@ def cmd_analyze(args) -> int:
         rep = markov_test(pt, basis, tol=tol, exhaustive=args.exhaustive)
         report["analyses"]["markov"] = rep.as_dict()
     if "divisibility" in analyses:
-        rep = divisibility_test(pt, basis, tol=tol)
+        rep = divisibility_test(pt, tol=tol)
         report["analyses"]["divisibility"] = rep.as_dict()
     measure = None
     if "measure" in analyses:

@@ -34,10 +34,11 @@ MARKOV_TOL = 1e-8
 # Relative singular-value cutoff for temporal bond-dimension counting.
 BOND_CUTOFF = 1e-10
 
-# Building a process tensor with d**(4K) above this requires an explicit
-# override. Its Choi matrix holds d**2 * d**(4K) entries, so the default
-# admits qubits up to K = 4 (512 x 512); K = 5 would be 2048 x 2048.
-SWEEP_GUARD = 65536
+# Largest dense process tensor, in bytes, that is built or loaded: a K-step
+# tensor of dimension d holds 16 * d**(4K + 2) bytes, so the guard admits
+# qubits up to K = 5 (64 MiB) and qutrits up to K = 3 (73 MiB), and refuses
+# qubit K = 6 (1 GiB).
+TENSOR_BYTES_GUARD = 128 * 2 ** 20
 
 # Default node count for classical-noise ensembles.
 B1_NODES = 2001

@@ -330,20 +330,6 @@ def _diameter_general(states: Array) -> tuple[float, int, int]:
     return best
 
 
-def _reduced_form(pt: ProcessTensor, k: int, l: int) -> Array:
-    """Contraction form of the tensor restricted to readout step l with
-    identity controls filled into slots strictly between k and l.
-
-    Returns an array of shape (d*d, d**4 [slot k], d**4 [slot k-1], ...,
-    d**4 [slot 0])."""
-    form = pt.contraction_form(l)
-    ident = QuantumMap.identity(pt.system_dim).choi.reshape(-1)
-    # slots l-1 ... k+1 occupy the leading slot axes (axis 1 onward)
-    for _ in range(l - 1 - k):
-        form = np.tensordot(form, ident, axes=([1], [0]))
-    return form
-
-
 def markov_test(pt: ProcessTensor, basis: OperationBasis,
                 break_set: CausalBreak | None = None,
                 tol: float = MARKOV_TOL,
@@ -377,7 +363,7 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     if break_set is None:
         break_set = default_break(d)
     n_basis = len(basis)
-    basis_vecs = np.stack([e.choi.reshape(-1) for e in basis.elements])
+    basis_vecs = basis.choi_vectors
     # break realization (r, s) has Choi  P_s (x) Pi_r^T
     break_vecs = np.stack([
         tensor_product(p, e.T).reshape(-1)
@@ -400,13 +386,10 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     for k, l in [(k, l) for k in range(n_steps - 1, 0, -1)
                  for l in range(k + 1, n_steps + 1)]:
         breaks_tested.append((k, l))
-        arr = _reduced_form(pt, k, l)[None]
-        for _ in range(k):  # slot 0 sits on the last axis
-            arr = np.moveaxis(arr @ basis_vecs.T, -1, 1)
-            arr = arr.reshape(-1, *arr.shape[2:])
-        # axes (past, row, col, r, s); past[0] varies slowest
-        outs = (arr @ break_vecs.T).reshape(-1, d, d, n_out, n_prep)
-        probs = np.einsum("paars->prs", outs).real
+        # axes (past, r, s, row, col); past[0] varies slowest
+        outs = pt.contract([basis_vecs] * k + [break_vecs], l).reshape(
+            -1, n_out, n_prep, d, d)
+        probs = np.einsum("prsaa->prs", outs).real
         kept = probs > prob_floor
         skipped += kept.size - int(np.count_nonzero(kept))
         for s in range(n_prep):
@@ -414,7 +397,7 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
             if rows.size == 0:
                 inconclusive.append((k, l, s))
                 continue
-            states = outs[..., s].transpose(0, 3, 1, 2).reshape(-1, d, d)
+            states = outs[:, :, s].reshape(-1, d, d)
             group = states[rows] / probs[:, :, s].reshape(-1)[rows, None, None]
             if d == 2:
                 dev, i, j = _bloch_diameter(_bloch_vectors(group))
@@ -443,22 +426,23 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
 # divisibility
 # ---------------------------------------------------------------------------
 
-def divisibility_test(pt: ProcessTensor, basis: OperationBasis | None = None,
-                      tol: float = MARKOV_TOL,
+def divisibility_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
                       filler: str = "identity") -> DivisibilityReport:
     """Extract the dynamics maps for every step pair and check that longer
     maps compose from shorter ones.
 
-    The defect for a triple j < k < l is the max-norm difference of the
-    superoperators of the extracted map (l:j) and the composition
-    (l:k) o (k:j). Each extracted map's CP defect is reported alongside.
-    A process with fewer than two steps has no triple and zero defect.
+    The maps come from ``ProcessTensor.marginal_map``, which prepares the
+    matrix units at slot j, so no operation basis is involved. The defect
+    for a triple j < k < l is the max-norm difference of the superoperators
+    of the extracted map (l:j) and the composition (l:k) o (k:j). Each
+    extracted map's CP defect is reported alongside. A process with fewer
+    than two steps has no triple and zero defect.
     """
     n_steps = pt.n_steps
     maps: dict[tuple[int, int], QuantumMap] = {}
     for j in range(n_steps):
         for l in range(j + 1, n_steps + 1):
-            maps[(j, l)] = pt.marginal_map(j, l, filler=filler, basis=basis)
+            maps[(j, l)] = pt.marginal_map(j, l, filler=filler)
     triples = []
     max_defect = 0.0
     for j in range(n_steps - 1):
@@ -683,36 +667,23 @@ def classical_process(pt: ProcessTensor, instruments: Sequence[Instrument],
     for idx, ins in enumerate(instruments):
         if ins.in_dim != d:
             raise DimensionMismatch(f"instrument {idx} dim != system dim")
-    form = pt.contraction_form()
-    operands = [form, [0] + [1 + j for j in range(k - 1, -1, -1)]]
-    out_labels = []
-    lbl = k + 1
-    for j, ins in enumerate(instruments):
-        stack = np.stack([m.choi.reshape(-1) for m in ins.members])
-        operands.extend([stack, [lbl, 1 + j]])
-        out_labels.append(lbl)
-        lbl += 1
+    outs = pt.contract([np.stack([m.choi.reshape(-1) for m in ins.members])
+                        for ins in instruments])
+    labels = [tuple(ins.labels) for ins in instruments]
     if final_povm is not None:
         effects = np.stack([hermitize(np.asarray(e, dtype=complex))
                             for e in final_povm])
         total = effects.sum(axis=0)
         if np.abs(total - np.eye(d)).max() > 1e-10:
             raise ValidationError("final POVM must sum to identity")
-        # axis 0 of the form combines (row, col) of the final output
-        pair = effects.reshape(len(final_povm), -1)
-        # tr(E rho) with rho flattened row-major pairs with E transposed
-        eff_op = pair.conj()  # tr(E rho) = sum_ab E*_ab(rho)_ab for hermitian E
-        operands.extend([eff_op, [lbl, 0]])
-        out_labels.append(lbl)
+        # tr(E rho) = sum_ab E*_ab rho_ab for hermitian E
+        table = outs.reshape(len(outs), -1) @ effects.reshape(
+            len(effects), -1).conj().T
+        labels.append(tuple(str(i) for i in range(len(effects))))
     else:
-        tracer = np.eye(d, dtype=complex).reshape(-1)
-        operands.extend([tracer, [0]])
-    table = np.einsum(*operands, out_labels, optimize=True)
-    table = np.asarray(table.real, dtype=float)
-    labels = [tuple(ins.labels) for ins in instruments]
-    if final_povm is not None:
-        labels.append(tuple(str(i) for i in range(len(final_povm))))
-    return ClassicalProcess(table=table, outcome_labels=tuple(labels))
+        table = np.trace(outs, axis1=1, axis2=2)
+    return ClassicalProcess(table=table.real.reshape([len(l) for l in labels]),
+                            outcome_labels=tuple(labels))
 
 
 def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,

@@ -30,17 +30,16 @@ from .defaults import (
     B1_NODES,
     CPTP_DEFECT_TOL,
     SUPPORT_CUTOFF,
-    SWEEP_GUARD,
     UNITARY_ATOL,
 )
-from .errors import (
-    DimensionMismatch,
-    QuadratureError,
-    SweepGuardError,
-    ValidationError,
-)
+from .errors import DimensionMismatch, QuadratureError, ValidationError
 from .linalg import Array, as_operator, permute_legs, tensor_product
-from .process_tensor import ControlSequence, ProcessTensor, checked_times
+from .process_tensor import (
+    ControlSequence,
+    ProcessTensor,
+    check_tensor_size,
+    checked_times,
+)
 from .qops import DensityMatrix, QuantumMap
 
 __all__ = [
@@ -277,8 +276,7 @@ def simulate_sequence(model: SEModel, grid, controls):
     return DensityMatrix(sys), None if joint is None else DensityMatrix(joint)
 
 
-def build_process_tensor(model: SEModel, grid, *,
-                         allow_large: bool = False) -> ProcessTensor:
+def build_process_tensor(model: SEModel, grid) -> ProcessTensor:
     """Process tensor of a dilation, written down directly as the link
     product of the initial joint state and the step unitaries.
 
@@ -288,17 +286,15 @@ def build_process_tensor(model: SEModel, grid, *,
     leg O_j as the new system index, and the step unitary acts on system
     and environment. Tracing the environment and the purification leaves
     Upsilon = M M^dagger, PSD by construction. Classical-noise models stack
-    the columns sqrt(w_n) M_n of every ensemble node.
+    the columns sqrt(w_n) M_n of every ensemble node. Raises
+    ``SweepGuardError`` above the size guard (see ``check_tensor_size``).
     """
     grid = _as_grid(grid)
     k = grid.n_steps
     if k < 1:
         raise ValidationError("process tensors need at least one step")
     d = model.system_dim
-    if d ** (4 * k) > SWEEP_GUARD and not allow_large:
-        raise SweepGuardError(
-            f"{k}-step tensor with d**(4K) = {d ** (4 * k)} exceeds the size "
-            f"guard {SWEEP_GUARD}; pass allow_large=True to override")
+    check_tensor_size(d, k)
     return ProcessTensor(_make_engine(model, grid).comb(), d, grid.times)
 
 

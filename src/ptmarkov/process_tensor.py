@@ -28,21 +28,26 @@ the multilinear action in general.
 Earlier steps are read off through the causal-comb condition
 Tr_{O_l} Upsilon_l = 1_{O_{l-1}} (x) Upsilon_{l-1} (Chiribella, D'Ariano and
 Perinotti, PRA 80, 022339, 2009): ``contraction_form(l)`` traces one trailing
-step at a time, every contraction reads that form, and ``causality_defect``
-measures how far a tensor is from satisfying the condition.
+step at a time, and ``causality_defect`` measures how far a tensor is from
+satisfying the condition. Every reader of the tensor evaluates the
+multilinear map through ``ProcessTensor.contract``, which contracts stacks
+of slot Chois against that form in one batched pass; only ``restrict``,
+which keeps slots open, contracts the form on its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .defaults import PROBABILITY_FLOOR, PSD_CLIP
+from .defaults import PROBABILITY_FLOOR, PSD_CLIP, TENSOR_BYTES_GUARD
 from .errors import (
     DimensionMismatch,
+    SweepGuardError,
     TomographyDataError,
     UnresolvableConditional,
     ValidationError,
@@ -123,13 +128,30 @@ class ControlSequence:
 
 def checked_times(times: Iterable[float]) -> tuple[float, ...]:
     """Time tags t_0 ... t_K as floats; raises ValidationError unless
-    there is at least one and they strictly increase."""
+    there is at least one, all are finite and they strictly increase."""
     times = tuple(float(t) for t in times)
     if not times:
         raise ValidationError("need at least one time tag")
+    if not all(math.isfinite(t) for t in times):
+        raise ValidationError(f"times must be finite: {times}")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValidationError(f"times must be strictly increasing: {times}")
     return times
+
+
+def check_tensor_size(d: int, k: int) -> None:
+    """Raise SweepGuardError if a dense K-step tensor of dimension d, of
+    16 * d**(4K + 2) bytes, exceeds TENSOR_BYTES_GUARD."""
+    size = 16 * d ** (4 * k + 2)
+    if size > TENSOR_BYTES_GUARD:
+        raise SweepGuardError(
+            f"{k}-step tensor of dimension {d} takes {size} bytes, above the "
+            f"size guard of {TENSOR_BYTES_GUARD}")
+
+
+def _rows(chois: Iterable[Array]) -> list[Array]:
+    """One-row contraction stacks, one per slot Choi."""
+    return [np.asarray(c, dtype=complex).reshape(1, -1) for c in chois]
 
 
 def _resolve_controls(controls, n_slots: int, d: int) -> list[Array]:
@@ -272,20 +294,37 @@ class ProcessTensor:
 
     # -- contraction ----------------------------------------------------------
 
-    def _contract(self, chois: Sequence[Array]) -> Array:
-        """Contract one Choi per slot (chronological order) to a raw
-        (d, d) output matrix at readout step ``len(chois)``."""
+    def contract(self, stacks: Sequence[Array], l: int | None = None) -> Array:
+        """Raw outputs at readout step l (default: the final step K) for
+        every combination of the rows of ``stacks``.
+
+        ``stacks[j]`` is an (n_j, d**4) stack of flattened slot-j Chois;
+        slots ``len(stacks)`` ... l-1 hold the identity. Returns an
+        (n_0 * ... * n_{m-1}, d, d) array with slot 0 varying slowest. The
+        identity slots are contracted into ``contraction_form(l)`` first,
+        then the stacks from slot 0 up.
+        """
         d = self.system_dim
-        res = self.contraction_form(len(chois))
-        for c in chois:  # slot 0 sits on the last axis
-            res = res @ np.asarray(c, dtype=complex).reshape(-1)
-        return res.reshape(d, d)
+        l = self.n_steps if l is None else int(l)
+        if len(stacks) > l:
+            raise DimensionMismatch(
+                f"{len(stacks)} slot stacks for readout step {l}")
+        form = self.contraction_form(l)
+        ident = QuantumMap.identity(d).choi.reshape(-1)
+        # slots l-1 ... len(stacks) occupy the leading slot axes
+        for _ in range(l - len(stacks)):
+            form = np.tensordot(form, ident, axes=([1], [0]))
+        arr = form[None]
+        for stack in stacks:  # slot 0 sits on the last axis
+            arr = np.moveaxis(arr @ np.asarray(stack, dtype=complex).T, -1, 1)
+            arr = arr.reshape(-1, *arr.shape[2:])
+        return arr.reshape(-1, d, d)
 
     def apply(self, controls) -> DensityMatrix:
         """Final-time output for a control sequence; the trace is the joint
         probability of realizing nondeterministic slots."""
         chois = _resolve_controls(controls, self.n_steps, self.system_dim)
-        return DensityMatrix(self._contract(chois))
+        return DensityMatrix(self.contract(_rows(chois))[0])
 
     # -- restriction -----------------------------------------------------------
 
@@ -347,7 +386,7 @@ class ProcessTensor:
                 f"readout step {l} beyond final step {n_steps}")
         break_map = break_set.map(povm_outcome, prep_index)
         slots = list(past) + [break_map] + list(future)
-        out = self._contract(_resolve_controls(slots, l, d))
+        out = self.contract(_rows(_resolve_controls(slots, l, d)), l)[0]
         p = float(np.trace(out).real)
         if p <= prob_floor:
             raise UnresolvableConditional(
@@ -365,34 +404,34 @@ class ProcessTensor:
 
     # -- marginal dynamics -------------------------------------------------------
 
-    def marginal_map(self, j: int, l: int, filler: str = "identity",
-                     basis: OperationBasis | None = None) -> QuantumMap:
+    def marginal_map(self, j: int, l: int,
+                     filler: str = "identity") -> QuantumMap:
         """The dynamics map from slot j's output to the state at t_l.
 
-        A full preparation frame is injected at slot j (discarding its
-        input), identity controls fill slots strictly between j and l, and
-        ``filler`` ("identity" or "average") fills slots before j.
+        The d**2 matrix units |a><b| are prepared at slot j (discarding its
+        input; slot Choi |a><b| (x) 1) in one ``contract`` call, identity
+        controls fill slots strictly between j and l, and ``filler``
+        ("identity" or "average") fills slots before j. Output (a, b) is
+        the map's image of |a><b|, so the outputs are the columns of its
+        Choi matrix.
         """
         n_steps = self.n_steps
         d = self.system_dim
         if not 0 <= j < l <= n_steps:
             raise ValidationError(f"invalid slot range ({j}, {l})")
-        if basis is None:
-            basis = _default_basis(d)
         if filler == "identity":
             fill = QuantumMap.identity(d).choi
         elif filler == "average":
             fill = tensor_product(np.eye(d) / d, np.eye(d))
         else:
             raise ValidationError(f"unknown filler policy {filler!r}")
-        ident = QuantumMap.identity(d).choi
-        choi_map = np.zeros((d * d, d * d), dtype=complex)
-        for prep, dual in zip(basis.preparations, basis.prep_duals):
-            slots = [fill] * j + [tensor_product(prep, np.eye(d))] \
-                + [ident] * (l - j - 1)
-            out = self._contract(slots)
-            choi_map += tensor_product(out, dual.conj())
-        return QuantumMap.from_choi(hermitize(choi_map, atol=1e-8),
+        units = np.eye(d * d).reshape(d * d, d, d)
+        preps = np.stack([tensor_product(u, np.eye(d)).reshape(-1)
+                          for u in units])
+        outs = self.contract(_rows([fill] * j) + [preps], l)
+        # Choi[(x, a), (y, b)] = outs[(a, b), x, y]
+        choi = outs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, -1)
+        return QuantumMap.from_choi(hermitize(choi, atol=1e-8),
                                     in_dim=d, out_dim=d)
 
     # -- io ---------------------------------------------------------------------
@@ -409,12 +448,6 @@ class ProcessTensor:
     def __repr__(self):
         return (f"ProcessTensor(d={self.system_dim}, steps={self.n_steps}, "
                 f"trace={self.trace:.6g})")
-
-
-@lru_cache(maxsize=8)
-def _default_basis(d: int) -> OperationBasis:
-    from .qops import ic_basis
-    return ic_basis(d)
 
 
 @lru_cache(maxsize=8)
@@ -502,7 +535,7 @@ def from_tomography(records, basis: OperationBasis, d: int, k: int,
         flat = [tuple(idx) for idx in np.ndindex(shape)]
         stride = max(1, len(flat) // spot_check)
         for key in flat[::stride][:spot_check]:
-            got = pt._contract([basis.elements[i].choi for i in key])
+            got = pt.contract(_rows(basis.elements[i].choi for i in key))[0]
             err = np.abs(got - table[key]).max()
             if err > check_tol:
                 raise TomographyDataError(

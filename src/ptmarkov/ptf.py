@@ -6,6 +6,8 @@ interleaved real/imaginary). Round-trips are bit exact.
 
 ``load`` raises ``FormatError`` unless the tensor is a causal comb:
 Hermitian, and PSD and causal within ``PSD_CLIP`` times max(1, |trace|).
+A header above the size guard raises ``SweepGuardError`` before the blob
+is read.
 
 The same header-plus-blob scheme serializes plain matrix bundles
 (``PTF1-mats``), used to supply unitaries for custom models.
@@ -73,7 +75,7 @@ def _is_int(value) -> bool:
 
 
 def load(path):
-    from .process_tensor import ProcessTensor, leg_labels
+    from .process_tensor import ProcessTensor, check_tensor_size, leg_labels
 
     with open(path, "rb") as fh:
         header = _read_header(fh, "PTF1")
@@ -111,6 +113,7 @@ def load(path):
             raise FormatError(
                 f"trace convention {header.get('trace_convention')!r} is "
                 f"not {TRACE_CONVENTION!r}")
+        check_tensor_size(d, k)
         dim = d ** (2 * k + 1)
         choi = _deinterleave(fh.read(), dim, dim)
     if not np.isfinite(choi).all():

@@ -435,9 +435,6 @@ class OperationBasis:
     elements: tuple[QuantumMap, ...]
     duals: tuple[Array, ...]
     gram: Array
-    preparations: tuple[Array, ...]
-    effects: tuple[Array, ...]
-    prep_duals: tuple[Array, ...]
     label: str = "ic-default"
 
     def __len__(self):
@@ -476,19 +473,11 @@ def ic_basis(d: int, cutoff: float = FRAME_CUTOFF) -> OperationBasis:
         raise SingularFrame("operation frame Gram is rank deficient")
     dual_cols = _dual_frame(vecs, cutoff)
     duals = tuple(dual_cols[:, i].reshape(d * d, d * d) for i in range(d ** 4))
-
-    prep_vecs = np.stack([p.reshape(-1) for p in projs], axis=1)
-    prep_dual_cols = _dual_frame(prep_vecs, cutoff)
-    prep_duals = tuple(prep_dual_cols[:, i].reshape(d, d) for i in range(n_frame))
-
     return OperationBasis(
         dimension=d,
         elements=tuple(elements),
         duals=duals,
         gram=gram,
-        preparations=tuple(projs),
-        effects=tuple(projs),
-        prep_duals=prep_duals,
         label=f"ic-default-d{d}",
     )
 

@@ -353,13 +353,36 @@ def _break_vectors(break_set):
                      for p in break_set.preparations])
 
 
+def reduced_form_loop(pt, k, l):
+    """Contraction form at readout step l with identity controls paired
+    into the slots strictly between k and l, one ``tensordot`` per slot.
+    Shape (d*d, d**4 [slot k], d**4 [slot k-1], ..., d**4 [slot 0])."""
+    form = pt.contraction_form(l)
+    d = pt.system_dim
+    ident = np.eye(d, dtype=complex).reshape(-1)
+    ident = np.outer(ident, ident).reshape(-1)  # Choi of the identity map
+    for _ in range(l - 1 - k):  # slots l-1 ... k+1 lead the slot axes
+        form = np.tensordot(form, ident, axes=([1], [0]))
+    return form
+
+
+def contract_loop(pt, chois, l=None):
+    """Raw (d, d) output at readout step l (default: the final step) for
+    one Choi per slot 0 ... len(chois)-1, identity controls on the later
+    slots, contracting one slot at a time."""
+    d = pt.system_dim
+    l = pt.n_steps if l is None else l
+    arr = reduced_form_loop(pt, len(chois) - 1, l)
+    for c in chois:  # slot 0 sits on the last axis
+        arr = arr @ np.asarray(c, dtype=complex).reshape(-1)
+    return arr.reshape(d, d)
+
+
 def conditional_output_loop(pt, basis, break_set, k, l, past, r, s):
     """Unnormalized output at step l for one past sequence and one break
     realization, contracting one basis element at a time."""
-    from ptmarkov.markov import _reduced_form
-
     d = pt.system_dim
-    arr = _reduced_form(pt, k, l)
+    arr = reduced_form_loop(pt, k, l)
     for mu in past:  # slot 0 sits on the last axis
         arr = arr @ basis.elements[mu].choi.reshape(-1)
     outs = (arr @ _break_vectors(break_set).T).reshape(
@@ -372,8 +395,7 @@ def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
     """The causal-break sweep with a Python loop over every past sequence
     and the all-pairs diameter; returns a ``MarkovReport``."""
     from ptmarkov.defaults import MARKOV_TOL, PROBABILITY_FLOOR
-    from ptmarkov.markov import (ConditioningRecord, MarkovReport,
-                                 _reduced_form)
+    from ptmarkov.markov import ConditioningRecord, MarkovReport
     from ptmarkov.process_tensor import default_break
 
     tol = MARKOV_TOL if tol is None else tol
@@ -396,7 +418,7 @@ def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
     for k in range(n_steps - 1, 0, -1):
         for l in range(k + 1, n_steps + 1):
             breaks_tested.append((k, l))
-            form = _reduced_form(pt, k, l)
+            form = reduced_form_loop(pt, k, l)
             states_by_prep = {s: [] for s in range(n_prep)}
             records_by_prep = {s: [] for s in range(n_prep)}
             for past in itertools.product(range(len(basis)), repeat=k):
@@ -444,3 +466,52 @@ def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
         skipped_conditionals=skipped,
         inconclusive_groups=tuple(inconclusive),
     )
+
+
+# ---------------------------------------------------------------------------
+# marginal maps and the classical limit by the routes that the batched
+# ``ProcessTensor.contract`` replaced
+# ---------------------------------------------------------------------------
+
+def marginal_map_frame(pt, j, l, filler="identity"):
+    """Choi matrix of the dynamics map from slot j's output to t_l: each
+    frame state P_mu is prepared at slot j in its own contraction, and the
+    outputs are summed against the dual frame,
+    Choi = sum_mu out(P_mu) (x) conj(D_mu)."""
+    from ptmarkov.qops import ic_frame_states
+
+    d = pt.system_dim
+    ident = np.eye(d, dtype=complex).reshape(-1)
+    ident = np.outer(ident, ident)
+    fill = ident if filler == "identity" else np.kron(np.eye(d) / d,
+                                                      np.eye(d))
+    preps = ic_frame_states(d)
+    cols = np.stack([p.reshape(-1) for p in preps], axis=1)
+    duals = cols @ np.linalg.pinv(cols.conj().T @ cols, hermitian=True)
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for mu, prep in enumerate(preps):
+        out = contract_loop(pt, [fill] * j + [np.kron(prep, np.eye(d))], l)
+        choi += np.kron(out, duals[:, mu].reshape(d, d).conj())
+    return choi
+
+
+def classical_process_einsum(pt, instruments, final_povm=None):
+    """Joint outcome table by one labelled ``np.einsum`` of the final
+    contraction form with every instrument's member stack and the final
+    POVM (or a trace)."""
+    k, d = pt.n_steps, pt.system_dim
+    operands = [pt.contraction_form(), [0] + [1 + j for j in range(k - 1, -1, -1)]]
+    out_labels = []
+    for j, ins in enumerate(instruments):
+        stack = np.stack([m.choi.reshape(-1) for m in ins.members])
+        operands.extend([stack, [k + 1 + j, 1 + j]])
+        out_labels.append(k + 1 + j)
+    if final_povm is not None:
+        # tr(E rho) = sum_ab E*_ab rho_ab for hermitian E
+        pair = np.stack([np.asarray(e, dtype=complex).reshape(-1)
+                         for e in final_povm])
+        operands.extend([pair.conj(), [2 * k + 1, 0]])
+        out_labels.append(2 * k + 1)
+    else:
+        operands.extend([np.eye(d, dtype=complex).reshape(-1), [0]])
+    return np.einsum(*operands, out_labels, optimize=True).real

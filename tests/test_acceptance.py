@@ -103,7 +103,7 @@ def test_criterion_3_b1_decay_and_echo(b1_model):
 def test_criterion_4_divisible_yet_non_markov(b1_pt, basis2):
     """On the dephasing tensor: divisibility defect <= 1e-6 while the
     causal-break deviation exceeds 0.1."""
-    div = divisibility_test(b1_pt, basis2)
+    div = divisibility_test(b1_pt)
     mk = markov_test(b1_pt, basis2, exhaustive=True)
     ok = div.max_defect <= 1e-6 and mk.max_deviation > 0.1 and not mk.is_markov
     _verdict(4, ok, f"divisibility defect {div.max_defect:.2e} <= 1e-6, "
@@ -156,7 +156,7 @@ def test_criterion_6_markov_soundness(basis2):
         mk = markov_test(pt, basis2, tol=1e-8)
         assert mk.is_markov, f"trial {trial} flagged non-Markov"
         meas = non_markovianity(pt)
-        div = divisibility_test(pt, basis2)
+        div = divisibility_test(pt)
         worst["dev"] = max(worst["dev"], mk.max_deviation)
         worst["n"] = max(worst["n"], meas.n_value)
         worst["bond"] = max(worst["bond"], max(meas.bond_dims))

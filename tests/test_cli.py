@@ -21,6 +21,7 @@ from ptmarkov import (
 )
 from ptmarkov.cli import main
 from ptmarkov.defaults import PSD_CLIP
+from ptmarkov.process_tensor import leg_labels
 
 from oracles import P0, PP, partial_swap_unitary
 
@@ -117,8 +118,31 @@ def test_simulate_bad_model_exit_2(tmp_path):
 
 def test_simulate_guard_exit_2(tmp_path):
     cfg = _write_config(tmp_path / "big.json",
-                        times=[float(i) for i in range(6)])
+                        times=[float(i) for i in range(7)])
     assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 2
+
+
+def test_simulate_non_finite_times_exit_2(tmp_path, capsys):
+    """A time tag that JSON reads as infinity is a config error, and no
+    file is written."""
+    cfg = tmp_path / "inf.json"
+    cfg.write_text('{"model": "markov", "times": [0, 1e400]}')
+    out = tmp_path / "inf.ptf"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_oversize_header_exit_2(tmp_path, capsys):
+    """A K = 6 qubit header is refused by the size guard, before its blob
+    is read."""
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    header.update(k=6, times=[float(t) for t in range(7)],
+                  leg_labels=list(leg_labels(6)), leg_dims=[2] * 13)
+    _write_ptf(path, header, raw)
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "size guard" in err and "Traceback" not in err
 
 
 def _write_custom_config(tmp_path, **params):

@@ -43,6 +43,7 @@ from oracles import (
     b3_choi_analytic,
     b3_classical_table,
     bond_dimension_unfoldings,
+    classical_process_einsum,
     conditional_output_loop,
     diameter_general_loop,
     diameter_qubit_all_pairs,
@@ -111,7 +112,7 @@ def test_one_step_process_is_vacuously_markov(basis2):
     assert rep.max_deviation == 0.0
     assert rep.breaks_tested == ()
     assert rep.witness is None
-    div = divisibility_test(pt, basis2)
+    div = divisibility_test(pt)
     assert div.triple_defects == ()
     assert div.max_defect == 0.0
 
@@ -304,7 +305,7 @@ def test_markov_test_matches_per_past_loop(name, exhaustive, basis2, request):
 # ---------------------------------------------------------------------------
 
 def test_divisibility_of_product_tensor(markov_pt3, basis2):
-    rep = divisibility_test(markov_pt3, basis2)
+    rep = divisibility_test(markov_pt3)
     assert rep.max_defect <= 1e-9
     assert rep.is_divisible
     assert all(defect <= 1e-8 for _, _, defect in rep.pair_cp_defects)
@@ -312,7 +313,7 @@ def test_divisibility_of_product_tensor(markov_pt3, basis2):
 
 def test_b1_divisible_but_non_markov(b1_pt, basis2):
     """The standing counterexample: CP-divisible dynamics with memory."""
-    div = divisibility_test(b1_pt, basis2)
+    div = divisibility_test(b1_pt)
     assert div.max_defect <= 1e-6
     mk = markov_test(b1_pt, basis2)
     assert not mk.is_markov
@@ -324,13 +325,13 @@ def test_b3_divisibility_structure(b3_pt, b3_states, basis2):
     prepares the environment state, (1,2) prepares the (filler-dependent)
     swapped-out state; their composition defect is large."""
     rho_s, rho_e = b3_states
-    lam_02 = b3_pt.marginal_map(0, 2, basis=basis2)
+    lam_02 = b3_pt.marginal_map(0, 2)
     assert np.abs(lam_02.choi - IDENT.choi).max() <= 1e-9
-    lam_01 = b3_pt.marginal_map(0, 1, basis=basis2)
+    lam_01 = b3_pt.marginal_map(0, 1)
     assert np.abs(lam_01.choi - QuantumMap.prepare(rho_e).choi).max() <= 1e-9
-    lam_12 = b3_pt.marginal_map(1, 2, filler="identity", basis=basis2)
+    lam_12 = b3_pt.marginal_map(1, 2, filler="identity")
     assert np.abs(lam_12.choi - QuantumMap.prepare(rho_s).choi).max() <= 1e-9
-    rep = divisibility_test(b3_pt, basis2)
+    rep = divisibility_test(b3_pt)
     assert rep.max_defect > 0.1
 
 
@@ -583,7 +584,7 @@ def test_lemma_direction_on_corpus(markov_pt2, markov_pt3, b1_pt, b2_pt,
     for pt in (markov_pt2, markov_pt3, b1_pt, b2_pt, b3_pt):
         mk = markov_test(pt, basis2)
         if mk.is_markov:
-            div = divisibility_test(pt, basis2)
+            div = divisibility_test(pt)
             assert div.max_defect <= 10 * mk.tolerance
 
 
@@ -613,6 +614,24 @@ def test_classical_markov_process_satisfies_condition(markov_pt3, basis2):
         chk = classical_markov_check(cp, tol=1e-9)
         assert chk.is_markov
         assert chk.max_violation <= 1e-9
+
+
+def test_classical_process_matches_einsum_oracle(markov_pt3, b3_pt):
+    """The batched contraction and one trace give the table of the one
+    labelled einsum, on the acceptance cases, with and without a final
+    readout."""
+    rng = np.random.default_rng(70)
+    final = [P0, P1]
+    cases = [(markov_pt3, [random_reprepare_instrument(2, 2, rng)
+                           for _ in range(3)]) for _ in range(20)]
+    inst = computational_reprepare_instrument(2)
+    cases.append((b3_pt, [inst, inst]))
+    for pt, instruments in cases:
+        for povm in (final, None):
+            got = classical_process(pt, instruments, final_povm=povm).table
+            want = classical_process_einsum(pt, instruments, povm)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
 
 
 def test_classical_single_step_trivially_markov():

@@ -47,6 +47,12 @@ def test_grid_validation():
         ExperimentGrid((0.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_grid_rejects_non_finite_times(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        ExperimentGrid((0.0, bad))
+
+
 # ---------------------------------------------------------------------------
 # B.1: random-field dephasing
 # ---------------------------------------------------------------------------
@@ -131,7 +137,7 @@ def test_b1_marginal_decay_factor(b1_pt, basis2):
     """Marginal dynamics over each step interval is dephasing with the
     characteristic-function factor."""
     for (j, l), t in (((0, 1), 1.0), ((1, 2), 1.0), ((0, 2), 2.0)):
-        lam = b1_pt.marginal_map(j, l, basis=basis2)
+        lam = b1_pt.marginal_map(j, l)
         out = lam.apply(PP)
         assert abs(abs(out[0, 1]) * 2 - math.exp(-t)) <= 1e-6
 
@@ -329,9 +335,18 @@ def test_simulation_with_trace_decreasing_controls(b2_model):
     assert abs(joint.trace - 0.5) <= 1e-12
 
 
+def test_build_admits_k5():
+    """The size guard prices the dense tensor: a qubit K = 5 tensor takes
+    64 MiB, inside the 128 MiB guard."""
+    pt = build_process_tensor(model_b2(omega=1.0),
+                              tuple(float(i) for i in range(6)))
+    assert pt.dim == 2 ** 11
+    assert abs(pt.trace - 2 ** 5) <= 1e-9
+
+
 def test_build_guard():
     model = model_b2(omega=1.0)
-    grid = tuple(float(i) for i in range(6))  # K = 5 -> 16**5 sequences
+    grid = tuple(float(i) for i in range(7))  # K = 6: a 1 GiB tensor
     from ptmarkov import SweepGuardError
     with pytest.raises(SweepGuardError):
         build_process_tensor(model, grid)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from oracles import (
     P1,
     PP,
     b3_choi_analytic,
+    marginal_map_frame,
     restrict_einsum,
     tomography_process_tensor,
 )
@@ -100,6 +102,31 @@ def test_tp_controls_give_unit_trace(b1_pt, b2_pt, b3_pt):
         for _ in range(5):
             seq = random_control_sequence(2, pt.n_steps, rng)
             assert abs(pt.apply(seq).trace - 1.0) <= 1e-9
+
+
+def test_contract_matches_apply(markov_pt3, b2_pure_pt3):
+    """Batched stacks give, row for row with slot 0 slowest, the outputs of
+    per-sequence ``apply``; slots past the stacks hold the identity, at the
+    final step and at an earlier readout step."""
+    rng = np.random.default_rng(31)
+    for pt in (markov_pt3, b2_pure_pt3):
+        maps = [[random_cptp(2, rng) for _ in range(n)] for n in (2, 3, 1)]
+        stacks = [np.stack([m.choi.reshape(-1) for m in slot])
+                  for slot in maps]
+        outs = pt.contract(stacks)
+        assert outs.shape == (6, 2, 2)
+        for row, seq in enumerate(itertools.product(*maps)):
+            assert np.abs(outs[row] - pt.apply(seq).matrix).max() <= 1e-14
+        for l in (1, 2, 3):
+            outs = pt.contract(stacks[:1], l)
+            early = pt.restrict(range(l + 1))
+            for row, m in enumerate(maps[0]):
+                want = early.apply([m] + [IDENT] * (l - 1)).matrix
+                assert np.abs(outs[row] - want).max() <= 1e-14
+        assert np.abs(pt.contract([], 0)[0]
+                      - pt.restrict([0]).choi).max() <= 1e-15
+        with pytest.raises(DimensionMismatch):
+            pt.contract(stacks, 2)
 
 
 def test_apply_slot_count_mismatch(b2_pt):
@@ -236,11 +263,11 @@ def test_reconstruction_psd(b1_pt, b2_pt, b3_pt, markov_pt3):
 
 def test_marginal_maps_of_product_tensor_compose(markov_maps, markov_pt3,
                                                  basis2):
-    lam_02 = markov_pt3.marginal_map(0, 2, basis=basis2)
+    lam_02 = markov_pt3.marginal_map(0, 2)
     expected = compose(markov_maps[1], markov_maps[0])
     assert np.abs(lam_02.superoperator - expected.superoperator).max() <= 1e-9
     for filler in ("identity", "average"):
-        lam_13 = markov_pt3.marginal_map(1, 3, filler=filler, basis=basis2)
+        lam_13 = markov_pt3.marginal_map(1, 3, filler=filler)
         expected = compose(markov_maps[2], markov_maps[1])
         assert np.abs(lam_13.superoperator
                       - expected.superoperator).max() <= 1e-9
@@ -250,13 +277,27 @@ def test_marginal_map_is_tp(b1_pt, b2_pt, b3_pt, basis2):
     for pt in (b1_pt, b2_pt, b3_pt):
         for j in range(pt.n_steps):
             for l in range(j + 1, pt.n_steps + 1):
-                lam = pt.marginal_map(j, l, basis=basis2)
+                lam = pt.marginal_map(j, l)
                 assert lam.tp_defect <= 1e-9
+
+
+def test_marginal_map_matches_frame_oracle(b1_pt, b2_pt, b3_pt, markov_pt2,
+                                          markov_pt3, b2_pure_pt3):
+    """Preparing the matrix units in one contraction gives the Choi matrix
+    that the per-state contractions and the dual-frame sum give, for every
+    step pair and both fillers."""
+    for pt in (b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3):
+        for j in range(pt.n_steps):
+            for l in range(j + 1, pt.n_steps + 1):
+                for filler in ("identity", "average"):
+                    got = pt.marginal_map(j, l, filler=filler).choi
+                    want = marginal_map_frame(pt, j, l, filler=filler)
+                    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_b2_marginal_is_depolarizing(b2_pt, basis2):
     theta = math.pi / 4
-    lam = b2_pt.marginal_map(1, 2, basis=basis2)
+    lam = b2_pt.marginal_map(1, 2)
     expected = QuantumMap.depolarizing(2, math.sin(theta) ** 2)
     assert np.abs(lam.choi - expected.choi).max() <= 1e-10
 
@@ -365,7 +406,7 @@ def test_analyses_build_no_restricted_tensor(markov_pt3, basis2, monkeypatch):
         raise AssertionError(f"restrict({subset}) called")
     monkeypatch.setattr(ProcessTensor, "restrict", tripwire)
     markov_test(markov_pt3, basis2, exhaustive=True)
-    divisibility_test(markov_pt3, basis2)
+    divisibility_test(markov_pt3)
     cond = markov_pt3.conditional_state(1, 0, 0, past=[IDENT])
     assert cond.conditioning["readout_step"] == 2 < markov_pt3.n_steps
 
@@ -434,6 +475,29 @@ def test_ptf_round_trip_keeps_signed_zeros(tmp_path):
     path = tmp_path / "zeros.ptf"
     ProcessTensor(choi, 2, (0.0, 1.0)).save(path)
     assert ProcessTensor.load(path).choi.tobytes() == choi.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_process_tensor_rejects_non_finite_times(bad):
+    from ptmarkov import ValidationError
+    choi = np.kron(IDENT.choi, np.eye(2) / 2)
+    with pytest.raises(ValidationError, match="finite"):
+        ProcessTensor(choi, 2, (0.0, bad))
+
+
+def test_ptf_refuses_oversize_header_before_reading(tmp_path):
+    """A K = 6 qubit header (a 1 GiB tensor) is refused by the size guard
+    before any blob is read: the file holds no blob at all."""
+    from ptmarkov import SweepGuardError
+    from ptmarkov.process_tensor import leg_labels
+    header = {"format": "PTF1", "system_dim": 2, "k": 6,
+              "times": [float(t) for t in range(7)],
+              "leg_labels": list(leg_labels(6)), "leg_dims": [2] * 13,
+              "trace_convention": "tp_choi_trace_d"}
+    path = tmp_path / "k6.ptf"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
+    with pytest.raises(SweepGuardError):
+        ProcessTensor.load(path)
 
 
 def test_ptf_rejects_garbage(tmp_path):
