@@ -8,8 +8,9 @@ Subcommands::
                             [-o report.json] [--csv data.csv]
     ptr examples <b1|b2|b3> [params] [--csv data.csv]
 
-Exit codes: 0 success, 2 configuration or size-guard error or an
-unreadable or unwritable path, 3 malformed data file. Reports are
+Exit codes: 0 success, 2 configuration or size-guard error (an
+out-of-range --tol or --bond-cutoff too) or an unreadable or unwritable
+path, 3 malformed data file. Reports are
 deterministic for a fixed configuration and seed except for the
 ``wall_time_s`` provenance field.
 """
@@ -88,17 +89,17 @@ def _load_config(path) -> dict:
 
 
 def _typed(kind, value, key: str, minimum=-math.inf):
-    """``kind(value)`` if it is at least ``minimum`` (so never NaN), else a
-    ConfigError naming the config key."""
+    """``kind(value)`` if it is finite and at least ``minimum`` (so never
+    NaN), else a ConfigError naming the config key."""
     try:
         out = kind(value)
-        if out >= minimum:
+        if out >= minimum and abs(out) < math.inf:
             return out
     except (TypeError, ValueError, OverflowError):
         pass
     bound = f" >= {minimum}" if minimum > -math.inf else ""
-    raise ConfigError(f"config key {key!r}: expected {kind.__name__}{bound}, "
-                      f"got {value!r}")
+    raise ConfigError(f"config key {key!r}: expected finite {kind.__name__}"
+                      f"{bound}, got {value!r}")
 
 
 def _model_from_config(cfg: dict):
@@ -196,13 +197,18 @@ def _analysis_flags(args) -> list[str]:
 
 def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
+    tol = args.tol if args.tol is not None else MARKOV_TOL
+    bond_cutoff = args.bond_cutoff if args.bond_cutoff is not None \
+        else BOND_CUTOFF
+    if not 0 <= tol < math.inf:
+        raise ConfigError(f"--tol must be finite and >= 0, got {tol!r}")
+    if not 0 <= bond_cutoff < 1:
+        raise ConfigError(f"--bond-cutoff must lie in [0, 1), "
+                          f"got {bond_cutoff!r}")
     pt = ProcessTensor.load(args.file)
     d = pt.system_dim
     basis = ic_basis(d)
     analyses = _analysis_flags(args)
-    tol = args.tol if args.tol is not None else MARKOV_TOL
-    bond_cutoff = args.bond_cutoff if args.bond_cutoff is not None \
-        else BOND_CUTOFF
     report: dict = {
         "format": "ptr-report-v1",
         "input": {

@@ -195,123 +195,94 @@ def _bloch_vectors(states: Array) -> Array:
 
 
 # The diameter search splits n points into about n / _CELL_POINTS cells and
-# evaluates the distances of _PAIR_BATCH cell pairs per numpy call; bounds of
-# at most _BOUND_BLOCK cell pairs are held at once, so memory stays linear.
+# evaluates the distances of _PAIR_BATCH cell pairs per numpy call.
 _CELL_POINTS = 32
 _PAIR_BATCH = 256
-_BOUND_BLOCK = 2 ** 16
-# Pairs whose distances round to the same maximum are ranked as the
-# all-pairs scan that the search replaced ranked them, so that witnesses
-# stay the same: that scan took rows in blocks of _SCAN_ENTRIES // n, kept
-# the earliest block reaching the maximum and, inside it, the first pair of
-# largest squared distance. Squared distances one ulp apart share a root
-# often in real groups (B.2 data at K = 3 and 4).
-_SCAN_ENTRIES = 2 ** 22
-
-
-def _median_cells(b: Array) -> Array:
-    """Split points into 2**L cells of equal width by halving every cell at
-    the median of its widest axis; L is the smallest depth that leaves at
-    most ``_CELL_POINTS`` points per cell.
-
-    Returns an (n_cells, width) index array. When n is not a multiple of
-    the cell count, the lowest indices are repeated to fill it; a repeated
-    point adds no new distance and no new index pair.
-    """
-    n = b.shape[0]
-    n_cells = 1 << max(0, math.ceil(math.log2(n / _CELL_POINTS)))
-    idx = np.resize(np.arange(n), n_cells * -(-n // n_cells))[None]
-    while idx.shape[0] < n_cells:
-        pts = b[idx]
-        axis = np.argmax(pts.max(axis=1) - pts.min(axis=1), axis=1)
-        key = np.take_along_axis(pts, axis[:, None, None], axis=2)[..., 0]
-        part = np.argpartition(key, idx.shape[1] // 2, axis=1)
-        idx = np.take_along_axis(idx, part, axis=1).reshape(
-            2 * idx.shape[0], -1)
-    return idx
 
 
 def _box_bound(lo_a: Array, hi_a: Array, lo_c: Array, hi_c: Array) -> Array:
-    """Upper bound on the distance between a point of box a and a point of
-    box c, computed with the float operations of
-    ``sqrt(((x - y) ** 2).sum(axis=-1))``. Rounding is monotone, so the
-    bound holds exactly for the rounded distances."""
-    return np.sqrt((np.maximum(hi_a - lo_c, hi_c - lo_a) ** 2).sum(axis=-1))
+    """Upper bound on the squared distance between a point of box a and a
+    point of box c, computed with the float operations of
+    ``((x - y) ** 2).sum(axis=-1)``. Rounding is monotone, so the bound
+    holds exactly for the rounded squared distances."""
+    return (np.maximum(hi_a - lo_c, hi_c - lo_a) ** 2).sum(axis=-1)
 
 
 def _bloch_diameter(b: Array) -> tuple[float, int, int]:
     """Exact Euclidean diameter of an (n, 3) cloud of Bloch vectors: the
-    largest distance ``sqrt(((b_i - b_j) ** 2).sum())`` and a pair (i < j)
-    at that distance, or (0.0, 0, 0) when no two points differ.
+    largest distance ``sqrt(((b_i - b_j) ** 2).sum())`` and the first pair
+    (i < j) in (i, j) order at the largest squared distance, or
+    (0.0, 0, 0) when no two points differ. ``sqrt`` is correctly rounded
+    and monotone, so its root is the largest rounded distance.
 
-    Among pairs at the largest distance the pair is the first by the key
-    (i // rows, -squared distance, i, j), rows = min(n, _SCAN_ENTRIES // n);
-    for n <= 2048 that is the lexicographically first pair of largest
-    squared distance.
-
-    Cell pairs are visited in descending order of their box bound, starting
-    from the distance of the point farthest from the point farthest from
-    the centroid; a pair whose bound lies below the best distance found, or
-    equals it with only later-ranked index pairs inside, is skipped. The
-    bound is exact (see ``_box_bound``), so nothing that could win is
-    skipped.
+    The search walks a median-split k-d tree (Bentley, CACM 18, 509, 1975)
+    as a dual tree (Gray & Moore, NIPS 2000). ``best`` starts at the
+    squared distance from the point farthest from the centroid to the
+    point farthest from that one. The walk starts from one cell of every
+    point and the cell pair (0, 0). Each level drops the cell pairs that
+    cannot win: their box bound lies below ``best``, or equals it with only
+    later index pairs inside. Above the leaves, of at most
+    ``_CELL_POINTS`` points, it then halves every cell at the median of its
+    widest axis and replaces each pair by its child pairs; at the leaves
+    it scans the pairs in descending order of bound, pruning as it goes.
+    The bound is exact (see ``_box_bound``), so nothing that could win is
+    dropped. When n is not a multiple of the leaf count, the lowest indices
+    are repeated to fill the cells; a repeated point adds no new distance
+    and no new pair.
     """
     n = b.shape[0]
-    lo_all, hi_all = b.min(axis=0), b.max(axis=0)
-    if n < 2 or not (hi_all > lo_all).any():
+    if n < 2 or not (b.max(axis=0) > b.min(axis=0)).any():
         return (0.0, 0, 0)
-    rows = max(1, min(n, _SCAN_ENTRIES // n))
     p = int(np.argmax(((b - b.mean(axis=0)) ** 2).sum(axis=-1)))
     d2_p = ((b - b[p]) ** 2).sum(axis=-1)
     q = int(np.argmax(d2_p))
-    i0, j0 = min(p, q), max(p, q)
-    best = math.sqrt(d2_p[q])
-    rank = (i0 // rows, -float(d2_p[q]), i0, j0)
+    best, wi, wj = float(d2_p[q]), min(p, q), max(p, q)
 
-    cells = _median_cells(b)
-    pts = b[cells]
-    lo, hi = pts.min(axis=1), pts.max(axis=1)
-    # a cell that cannot reach the best distance within the whole cloud's
-    # box takes part in no candidate pair
-    live = _box_bound(lo, hi, lo_all, hi_all) >= best
-    cells, pts, lo, hi = cells[live], pts[live], lo[live], hi[live]
-    first = cells.min(axis=1)
+    n_cells = 1 << max(0, math.ceil(math.log2(n / _CELL_POINTS)))
+    cells = np.resize(np.arange(n), n_cells * -(-n // n_cells))[None]
 
-    ca, cc, cb = [], [], []
-    step = max(1, _BOUND_BLOCK // len(cells))
-    for a0 in range(0, len(cells), step):
-        bound = _box_bound(lo[a0:a0 + step, None], hi[a0:a0 + step, None],
-                           lo, hi)
-        a, c = np.nonzero(bound >= best)
-        keep = a + a0 <= c
-        a, c = a[keep], c[keep]
-        ca.append(a + a0)
-        cc.append(c)
-        cb.append(bound[a, c])
-    ca, cc, cb = np.concatenate(ca), np.concatenate(cc), np.concatenate(cb)
-    first_block = np.minimum(first[ca], first[cc]) // rows
+    def live(a: Array, c: Array, bound: Array) -> Array:
+        # may hold a larger squared distance, or an equal one at an earlier
+        # index pair
+        return (bound > best) | ((bound == best) & (
+            np.minimum(first[a], first[c]) <= wi))
 
-    todo = np.argsort(-cb)
+    ca = cc = np.zeros(1, dtype=np.intp)
+    while True:
+        pts = b[cells]
+        lo, hi, first = pts.min(axis=1), pts.max(axis=1), cells.min(axis=1)
+        bound = _box_bound(lo[ca], hi[ca], lo[cc], hi[cc])
+        keep = live(ca, cc, bound)
+        ca, cc, bound = ca[keep], cc[keep], bound[keep]
+        if len(cells) == n_cells:
+            break
+        axis = np.argmax(hi - lo, axis=1)
+        key = np.take_along_axis(pts, axis[:, None, None], axis=2)[..., 0]
+        part = np.argpartition(key, cells.shape[1] // 2, axis=1)
+        cells = np.take_along_axis(cells, part, axis=1).reshape(
+            2 * len(cells), -1)
+        ca = (2 * ca[:, None] + [0, 0, 1, 1]).ravel()
+        cc = (2 * cc[:, None] + [0, 1, 0, 1]).ravel()
+        keep = ca <= cc
+        ca, cc = ca[keep], cc[keep]
+
+    todo = np.argsort(-bound)
     while todo.size:
         batch, todo = todo[:_PAIR_BATCH], todo[_PAIR_BATCH:]
         a, c = ca[batch], cc[batch]
         d2 = ((pts[a][:, :, None] - pts[c][:, None]) ** 2).sum(axis=-1)
-        dist = np.sqrt(d2)
-        top = float(dist.max())
+        top = float(d2.max())
         if top >= best:
-            t, r, s = np.nonzero(dist == top)
+            t, r, s = np.nonzero(d2 == top)
             i, j = cells[a[t], r], cells[c[t], s]
-            i, j = np.minimum(i, j), np.maximum(i, j)
-            d2_top = d2[t, r, s]
-            w = np.lexsort((j, i, -d2_top, i // rows))[0]
-            key = (int(i[w]) // rows, -float(d2_top[w]), int(i[w]), int(j[w]))
-            if top > best or key < rank:
-                best, rank = top, key
-        todo = todo[(cb[todo] > best)
-                    | ((cb[todo] == best) & (first_block[todo] <= rank[0]))]
+            i, j = divmod(int((np.minimum(i, j) * n + np.maximum(i, j)).min()),
+                          n)
+            if top > best or (i, j) < (wi, wj):
+                best, wi, wj = top, i, j
+        todo = todo[live(ca[todo], cc[todo], bound[todo])]
     if best == 0.0:
         return (0.0, 0, 0)
-    return (best, rank[2], rank[3])
+    return (math.sqrt(best), wi, wj)
 
 
 def _diameter_general(states: Array) -> tuple[float, int, int]:
@@ -351,12 +322,9 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
 
     Each group's diameter is exact, not estimated. The group's computed
     states run in (past, outcome) order, past sequences in
-    ``itertools.product`` order, and its witness is the lexicographically
-    first pair at the maximal distance. For qubits, pairs whose distances
-    round to the same maximum are first ranked by the block of the first
-    index and by squared Bloch distance (see ``_bloch_diameter``); with at
-    most 2048 states per group that is the lexicographically first pair of
-    largest squared distance.
+    ``itertools.product`` order, and its witness is the first pair (i, j)
+    at the largest distance; for qubits, at the largest squared Bloch
+    distance (see ``_bloch_diameter``).
     """
     n_steps = pt.n_steps
     d = pt.system_dim

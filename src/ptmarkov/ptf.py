@@ -26,10 +26,6 @@ from .errors import FormatError, PtError
 TRACE_CONVENTION = "tp_choi_trace_d"
 
 
-def _interleave(matrix: np.ndarray) -> bytes:
-    return np.asarray(matrix).astype("<c16", copy=False).tobytes()
-
-
 def _deinterleave(blob: bytes, rows: int, cols: int) -> np.ndarray:
     """Read-only complex view of a blob; every bit, signed zeros included,
     comes back as written."""
@@ -52,7 +48,8 @@ def save(pt, path) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(_interleave(pt.choi))
+        # the array's own buffer, not a bytes copy of it
+        fh.write(np.ascontiguousarray(pt.choi, dtype="<c16"))
 
 
 def _read_header(fh, fmt: str) -> dict:
@@ -138,7 +135,7 @@ def load(path):
 
 
 def save_matrices(path, matrices) -> None:
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    mats = [np.ascontiguousarray(m, dtype="<c16") for m in matrices]
     header = {
         "format": "PTF1-mats",
         "count": len(mats),
@@ -148,7 +145,7 @@ def save_matrices(path, matrices) -> None:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for m in mats:
-            fh.write(_interleave(m))
+            fh.write(m)
 
 
 def load_matrices(path) -> list[np.ndarray]:

@@ -314,21 +314,22 @@ def bond_dimension_unfoldings(pt, cutoff=1e-10):
 def diameter_qubit_all_pairs(states):
     """Max pairwise trace distance of normalized qubit states by the
     all-pairs Bloch-space distance matrix, scanned in blocks of rows; the
-    pair is the blocked argmax (first row, then first column)."""
+    pair is the first (row, column) at the largest squared distance. Each
+    block's argmax is compared with the best so far in squared distance,
+    so the block size only bounds memory."""
     from ptmarkov.markov import _bloch_vectors
 
     b = _bloch_vectors(states)
     n = b.shape[0]
-    best = (0.0, 0, 0)
+    best, pair = 0.0, (0, 0)
     chunk = max(1, min(n, 2 ** 22 // max(n, 1)))
     for start in range(0, n, chunk):
         block = b[start:start + chunk]
         d2 = ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
         idx = np.unravel_index(np.argmax(d2), d2.shape)
-        val = math.sqrt(float(d2[idx]))
-        if val > best[0]:
-            best = (val, start + int(idx[0]), int(idx[1]))
-    return best
+        if d2[idx] > best:
+            best, pair = float(d2[idx]), (start + int(idx[0]), int(idx[1]))
+    return (math.sqrt(best), *pair)
 
 
 def diameter_general_loop(states):

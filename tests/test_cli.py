@@ -212,6 +212,8 @@ def test_simulate_custom_non_finite_bundle_exit_3(tmp_path, capsys):
     ("seed", {"model": "markov", "seed": "s"}),
     ("system_dim", None),
     ("params", {"params": [1]}),
+    ("omega", {"params": {"omega": 1e400}}),
+    ("g", {"model": "b1", "params": {"g": 1e400}}),
 ])
 def test_simulate_malformed_config_value_exit_2(tmp_path, capsys, key,
                                                 overrides):
@@ -222,6 +224,25 @@ def test_simulate_malformed_config_value_exit_2(tmp_path, capsys, key,
     assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config key {key!r}"), err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-9"),
+    ("--bond-cutoff", "nan"), ("--bond-cutoff", "inf"),
+    ("--bond-cutoff", "1"), ("--bond-cutoff", "-0.1"),
+])
+def test_analyze_out_of_range_flag_exit_2(tmp_path, capsys, flag, value):
+    """--tol must be finite and >= 0 and --bond-cutoff in [0, 1); any
+    other value exits 2 naming the flag, and nothing is written."""
+    ptf_path = tmp_path / "b2.ptf"
+    assert main(["simulate", str(_write_config(tmp_path / "b2.json")),
+                 "-o", str(ptf_path)]) == 0
+    capsys.readouterr()
+    report, csv = tmp_path / "report.json", tmp_path / "data.csv"
+    assert main(["analyze", str(ptf_path), f"{flag}={value}",
+                 "-o", str(report), "--csv", str(csv)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must"), flag
+    assert not report.exists() and not csv.exists()
 
 
 @pytest.mark.parametrize("case", ["missing ptf", "missing bundle",

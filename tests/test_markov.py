@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptmarkov import (
     ClassicalProcess,
@@ -187,7 +189,8 @@ def _cloud(kind, rng):
         # |q - (-q)| and |q' - (-q')| for a permutation q' of q round to the
         # same distance, but their squared distances differ in the last
         # bit; the smaller one comes first, and 2998 interior points push
-        # the larger one into a later block of the oracle's scan
+        # the larger one into a later block of the oracle's scan, where it
+        # still wins: the larger squared distance wins in any block
         q = np.array([0.34, 0.39, 0.2])
         n_fill = 196 if kind == "near-tie" else 2996
         return np.concatenate([[q, -q], 0.1 * rng.uniform(-1, 1, (n_fill, 3)),
@@ -213,6 +216,70 @@ def test_bloch_diameter_bit_identical_to_all_pairs(kind):
     got = _bloch_diameter(b)
     assert got == diameter_qubit_all_pairs(states)
     assert type(got[0]) is float
+
+
+@st.composite
+def _tie_clouds(draw):
+    """Up to 3000 points: a ball, a shell or a rounding-level cluster with
+    antipodal pairs planted on its circumscribed sphere about 0 (about its
+    mean for a cluster), optionally copied from a pool of a few points
+    that holds the planted ones. The planted pairs are signed coordinate
+    permutations of one vector, so their squared distances are the
+    largest and tie or differ in the last bits; copies fill whole cells,
+    whose box bounds then equal them."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["ball", "shell", "cluster"]))
+    if kind == "cluster":
+        b = rng.uniform(-0.5, 0.5, 3) + 1e-15 * rng.normal(size=(n, 3))
+    else:
+        b = rng.normal(size=(n, 3))
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        if kind == "ball":
+            b *= rng.uniform(size=(n, 1)) ** (1 / 3)
+    center = b.mean(axis=0) if kind == "cluster" else np.zeros(3)
+    q = rng.normal(size=3)
+    q *= np.linalg.norm(b - center, axis=1).max() / np.linalg.norm(q)
+    slots = rng.permutation(n)[:2 * draw(st.integers(0, 6))]
+    for i, j in zip(slots[0::2], slots[1::2]):
+        v = q[rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
+        b[i], b[j] = center + v, center - v
+    pool = draw(st.sampled_from([0, 4, n // 16]))
+    if pool:
+        b = b[rng.choice(np.concatenate([slots, rng.permutation(n)[:pool]]),
+                         size=n)]
+    return b
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tie_clouds())
+def test_bloch_diameter_matches_all_pairs_property(cloud):
+    from ptmarkov.markov import _bloch_diameter, _bloch_vectors
+    states = _states_from_bloch(cloud)
+    assert _bloch_diameter(_bloch_vectors(states)) == \
+        diameter_qubit_all_pairs(states)
+
+
+def test_bloch_diameter_bounds_stay_linear(monkeypatch):
+    """Design tripwire: the search bounds only the child pairs of the cell
+    pairs that survive the level above, never a table of every cell pair.
+    On a shell of 2**14 points (512 leaf cells, a full table of 262 144
+    ordered cell pairs) it bounds fewer than 4 times as many box pairs as
+    there are points, summed over all levels."""
+    import ptmarkov.markov as markov
+    v = np.random.default_rng(73).normal(size=(2 ** 14, 3))
+    b = v / np.linalg.norm(v, axis=1, keepdims=True)
+    pairs = []
+    bound = markov._box_bound
+
+    def counted(*boxes):
+        out = bound(*boxes)  # one bound per box pair
+        pairs.append(out.size)
+        return out
+
+    monkeypatch.setattr(markov, "_box_bound", counted)
+    markov._bloch_diameter(b)
+    assert 0 < sum(pairs) < 4 * len(b)
 
 
 def test_bloch_diameter_bit_identical_on_b2_groups(basis2, monkeypatch):

@@ -477,6 +477,23 @@ def test_ptf_round_trip_keeps_signed_zeros(tmp_path):
     assert ProcessTensor.load(path).choi.tobytes() == choi.tobytes()
 
 
+def test_ptf_save_makes_no_full_size_copy(tmp_path):
+    """Saving a K = 4 tensor (4 MiB) writes the array's own buffer: the
+    traced peak stays below the tensor's size, and the blob is its bytes."""
+    import tracemalloc
+    pt = ProcessTensor(tensor_product(*[IDENT.choi] * 4, np.eye(2) / 2),
+                       2, (0.0, 1.0, 2.0, 3.0, 4.0))
+    path = tmp_path / "k4.ptf"
+    tracemalloc.start()
+    try:
+        pt.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pt.choi.nbytes
+    assert path.read_bytes().endswith(pt.choi.tobytes())
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_process_tensor_rejects_non_finite_times(bad):
     from ptmarkov import ValidationError
