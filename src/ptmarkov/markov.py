@@ -513,7 +513,9 @@ def non_markovianity(pt: ProcessTensor, metric: str = "relative_entropy",
         N = sum_b S(rho_b) - S(rho),
 
     with S(rho) read from ``pt.spectrum`` (rescaled by the trace; the same
-    cached eigensolve that gives ``pt.min_eigenvalue``) and each S(rho_b)
+    cached spectrum that gives ``pt.min_eigenvalue``, sketched for a
+    low-rank tensor and within 1e-12 ||Upsilon||_F of the dense one, so
+    every eigenvalue it drops lies below SUPPORT_CUTOFF) and each S(rho_b)
     from the spectrum of a d**2 x d**2 (or d x d) marginal. The general
     ``relative_entropy`` returns +inf when rho has weight outside the
     support of sigma; that cannot happen here, since the support of rho

@@ -149,6 +149,67 @@ def check_tensor_size(d: int, k: int) -> None:
             f"size guard of {TENSOR_BYTES_GUARD}")
 
 
+# Rows per block in the Hermiticity scan and the sketch residual: a
+# 64 x dim slab is 1/8 of a qubit tensor at K = 4 and 1/32 at K = 5.
+_ROW_BLOCK = 64
+# Randomized range finder of the spectrum: first sketch width, relative
+# residual at which the sketch is accepted.
+_SKETCH_WIDTH = 16
+_SKETCH_RTOL = 1e-12
+
+
+def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
+    """Ascending eigenvalues of a Hermitian matrix and a bound on how far
+    each may lie from the true one.
+
+    The adaptive randomized range finder of Halko, Martinsson and Tropp
+    (SIAM Rev. 53, 217, 2011, Alg. 4.2): Q is an orthonormal basis of
+    Y = Upsilon Omega for a complex Gaussian Omega of width w drawn from
+    ``default_rng(0)``, so the result is the same on every call, and
+    B = Q^dagger Upsilon Q. The residual R = Upsilon - Q B Q^dagger is
+    summed explicitly over row blocks of ``_ROW_BLOCK`` rows, so no
+    full-size temporary is made. Upsilon = Q B Q^dagger + R with R
+    Hermitian, so by Weyl's inequality every eigenvalue of Upsilon lies
+    within ||R||_2 <= ||R||_F of the matching one of eig(B) padded with
+    dim - w zeros.
+
+    The sketch is accepted when ||Upsilon||_F is finite and
+    ||R||_F <= ``_SKETCH_RTOL`` ||Upsilon||_F: at 1e-12 every eigenvalue
+    it sets to zero lies below SUPPORT_CUTOFF after the trace is divided
+    out, and the accepted residuals of rank-e*r model tensors are about
+    1e-14. Otherwise w doubles from ``_SKETCH_WIDTH`` = 16, keeping the
+    columns already sketched. Once w would pass dim/8, where a sketch
+    saves little over it, the dense eigensolve is returned instead, with
+    bound 0: at K <= 2 always, and for full-rank data such as noisy
+    tomography or a malformed file.
+    """
+    n = choi.shape[0]
+    norm = math.sqrt(np.vdot(choi, choi).real)
+    rng = np.random.default_rng(0)
+    y = np.empty((n, 0), dtype=complex)
+    w = _SKETCH_WIDTH
+    while w <= n // 8 and math.isfinite(norm):
+        shape = (n, w - y.shape[1])
+        omega = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = np.hstack([y, choi @ omega])
+        q = np.linalg.qr(y)[0]
+        qh = q.conj().T
+        b = qh @ (choi @ q)
+        qb = q @ b
+        square = 0.0
+        for s in range(0, n, _ROW_BLOCK):
+            r = qb[s:s + _ROW_BLOCK] @ qh
+            r -= choi[s:s + _ROW_BLOCK]
+            square += np.vdot(r, r).real
+        resid = math.sqrt(square)
+        # the passing direction: a NaN fails it
+        if resid <= _SKETCH_RTOL * norm:
+            w_b = np.linalg.eigvalsh(b)
+            return np.sort(np.concatenate([np.zeros(n - w), w_b])), resid
+        w *= 2
+    return np.linalg.eigvalsh(choi), 0.0
+
+
 def _rows(chois: Iterable[Array]) -> list[Array]:
     """One-row contraction stacks, one per slot Choi."""
     return [np.asarray(c, dtype=complex).reshape(1, -1) for c in chois]
@@ -194,16 +255,27 @@ class ProcessTensor:
             raise DimensionMismatch(
                 f"choi shape {choi.shape} != ({dim}, {dim}) for "
                 f"{n_steps} steps of dimension {self.system_dim}")
-        # no adjoint is kept across the scan (a full-size array more at the
-        # peak); the check passes in its own direction, so a NaN fails it
-        asym = np.abs(choi - choi.conj().T).max()
+        # scanned and symmetrized in row blocks, so an exactly Hermitian
+        # input makes no full-size temporary; np.maximum carries a NaN
+        # through and the check passes in its own direction, so NaN fails
+        blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, dim, _ROW_BLOCK)]
+        asym = 0.0
+        for rows in blocks:
+            asym = np.maximum(
+                asym, np.abs(choi[rows] - choi[:, rows].conj().T).max())
         if not asym <= 1e-8:
             raise ValidationError(f"choi asymmetry {asym:.3e} exceeds 1e-8")
-        self.choi = (choi + choi.conj().T) / 2 if asym else choi
+        if asym:
+            herm = np.empty_like(choi)
+            for rows in blocks:
+                herm[rows] = (choi[rows] + choi[:, rows].conj().T) / 2
+            choi = herm
+        self.choi = choi
         self.legs = LegShape(dims=(self.system_dim,) * n_legs,
                              labels=leg_labels(n_steps))
         self._forms: dict[int, Array] = {}
         self._spectrum = None
+        self._residual = 0.0
 
     # -- basic properties ----------------------------------------------------
 
@@ -221,18 +293,28 @@ class ProcessTensor:
 
     @property
     def spectrum(self) -> Array:
-        """Cached ascending eigenvalues of the (Hermitian) tensor,
-        read-only; the one full-size eigensolve that the report header and
-        the entropy measure share."""
+        """Cached ascending eigenvalues of the (Hermitian) tensor, all
+        ``dim`` of them, read-only; the report header and the entropy
+        measure share it.
+
+        A low-rank tensor, such as a dilation's Upsilon = M M^dagger with
+        M of e*r columns, takes the sketch route of
+        :func:`_low_rank_spectrum`: the eigenvalues of Q^dagger Upsilon Q
+        padded with zeros, each within the residual norm of the true one.
+        Other tensors get a dense eigensolve.
+        """
         if self._spectrum is None:
-            w = np.linalg.eigvalsh(self.choi)
+            w, self._residual = _low_rank_spectrum(self.choi)
             w.setflags(write=False)
             self._spectrum = w
         return self._spectrum
 
     @property
     def min_eigenvalue(self) -> float:
-        return float(self.spectrum[0])
+        """Certified lower bound on the smallest eigenvalue: ``spectrum[0]``
+        minus the residual norm of the sketch route (0 after a dense
+        eigensolve). By Weyl's inequality no eigenvalue lies below it."""
+        return float(self.spectrum[0]) - self._residual
 
     def as_tensor(self) -> Array:
         """View with one axis per leg: row legs first, then column legs."""

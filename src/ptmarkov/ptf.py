@@ -118,8 +118,8 @@ def load(path):
     try:
         pt = ProcessTensor(choi, d, times)
         tol = PSD_CLIP * max(1.0, abs(pt.trace))
-        # the spectrum's full-size temporaries are freed before the
-        # contraction forms that the defect caches are built
+        # a certified lower bound; a dense fallback's full-size copy is
+        # freed before the contraction forms that the defect caches are built
         min_eig = pt.min_eigenvalue
         defect = pt.causality_defect()
     except (PtError, np.linalg.LinAlgError) as exc:

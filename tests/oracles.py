@@ -267,9 +267,18 @@ def relative_entropy_eig(rho, sigma):
 
 
 def von_neumann_entropy(rho):
-    w = np.linalg.eigvalsh(rho)
+    return entropy_of_spectrum(np.linalg.eigvalsh(rho))
+
+
+def entropy_of_spectrum(w):
     w = w[w > 1e-12]
     return float(-(w * np.log(w)).sum())
+
+
+def spectrum_dense(pt):
+    """Ascending eigenvalues of the whole tensor from one dense eigensolve,
+    the route the package takes only for tensors that are not low rank."""
+    return np.linalg.eigvalsh(pt.choi)
 
 
 def schmidt_rank_across(mat, dims_early, dims_late, cutoff=1e-10):

@@ -1,11 +1,14 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptmarkov
 from ptmarkov import (
     FormatError,
     ProcessTensor,
@@ -18,6 +21,7 @@ from ptmarkov import (
     process_tensor,
     ptf,
     qops,
+    tensor_product,
 )
 from ptmarkov.cli import main
 from ptmarkov.defaults import PSD_CLIP
@@ -331,12 +335,13 @@ def test_analyze_leg_labels_mismatch_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_analyze_measure_solves_one_full_size_spectrum(tmp_path, b2_pure_pt3,
-                                                       monkeypatch):
-    """`ptr analyze --measure` eigensolves the full tensor once (for the
-    header's min eigenvalue, reused by the measure) and decomposes nothing
-    larger than a block marginal. It Hermitizes no full-size copy: the
-    eigensolve reads the loaded tensor itself."""
+def test_analyze_measure_solves_no_full_size_spectrum(tmp_path, b2_pure_pt3,
+                                                      monkeypatch):
+    """`ptr analyze --measure` on a low-rank tensor eigensolves nothing of
+    full size: the header's min eigenvalue and the measure share one
+    sketched spectrum, whose eigensolve is at most dim/8 wide, and the
+    measure decomposes nothing larger than a block marginal. It
+    Hermitizes no full-size copy."""
     path = tmp_path / "b2.ptf"
     b2_pure_pt3.save(path)
     d, dim = 2, b2_pure_pt3.dim
@@ -364,11 +369,10 @@ def test_analyze_measure_solves_one_full_size_spectrum(tmp_path, b2_pure_pt3,
     sizes = {name: [np.shape(a)[-1] for a in arrays]
              for name, arrays in inputs.items()}
     assert all(n <= d * d for n in sizes["eigh"]), sizes["eigh"]
-    assert sizes["eigvalsh"].count(dim) == 1, sizes["eigvalsh"]
-    assert max(sizes["eigvalsh"]) == dim
+    assert sizes["eigvalsh"].count(dim) == 0, sizes["eigvalsh"]
+    assert max(sizes["eigvalsh"]) <= dim // 8, sizes["eigvalsh"]
     assert all(n < dim for n in sizes["hermitize"]), sizes["hermitize"]
-    full = inputs["eigvalsh"][sizes["eigvalsh"].index(dim)]
-    assert np.shares_memory(full, loaded[0].choi)
+    assert len(loaded) == 1 and loaded[0].spectrum.shape == (dim,)
 
 
 def test_analyze_one_step_file(tmp_path):
@@ -428,6 +432,34 @@ def test_analyze_non_psd_blob_exit_3(tmp_path, capsys):
         "error: not positive semidefinite")
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_analyze_planted_negative_eigenvalue_exit_3(tmp_path, capsys,
+                                                    monkeypatch, k):
+    """Identity steps on an initial 'state' diag(1 + e, -e): a causal comb
+    of rank 2 whose min eigenvalue is -2**k e, so its spectrum is sketched.
+    A plant at -2 tol is refused at load and one at -tol/2 loads, with no
+    full-size eigensolve either way."""
+    sizes = []
+    orig = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return orig(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    ident = QuantumMap.identity(2).choi
+    tol = PSD_CLIP * 2 ** k  # the load tolerance at trace 2**k
+    for planted, code in ((-2 * tol, 3), (-tol / 2, 0)):
+        e = -planted / 2 ** k
+        path = tmp_path / f"plant{code}.ptf"
+        ProcessTensor(tensor_product(*[ident] * k, np.diag([1 + e, -e])),
+                      2, range(k + 1)).save(path)
+        assert main(["analyze", str(path), "--bonddim"]) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            assert err.startswith("error: not positive semidefinite")
+    assert sizes and max(sizes) <= 2 ** (2 * k + 1) // 8, sizes
+
+
 def test_analyze_zero_tensor_exit_2(tmp_path, capsys):
     """A well-formed one-step file of zeros has no state to normalize; the
     measure says so instead of eigensolving NaNs."""
@@ -457,9 +489,10 @@ _MUTATION = st.one_of(
 
 @pytest.fixture(scope="module")
 def saved_b2(tmp_path_factory):
-    """B.2 files at K = 1 and 2, each split into its header and doubles."""
+    """B.2 files at K = 1, 2 and 3, each split into its header and
+    doubles. K = 3 is the first whose spectrum is sketched."""
     out = {}
-    for k in (1, 2):
+    for k in (1, 2, 3):
         path = tmp_path_factory.mktemp("fuzz") / f"b2-k{k}.ptf"
         build_process_tensor(model_b2(omega=1.0),
                              [0.7 * j for j in range(k + 1)]).save(path)
@@ -469,7 +502,7 @@ def saved_b2(tmp_path_factory):
 
 
 @settings(max_examples=100, deadline=None)
-@given(k=st.sampled_from((1, 2)),
+@given(k=st.sampled_from((1, 2, 3)),
        mutations=st.lists(_MUTATION, min_size=1, max_size=3))
 def test_analyze_fuzzed_ptf_never_raises(saved_b2, k, mutations):
     """Mutated header fields, truncated blobs and runs of overwritten
@@ -559,6 +592,20 @@ def test_analyze_b1_remark_in_one_report(tmp_path, b1_pt):
     assert report["analyses"]["divisibility"]["max_defect"] <= 1e-6
     assert report["analyses"]["markov"]["is_markov"] is False
     assert report["analyses"]["markov"]["max_deviation"] > 0.1
+
+
+def test_cli_import_loads_no_scipy():
+    """`import ptmarkov.cli` leaves scipy unloaded: importing scipy.linalg
+    about doubles the interpreter's set-up time."""
+    import subprocess
+    import sys
+    src = str(Path(ptmarkov.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ptmarkov.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_report_reproducible_modulo_wall_time(tmp_path):

@@ -19,6 +19,7 @@ from ptmarkov import (
     divisibility_test,
     from_tomography,
     markov_test,
+    model_b2,
     model_markov,
     simulate_sequence,
     tensor_product,
@@ -36,13 +37,30 @@ from oracles import (
     P1,
     PP,
     b3_choi_analytic,
+    entropy_of_spectrum,
     marginal_map_frame,
     restrict_einsum,
+    spectrum_dense,
     tomography_process_tensor,
+    von_neumann_entropy,
 )
 
 RNG = np.random.default_rng(202)
 IDENT = QuantumMap.identity(2)
+
+
+def _benchmark_tensor(model, k, seed):
+    """A tensor of the kind the benchmark workloads build: a memoryless
+    dilation of Kraus rank 2 on unit steps, or B.2 from a random state at
+    an angle in [0.6, 1.0] per step."""
+    rng = np.random.default_rng(seed)
+    rho = random_density(2, rng)
+    if model == "markov":
+        return build_process_tensor(
+            model_markov(random_control_sequence(2, k, rng), rho), range(k + 1))
+    theta = rng.uniform(0.6, 1.0)
+    return build_process_tensor(model_b2(1.0, rho_s=rho),
+                                [j * theta for j in range(k + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +468,121 @@ def test_every_construction_route_stores_exactly_hermitian_choi(
     path.write_bytes(line + b"\n" + raw.tobytes())
     with pytest.raises(FormatError, match="choi asymmetry"):
         ProcessTensor.load(path)
+
+
+def test_construction_scans_hermiticity_in_blocks():
+    """The constructor scans an exactly Hermitian K = 4 tensor without a
+    full-size temporary: the traced peak stays below half its size."""
+    import tracemalloc
+    choi = _benchmark_tensor("markov", 4, 1).choi
+    tracemalloc.start()
+    try:
+        ProcessTensor(choi, 2, range(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < choi.nbytes / 2
+
+
+def test_blocked_scan_refuses_and_symmetrizes_every_block():
+    """A NaN or an asymmetry in the last, partial row block (a qutrit
+    K = 2 tensor has 243 rows, so 3 blocks of 64 and one of 51) is refused
+    as in the first block; a rounding-level asymmetry there is symmetrized
+    to the full-size expression bit for bit."""
+    from ptmarkov import ValidationError
+    base = np.eye(243, dtype=complex)
+    for bad in (complex(math.nan, 0), 1e-6):
+        choi = base.copy()
+        choi[240, 5] = bad
+        with pytest.raises(ValidationError, match="choi asymmetry"):
+            ProcessTensor(choi, 3, range(3))
+    choi = base.copy()
+    choi[240, 5] = 1e-12j
+    choi[5, 100] = 1e-12
+    pt = ProcessTensor(choi, 3, range(3))
+    assert pt.choi.tobytes() == ((choi + choi.conj().T) / 2).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# spectrum
+# ---------------------------------------------------------------------------
+
+_CORPUS = ("b1_pt", "b2_pt", "b3_pt", "b2_pure_pt3", "markov_pt2",
+           "markov_pt3")
+_BENCHMARK_CASES = [(m, k, s) for m in ("markov", "b2") for k in (3, 4)
+                    for s in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "case", list(_CORPUS) + _BENCHMARK_CASES,
+    ids=lambda c: c if isinstance(c, str) else "{}-k{}-seed{}".format(*c))
+def test_spectrum_agrees_with_dense_route(case, request):
+    """The measure is within 1e-12 of the one from a dense eigensolve, and
+    the min eigenvalue is a lower bound within 1e-13 ||Upsilon||_F of the
+    dense minimum, at or above -PSD_CLIP."""
+    from ptmarkov import non_markovianity
+    from ptmarkov.defaults import PSD_CLIP
+    from ptmarkov.markov import _block_marginals
+    pt = request.getfixturevalue(case) if isinstance(case, str) \
+        else _benchmark_tensor(*case)
+    dense = spectrum_dense(pt)
+    tr = pt.trace
+    n_dense = sum(von_neumann_entropy(m / np.trace(m).real)
+                  for m in _block_marginals(pt, pt.choi)) \
+        - entropy_of_spectrum(dense / tr)
+    assert abs(non_markovianity(pt).n_value - max(0.0, n_dense)) <= 1e-12
+    assert pt.spectrum.shape == dense.shape
+    assert np.all(np.diff(pt.spectrum) >= 0)
+    bound = pt.min_eigenvalue
+    assert -PSD_CLIP <= bound <= dense[0] + 1e-13 * np.linalg.norm(pt.choi)
+
+
+def test_spectrum_makes_no_full_size_temporary():
+    """Sketching the spectrum of a K = 4 benchmark tensor (4 MiB) peaks
+    below one tensor size: the residual is summed in row blocks, where a
+    full-size residual would take two tensor sizes."""
+    import tracemalloc
+    choi = _benchmark_tensor("markov", 4, 1).choi
+    pt = ProcessTensor(choi, 2, range(5))
+    tracemalloc.start()
+    try:
+        pt.spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < choi.nbytes
+
+
+def test_spectrum_bit_identical_across_loads(tmp_path):
+    """The sketch draws from a fixed seed, so two loads of one file give
+    the same spectrum and bound bit for bit."""
+    path = tmp_path / "k4.ptf"
+    _benchmark_tensor("markov", 4, 2).save(path)
+    first, second = ProcessTensor.load(path), ProcessTensor.load(path)
+    assert first.spectrum.tobytes() == second.spectrum.tobytes()
+    assert first.min_eigenvalue == second.min_eigenvalue
+    assert not first.spectrum.flags.writeable
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_spectrum_of_huge_entries_falls_back_to_dense(b2_pure_pt3,
+                                                      monkeypatch, scale):
+    """Entries of 1e160 or 1e300 overflow ||Upsilon||_F (at 1e160 the
+    residual itself stays finite), so the sketch is never accepted: the
+    spectrum comes from the dense eigensolve, with no residual taken off
+    the min eigenvalue."""
+    sizes = []
+    orig = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return orig(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    pt = ProcessTensor(b2_pure_pt3.choi * scale, 2, b2_pure_pt3.times)
+    spectrum = pt.spectrum
+    assert sizes == [pt.dim]
+    assert np.isfinite(spectrum).all()
+    assert pt.min_eigenvalue == spectrum[0]
 
 
 # ---------------------------------------------------------------------------
