@@ -41,7 +41,6 @@ from .markov import (
     divisibility_test,
     markov_test,
     non_markovianity,
-    relative_entropy,
 )
 from .models import (
     ExperimentGrid,

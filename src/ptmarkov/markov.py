@@ -27,7 +27,6 @@ from .defaults import (
 from .errors import DimensionMismatch, NotPositive, ValidationError
 from .linalg import (
     Array,
-    hermitian_eig,
     hermitize,
     partial_trace,
     tensor_product,
@@ -50,7 +49,6 @@ __all__ = [
     "bond_dimension",
     "classical_process",
     "classical_markov_check",
-    "relative_entropy",
     "apply_local_channel",
 ]
 
@@ -187,17 +185,24 @@ class ClassicalCheck(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _bloch_vectors(states: Array) -> Array:
-    """(n, 3) real Bloch vectors of a stack of normalized qubit states."""
+    """(n, 3) real Bloch vectors of a stack of normalized qubit states,
+    stored column by column: the diameter's reductions over all n points
+    then run along contiguous memory."""
     bx = (states[:, 0, 1] + states[:, 1, 0]).real
     by = (1j * (states[:, 0, 1] - states[:, 1, 0])).real
     bz = (states[:, 0, 0] - states[:, 1, 1]).real
-    return np.stack([bx, by, bz], axis=1)
+    return np.stack([bx, by, bz]).T
 
 
 # The diameter search splits n points into about n / _CELL_POINTS cells and
 # evaluates the distances of _PAIR_BATCH cell pairs per numpy call.
 _CELL_POINTS = 32
 _PAIR_BATCH = 256
+# The radial prefilter's relative margin and absolute floor (see
+# _bloch_diameter): far above the rounding they cover, far below any
+# spread they could hide.
+_RADIAL_MARGIN = 2.0 ** -44
+_RADIAL_FLOOR = 2.0 ** -530
 
 
 def _box_bound(lo_a: Array, hi_a: Array, lo_c: Array, hi_c: Array) -> Array:
@@ -215,31 +220,81 @@ def _bloch_diameter(b: Array) -> tuple[float, int, int]:
     (0.0, 0, 0) when no two points differ. ``sqrt`` is correctly rounded
     and monotone, so its root is the largest rounded distance.
 
-    The search walks a median-split k-d tree (Bentley, CACM 18, 509, 1975)
-    as a dual tree (Gray & Moore, NIPS 2000). ``best`` starts at the
-    squared distance from the point farthest from the centroid to the
-    point farthest from that one. The walk starts from one cell of every
-    point and the cell pair (0, 0). Each level drops the cell pairs that
-    cannot win: their box bound lies below ``best``, or equals it with only
-    later index pairs inside. Above the leaves, of at most
-    ``_CELL_POINTS`` points, it then halves every cell at the median of its
-    widest axis and replaces each pair by its child pairs; at the leaves
-    it scans the pairs in descending order of bound, pruning as it goes.
-    The bound is exact (see ``_box_bound``), so nothing that could win is
-    dropped. When n is not a multiple of the leaf count, the lowest indices
-    are repeated to fill the cells; a repeated point adds no new distance
-    and no new pair.
+    ``best`` starts at the squared distance of the seed pair: the point
+    farthest from the centroid and the point farthest from that one. Two
+    exact filters then cut the search:
+
+    - a radial prefilter drops every point that cannot be in a pair at a
+      squared distance of ``best`` or more (the bound is below);
+    - the dual tree on the survivors (``_dual_tree``) splits, level by
+      level, only the cells that some surviving cell pair references.
+
+    The survivors keep their ascending original indices, so the first-pair
+    rule is unchanged.
+
+    The radial bound. With c the midpoint of the bounding box and r_x the
+    computed ``|b_x - c|``, the exact triangle inequality gives
+    ``|b_i - b_j| <= R_i + R_j <= R_i + R_max`` for the exact radii. With
+    unit roundoff u = 2**-53 and gradual underflow, a computed squared
+    distance of three coordinates lies within a factor (1 +- u)**5 of the
+    exact one, plus at most 2**-1072 from squares that underflow. Hence
+    the exact radii are at most r (1 + 4u) + 2**-535, and a pair whose
+    computed squared distance reaches ``best`` lies at an exact distance
+    of at least (sqrt(best) - 2**-536)(1 - 3u). A point is dropped only
+    when
+
+        (r_x + r_max) (1 + 2**-44) + 2**-530 < sqrt(best) (1 - 2**-44),
+
+    whose margins also cover the rounding of this test itself; so no point
+    of a pair at a squared distance of ``best`` or more is dropped, the
+    seed pair included. A radius or a ``best`` that is not finite drops
+    nothing.
     """
     n = b.shape[0]
-    if n < 2 or not (b.max(axis=0) > b.min(axis=0)).any():
+    lo, hi = b.min(axis=0), b.max(axis=0)
+    if n < 2 or not (hi > lo).any():
         return (0.0, 0, 0)
     p = int(np.argmax(((b - b.mean(axis=0)) ** 2).sum(axis=-1)))
     d2_p = ((b - b[p]) ** 2).sum(axis=-1)
     q = int(np.argmax(d2_p))
-    best, wi, wj = float(d2_p[q]), min(p, q), max(p, q)
+    best = float(d2_p[q])
+    kept = np.arange(n)
+    if math.isfinite(best):
+        r = np.sqrt(((b - (lo + hi) / 2) ** 2).sum(axis=-1))
+        reach = (r + r.max()) * (1 + _RADIAL_MARGIN) + _RADIAL_FLOOR
+        kept = kept[~(reach < math.sqrt(best) * (1 - _RADIAL_MARGIN))]
+    best, wi, wj = _dual_tree(b, kept, best, min(p, q), max(p, q))
+    if best == 0.0:
+        return (0.0, 0, 0)
+    return (math.sqrt(best), wi, wj)
 
-    n_cells = 1 << max(0, math.ceil(math.log2(n / _CELL_POINTS)))
-    cells = np.resize(np.arange(n), n_cells * -(-n // n_cells))[None]
+
+def _dual_tree(b: Array, kept: Array, best: float, wi: int, wj: int
+               ) -> tuple[float, int, int]:
+    """The largest squared distance among the points ``b[kept]`` and its
+    first pair (i < j) of original indices, starting from a squared
+    distance ``best`` at the pair (wi, wj), which it returns when nothing
+    among them is larger or ties at an earlier pair.
+
+    The search walks a median-split k-d tree (Bentley, CACM 18, 509, 1975)
+    as a dual tree (Gray & Moore, NIPS 2000), starting from one cell of
+    every kept point and the cell pair (0, 0). Each level drops the cell
+    pairs that cannot win: their box bound lies below ``best``, or equals
+    it with only later index pairs inside. Above the leaves, of at most
+    ``_CELL_POINTS`` points, it then halves at the median of its widest
+    axis every cell that a surviving pair references, renumbered in order
+    so that each pair keeps its lower cell first, and replaces each pair
+    by its child pairs; at the leaves it scans the pairs in descending
+    order of bound, pruning as it goes. The bound is exact (see
+    ``_box_bound``), so nothing that could win is dropped. When the kept
+    count is not a multiple of the leaf count, the lowest kept indices are
+    repeated to fill the cells; a repeated point adds no new distance and
+    no new pair.
+    """
+    n, m = b.shape[0], kept.size
+    n_cells = 1 << max(0, math.ceil(math.log2(m / _CELL_POINTS)))
+    leaf = -(-m // n_cells)
+    cells = np.resize(kept, n_cells * leaf)[None]
 
     def live(a: Array, c: Array, bound: Array) -> Array:
         # may hold a larger squared distance, or an equal one at an earlier
@@ -254,8 +309,13 @@ def _bloch_diameter(b: Array) -> tuple[float, int, int]:
         bound = _box_bound(lo[ca], hi[ca], lo[cc], hi[cc])
         keep = live(ca, cc, bound)
         ca, cc, bound = ca[keep], cc[keep], bound[keep]
-        if len(cells) == n_cells:
+        if cells.shape[1] == leaf:
             break
+        used = np.zeros(len(cells), dtype=bool)
+        used[ca] = used[cc] = True
+        rank = np.cumsum(used) - 1
+        ca, cc = rank[ca], rank[cc]
+        cells, pts, lo, hi = cells[used], pts[used], lo[used], hi[used]
         axis = np.argmax(hi - lo, axis=1)
         key = np.take_along_axis(pts, axis[:, None, None], axis=2)[..., 0]
         part = np.argpartition(key, cells.shape[1] // 2, axis=1)
@@ -280,9 +340,7 @@ def _bloch_diameter(b: Array) -> tuple[float, int, int]:
             if top > best or (i, j) < (wi, wj):
                 best, wi, wj = top, i, j
         todo = todo[live(ca[todo], cc[todo], bound[todo])]
-    if best == 0.0:
-        return (0.0, 0, 0)
-    return (math.sqrt(best), wi, wj)
+    return best, wi, wj
 
 
 def _diameter_general(states: Array) -> tuple[float, int, int]:
@@ -466,32 +524,6 @@ def closest_markov(pt: ProcessTensor) -> ProcessTensor:
     return ProcessTensor(product, d, pt.times)
 
 
-def relative_entropy(rho: Array, sigma: Array,
-                     support_tol: float = 1e-10,
-                     cutoff: float = SUPPORT_CUTOFF) -> float:
-    """Quantum relative entropy tr[rho (log rho - log sigma)] in nats.
-
-    Inputs are unit-trace PSD matrices; if rho has weight outside the
-    support of sigma beyond ``support_tol`` the result is +inf.
-    """
-    w_r, v_r = hermitian_eig(rho)
-    w_s, v_s = hermitian_eig(sigma)
-    if w_r.min() < -support_tol or w_s.min() < -support_tol:
-        raise NotPositive("relative entropy inputs must be PSD")
-    w_r = np.clip(w_r, 0.0, None)
-    null = w_s <= cutoff
-    if null.any():
-        overlap_null = np.abs(v_s[:, null].conj().T @ v_r) ** 2
-        weight = float((overlap_null @ w_r).sum())
-        if weight > support_tol:
-            return math.inf
-    term_r = float(np.sum(w_r[w_r > cutoff] * np.log(w_r[w_r > cutoff])))
-    overlaps = np.abs(v_s.conj().T @ v_r) ** 2  # [sigma eig, rho eig]
-    log_ws = np.where(w_s > cutoff, np.log(np.clip(w_s, cutoff, None)), 0.0)
-    term_cross = float(log_ws @ overlaps @ w_r)
-    return term_r - term_cross
-
-
 def _entropy(w: Array) -> float:
     """Von Neumann entropy in nats of a unit-trace spectrum. Eigenvalues
     at or below SUPPORT_CUTOFF contribute nothing (0 log 0 = 0)."""
@@ -516,10 +548,10 @@ def non_markovianity(pt: ProcessTensor, metric: str = "relative_entropy",
     cached spectrum that gives ``pt.min_eigenvalue``, sketched for a
     low-rank tensor and within 1e-12 ||Upsilon||_F of the dense one, so
     every eigenvalue it drops lies below SUPPORT_CUTOFF) and each S(rho_b)
-    from the spectrum of a d**2 x d**2 (or d x d) marginal. The general
-    ``relative_entropy`` returns +inf when rho has weight outside the
-    support of sigma; that cannot happen here, since the support of rho
-    lies inside the support of the product of its marginals. The
+    from the spectrum of a d**2 x d**2 (or d x d) marginal. The relative
+    entropy is +inf when rho has weight outside the support of sigma;
+    that cannot happen here, since the support of rho lies inside the
+    support of the product of its marginals. The
     trace-distance variant builds the product sigma, uses the same
     candidate and is reported as an upper bound. Both read ``pt.choi``
     as stored, since a ProcessTensor is Hermitian by construction.

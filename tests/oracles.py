@@ -328,7 +328,11 @@ def diameter_qubit_all_pairs(states):
     so the block size only bounds memory."""
     from ptmarkov.markov import _bloch_vectors
 
-    b = _bloch_vectors(states)
+    return diameter_bloch_all_pairs(_bloch_vectors(states))
+
+
+def diameter_bloch_all_pairs(b):
+    """``diameter_qubit_all_pairs`` on an (n, 3) array of Bloch vectors."""
     n = b.shape[0]
     best, pair = 0.0, (0, 0)
     chunk = max(1, min(n, 2 ** 22 // max(n, 1)))

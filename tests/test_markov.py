@@ -25,7 +25,6 @@ from ptmarkov import (
     model_markov,
     non_markovianity,
     partial_trace,
-    relative_entropy,
     tensor_product,
     trace_norm_distance,
 )
@@ -47,6 +46,7 @@ from oracles import (
     bond_dimension_unfoldings,
     classical_process_einsum,
     conditional_output_loop,
+    diameter_bloch_all_pairs,
     diameter_general_loop,
     diameter_qubit_all_pairs,
     markov_test_loop,
@@ -146,18 +146,21 @@ def _states_from_bloch(b):
     return out
 
 
+def _ball(rng, n):
+    """n points filling the unit ball evenly."""
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True) \
+        * rng.uniform(size=(n, 1)) ** (1 / 3)
+
+
 def _cloud(kind, rng):
     if kind == "ball":
-        v = rng.normal(size=(2000, 3))
-        return v / np.linalg.norm(v, axis=1, keepdims=True) \
-            * rng.uniform(size=(2000, 1)) ** (1 / 3)
+        return _ball(rng, 2000)
     if kind == "shell":
         v = rng.normal(size=(1500, 3))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
     if kind == "ball-multiblock":  # the oracle scans it in several blocks
-        v = rng.normal(size=(5000, 3))
-        return 0.9 * v / np.linalg.norm(v, axis=1, keepdims=True) \
-            * rng.uniform(size=(5000, 1)) ** (1 / 3)
+        return 0.9 * _ball(rng, 5000)
     if kind == "cluster-1e-15":
         return np.array([0.3, -0.2, 0.5]) + 1e-15 * rng.normal(size=(1024, 3))
     if kind == "identical":
@@ -195,6 +198,11 @@ def _cloud(kind, rng):
         n_fill = 196 if kind == "near-tie" else 2996
         return np.concatenate([[q, -q], 0.1 * rng.uniform(-1, 1, (n_fill, 3)),
                                [q[[0, 2, 1]], -q[[0, 2, 1]]]])
+    if kind == "overflow":
+        # radii below 1.34e154 keep finite squares, but the squared
+        # distances across the ball overflow to inf: the seed distance is
+        # not finite, and the radial prefilter keeps every point
+        return 1e154 * _ball(rng, 300)
     if kind == "one":
         return np.array([[0.1, 0.2, 0.3]])
     if kind == "two":
@@ -205,7 +213,8 @@ def _cloud(kind, rng):
 @pytest.mark.parametrize("kind", ["ball", "shell", "ball-multiblock",
                                   "cluster-1e-15", "identical", "duplicates",
                                   "axis-copies", "ties", "near-tie",
-                                  "near-tie-multiblock", "one", "two"])
+                                  "near-tie-multiblock", "overflow", "one",
+                                  "two"])
 def test_bloch_diameter_bit_identical_to_all_pairs(kind):
     from ptmarkov.markov import _bloch_diameter, _bloch_vectors
     states = _states_from_bloch(_cloud(kind, np.random.default_rng(71)))
@@ -213,8 +222,9 @@ def test_bloch_diameter_bit_identical_to_all_pairs(kind):
     if kind.startswith("near-tie"):
         d2 = [float(((b[i] - b[i + 1]) ** 2).sum()) for i in (0, len(b) - 2)]
         assert d2[0] < d2[1] and math.sqrt(d2[0]) == math.sqrt(d2[1])
-    got = _bloch_diameter(b)
-    assert got == diameter_qubit_all_pairs(states)
+    with np.errstate(over="ignore"):
+        got = _bloch_diameter(b)
+        assert got == diameter_qubit_all_pairs(states)
     assert type(got[0]) is float
 
 
@@ -302,6 +312,101 @@ def test_bloch_diameter_bit_identical_on_b2_groups(basis2, monkeypatch):
     for states in groups:
         assert _bloch_diameter(bloch(states)) == \
             diameter_qubit_all_pairs(states)
+
+
+def _kept_counts(monkeypatch):
+    """Record how many points each ``_bloch_diameter`` call hands to its
+    dual tree, after the radial prefilter."""
+    import ptmarkov.markov as markov
+    counts = []
+    tree = markov._dual_tree
+    monkeypatch.setattr(markov, "_dual_tree", lambda b, kept, *seed: (
+        counts.append(kept.size) or tree(b, kept, *seed)))
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["ball", "ball-off-centre", "cluster-1e-15",
+                                  "cluster-1e-160"])
+@pytest.mark.parametrize("seed", range(3))
+def test_bloch_diameter_planted_far_pairs(kind, seed, monkeypatch):
+    """A ball-filling cloud of 3000 points with far pairs planted on its
+    circumscribed sphere: antipodal signed permutations of one vector,
+    whose squared distances tie or differ in the last bits, and points one
+    ulp inside them. The radial prefilter drops most of the ball, and the
+    first pair at the largest squared distance survives it. On a cluster
+    of spread 1e-160, whose squares underflow, the absolute floor keeps
+    every point."""
+    from ptmarkov.markov import _bloch_diameter
+    rng = np.random.default_rng(seed)
+    scale, centre = {"ball": (1.0, np.zeros(3)),
+                     "ball-off-centre": (0.4, np.array([0.3, -0.2, 0.1])),
+                     "cluster-1e-15": (1e-15, np.array([0.3, -0.2, 0.5])),
+                     "cluster-1e-160": (1e-160, np.zeros(3))}[kind]
+    b = centre + scale * _ball(rng, 3000)
+    q = rng.normal(size=3)
+    q *= scale / np.linalg.norm(q)
+    slots = rng.permutation(len(b))[:16]
+    for i, j in zip(slots[0:8:2], slots[1:8:2]):
+        v = q[rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
+        b[i], b[j] = centre + v, centre - v
+    b[slots[8:]] = np.nextafter(b[slots[:8]], centre)
+    counts = _kept_counts(monkeypatch)
+    assert _bloch_diameter(b) == diameter_bloch_all_pairs(b)
+    if kind == "cluster-1e-160":
+        assert counts == [len(b)]
+    else:
+        assert 16 <= counts[0] < len(b)
+
+
+def test_bloch_diameter_at_radial_threshold():
+    """Points at the prefilter's threshold: on the ray from the point m
+    farthest from the box midpoint c through c, at the computed radius
+    sqrt(best) - r_m, so that in exact arithmetic each lies at the seed
+    distance from m and ties with the seed pair. Rounding alone decides
+    whether it wins; placed first in index order it wins the tie too. In
+    1000 seeded clouds of 23 points, the point sits at the threshold or one
+    ulp per coordinate toward or away from c, inside the bounding box,
+    which it leaves unchanged. A filter comparing r_x + r_max with
+    sqrt(best) with no rounding margin drops the winner in two of these
+    3000 clouds."""
+    from ptmarkov.markov import _bloch_diameter
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        a, h = rng.uniform(0.6, 1.0), rng.uniform(0.2, 0.8)
+        base = rng.uniform(-0.3, 0.3, 3) + np.concatenate([
+            [[a, 0, 0], [-a, 0, 0], [0, h, 0]],
+            [0, h / 2, 0] + 0.2 * h * _ball(rng, 20)])
+        base = base[:, rng.permutation(3)]
+        lo, hi = base.min(axis=0), base.max(axis=0)
+        c = (lo + hi) / 2
+        r = np.sqrt(((base - c) ** 2).sum(axis=-1))
+        m = int(np.argmax(r))
+        best = diameter_bloch_all_pairs(base)[0]
+        x = c + (best - r[m]) / r[m] * (c - base[m])
+        for ulps in (-1, 0, 1):
+            b = np.concatenate([[np.nextafter(x, x + ulps * (x - c))], base])
+            assert (b.min(axis=0) == lo).all() and (b.max(axis=0) == hi).all()
+            assert _bloch_diameter(b) == diameter_bloch_all_pairs(b), seed
+
+
+def test_bloch_diameter_prefilter_shrinks_b2_group(basis2, monkeypatch):
+    """Design tripwire: on the first group of a seeded four-step B.2 sweep
+    (16 256 states), the dual tree sees at most 10 % of the points; the
+    radial prefilter drops the rest."""
+    import ptmarkov.markov as markov
+    rng = np.random.default_rng(1)
+    theta = rng.uniform(0.6, 1.0)
+    model = model_b2(1.0, rho_s=random_density(2, rng))
+    pt = build_process_tensor(model, [j * theta for j in range(5)])
+    sizes = []
+    bloch = markov._bloch_vectors
+    monkeypatch.setattr(markov, "_bloch_vectors",
+                        lambda states: sizes.append(len(states)) or
+                        bloch(states))
+    counts = _kept_counts(monkeypatch)
+    assert not markov_test(pt, basis2).is_markov
+    assert sizes[0] > 10 ** 4
+    assert 0 < counts[0] <= sizes[0] // 10
 
 
 def _qutrit_group(kind, rng):
@@ -479,7 +584,7 @@ def test_closed_form_measure_matches_eigen_route(b1_pt, b2_pt, b3_pt,
     for pt in corpus:
         rho = pt.choi / pt.trace
         sigma = closest_markov(pt).choi
-        eigen_route = relative_entropy(rho, sigma / np.trace(sigma).real)
+        eigen_route = relative_entropy_eig(rho, sigma / np.trace(sigma).real)
         assert abs(non_markovianity(pt).n_value - eigen_route) <= 1e-12
 
 
@@ -510,17 +615,20 @@ def test_measure_trace_distance_variant(b3_pt):
 def test_relative_entropy_support_violation():
     rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
     sigma = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    assert relative_entropy(rho, sigma) == math.inf
+    assert relative_entropy_eig(rho, sigma) == math.inf
 
 
-def test_relative_entropy_against_oracle():
+def test_relative_entropy_of_commuting_states_is_classical():
+    """The eigen-route oracle on states diagonal in one random basis gives
+    the Kullback-Leibler divergence of their spectra."""
     rng = np.random.default_rng(62)
     for _ in range(5):
-        rho = random_density(4, rng)
-        sigma = random_density(4, rng)
-        got = relative_entropy(rho, sigma)
-        oracle = relative_entropy_eig(rho, sigma)
-        assert abs(got - oracle) <= 1e-9
+        u = random_unitary(4, rng)
+        p, q = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
+        rho = (u * p) @ u.conj().T
+        sigma = (u * q) @ u.conj().T
+        assert abs(relative_entropy_eig(rho, sigma)
+                   - float((p * np.log(p / q)).sum())) <= 1e-9
 
 
 def test_minimizer_probe_random_product_perturbations(b3_pt):
@@ -530,7 +638,7 @@ def test_minimizer_probe_random_product_perturbations(b3_pt):
     rho = b3_pt.choi / b3_pt.trace
     sigma = closest_markov(b3_pt).choi
     sigma = sigma / np.trace(sigma).real
-    base = relative_entropy(rho, sigma)
+    base = relative_entropy_eig(rho, sigma)
     dims = b3_pt.legs.dims
     blocks = [(0, 1), (2, 3), (4,)]
     marginals = [partial_trace(rho, dims, b) for b in blocks]
@@ -542,7 +650,7 @@ def test_minimizer_probe_random_product_perturbations(b3_pt):
             cand = (1 - eps) * m + eps * random_density(d, rng)
             factors.append(cand / np.trace(cand).real)
         candidate = tensor_product(*factors)
-        assert relative_entropy(rho, candidate) >= base - 1e-9
+        assert relative_entropy_eig(rho, candidate) >= base - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +817,29 @@ def test_markov_test_sees_initial_correlations_at_one_step(basis2):
     rep = non_markovianity(pt)
     assert rep.n_value > 1e-2 and rep.bond_dims == (4,)
     assert not markov_test(pt, basis2).is_markov
+
+
+@pytest.mark.parametrize("kind", ["b2", "markov"])
+def test_theorem_verdicts_agree_at_five_steps(basis2, kind):
+    """The theorem at K = 5, where the causal-break groups hold 16**4 pasts
+    times 4 outcomes: on a seeded B.2 process the causal-break test, N > 0
+    and a bond dimension above 1 all report memory, and on a seeded
+    memoryless dilation all three report none."""
+    rng = np.random.default_rng(5)
+    if kind == "b2":
+        theta = rng.uniform(0.6, 1.0)
+        pt = build_process_tensor(
+            model_b2(1.0, rho_s=random_density(2, rng)),
+            [j * theta for j in range(6)])
+    else:
+        pt = build_process_tensor(_random_dilation("markov", 2, 5, rng),
+                                  range(6))
+    mk = markov_test(pt, basis2)
+    rep = non_markovianity(pt)
+    memory = kind == "b2"
+    assert mk.is_markov is not memory
+    assert (rep.n_value > 1e-8) is memory
+    assert any(b > 1 for b in rep.bond_dims) is memory
 
 
 # ---------------------------------------------------------------------------
