@@ -19,10 +19,8 @@ from .linalg import (
     LegShape,
     fidelity,
     hermitian_eig,
-    matrix_log_on_support,
     partial_trace,
     permute_legs,
-    singular_values,
     tensor_product,
     trace_norm_distance,
 )
@@ -43,7 +41,6 @@ from .markov import (
     non_markovianity,
 )
 from .models import (
-    ExperimentGrid,
     SEModel,
     b2_conditional_output,
     b2_env_after_break,
@@ -57,25 +54,18 @@ from .models import (
 )
 from .process_tensor import (
     ConditionalState,
-    ControlSequence,
     ProcessTensor,
     default_break,
     from_tomography,
 )
 from .qops import (
     CausalBreak,
-    CptpReport,
     DensityMatrix,
     Instrument,
     OperationBasis,
     QuantumMap,
-    apply_map,
-    choi_of,
-    compose,
-    decompose_operation,
     ic_basis,
     ic_frame_states,
-    is_cptp,
 )
 
 __version__ = "0.1.0"

@@ -69,12 +69,16 @@ def _parse_state(spec, what: str) -> np.ndarray:
         return NAMED_STATES[spec].copy()
     try:
         arr = np.asarray(spec, dtype=float)
-        if arr.ndim == 3 and arr.shape[2] == 2:
-            return arr[:, :, 0] + 1j * arr[:, :, 1]
-        raise ValueError
+        if arr.ndim != 3 or arr.shape[2] != 2:
+            raise ValueError
     except (TypeError, ValueError):
         raise ConfigError(
             f"{what}: expected a named state or a nested [re, im] matrix")
+    # JSON's NaN and Infinity literals parse to floats
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"config key {what!r}: state entries must be "
+                          f"finite, got {spec!r}")
+    return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
 def _load_config(path) -> dict:
@@ -153,7 +157,7 @@ def _model_from_config(cfg: dict):
             step_unitaries=tuple(unitaries), label="custom")
     else:
         raise ConfigError(f"unknown model {name!r}")
-    return model, models.ExperimentGrid(times)
+    return model, times
 
 
 def _sha256_file(path) -> str:
@@ -175,11 +179,11 @@ def _sha256_obj(obj) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    model, grid = _model_from_config(cfg)
+    model, times = _model_from_config(cfg)
     out_path = args.output or cfg.get("output")
     if not out_path:
         raise ConfigError("no output path: pass -o or set 'output' in the config")
-    pt = models.build_process_tensor(model, grid)
+    pt = models.build_process_tensor(model, times)
     pt.save(out_path)
     print(f"wrote {out_path}")
     print(f"shape: {pt.dim} x {pt.dim}  (legs {' '.join(pt.legs.labels)})")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .defaults import HERMITIAN_ATOL, PSD_ATOL, SUPPORT_CUTOFF
+from .defaults import HERMITIAN_ATOL, PSD_ATOL
 from .errors import DimensionMismatch, NotHermitian, NotPositive, ValidationError
 
 Array = np.ndarray
@@ -133,19 +133,6 @@ def hermitian_eig(m: Array, atol: float = HERMITIAN_ATOL) -> tuple[Array, Array]
     return w, v
 
 
-def matrix_log_on_support(m: Array, cutoff: float = SUPPORT_CUTOFF) -> Array:
-    """Matrix logarithm restricted to the support of a PSD matrix.
-
-    Eigenvalues at or below ``cutoff`` contribute 0 to the log; the
-    0·log 0 convention is the caller's responsibility.
-    """
-    w, v = hermitian_eig(m)
-    if w.min() < -PSD_ATOL:
-        raise NotPositive(f"eigenvalue {w.min():.3e} below -{PSD_ATOL:.1e}")
-    logw = np.where(w > cutoff, np.log(np.clip(w, cutoff, None)), 0.0)
-    return (v * logw) @ v.conj().T
-
-
 def trace_norm_distance(a: Array, b: Array) -> float:
     """Sum of singular values of (a - b)."""
     a = as_operator(a)
@@ -153,11 +140,6 @@ def trace_norm_distance(a: Array, b: Array) -> float:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     return float(np.linalg.svd(a - b, compute_uv=False).sum())
-
-
-def singular_values(m: Array) -> Array:
-    """Descending nonnegative singular values."""
-    return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
 
 
 def sqrtm_psd(m: Array, atol: float = HERMITIAN_ATOL) -> Array:

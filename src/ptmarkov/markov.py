@@ -455,7 +455,7 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
 def divisibility_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
                       filler: str = "identity") -> DivisibilityReport:
     """Extract the dynamics maps for every step pair and check that longer
-    maps compose from shorter ones.
+    maps are products of shorter ones.
 
     The maps come from ``ProcessTensor.marginal_map``, which prepares the
     matrix units at slot j, so no operation basis is involved. The defect
@@ -475,8 +475,8 @@ def divisibility_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
         for k in range(j + 1, n_steps):
             for l in range(k + 1, n_steps + 1):
                 direct = maps[(j, l)].superoperator
-                composed = maps[(k, l)].superoperator @ maps[(j, k)].superoperator
-                defect = float(np.abs(direct - composed).max())
+                product = maps[(k, l)].superoperator @ maps[(j, k)].superoperator
+                defect = float(np.abs(direct - product).max())
                 triples.append((j, k, l, defect))
                 max_defect = max(max_defect, defect)
     cp = tuple((j, l, float(m.cp_defect)) for (j, l), m in sorted(maps.items()))

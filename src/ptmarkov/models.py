@@ -35,15 +35,14 @@ from .defaults import (
 from .errors import DimensionMismatch, QuadratureError, ValidationError
 from .linalg import Array, as_operator, permute_legs, tensor_product
 from .process_tensor import (
-    ControlSequence,
     ProcessTensor,
     check_tensor_size,
+    checked_controls,
     checked_times,
 )
 from .qops import DensityMatrix, QuantumMap
 
 __all__ = [
-    "ExperimentGrid",
     "SEModel",
     "simulate_sequence",
     "build_process_tensor",
@@ -61,30 +60,6 @@ PAULI = {
 }
 
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-
-
-@dataclass(frozen=True)
-class ExperimentGrid:
-    """Strictly increasing time tags t_0 ... t_K (arbitrary units)."""
-
-    times: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", checked_times(self.times))
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def intervals(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.times, self.times[1:]))
-
-
-def _as_grid(grid) -> ExperimentGrid:
-    if isinstance(grid, ExperimentGrid):
-        return grid
-    return ExperimentGrid(tuple(grid))
 
 
 @dataclass(frozen=True)
@@ -144,7 +119,7 @@ def _check_unitary(u: Array, dim: int, atol: float = UNITARY_ATOL) -> None:
     if u.shape[0] != dim:
         raise DimensionMismatch(f"unitary dim {u.shape[0]} != {dim}")
     defect = np.abs(u @ u.conj().T - np.eye(dim)).max()
-    if defect > atol:
+    if not defect <= atol:
         raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
 
 
@@ -153,19 +128,20 @@ def _check_unitary(u: Array, dim: int, atol: float = UNITARY_ATOL) -> None:
 # ---------------------------------------------------------------------------
 
 class _QuantumEngine:
-    def __init__(self, model: SEModel, grid: ExperimentGrid):
+    def __init__(self, model: SEModel, times: tuple[float, ...]):
         self.d = model.system_dim
         self.e = model.env_dim
+        k = len(times) - 1
         if model.step_unitaries is not None:
-            if len(model.step_unitaries) < grid.n_steps:
+            if len(model.step_unitaries) < k:
                 raise DimensionMismatch(
                     f"model supplies {len(model.step_unitaries)} step "
-                    f"unitaries, grid has {grid.n_steps} steps")
+                    f"unitaries, grid has {k} steps")
             self.unitaries = [np.asarray(u, dtype=complex)
-                              for u in model.step_unitaries[:grid.n_steps]]
+                              for u in model.step_unitaries[:k]]
         else:
             self.unitaries = []
-            for t0, t1 in grid.intervals:
+            for t0, t1 in zip(times, times[1:]):
                 u = as_operator(model.unitary_rule(t0, t1))
                 _check_unitary(u, self.d * self.e)
                 self.unitaries.append(u)
@@ -188,16 +164,16 @@ class _QuantumEngine:
 
 
 class _ClassicalEngine:
-    def __init__(self, model: SEModel, grid: ExperimentGrid):
+    def __init__(self, model: SEModel, times: tuple[float, ...]):
         self.d = model.system_dim
-        nodes, weights = model.noise_rule(grid.times)
+        nodes, weights = model.noise_rule(times)
         nodes = np.asarray(nodes, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-8:
             raise ValidationError("noise weights must be nonnegative and sum to 1")
         self.weights = weights
         self.unitaries = []
-        for t0, t1 in grid.intervals:
+        for t0, t1 in zip(times, times[1:]):
             us = np.asarray(model.conditional_unitary(nodes, t0, t1),
                             dtype=complex)
             self.unitaries.append(us)
@@ -250,35 +226,32 @@ def _link_product(rho0: Array, unitaries: Sequence[Array], weights: Array,
     return cols @ cols.conj().T
 
 
-def _make_engine(model: SEModel, grid: ExperimentGrid):
+def _make_engine(model: SEModel, times: tuple[float, ...]):
     if model.kind == "quantum":
-        return _QuantumEngine(model, grid)
-    return _ClassicalEngine(model, grid)
+        return _QuantumEngine(model, times)
+    return _ClassicalEngine(model, times)
 
 
-def simulate_sequence(model: SEModel, grid, controls):
-    """Run one control sequence through the dilation.
+def simulate_sequence(model: SEModel, times, controls):
+    """Run one control sequence, one QuantumMap per step, through the
+    dilation on the time tags ``times``.
 
     Returns ``(system_state, joint_state)``; the joint state is ``None``
     for classical-noise models, whose environment is a random field rather
     than a Hilbert space. Outputs are subnormalized when controls are
     trace decreasing.
     """
-    grid = _as_grid(grid)
-    if not isinstance(controls, ControlSequence):
-        controls = ControlSequence(controls, system_dim=model.system_dim)
-    if len(controls) != grid.n_steps:
-        raise DimensionMismatch(
-            f"{len(controls)} controls for {grid.n_steps} grid steps")
-    engine = _make_engine(model, grid)
-    sups = [m.superoperator for m in controls.maps]
-    sys, joint = engine.run(sups)
+    times = checked_times(times)
+    maps = checked_controls(controls, len(times) - 1, model.system_dim)
+    sys, joint = _make_engine(model, times).run(
+        [m.superoperator for m in maps])
     return DensityMatrix(sys), None if joint is None else DensityMatrix(joint)
 
 
-def build_process_tensor(model: SEModel, grid) -> ProcessTensor:
-    """Process tensor of a dilation, written down directly as the link
-    product of the initial joint state and the step unitaries.
+def build_process_tensor(model: SEModel, times) -> ProcessTensor:
+    """Process tensor of a dilation on the time tags ``times``, written
+    down directly as the link product of the initial joint state and the
+    step unitaries.
 
     The tensor is the Choi state of the multi-time dilation: with the
     initial joint state purified into columns psi, each slot turns the
@@ -289,13 +262,13 @@ def build_process_tensor(model: SEModel, grid) -> ProcessTensor:
     the columns sqrt(w_n) M_n of every ensemble node. Raises
     ``SweepGuardError`` above the size guard (see ``check_tensor_size``).
     """
-    grid = _as_grid(grid)
-    k = grid.n_steps
+    times = checked_times(times)
+    k = len(times) - 1
     if k < 1:
         raise ValidationError("process tensors need at least one step")
     d = model.system_dim
     check_tensor_size(d, k)
-    return ProcessTensor(_make_engine(model, grid).comb(), d, grid.times)
+    return ProcessTensor(_make_engine(model, times).comb(), d, times)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +329,15 @@ def model_b1(gamma: float, g: float, dephasing_axis: str = "z",
     the sigma_axis eigenbasis decay as exp(-gamma*|g|*t), and a flip about
     an orthogonal axis at t rewinds the decay by exactly t per realization.
     """
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    if g == 0:
-        raise ValidationError("coupling g must be nonzero")
-    if dephasing_axis not in PAULI:
-        raise ValidationError(f"dephasing_axis must be one of {set(PAULI)}")
+    # each bound passes in its own direction, so a NaN fails it
+    if not gamma > 0:
+        raise ValidationError(f"gamma must be positive, got {gamma!r}")
+    if not abs(g) > 0:
+        raise ValidationError(f"coupling g must be nonzero, got {g!r}")
+    # a tuple compares without hashing, so an unhashable axis is refused too
+    if dephasing_axis not in tuple(PAULI):
+        raise ValidationError(f"dephasing_axis must be one of "
+                              f"{sorted(PAULI)}, got {dephasing_axis!r}")
     if rho0 is None:
         rho0 = np.outer(KET_PLUS, KET_PLUS.conj())
     return SEModel(
@@ -391,8 +367,8 @@ def _partial_swap_unitary(t0: float, t1: float, *, omega: float) -> Array:
 
 def model_b2(omega: float, rho_s: Array | None = None) -> SEModel:
     """Partial-swap coupling to a maximally mixed qubit environment."""
-    if omega <= 0:
-        raise ValidationError("omega must be positive")
+    if not omega > 0:
+        raise ValidationError(f"omega must be positive, got {omega!r}")
     if rho_s is None:
         rho_s = np.eye(2) / 2
     return SEModel(

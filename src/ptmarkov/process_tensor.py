@@ -33,6 +33,14 @@ satisfying the condition. Every reader of the tensor evaluates the
 multilinear map through ``ProcessTensor.contract``, which contracts stacks
 of slot Chois against that form in one batched pass; only ``restrict``,
 which keeps slots open, contracts the form on its own.
+
+Control sequences
+-----------------
+A control sequence is a list of ``QuantumMap`` objects of dimension d, one
+per slot from slot 0 on (``checked_controls`` checks it). An instrument
+outcome r enters as ``ins.members[r]`` and a causal-break realization
+(r, s) as ``brk.map(r, s)``; ``conditional_state`` inserts the break
+itself.
 """
 
 from __future__ import annotations
@@ -53,11 +61,10 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Array, LegShape, hermitize, tensor_product
-from .qops import CausalBreak, DensityMatrix, Instrument, OperationBasis, QuantumMap
+from .qops import CausalBreak, DensityMatrix, OperationBasis, QuantumMap
 
 __all__ = [
     "ProcessTensor",
-    "ControlSequence",
     "ConditionalState",
     "leg_labels",
     "from_tomography",
@@ -77,53 +84,24 @@ def _slot_row_axes(n_steps: int, j: int) -> tuple[int, int]:
     return base, base + 1
 
 
-# ---------------------------------------------------------------------------
-# control sequences
-# ---------------------------------------------------------------------------
-
-class ControlSequence:
-    """An ordered list of slot operations.
-
-    Each slot entry is a :class:`QuantumMap`, an instrument member selection
-    ``(Instrument, outcome)``, or a causal-break realization
-    ``(CausalBreak, outcome, preparation)``. At most one slot may hold a
-    causal break.
-    """
-
-    def __init__(self, slots: Iterable, system_dim: int | None = None):
-        maps: list[QuantumMap] = []
-        break_slots: list[int] = []
-        for pos, entry in enumerate(slots):
-            if isinstance(entry, QuantumMap):
-                maps.append(entry)
-            elif isinstance(entry, tuple) and len(entry) == 2 and \
-                    isinstance(entry[0], Instrument):
-                maps.append(entry[0].members[entry[1]])
-            elif isinstance(entry, tuple) and len(entry) == 3 and \
-                    isinstance(entry[0], CausalBreak):
-                maps.append(entry[0].map(entry[1], entry[2]))
-                break_slots.append(pos)
-            else:
-                raise ValidationError(
-                    f"slot {pos}: expected QuantumMap, (Instrument, r) or "
-                    f"(CausalBreak, r, s), got {type(entry).__name__}")
-        if len(break_slots) > 1:
+def checked_controls(controls: Iterable, n_slots: int,
+                     d: int) -> list[QuantumMap]:
+    """The slot maps as a list; raises ValidationError unless every entry
+    is a QuantumMap, DimensionMismatch unless each maps dimension d to d
+    and there are ``n_slots`` of them."""
+    maps = list(controls)
+    for pos, m in enumerate(maps):
+        if not isinstance(m, QuantumMap):
             raise ValidationError(
-                f"at most one causal break per sequence, got slots {break_slots}")
-        if system_dim is not None:
-            for pos, m in enumerate(maps):
-                if m.in_dim != system_dim or m.out_dim != system_dim:
-                    raise DimensionMismatch(
-                        f"slot {pos} dims ({m.in_dim}, {m.out_dim}) != "
-                        f"system dim {system_dim}")
-        self.maps = maps
-        self.break_slot = break_slots[0] if break_slots else None
-
-    def __len__(self):
-        return len(self.maps)
-
-    def chois(self) -> list[Array]:
-        return [m.choi for m in self.maps]
+                f"slot {pos}: expected a QuantumMap, got {type(m).__name__}")
+        if m.in_dim != d or m.out_dim != d:
+            raise DimensionMismatch(
+                f"slot {pos} dims ({m.in_dim}, {m.out_dim}) != "
+                f"system dim {d}")
+    if len(maps) != n_slots:
+        raise DimensionMismatch(
+            f"sequence has {len(maps)} slots, expected {n_slots}")
+    return maps
 
 
 def checked_times(times: Iterable[float]) -> tuple[float, ...]:
@@ -213,16 +191,6 @@ def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
 def _rows(chois: Iterable[Array]) -> list[Array]:
     """One-row contraction stacks, one per slot Choi."""
     return [np.asarray(c, dtype=complex).reshape(1, -1) for c in chois]
-
-
-def _resolve_controls(controls, n_slots: int, d: int) -> list[Array]:
-    if isinstance(controls, ControlSequence):
-        controls = controls.maps
-    controls = ControlSequence(controls, system_dim=d)
-    if len(controls) != n_slots:
-        raise DimensionMismatch(
-            f"sequence has {len(controls)} slots, tensor has {n_slots}")
-    return controls.chois()
 
 
 @dataclass(frozen=True)
@@ -405,8 +373,8 @@ class ProcessTensor:
     def apply(self, controls) -> DensityMatrix:
         """Final-time output for a control sequence; the trace is the joint
         probability of realizing nondeterministic slots."""
-        chois = _resolve_controls(controls, self.n_steps, self.system_dim)
-        return DensityMatrix(self.contract(_rows(chois))[0])
+        maps = checked_controls(controls, self.n_steps, self.system_dim)
+        return DensityMatrix(self.contract(_rows(m.choi for m in maps))[0])
 
     # -- restriction -----------------------------------------------------------
 
@@ -458,8 +426,7 @@ class ProcessTensor:
             raise ValidationError(f"break slot {k} outside [0, {n_steps - 1}]")
         if break_set is None:
             break_set = default_break(d)
-        past = list(past.maps if isinstance(past, ControlSequence) else past)
-        future = list(future.maps if isinstance(future, ControlSequence) else future)
+        past, future = list(past), list(future)
         if len(past) != k:
             raise DimensionMismatch(f"past must cover slots 0..{k - 1}")
         l = k + 1 + len(future)
@@ -467,8 +434,8 @@ class ProcessTensor:
             raise DimensionMismatch(
                 f"readout step {l} beyond final step {n_steps}")
         break_map = break_set.map(povm_outcome, prep_index)
-        slots = list(past) + [break_map] + list(future)
-        out = self.contract(_rows(_resolve_controls(slots, l, d)), l)[0]
+        maps = checked_controls(past + [break_map] + future, l, d)
+        out = self.contract(_rows(m.choi for m in maps), l)[0]
         p = float(np.trace(out).real)
         if p <= prob_floor:
             raise UnresolvableConditional(

@@ -4,10 +4,12 @@ Layout: one UTF-8 JSON header line terminated by ``\\n``, then a binary
 blob of 2 * dim**2 little-endian IEEE-754 doubles (row-major entries,
 interleaved real/imaginary). Round-trips are bit exact.
 
-``load`` raises ``FormatError`` unless the tensor is a causal comb:
-Hermitian, and PSD and causal within ``PSD_CLIP`` times max(1, |trace|).
-A header above the size guard raises ``SweepGuardError`` before the blob
-is read.
+``load`` raises ``FormatError`` unless the tensor is a causal comb. It
+checks, in this order, that the entries are finite, that the tensor is
+Hermitian, and that it is causal, PSD and of trace d**k (the
+``tp_choi_trace_d`` convention), the last three within ``PSD_CLIP`` times
+max(1, |trace|). A header above the size guard raises ``SweepGuardError``
+before the blob is read.
 
 The same header-plus-blob scheme serializes plain matrix bundles
 (``PTF1-mats``), used to supply unitaries for custom models.
@@ -131,6 +133,9 @@ def load(path):
     if not min_eig >= -tol:
         raise FormatError(f"not positive semidefinite: eigenvalue "
                           f"{min_eig:.3e} below {-tol:.1e}")
+    if not abs(pt.trace - d ** k) <= tol:
+        raise FormatError(f"trace {pt.trace:.6g} is not d**k = {d ** k} "
+                          f"within {tol:.1e} ({TRACE_CONVENTION})")
     return pt
 
 

@@ -39,14 +39,8 @@ __all__ = [
     "Instrument",
     "OperationBasis",
     "CausalBreak",
-    "CptpReport",
-    "choi_of",
-    "apply_map",
-    "compose",
-    "is_cptp",
     "ic_basis",
     "ic_frame_states",
-    "decompose_operation",
 ]
 
 
@@ -78,17 +72,9 @@ class DensityMatrix:
         k = k / np.linalg.norm(k)
         return cls(np.outer(k, k.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, d: int) -> "DensityMatrix":
-        return cls(np.eye(d) / d)
-
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.trace - 1.0) <= TRACE_ATOL
 
     def normalized(self) -> "DensityMatrix":
         tr = self.trace
@@ -204,14 +190,6 @@ class QuantumMap:
         return cls(in_dim=e.shape[0], out_dim=s.shape[0],
                    choi=tensor_product(s, e.T))
 
-    @classmethod
-    def depolarizing(cls, d: int, mixing: float) -> "QuantumMap":
-        """(1 - mixing) * X + mixing * tr(X) * I/d."""
-        ident = cls.identity(d).choi
-        trash = tensor_product(np.eye(d) / d, np.eye(d))
-        return cls.from_choi((1 - mixing) * ident + mixing * trash,
-                             in_dim=d, out_dim=d)
-
     # -- representations ---------------------------------------------------
 
     @property
@@ -271,42 +249,6 @@ class QuantumMap:
 
     def __repr__(self):
         return f"QuantumMap(in_dim={self.in_dim}, out_dim={self.out_dim})"
-
-
-def choi_of(qmap: QuantumMap) -> Array:
-    """Choi matrix (output leg leftmost, trace = in_dim for TP maps)."""
-    return qmap.choi.copy()
-
-
-def apply_map(qmap: QuantumMap, state) -> DensityMatrix:
-    """Apply a CP map to a state; the output may be subnormalized."""
-    return DensityMatrix(qmap.apply(_state_matrix(state)))
-
-
-def compose(later: QuantumMap, earlier: QuantumMap) -> QuantumMap:
-    """later ∘ earlier as a superoperator product."""
-    if earlier.out_dim != later.in_dim:
-        raise DimensionMismatch(
-            f"cannot compose: earlier output dim {earlier.out_dim} != "
-            f"later input dim {later.in_dim}")
-    return QuantumMap.from_superoperator(
-        later.superoperator @ earlier.superoperator,
-        in_dim=earlier.in_dim, out_dim=later.out_dim)
-
-
-@dataclass(frozen=True)
-class CptpReport:
-    cp: bool
-    tp: bool
-    cp_defect: float
-    tp_defect: float
-
-
-def is_cptp(qmap: QuantumMap, tol: float = CPTP_DEFECT_TOL) -> CptpReport:
-    cp_defect = qmap.cp_defect
-    tp_defect = qmap.tp_defect
-    return CptpReport(cp=cp_defect <= tol, tp=tp_defect <= tol,
-                      cp_defect=cp_defect, tp_defect=tp_defect)
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +423,3 @@ def ic_basis(d: int, cutoff: float = FRAME_CUTOFF) -> OperationBasis:
         label=f"ic-default-d{d}",
     )
 
-
-def decompose_operation(op: QuantumMap, basis: OperationBasis,
-                        residual_tol: float = 1e-10) -> Array:
-    """Coefficients alpha with sum_i alpha_i basis_i = op in Choi form."""
-    d = basis.dimension
-    if op.in_dim != d or op.out_dim != d:
-        raise DimensionMismatch(
-            f"operation dims ({op.in_dim}, {op.out_dim}) != basis dim {d}")
-    target = op.choi.reshape(-1)
-    coeffs = np.array([np.vdot(du.reshape(-1), target) for du in basis.duals])
-    resummed = basis.choi_vectors.T @ coeffs
-    residual = np.abs(resummed - target).max()
-    if residual > residual_tol:
-        raise ValidationError(
-            f"frame decomposition residual {residual:.3e} exceeds "
-            f"{residual_tol:.1e}")
-    return coeffs

@@ -101,6 +101,27 @@ def apply_choi(choi, rho, d):
     return out
 
 
+def compose(later, earlier):
+    """later ∘ earlier as a QuantumMap, by the product of the two
+    superoperators."""
+    from ptmarkov import QuantumMap
+
+    return QuantumMap.from_superoperator(
+        later.superoperator @ earlier.superoperator,
+        in_dim=earlier.in_dim, out_dim=later.out_dim)
+
+
+def depolarizing(d, mixing):
+    """X -> (1 - mixing) X + mixing tr(X) 1/d as a QuantumMap, from its
+    Choi matrix written down by hand."""
+    from ptmarkov import QuantumMap
+
+    ident = np.eye(d, dtype=complex).reshape(-1)
+    choi = (1 - mixing) * np.outer(ident, ident) \
+        + mixing * np.eye(d * d, dtype=complex) / d
+    return QuantumMap.from_choi(choi, in_dim=d, out_dim=d)
+
+
 def swap(d=2):
     s = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):

@@ -460,14 +460,42 @@ def test_analyze_planted_negative_eigenvalue_exit_3(tmp_path, capsys,
     assert sizes and max(sizes) <= 2 ** (2 * k + 1) // 8, sizes
 
 
-def test_analyze_zero_tensor_exit_2(tmp_path, capsys):
-    """A well-formed one-step file of zeros has no state to normalize; the
-    measure says so instead of eigensolving NaNs."""
-    path = tmp_path / "zero.ptf"
-    ProcessTensor(np.zeros((8, 8)), 2, (0.0, 1.0)).save(path)
-    assert main(["analyze", str(path), "--measure"]) == 2
+@pytest.mark.parametrize("scale", [0.0, 0.5, 2.0, 1e200, 1e300])
+def test_analyze_wrong_trace_exit_3(tmp_path, capsys, b2_pure_pt3, scale):
+    """A causal PSD comb whose trace is not d**k breaks the
+    tp_choi_trace_d convention of its header: it is refused at load, the
+    zero tensor included, instead of reaching an analysis."""
+    path = tmp_path / "scaled.ptf"
+    ProcessTensor(b2_pure_pt3.choi * scale, 2, b2_pure_pt3.times).save(path)
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: trace "), scale
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "b2", {"rho_s": [[[math.nan, 0], [0, 0]],
+                                  [[0, 0], [1, 0]]]}],
+    ["simulate", "b3", {"rho_e": [[[1, 0], [0, 0]],
+                                  [[0, 0], [math.inf, 0]]]}],
+    ["simulate", "markov", {"rho0": [[[0.5, 0], [math.nan, 0]],
+                                     [[0, 0], [0.5, 0]]]}],
+    ["simulate", "b1", {"rho0": [[[0.5, 0], [math.nan, 0]],
+                                 [[0, 0], [0.5, 0]]]}],
+    ["simulate", "b1", {"dephasing_axis": ["z"]}],
+    ["examples", "b1", "--gamma-g", "nan"],
+], ids=["b2-nan-state", "b3-inf-state", "markov-nan-state", "b1-nan-state",
+        "b1-list-axis", "examples-b1-nan-gamma"])
+def test_cli_malformed_input_exit_2(tmp_path, capsys, argv):
+    """Non-finite state entries (JSON's NaN and Infinity), an unhashable
+    dephasing axis and a NaN bound end in exit 2 with an error line, not
+    in a traceback."""
+    if argv[0] == "simulate":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": argv[1], "params": argv[2],
+                                   "times": [0.0, 1.0, 2.0]}))
+        argv = ["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: measure needs a positive finite trace")
+    assert err.startswith("error: ") and "Traceback" not in err, err
 
 
 _JSON = st.recursive(

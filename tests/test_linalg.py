@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 from ptmarkov import (
     LegShape,
     NotHermitian,
-    NotPositive,
     DimensionMismatch,
     fidelity,
     hermitian_eig,
-    matrix_log_on_support,
     partial_trace,
     permute_legs,
-    singular_values,
     tensor_product,
     trace_norm_distance,
 )
@@ -173,32 +170,6 @@ def test_eig_rejects_non_hermitian():
 
 
 # ---------------------------------------------------------------------------
-# matrix_log_on_support
-# ---------------------------------------------------------------------------
-
-def test_log_identity_is_zero():
-    assert np.abs(matrix_log_on_support(np.eye(3))).max() <= 1e-14
-
-
-def test_log_diagonal():
-    m = np.diag([np.e, np.e ** 2]).astype(complex)
-    assert np.abs(matrix_log_on_support(m) - np.diag([1.0, 2.0])).max() <= 1e-12
-
-
-def test_log_exp_round_trip():
-    m = _rand_psd(4) + 0.5 * np.eye(4)  # full rank
-    logm = matrix_log_on_support(m)
-    w, v = hermitian_eig(logm)
-    back = (v * np.exp(w)) @ v.conj().T
-    assert np.abs(back - m).max() <= 1e-9
-
-
-def test_log_rejects_negative():
-    with pytest.raises(NotPositive):
-        matrix_log_on_support(np.diag([1.0, -0.5]).astype(complex))
-
-
-# ---------------------------------------------------------------------------
 # trace_norm_distance
 # ---------------------------------------------------------------------------
 
@@ -226,29 +197,6 @@ def test_trace_norm_is_a_metric(seed):
     assert abs(dab - dba) <= 1e-12
     assert dab >= 0.0
     assert trace_norm_distance(a, c) <= dab + trace_norm_distance(b, c) + 1e-10
-
-
-# ---------------------------------------------------------------------------
-# singular_values
-# ---------------------------------------------------------------------------
-
-def test_singular_values_rank_one():
-    u = _rand_complex((4,))
-    v = _rand_complex((4,))
-    s = singular_values(np.outer(u, v.conj()))
-    assert (s > 1e-12).sum() == 1
-
-
-def test_singular_values_identity():
-    assert np.allclose(singular_values(np.eye(5)), 1.0)
-
-
-def test_singular_values_product_operator_cut():
-    a, b = _rand_complex((2, 2)), _rand_complex((2, 2))
-    m = tensor_product(a, b).reshape(2, 2, 2, 2)
-    cut = m.transpose(0, 2, 1, 3).reshape(4, 4)
-    s = singular_values(cut)
-    assert s[1] / s[0] <= 1e-12
 
 
 def test_fidelity_pure_states():

@@ -606,6 +606,16 @@ def test_measure_rejects_non_psd_tensor(b2_pt):
         non_markovianity(pt)
 
 
+@pytest.mark.parametrize("metric", ["relative_entropy", "trace_distance"])
+def test_measure_rejects_zero_trace_tensor(metric):
+    """A zero tensor has no state to normalize; the measure says so
+    instead of eigensolving NaNs (`ptf.load` refuses such a file first)."""
+    pt = ProcessTensor(np.zeros((8, 8)), 2, (0.0, 1.0))
+    with pytest.raises(ValidationError,
+                       match="measure needs a positive finite trace"):
+        non_markovianity(pt, metric=metric)
+
+
 def test_measure_trace_distance_variant(b3_pt):
     rep = non_markovianity(b3_pt, metric="trace_distance")
     assert rep.is_upper_bound

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ptmarkov import (
-    ExperimentGrid,
     QuadratureError,
     QuantumMap,
+    SEModel,
     ValidationError,
     b2_conditional_output,
     b2_env_after_break,
@@ -41,16 +41,25 @@ IDENT = QuantumMap.identity(2)
 FLIP = QuantumMap.from_unitary(SX)
 
 
-def test_grid_validation():
-    ExperimentGrid((0.0, 1.0, 2.0))
-    with pytest.raises(ValidationError):
-        ExperimentGrid((0.0, 1.0, 1.0))
+def test_grid_validation(b2_model, b1_model):
+    """Both engines take the time tags as a sequence and refuse repeated
+    or decreasing ones, in the tensor and in a single run."""
+    build_process_tensor(b2_model, [0.0, 1.0, 2.0])
+    for model in (b2_model, b1_model):
+        for times in ((0.0, 1.0, 1.0), (0.0, 2.0, 1.0)):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                build_process_tensor(model, times)
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                simulate_sequence(model, times, [IDENT, IDENT])
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_grid_rejects_non_finite_times(bad):
-    with pytest.raises(ValidationError, match="finite"):
-        ExperimentGrid((0.0, bad))
+def test_grid_rejects_non_finite_times(b2_model, b1_model, bad):
+    for model in (b2_model, b1_model):
+        with pytest.raises(ValidationError, match="finite"):
+            build_process_tensor(model, (0.0, bad))
+        with pytest.raises(ValidationError, match="finite"):
+            simulate_sequence(model, (0.0, bad), [IDENT])
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +130,24 @@ def test_b1_axis_parameter():
 
 
 def test_b1_rejects_bad_parameters():
-    with pytest.raises(ValidationError):
-        model_b1(gamma=-1.0, g=1.0)
-    with pytest.raises(ValidationError):
-        model_b1(gamma=1.0, g=0.0)
+    for gamma, g, axis in ((-1.0, 1.0, "z"), (1.0, 0.0, "z"),
+                           (math.nan, 1.0, "z"), (1.0, math.nan, "z"),
+                           (1.0, 1.0, "w"), (1.0, 1.0, ["z"])):
+        with pytest.raises(ValidationError):
+            model_b1(gamma=gamma, g=g, dephasing_axis=axis)
+
+
+def test_b2_rejects_bad_omega():
+    for omega in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValidationError, match="omega"):
+            model_b2(omega=omega)
+
+
+def test_nan_step_unitary_is_refused():
+    model = SEModel(system_dim=2, env_dim=1, initial_joint=P0,
+                    unitary_rule=lambda t0, t1: np.full((2, 2), np.nan))
+    with pytest.raises(ValidationError, match="not unitary"):
+        build_process_tensor(model, (0.0, 1.0))
 
 
 def test_b1_incommensurate_grid_raises():

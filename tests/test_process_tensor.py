@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from ptmarkov import (
-    ControlSequence,
     DimensionMismatch,
     ProcessTensor,
     QuantumMap,
     SEModel,
     TomographyDataError,
     UnresolvableConditional,
+    ValidationError,
     build_process_tensor,
-    compose,
     default_break,
     divisibility_test,
     from_tomography,
@@ -37,6 +36,8 @@ from oracles import (
     P1,
     PP,
     b3_choi_analytic,
+    compose,
+    depolarizing,
     entropy_of_spectrum,
     marginal_map_frame,
     restrict_einsum,
@@ -93,8 +94,8 @@ def test_b3_output_is_initial_state(b3_pt, b3_states):
 
 def test_instrument_sum_equals_average_map(b2_pt):
     ins = random_reprepare_instrument(2, 3, np.random.default_rng(9))
-    summed = sum(b2_pt.apply([(ins, r), IDENT]).matrix
-                 for r in range(len(ins)))
+    summed = sum(b2_pt.apply([member, IDENT]).matrix
+                 for member in ins.members)
     avg = QuantumMap.from_choi(sum(m.choi for m in ins.members))
     direct = b2_pt.apply([avg, IDENT]).matrix
     assert np.abs(summed - direct).max() <= 1e-12
@@ -152,12 +153,39 @@ def test_apply_slot_count_mismatch(b2_pt):
         b2_pt.apply([IDENT])
 
 
-def test_control_sequence_validation():
-    brk = default_break(2)
-    seq = ControlSequence([IDENT, (brk, 0, 1)])
-    assert seq.break_slot == 1
-    with pytest.raises(Exception):
-        ControlSequence([(brk, 0, 1), (brk, 0, 1)])
+def test_control_sequence_validation(b2_model, b2_pt):
+    """Every reader of a control sequence refuses, at any slot, an entry
+    that is not a QuantumMap (the instrument and break tuples included:
+    those pass as ``ins.members[r]`` and ``brk.map(r, s)``), a map or break
+    set of another dimension, and a slot too few or too many."""
+    bad_entries = [
+        ((random_reprepare_instrument(2, 2, RNG), 0), ValidationError),
+        ((default_break(2), 0, 1), ValidationError),
+        (IDENT.choi, ValidationError),
+        (QuantumMap.identity(3), DimensionMismatch),
+    ]
+    for bad, error in bad_entries:
+        for seq in ([bad, IDENT], [IDENT, bad]):
+            with pytest.raises(error):
+                b2_pt.apply(seq)
+            with pytest.raises(error):
+                simulate_sequence(b2_model, b2_pt.times, seq)
+        with pytest.raises(error):
+            b2_pt.conditional_state(1, 0, 0, past=[bad])
+        with pytest.raises(error):
+            b2_pt.conditional_state(0, 0, 0, future=[bad])
+    for seq in ([IDENT], [IDENT] * 3):
+        with pytest.raises(DimensionMismatch):
+            b2_pt.apply(seq)
+        with pytest.raises(DimensionMismatch):
+            simulate_sequence(b2_model, b2_pt.times, seq)
+    with pytest.raises(DimensionMismatch):
+        b2_pt.conditional_state(1, 0, 0, past=[])
+    with pytest.raises(DimensionMismatch):
+        b2_pt.conditional_state(0, 0, 0, future=[IDENT, IDENT])
+    with pytest.raises(DimensionMismatch):
+        b2_pt.conditional_state(1, 0, 0, past=[IDENT],
+                                break_set=default_break(3))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +344,7 @@ def test_marginal_map_matches_frame_oracle(b1_pt, b2_pt, b3_pt, markov_pt2,
 def test_b2_marginal_is_depolarizing(b2_pt, basis2):
     theta = math.pi / 4
     lam = b2_pt.marginal_map(1, 2)
-    expected = QuantumMap.depolarizing(2, math.sin(theta) ** 2)
+    expected = depolarizing(2, math.sin(theta) ** 2)
     assert np.abs(lam.choi - expected.choi).max() <= 1e-10
 
 
