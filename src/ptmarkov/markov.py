@@ -184,25 +184,29 @@ class ClassicalCheck(NamedTuple):
 # the operational Markov test
 # ---------------------------------------------------------------------------
 
-def _bloch_vectors(states: Array) -> Array:
-    """(n, 3) real Bloch vectors of a stack of normalized qubit states,
-    stored column by column: the diameter's reductions over all n points
-    then run along contiguous memory."""
+def _points(states: Array) -> Array:
+    """Points of a stack of normalized (d, d) states whose distances bound
+    the trace distances: for qubits the (n, 3) Bloch vectors, stored column
+    by column so that reductions over the n points run along contiguous
+    memory; for d > 2 the real and imaginary parts of the entries, an
+    (n, 2 d**2) view whose distances are the Frobenius distances."""
+    if states.shape[-1] > 2:
+        return states.view(float).reshape(len(states), -1)
     bx = (states[:, 0, 1] + states[:, 1, 0]).real
     by = (1j * (states[:, 0, 1] - states[:, 1, 0])).real
     bz = (states[:, 0, 0] - states[:, 1, 1]).real
     return np.stack([bx, by, bz]).T
 
 
-# The diameter search splits n points into about n / _CELL_POINTS cells and
-# evaluates the distances of _PAIR_BATCH cell pairs per numpy call.
-_CELL_POINTS = 32
+# The diameter search splits n points of D coordinates into cells of at
+# most _CELL_COORDS / D points (32 Bloch vectors, 5 qutrit states) and
+# evaluates the leaf values of _PAIR_BATCH cell pairs per numpy call. Its
+# pruning test has a relative margin and an absolute floor (see _diameter):
+# far above the rounding they cover, far below any spread they could hide.
+_CELL_COORDS = 96
 _PAIR_BATCH = 256
-# The radial prefilter's relative margin and absolute floor (see
-# _bloch_diameter): far above the rounding they cover, far below any
-# spread they could hide.
-_RADIAL_MARGIN = 2.0 ** -44
-_RADIAL_FLOOR = 2.0 ** -530
+_MARGIN = 2.0 ** -40
+_FLOOR = 2.0 ** -530
 
 
 def _box_bound(lo_a: Array, hi_a: Array, lo_c: Array, hi_c: Array) -> Array:
@@ -213,103 +217,119 @@ def _box_bound(lo_a: Array, hi_a: Array, lo_c: Array, hi_c: Array) -> Array:
     return (np.maximum(hi_a - lo_c, hi_c - lo_a) ** 2).sum(axis=-1)
 
 
-def _bloch_diameter(b: Array) -> tuple[float, int, int]:
-    """Exact Euclidean diameter of an (n, 3) cloud of Bloch vectors: the
-    largest distance ``sqrt(((b_i - b_j) ** 2).sum())`` and the first pair
-    (i < j) in (i, j) order at the largest squared distance, or
-    (0.0, 0, 0) when no two points differ. ``sqrt`` is correctly rounded
-    and monotone, so its root is the largest rounded distance.
+def _diameter(p: Array) -> tuple[float, int, int]:
+    """Exact diameter of a group of states from its ``_points``: the
+    largest trace distance and the first pair (i < j) in (i, j) order at
+    the largest leaf value, or (0.0, 0, 0) when no two points differ.
 
-    ``best`` starts at the squared distance of the seed pair: the point
-    farthest from the centroid and the point farthest from that one. Two
-    exact filters then cut the search:
+    For qubits the leaf value is the squared Bloch distance, whose
+    correctly rounded, monotone ``sqrt`` is returned; for d > 2 it is the
+    trace norm ``svd(rho_i - rho_j).sum()``, i < j, of the states the
+    points view: the numbers ``trace_norm_distance`` gives pair by pair.
+    ``best`` starts at the seed pair's: the point farthest from the
+    centroid and the point whose leaf value against it is largest. Two
+    exact filters then cut the search, with one test (``reach``) that
+    bounds the trace distance by factor * x for a Euclidean bound x; the
+    factor is 1 for qubits and sqrt(d) for d > 2, as ||X||_1 <= sqrt(d)
+    ||X||_F for any d x d matrix. A radial prefilter drops every point
+    whose radius r_x about the bounding-box midpoint cannot reach ``best``
+    (a pair is at most r_i + r_max apart), and the dual tree on the
+    survivors (``_dual_tree``) drops every cell pair whose box bound cannot
+    reach it. The survivors keep their ascending indices, and the test
+    keeps every tie, so the leaves alone apply the first-pair rule.
 
-    - a radial prefilter drops every point that cannot be in a pair at a
-      squared distance of ``best`` or more (the bound is below);
-    - the dual tree on the survivors (``_dual_tree``) splits, level by
-      level, only the cells that some surviving cell pair references.
+    The rounding margins. With u = 2**-53, gradual underflow and D
+    coordinates, a computed squared distance lies within (1 +- u)**(D + 2)
+    of the exact one, plus D 2**-1075 from squares that underflow, and a
+    box bound is at least as large. So for the computed x = sqrt(bound) or
+    x = r_i + r_max, the exact distance is at most x (1 + (D + 6) u) +
+    sqrt(D) 2**-536. For qubits (D = 3) the root of a leaf value exceeds
+    the exact distance by at most 4u, relative, plus 2**-536. For d > 2
+    (D = 2 d**2) the computed difference is within 1 + u of the exact one
+    entrywise, LAPACK's singular values lie within p(d) u sigma_max of the
+    exact ones, p a modestly growing function (LAPACK Users' Guide,
+    sec. 4.9.1, takes p = 1), and their sum adds (d - 1) u; so a leaf value
+    is at most sqrt(d) x (1 + (2 d**2 + d p(d) + d + 6) u) + d**1.5 2**-536.
+    A point or a cell pair is dropped only when
 
-    The survivors keep their ascending original indices, so the first-pair
-    rule is unchanged.
+        factor x (1 + 2**-40) + 2**-530 < root(best) (1 - 2**-40),
 
-    The radial bound. With c the midpoint of the bounding box and r_x the
-    computed ``|b_x - c|``, the exact triangle inequality gives
-    ``|b_i - b_j| <= R_i + R_j <= R_i + R_max`` for the exact radii. With
-    unit roundoff u = 2**-53 and gradual underflow, a computed squared
-    distance of three coordinates lies within a factor (1 +- u)**5 of the
-    exact one, plus at most 2**-1072 from squares that underflow. Hence
-    the exact radii are at most r (1 + 4u) + 2**-535, and a pair whose
-    computed squared distance reaches ``best`` lies at an exact distance
-    of at least (sqrt(best) - 2**-536)(1 - 3u). A point is dropped only
-    when
-
-        (r_x + r_max) (1 + 2**-44) + 2**-530 < sqrt(best) (1 - 2**-44),
-
-    whose margins also cover the rounding of this test itself; so no point
-    of a pair at a squared distance of ``best`` or more is dropped, the
-    seed pair included. A radius or a ``best`` that is not finite drops
-    nothing.
+    root(best) being sqrt(best) for qubits and best for d > 2. For d <= 8
+    and p(d) up to 1000 the margins cover all of the above and the
+    rounding of this test, so nothing at a leaf value of ``best`` or more
+    is dropped, the seed pair included. A bound that is not finite drops
+    nothing; a ``best`` that is not finite skips the prefilter.
     """
-    n = b.shape[0]
-    lo, hi = b.min(axis=0), b.max(axis=0)
+    n, width = p.shape
+    if width == 3:
+        factor, root, q = 1.0, math.sqrt, p.T
+
+        def leaf(i: Array, j: Array) -> Array:
+            return ((q.take(i, axis=1) - q.take(j, axis=1)) ** 2).sum(axis=0)
+    else:
+        d = math.isqrt(width // 2)
+        states = p.reshape(n, d, 2 * d).view(complex)
+        factor, root = math.sqrt(d), float
+
+        def leaf(i: Array, j: Array) -> Array:
+            return np.linalg.svd(states[np.minimum(i, j)] -
+                                 states[np.maximum(i, j)],
+                                 compute_uv=False).sum(axis=-1)
+
+    def reach(x: Array, best: float) -> Array:
+        return ~(factor * x * (1 + _MARGIN) + _FLOOR <
+                 root(best) * (1 - _MARGIN))
+
+    lo, hi = p.min(axis=0), p.max(axis=0)
     if n < 2 or not (hi > lo).any():
         return (0.0, 0, 0)
-    p = int(np.argmax(((b - b.mean(axis=0)) ** 2).sum(axis=-1)))
-    d2_p = ((b - b[p]) ** 2).sum(axis=-1)
-    q = int(np.argmax(d2_p))
-    best = float(d2_p[q])
+    i = np.argmax(((p - p.mean(axis=0)) ** 2).sum(axis=-1), keepdims=True)
+    seed = leaf(i, np.arange(n))
+    j = int(np.argmax(seed))
+    best = float(seed[j])
     kept = np.arange(n)
     if math.isfinite(best):
-        r = np.sqrt(((b - (lo + hi) / 2) ** 2).sum(axis=-1))
-        reach = (r + r.max()) * (1 + _RADIAL_MARGIN) + _RADIAL_FLOOR
-        kept = kept[~(reach < math.sqrt(best) * (1 - _RADIAL_MARGIN))]
-    best, wi, wj = _dual_tree(b, kept, best, min(p, q), max(p, q))
+        r = np.sqrt(((p - (lo + hi) / 2) ** 2).sum(axis=-1))
+        kept = kept[reach(r + r.max(), best)]
+    best, wi, wj = _dual_tree(p, kept, leaf, reach, best,
+                              *sorted((int(i[0]), j)))
     if best == 0.0:
         return (0.0, 0, 0)
-    return (math.sqrt(best), wi, wj)
+    return (root(best), wi, wj)
 
 
-def _dual_tree(b: Array, kept: Array, best: float, wi: int, wj: int
-               ) -> tuple[float, int, int]:
-    """The largest squared distance among the points ``b[kept]`` and its
-    first pair (i < j) of original indices, starting from a squared
-    distance ``best`` at the pair (wi, wj), which it returns when nothing
-    among them is larger or ties at an earlier pair.
+def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
+               wj: int) -> tuple[float, int, int]:
+    """The largest leaf value among the points ``p[kept]`` and its first
+    pair (i < j) of original indices, starting from the value ``best`` at
+    the pair (wi, wj), which it returns when nothing among them is larger
+    or ties at an earlier pair.
 
     The search walks a median-split k-d tree (Bentley, CACM 18, 509, 1975)
     as a dual tree (Gray & Moore, NIPS 2000), starting from one cell of
     every kept point and the cell pair (0, 0). Each level drops the cell
-    pairs that cannot win: their box bound lies below ``best``, or equals
-    it with only later index pairs inside. Above the leaves, of at most
-    ``_CELL_POINTS`` points, it then halves at the median of its widest
-    axis every cell that a surviving pair references, renumbered in order
-    so that each pair keeps its lower cell first, and replaces each pair
-    by its child pairs; at the leaves it scans the pairs in descending
-    order of bound, pruning as it goes. The bound is exact (see
-    ``_box_bound``), so nothing that could win is dropped. When the kept
-    count is not a multiple of the leaf count, the lowest kept indices are
-    repeated to fill the cells; a repeated point adds no new distance and
-    no new pair.
+    pairs whose box bound cannot reach ``best`` (see ``_diameter``). Above
+    the leaves, of at most ``_CELL_COORDS`` coordinates, it then halves at
+    the median of its widest axis every cell that a surviving pair
+    references, renumbered in order so that each pair keeps its lower cell
+    first, and replaces each pair by its child pairs; at the leaves it
+    scans the pairs in descending order of bound, pruning as it goes. When
+    the kept count is not a multiple of the leaf count, the lowest kept
+    indices are repeated to fill the cells; a repeated point adds no new
+    distance and no new pair.
     """
-    n, m = b.shape[0], kept.size
-    n_cells = 1 << max(0, math.ceil(math.log2(m / _CELL_POINTS)))
-    leaf = -(-m // n_cells)
-    cells = np.resize(kept, n_cells * leaf)[None]
-
-    def live(a: Array, c: Array, bound: Array) -> Array:
-        # may hold a larger squared distance, or an equal one at an earlier
-        # index pair
-        return (bound > best) | ((bound == best) & (
-            np.minimum(first[a], first[c]) <= wi))
-
+    (n, width), m = p.shape, kept.size
+    n_cells = 1 << max(0, math.ceil(math.log2(m * width / _CELL_COORDS)))
+    size = -(-m // n_cells)
+    cells = np.resize(kept, n_cells * size)[None]
     ca = cc = np.zeros(1, dtype=np.intp)
     while True:
-        pts = b[cells]
-        lo, hi, first = pts.min(axis=1), pts.max(axis=1), cells.min(axis=1)
+        pts = p[cells]
+        lo, hi = pts.min(axis=1), pts.max(axis=1)
         bound = _box_bound(lo[ca], hi[ca], lo[cc], hi[cc])
-        keep = live(ca, cc, bound)
+        keep = reach(np.sqrt(bound), best)
         ca, cc, bound = ca[keep], cc[keep], bound[keep]
-        if cells.shape[1] == leaf:
+        if cells.shape[1] == size:
             break
         used = np.zeros(len(cells), dtype=bool)
         used[ca] = used[cc] = True
@@ -329,34 +349,16 @@ def _dual_tree(b: Array, kept: Array, best: float, wi: int, wj: int
     todo = np.argsort(-bound)
     while todo.size:
         batch, todo = todo[:_PAIR_BATCH], todo[_PAIR_BATCH:]
-        a, c = ca[batch], cc[batch]
-        d2 = ((pts[a][:, :, None] - pts[c][:, None]) ** 2).sum(axis=-1)
-        top = float(d2.max())
+        i, j = cells[ca[batch], :, None], cells[cc[batch], None]
+        value = leaf(i, j)
+        top = float(value.max())
         if top >= best:
-            t, r, s = np.nonzero(d2 == top)
-            i, j = cells[a[t], r], cells[c[t], s]
-            i, j = divmod(int((np.minimum(i, j) * n + np.maximum(i, j)).min()),
-                          n)
+            first = (np.minimum(i, j) * n + np.maximum(i, j))[value == top]
+            i, j = divmod(int(first.min()), n)
             if top > best or (i, j) < (wi, wj):
                 best, wi, wj = top, i, j
-        todo = todo[live(ca[todo], cc[todo], bound[todo])]
+        todo = todo[reach(np.sqrt(bound[todo]), best)]
     return best, wi, wj
-
-
-def _diameter_general(states: Array) -> tuple[float, int, int]:
-    """Largest pairwise trace-norm distance in a stack of (d, d) states and
-    the first pair (i < j) in (i, j) order that reaches it, or (0.0, 0, 0)
-    when no two states differ. Row i is compared with every later state in
-    one batched SVD, the same singular values ``trace_norm_distance``
-    computes pair by pair."""
-    best = (0.0, 0, 0)
-    for i in range(states.shape[0] - 1):
-        dist = np.linalg.svd(states[i] - states[i + 1:],
-                             compute_uv=False).sum(axis=-1)
-        j = int(np.argmax(dist))
-        if dist[j] > best[0]:
-            best = (float(dist[j]), i, i + 1 + j)
-    return best
 
 
 def markov_test(pt: ProcessTensor, basis: OperationBasis,
@@ -378,11 +380,12 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     sweep sufficient: equality across the swept controls implies equality
     for every control sequence.
 
-    Each group's diameter is exact, not estimated. The group's computed
-    states run in (past, outcome) order, past sequences in
-    ``itertools.product`` order, and its witness is the first pair (i, j)
-    at the largest distance; for qubits, at the largest squared Bloch
-    distance (see ``_bloch_diameter``).
+    Each group's diameter is exact, not estimated, from one routine for
+    every d (``_diameter``). The group's computed states run in (past,
+    outcome) order, past sequences in ``itertools.product`` order, and its
+    witness is the first pair (i, j) at the largest distance; for qubits,
+    at the largest squared Bloch distance. For d > 2 the search bounds
+    trace distances by sqrt(d) times Frobenius distances.
     """
     n_steps = pt.n_steps
     d = pt.system_dim
@@ -425,10 +428,7 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
                 continue
             states = outs[:, :, s].reshape(-1, d, d)
             group = states[rows] / probs[:, :, s].reshape(-1)[rows, None, None]
-            if d == 2:
-                dev, i, j = _bloch_diameter(_bloch_vectors(group))
-            else:
-                dev, i, j = _diameter_general(group)
+            dev, i, j = _diameter(_points(group))
             if dev > best:
                 best = dev
                 witness = (record(k, l, s, rows[i]), record(k, l, s, rows[j]))

@@ -475,7 +475,8 @@ def model_markov(per_step_maps: Sequence[QuantumMap], rho0: Array) -> SEModel:
     for idx, qmap in enumerate(per_step_maps):
         if qmap.in_dim != d or qmap.out_dim != d:
             raise DimensionMismatch(f"map {idx} dims != system dim {d}")
-        if qmap.cp_defect > CPTP_DEFECT_TOL or qmap.tp_defect > CPTP_DEFECT_TOL:
+        if not (qmap.cp_defect <= CPTP_DEFECT_TOL and
+                qmap.tp_defect <= CPTP_DEFECT_TOL):
             raise ValidationError(f"map {idx} is not CPTP")
         kraus_sets.append(qmap.kraus)
     env_factors = [max(len(ks), 1) for ks in kraus_sets]

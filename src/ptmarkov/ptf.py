@@ -6,10 +6,10 @@ interleaved real/imaginary). Round-trips are bit exact.
 
 ``load`` raises ``FormatError`` unless the tensor is a causal comb. It
 checks, in this order, that the entries are finite, that the tensor is
-Hermitian, and that it is causal, PSD and of trace d**k (the
-``tp_choi_trace_d`` convention), the last three within ``PSD_CLIP`` times
-max(1, |trace|). A header above the size guard raises ``SweepGuardError``
-before the blob is read.
+Hermitian, that its trace is finite, and that it is causal, PSD and of
+trace d**k (the ``tp_choi_trace_d`` convention), the last three within
+``PSD_CLIP`` times max(1, |trace|). A header above the size guard raises
+``SweepGuardError`` before the blob is read.
 
 The same header-plus-blob scheme serializes plain matrix bundles
 (``PTF1-mats``), used to supply unitaries for custom models.
@@ -119,7 +119,11 @@ def load(path):
         raise FormatError("blob holds non-finite entries")
     try:
         pt = ProcessTensor(choi, d, times)
-        tol = PSD_CLIP * max(1.0, abs(pt.trace))
+        with np.errstate(all="ignore"):
+            trace = pt.trace
+        if not math.isfinite(trace):
+            raise FormatError(f"trace {trace} is not finite")
+        tol = PSD_CLIP * max(1.0, abs(trace))
         # a certified lower bound; a dense fallback's full-size copy is
         # freed before the contraction forms that the defect caches are built
         min_eig = pt.min_eigenvalue

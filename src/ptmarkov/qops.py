@@ -58,10 +58,10 @@ class DensityMatrix:
     def __init__(self, matrix, atol: float = HERMITIAN_ATOL):
         m = hermitize(as_operator(matrix), atol)
         w = np.linalg.eigvalsh(m)
-        if w.min() < -PSD_ATOL:
+        if not w.min() >= -PSD_ATOL:
             raise NotPositive(f"state eigenvalue {w.min():.3e} below -{PSD_ATOL:.1e}")
         tr = float(np.trace(m).real)
-        if tr > 1.0 + TRACE_ATOL or tr < -TRACE_ATOL:
+        if not -TRACE_ATOL <= tr <= 1.0 + TRACE_ATOL:
             raise ValidationError(f"state trace {tr} outside [0, 1]")
         self.matrix = m
         self.dim = m.shape[0]
@@ -272,7 +272,7 @@ class Instrument:
         total = sum(m.choi for m in members)
         avg = QuantumMap.from_choi(total, in_dim=members[0].in_dim,
                                    out_dim=members[0].out_dim)
-        if avg.tp_defect > HERMITIAN_ATOL:
+        if not avg.tp_defect <= HERMITIAN_ATOL:
             raise ValidationError(
                 f"instrument members do not sum to a TP map "
                 f"(defect {avg.tp_defect:.3e})")
@@ -303,13 +303,13 @@ class CausalBreak:
         object.__setattr__(self, "preparations", preps)
         d = effs[0].shape[0]
         total = sum(effs)
-        if np.abs(total - np.eye(d)).max() > HERMITIAN_ATOL:
+        if not np.abs(total - np.eye(d)).max() <= HERMITIAN_ATOL:
             raise ValidationError("POVM effects do not sum to identity")
         for e in effs:
-            if np.linalg.eigvalsh(e).min() < -PSD_ATOL:
+            if not np.linalg.eigvalsh(e).min() >= -PSD_ATOL:
                 raise ValidationError("POVM effect is not PSD")
         for p in preps:
-            if abs(np.trace(p).real - 1.0) > TRACE_ATOL:
+            if not abs(np.trace(p).real - 1.0) <= TRACE_ATOL:
                 raise ValidationError("break preparations must be normalized")
 
     @property

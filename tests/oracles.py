@@ -347,9 +347,9 @@ def diameter_qubit_all_pairs(states):
     pair is the first (row, column) at the largest squared distance. Each
     block's argmax is compared with the best so far in squared distance,
     so the block size only bounds memory."""
-    from ptmarkov.markov import _bloch_vectors
+    from ptmarkov.markov import _points
 
-    return diameter_bloch_all_pairs(_bloch_vectors(states))
+    return diameter_bloch_all_pairs(_points(states))
 
 
 def diameter_bloch_all_pairs(b):
@@ -378,6 +378,21 @@ def diameter_general_loop(states):
             val = trace_norm_distance(states[i], states[j])
             if val > best[0]:
                 best = (val, i, j)
+    return best
+
+
+def diameter_general_batched(states):
+    """``diameter_general_loop`` with each row compared with every later
+    state in one batched SVD, the same singular values
+    ``trace_norm_distance`` computes pair by pair: the fast reference for
+    groups of hundreds of states."""
+    best = (0.0, 0, 0)
+    for i in range(states.shape[0] - 1):
+        dist = np.linalg.svd(states[i] - states[i + 1:],
+                             compute_uv=False).sum(axis=-1)
+        j = int(np.argmax(dist))
+        if dist[j] > best[0]:
+            best = (float(dist[j]), i, i + 1 + j)
     return best
 
 

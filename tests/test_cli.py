@@ -26,6 +26,7 @@ from ptmarkov import (
 from ptmarkov.cli import main
 from ptmarkov.defaults import PSD_CLIP
 from ptmarkov.process_tensor import leg_labels
+from ptmarkov.random_ops import random_density, random_unitary
 
 from oracles import P0, PP, partial_swap_unitary
 
@@ -149,12 +150,14 @@ def test_analyze_oversize_header_exit_2(tmp_path, capsys):
     assert "size guard" in err and "Traceback" not in err
 
 
-def _write_custom_config(tmp_path, **params):
-    """A `custom` config: two partial swaps of a |+> system with a |0>
-    environment, supplied as PTF1-mats bundles."""
+def _write_custom_config(tmp_path, unitaries=None, joint=None, **params):
+    """A `custom` config supplied as PTF1-mats bundles; by default two
+    partial swaps of a |+> system with a |0> environment."""
     u = partial_swap_unitary(0.7)
-    ptf.save_matrices(tmp_path / "unitaries.mats", [u, u])
-    ptf.save_matrices(tmp_path / "joint.mats", [np.kron(PP, P0)])
+    ptf.save_matrices(tmp_path / "unitaries.mats",
+                      [u, u] if unitaries is None else unitaries)
+    ptf.save_matrices(tmp_path / "joint.mats",
+                      [np.kron(PP, P0) if joint is None else joint])
     cfg = tmp_path / "custom.json"
     cfg.write_text(json.dumps({
         "model": "custom",
@@ -180,6 +183,28 @@ def test_simulate_custom_round_trip(tmp_path):
                  "-o", str(report)]) == 0
     analyses = json.loads(report.read_text())["analyses"]
     assert analyses["markov"]["is_markov"] is False
+    assert analyses["bonddim"]["bond_dims"][1] > 1
+
+
+def test_simulate_and_analyze_qutrit_custom(tmp_path):
+    """End to end at d = 3: two seeded random joint unitaries on a qutrit
+    and a qubit environment, from a random joint state, through
+    `ptr simulate` and every analysis of `ptr analyze`."""
+    rng = np.random.default_rng(11)
+    cfg = _write_custom_config(
+        tmp_path, unitaries=[random_unitary(6, rng), random_unitary(6, rng)],
+        joint=random_density(6, rng), system_dim=3)
+    out = tmp_path / "qutrit.ptf"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["analyze", str(out), "-o", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["input"]["system_dim"] == 3 and doc["input"]["k"] == 2
+    analyses = doc["analyses"]
+    assert set(analyses) == {"markov", "divisibility", "measure", "bonddim",
+                             "classical"}
+    assert analyses["markov"]["is_markov"] is False
+    assert analyses["measure"]["n_value"] > 1e-8
     assert analyses["bonddim"]["bond_dims"][1] > 1
 
 
@@ -469,6 +494,22 @@ def test_analyze_wrong_trace_exit_3(tmp_path, capsys, b2_pure_pt3, scale):
     ProcessTensor(b2_pure_pt3.choi * scale, 2, b2_pure_pt3.times).save(path)
     assert main(["analyze", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: trace "), scale
+
+
+@pytest.mark.parametrize("flag", [None, "--markov", "--divisibility",
+                                  "--measure", "--bonddim", "--classical"])
+def test_analyze_overflowing_trace_exit_3(tmp_path, capsys, b2_pure_pt3,
+                                          flag):
+    """A causal PSD comb scaled by 1e308 has finite entries but a trace
+    that overflows to inf, which would make every load tolerance inf: it
+    is refused at load under every analysis flag, before any numpy
+    warning (an error under this suite) or an analysis can run."""
+    path = tmp_path / "huge.ptf"
+    ProcessTensor(b2_pure_pt3.choi * 1e308, 2, b2_pure_pt3.times).save(path)
+    assert np.isfinite(b2_pure_pt3.choi * 1e308).all()
+    assert main(["analyze", str(path)] + ([flag] if flag else [])) == 3
+    err = capsys.readouterr().err
+    assert err == "error: trace inf is not finite\n", err
 
 
 @pytest.mark.parametrize("argv", [

@@ -47,6 +47,7 @@ from oracles import (
     classical_process_einsum,
     conditional_output_loop,
     diameter_bloch_all_pairs,
+    diameter_general_batched,
     diameter_general_loop,
     diameter_qubit_all_pairs,
     markov_test_loop,
@@ -216,14 +217,14 @@ def _cloud(kind, rng):
                                   "near-tie-multiblock", "overflow", "one",
                                   "two"])
 def test_bloch_diameter_bit_identical_to_all_pairs(kind):
-    from ptmarkov.markov import _bloch_diameter, _bloch_vectors
+    from ptmarkov.markov import _diameter, _points
     states = _states_from_bloch(_cloud(kind, np.random.default_rng(71)))
-    b = _bloch_vectors(states)
+    b = _points(states)
     if kind.startswith("near-tie"):
         d2 = [float(((b[i] - b[i + 1]) ** 2).sum()) for i in (0, len(b) - 2)]
         assert d2[0] < d2[1] and math.sqrt(d2[0]) == math.sqrt(d2[1])
     with np.errstate(over="ignore"):
-        got = _bloch_diameter(b)
+        got = _diameter(b)
         assert got == diameter_qubit_all_pairs(states)
     assert type(got[0]) is float
 
@@ -264,9 +265,9 @@ def _tie_clouds(draw):
 @settings(max_examples=40, deadline=None)
 @given(_tie_clouds())
 def test_bloch_diameter_matches_all_pairs_property(cloud):
-    from ptmarkov.markov import _bloch_diameter, _bloch_vectors
+    from ptmarkov.markov import _diameter, _points
     states = _states_from_bloch(cloud)
-    assert _bloch_diameter(_bloch_vectors(states)) == \
+    assert _diameter(_points(states)) == \
         diameter_qubit_all_pairs(states)
 
 
@@ -288,7 +289,7 @@ def test_bloch_diameter_bounds_stay_linear(monkeypatch):
         return out
 
     monkeypatch.setattr(markov, "_box_bound", counted)
-    markov._bloch_diameter(b)
+    markov._diameter(b)
     assert 0 < sum(pairs) < 4 * len(b)
 
 
@@ -297,25 +298,25 @@ def test_bloch_diameter_bit_identical_on_b2_groups(basis2, monkeypatch):
     distances round to the same maximum while their squared distances
     differ in the last bit."""
     import ptmarkov.markov as markov
-    from ptmarkov.markov import _bloch_diameter
+    from ptmarkov.markov import _diameter
     rng = np.random.default_rng(1)
     theta = rng.uniform(0.6, 1.0)
     model = model_b2(1.0, rho_s=random_density(2, rng))
     pt = build_process_tensor(model, [j * theta for j in range(4)])
     groups = []
-    bloch = markov._bloch_vectors
-    monkeypatch.setattr(markov, "_bloch_vectors",
+    bloch = markov._points
+    monkeypatch.setattr(markov, "_points",
                         lambda states: groups.append(states) or bloch(states))
     markov_test(pt, basis2, exhaustive=True)
     monkeypatch.undo()
     assert groups
     for states in groups:
-        assert _bloch_diameter(bloch(states)) == \
+        assert _diameter(bloch(states)) == \
             diameter_qubit_all_pairs(states)
 
 
 def _kept_counts(monkeypatch):
-    """Record how many points each ``_bloch_diameter`` call hands to its
+    """Record how many points each ``_diameter`` call hands to its
     dual tree, after the radial prefilter."""
     import ptmarkov.markov as markov
     counts = []
@@ -336,7 +337,7 @@ def test_bloch_diameter_planted_far_pairs(kind, seed, monkeypatch):
     first pair at the largest squared distance survives it. On a cluster
     of spread 1e-160, whose squares underflow, the absolute floor keeps
     every point."""
-    from ptmarkov.markov import _bloch_diameter
+    from ptmarkov.markov import _diameter
     rng = np.random.default_rng(seed)
     scale, centre = {"ball": (1.0, np.zeros(3)),
                      "ball-off-centre": (0.4, np.array([0.3, -0.2, 0.1])),
@@ -351,7 +352,7 @@ def test_bloch_diameter_planted_far_pairs(kind, seed, monkeypatch):
         b[i], b[j] = centre + v, centre - v
     b[slots[8:]] = np.nextafter(b[slots[:8]], centre)
     counts = _kept_counts(monkeypatch)
-    assert _bloch_diameter(b) == diameter_bloch_all_pairs(b)
+    assert _diameter(b) == diameter_bloch_all_pairs(b)
     if kind == "cluster-1e-160":
         assert counts == [len(b)]
     else:
@@ -369,7 +370,7 @@ def test_bloch_diameter_at_radial_threshold():
     which it leaves unchanged. A filter comparing r_x + r_max with
     sqrt(best) with no rounding margin drops the winner in two of these
     3000 clouds."""
-    from ptmarkov.markov import _bloch_diameter
+    from ptmarkov.markov import _diameter
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         a, h = rng.uniform(0.6, 1.0), rng.uniform(0.2, 0.8)
@@ -386,7 +387,7 @@ def test_bloch_diameter_at_radial_threshold():
         for ulps in (-1, 0, 1):
             b = np.concatenate([[np.nextafter(x, x + ulps * (x - c))], base])
             assert (b.min(axis=0) == lo).all() and (b.max(axis=0) == hi).all()
-            assert _bloch_diameter(b) == diameter_bloch_all_pairs(b), seed
+            assert _diameter(b) == diameter_bloch_all_pairs(b), seed
 
 
 def test_bloch_diameter_prefilter_shrinks_b2_group(basis2, monkeypatch):
@@ -399,8 +400,8 @@ def test_bloch_diameter_prefilter_shrinks_b2_group(basis2, monkeypatch):
     model = model_b2(1.0, rho_s=random_density(2, rng))
     pt = build_process_tensor(model, [j * theta for j in range(5)])
     sizes = []
-    bloch = markov._bloch_vectors
-    monkeypatch.setattr(markov, "_bloch_vectors",
+    bloch = markov._points
+    monkeypatch.setattr(markov, "_points",
                         lambda states: sizes.append(len(states)) or
                         bloch(states))
     counts = _kept_counts(monkeypatch)
@@ -419,22 +420,119 @@ def _qutrit_group(kind, rng):
         return np.tile(random_density(3, rng), (40, 1, 1))
     if kind == "one":
         return random_density(3, rng)[None]
+    if kind.startswith("cluster-"):
+        # noise that is neither Hermitian nor trace-free, as rounding leaves
+        # in markov_test's outs / probs groups; eight entries of |0><0| are
+        # zero, so a spread of 1e-160 survives in them
+        scale = float(kind[len("cluster-"):])
+        base = random_density(3, rng) if scale > 1e-100 else \
+            np.diag([1.0, 0.0, 0.0]).astype(complex)
+        noise = rng.normal(size=(2, 200, 3, 3))
+        return base + scale * (noise[0] + 1j * noise[1])
     raise ValueError(kind)
 
 
-@pytest.mark.parametrize("kind", ["random", "duplicates", "identical", "one"])
+@pytest.mark.parametrize("kind", ["random", "duplicates", "identical", "one",
+                                  "cluster-1e-15", "cluster-1e-160"])
 def test_general_diameter_bit_identical_to_loop(kind):
-    """The batched d > 2 diameter: same value and same first pair as the
-    pairwise loop, bit for bit."""
-    from ptmarkov.markov import _diameter_general
+    """The d > 2 diameter: same value and same first pair as the pairwise
+    loop, bit for bit, on rounding-level clusters too."""
+    from ptmarkov.markov import _diameter, _points
     states = _qutrit_group(kind, np.random.default_rng(72))
-    got = _diameter_general(states)
+    got = _diameter(_points(states))
     assert got == diameter_general_loop(states)
     assert type(got[0]) is float
     if kind == "duplicates":
         assert got[0] > 0.0
     if kind in ("identical", "one"):
         assert got == (0.0, 0, 0)
+    if kind.startswith("cluster-"):
+        scale = float(kind[len("cluster-"):])
+        assert scale < got[0] < 100 * scale
+
+
+def _qutrit_dilation(kind):
+    """A seeded qutrit K = 2 dilation: memoryless (``model_markov``) or a
+    random joint unitary on a qubit environment from a random joint
+    state, which carries memory."""
+    rng = np.random.default_rng(15)
+    if kind == "markov":
+        model = model_markov(random_control_sequence(3, 2, rng, kraus_rank=2),
+                             random_density(3, rng))
+    else:
+        model = SEModel(system_dim=3, env_dim=2,
+                        initial_joint=random_density(6, rng),
+                        step_unitaries=(random_unitary(6, rng),
+                                        random_unitary(6, rng)))
+    return build_process_tensor(model, range(3))
+
+
+@pytest.fixture(scope="module")
+def basis3():
+    from ptmarkov import ic_basis
+    return ic_basis(3)
+
+
+@pytest.fixture(scope="module")
+def qutrit_sweeps(basis3):
+    """Every group of the causal-break sweeps of both seeded dilations,
+    captured on their way to the diameter: the memoryless one as it runs
+    by default, the joint unitary exhaustively."""
+    import ptmarkov.markov as markov
+    points = markov._points
+    sweeps = {}
+    for kind in ("markov", "joint"):
+        pt, groups = _qutrit_dilation(kind), []
+        markov._points = lambda states: groups.append(states) or \
+            points(states)
+        try:
+            report = markov_test(pt, basis3, exhaustive=kind == "joint")
+        finally:
+            markov._points = points
+        sweeps[kind] = pt, report, groups
+    return sweeps
+
+
+@pytest.mark.parametrize("kind", ["markov", "joint"])
+def test_general_diameter_bit_identical_on_qutrit_sweeps(kind, qutrit_sweeps):
+    """On every group of a qutrit K = 2 sweep (729 states each), the value
+    and the first pair equal the batched all-pairs scan's, bit for bit."""
+    from ptmarkov.markov import _diameter, _points
+    _, report, groups = qutrit_sweeps[kind]
+    assert len(groups) == 9 and report.is_markov is (kind == "markov")
+    for states in groups:
+        assert len(states) == 729
+        assert _diameter(_points(states)) == diameter_general_batched(states)
+
+
+def test_qutrit_markov_test_runs_few_svds(basis3, monkeypatch):
+    """Design tripwire: the exhaustive causal-break test of the seeded
+    qutrit joint unitary decomposes fewer than a quarter of the matrices
+    an all-pairs scan of its groups would."""
+    import ptmarkov.markov as markov
+    pt = _qutrit_dilation("joint")
+    svd, points = np.linalg.svd, markov._points
+    sizes, matrices = [], []
+    monkeypatch.setattr(markov, "_points", lambda states: (
+        sizes.append(len(states)) or points(states)))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+        matrices.append(math.prod(a.shape[:-2])) or svd(a, *args, **kwargs)))
+    markov_test(pt, basis3, exhaustive=True)
+    all_pairs = sum(n * (n - 1) // 2 for n in sizes)
+    assert len(sizes) == 9 and 0 < sum(matrices) < all_pairs / 4
+
+
+@pytest.mark.parametrize("kind", ["markov", "joint"])
+def test_theorem_verdicts_agree_on_qutrit_dilations(kind, qutrit_sweeps):
+    """The paper's theorem at d = 3: the causal-break test, N <= 1e-8 and
+    unit bond dimensions agree, and Markovian implies divisible."""
+    pt, report, _ = qutrit_sweeps[kind]
+    rep = non_markovianity(pt)
+    small_n = rep.n_value <= 1e-8
+    assert report.is_markov is small_n is (kind == "markov")
+    assert small_n == all(b == 1 for b in rep.bond_dims)
+    if report.is_markov:
+        assert divisibility_test(pt).max_defect <= 10 * report.tolerance
 
 
 def _trace_norm_eig(a, b):

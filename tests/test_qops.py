@@ -7,12 +7,17 @@ from ptmarkov import (
     CausalBreak,
     DensityMatrix,
     Instrument,
+    PtError,
     QuantumMap,
     ValidationError,
+    build_process_tensor,
     ic_basis,
     ic_frame_states,
+    model_b1,
+    model_markov,
     tensor_product,
 )
+from ptmarkov.linalg import hermitize
 from ptmarkov.random_ops import random_cptp, random_reprepare_instrument
 
 from oracles import (
@@ -42,6 +47,31 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(Exception):
         DensityMatrix(np.diag([1.0, 1.0]).astype(complex))  # trace 2
+
+
+NAN_STATE = np.array([[0.5, np.nan], [np.nan, 0.5]])
+NAN_DIAGONAL = np.diag([np.nan, 0.5])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hermitize(NAN_STATE),
+    lambda: DensityMatrix(NAN_STATE),
+    lambda: DensityMatrix(NAN_DIAGONAL),
+    lambda: build_process_tensor(model_b1(1, 1, rho0=NAN_STATE), (0, 1)),
+    lambda: CausalBreak(effects=(P0, np.diag([0.0, np.nan])),
+                        preparations=(P0,)),
+    lambda: CausalBreak(effects=(P0, P1), preparations=(NAN_DIAGONAL,)),
+    lambda: Instrument(
+        members=(QuantumMap.from_choi(np.full((4, 4), np.nan)),)),
+    lambda: model_markov([QuantumMap.from_choi(np.full((4, 4), np.nan))], P0),
+], ids=["hermitize", "state", "state-diagonal", "b1-initial-state",
+        "break-effect", "break-preparation", "instrument", "markov-channel"])
+def test_nan_fails_validation(build):
+    """Every bound is tested in its passing direction, so a NaN entry
+    fails it with a PtError instead of being accepted, or of ending in a
+    raw numpy error further down."""
+    with pytest.raises(PtError):
+        build()
 
 
 def test_density_matrix_helpers():
