@@ -3,7 +3,11 @@
 Every process tensor in this package is sourced here: a model is either a
 finite quantum environment with per-interval joint unitaries, or a
 classical-noise ensemble (a random field conditioning a family of system
-unitaries). The three appendix-style demonstration models are
+unitaries). Both kinds run through one ensemble dilation: a quantum model
+is one dilation of weight 1, a random field one dilation per field node
+with a trivial environment. Every interval's unitaries are checked against
+UNITARY_ATOL, and noise weights must be one per node, nonnegative and sum
+to 1. The three appendix-style demonstration models are
 
 * ``model_b1``  -- pure dephasing by a Cauchy-distributed random field,
   CP-divisible yet echo-reversible;
@@ -107,93 +111,71 @@ class SEModel:
                 raise ValidationError(
                     "classical-noise model needs initial_system, noise_rule "
                     "and conditional_unitary")
-            DensityMatrix(as_operator(self.initial_system))
+            rho = as_operator(self.initial_system)
+            if rho.shape[0] != d:
+                raise DimensionMismatch(f"initial system dim {rho.shape[0]} != {d}")
+            DensityMatrix(rho)
 
     @property
     def kind(self) -> str:
         return "quantum" if self.env_dim is not None else "classical"
 
 
-def _check_unitary(u: Array, dim: int, atol: float = UNITARY_ATOL) -> None:
-    u = as_operator(u)
-    if u.shape[0] != dim:
-        raise DimensionMismatch(f"unitary dim {u.shape[0]} != {dim}")
-    defect = np.abs(u @ u.conj().T - np.eye(dim)).max()
-    if not defect <= atol:
+def _check_unitary(u, dim: int, count: int | None = None) -> Array:
+    """``u`` as a complex array, checked to be one (dim x dim) unitary or,
+    given ``count``, a stack of that many, each to within UNITARY_ATOL."""
+    u = np.asarray(u, dtype=complex)
+    shape = (dim, dim) if count is None else (count, dim, dim)
+    if u.shape != shape:
+        raise DimensionMismatch(f"unitary shape {u.shape} != {shape}")
+    defect = np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(dim)).max()
+    if not defect <= UNITARY_ATOL:
         raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
+    return u
 
 
 # ---------------------------------------------------------------------------
-# step engines
+# the dilation
 # ---------------------------------------------------------------------------
 
-class _QuantumEngine:
-    def __init__(self, model: SEModel, times: tuple[float, ...]):
-        self.d = model.system_dim
-        self.e = model.env_dim
-        k = len(times) - 1
-        if model.step_unitaries is not None:
-            if len(model.step_unitaries) < k:
-                raise DimensionMismatch(
-                    f"model supplies {len(model.step_unitaries)} step "
-                    f"unitaries, grid has {k} steps")
-            self.unitaries = [np.asarray(u, dtype=complex)
-                              for u in model.step_unitaries[:k]]
+def _dilation(model: SEModel, times: tuple[float, ...]):
+    """Lay a model out on the grid ``times`` as an ensemble of weighted
+    dilations: ``(weights, joint0, unitaries, e)``.
+
+    A quantum model is one dilation of weight 1 on its e-dimensional
+    environment, with one joint unitary per interval. A classical-noise
+    model is one e = 1 dilation per field node, with an (n, d, d) stack of
+    conditional unitaries per interval. Either way every interval's
+    unitaries are checked here.
+    """
+    d, k = model.system_dim, len(times) - 1
+    intervals = list(zip(times, times[1:]))
+    if model.kind == "quantum":
+        if model.step_unitaries is None:
+            steps = [model.unitary_rule(t0, t1) for t0, t1 in intervals]
+        elif len(model.step_unitaries) < k:
+            raise DimensionMismatch(
+                f"model supplies {len(model.step_unitaries)} step "
+                f"unitaries, grid has {k} steps")
         else:
-            self.unitaries = []
-            for t0, t1 in zip(times, times[1:]):
-                u = as_operator(model.unitary_rule(t0, t1))
-                _check_unitary(u, self.d * self.e)
-                self.unitaries.append(u)
-        self.joint0 = as_operator(model.initial_joint)
-
-    def run(self, slot_superops: Sequence[Array]):
-        d, e = self.d, self.e
-        joint = self.joint0
-        for sup, u in zip(slot_superops, self.unitaries):
-            t = joint.reshape(d, e, d, e)
-            s4 = sup.reshape(d, d, d, d)
-            joint = np.einsum("klxy,xayb->kalb", s4, t).reshape(d * e, d * e)
-            joint = u @ joint @ u.conj().T
-        sys = np.trace(joint.reshape(d, e, d, e), axis1=1, axis2=3)
-        return sys, joint
-
-    def comb(self) -> Array:
-        return _link_product(self.joint0, self.unitaries, np.ones(1),
-                             self.d, self.e)
-
-
-class _ClassicalEngine:
-    def __init__(self, model: SEModel, times: tuple[float, ...]):
-        self.d = model.system_dim
+            steps = model.step_unitaries[:k]
+        weights, joint0 = np.ones(1), model.initial_joint
+        e, n = model.env_dim, None
+    else:
         nodes, weights = model.noise_rule(times)
         nodes = np.asarray(nodes, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-8:
+        if weights.ndim != 1 or weights.shape != nodes.shape[:1]:
+            raise DimensionMismatch(
+                f"noise weights of shape {weights.shape} for nodes of "
+                f"shape {nodes.shape}; need one weight per node")
+        # the bound passes in its own direction, so a NaN weight fails it
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-8):
             raise ValidationError("noise weights must be nonnegative and sum to 1")
-        self.weights = weights
-        self.unitaries = []
-        for t0, t1 in zip(times, times[1:]):
-            us = np.asarray(model.conditional_unitary(nodes, t0, t1),
-                            dtype=complex)
-            self.unitaries.append(us)
-        sys0 = as_operator(model.initial_system)
-        self.states0 = np.broadcast_to(
-            sys0, (nodes.size,) + sys0.shape).copy()
-
-    def run(self, slot_superops: Sequence[Array]):
-        d = self.d
-        states = self.states0
-        for sup, us in zip(slot_superops, self.unitaries):
-            s4 = sup.reshape(d, d, d, d)
-            states = np.einsum("klxy,nxy->nkl", s4, states)
-            states = np.einsum("nab,nbc,ndc->nad", us, states, us.conj())
-        sys = np.einsum("n,nab->ab", self.weights, states)
-        return sys, None
-
-    def comb(self) -> Array:
-        return _link_product(self.states0[0], self.unitaries, self.weights,
-                             self.d, 1)
+        steps = [model.conditional_unitary(nodes, t0, t1) for t0, t1 in intervals]
+        joint0, e, n = model.initial_system, 1, weights.size
+    unitaries = [_check_unitary(u, d * e, n) for u in steps]
+    return weights, as_operator(joint0), unitaries, e
 
 
 def _link_product(rho0: Array, unitaries: Sequence[Array], weights: Array,
@@ -226,12 +208,6 @@ def _link_product(rho0: Array, unitaries: Sequence[Array], weights: Array,
     return cols @ cols.conj().T
 
 
-def _make_engine(model: SEModel, times: tuple[float, ...]):
-    if model.kind == "quantum":
-        return _QuantumEngine(model, times)
-    return _ClassicalEngine(model, times)
-
-
 def simulate_sequence(model: SEModel, times, controls):
     """Run one control sequence, one QuantumMap per step, through the
     dilation on the time tags ``times``.
@@ -243,9 +219,18 @@ def simulate_sequence(model: SEModel, times, controls):
     """
     times = checked_times(times)
     maps = checked_controls(controls, len(times) - 1, model.system_dim)
-    sys, joint = _make_engine(model, times).run(
-        [m.superoperator for m in maps])
-    return DensityMatrix(sys), None if joint is None else DensityMatrix(joint)
+    weights, joint0, unitaries, e = _dilation(model, times)
+    d, n = model.system_dim, weights.size
+    joint = np.broadcast_to(joint0, (n,) + joint0.shape)
+    for qmap, u in zip(maps, unitaries):
+        s4 = qmap.superoperator.reshape(d, d, d, d)
+        joint = np.einsum("klxy,nxayb->nkalb", s4, joint.reshape(n, d, e, d, e))
+        joint = u @ joint.reshape(n, d * e, d * e) @ u.conj().swapaxes(-1, -2)
+    sys = np.einsum("n,nab->ab", weights,
+                    np.trace(joint.reshape(n, d, e, d, e), axis1=2, axis2=4))
+    if model.kind == "classical":
+        return DensityMatrix(sys), None
+    return DensityMatrix(sys), DensityMatrix(joint[0])
 
 
 def build_process_tensor(model: SEModel, times) -> ProcessTensor:
@@ -268,7 +253,9 @@ def build_process_tensor(model: SEModel, times) -> ProcessTensor:
         raise ValidationError("process tensors need at least one step")
     d = model.system_dim
     check_tensor_size(d, k)
-    return ProcessTensor(_make_engine(model, times).comb(), d, times)
+    weights, joint0, unitaries, e = _dilation(model, times)
+    return ProcessTensor(_link_product(joint0, unitaries, weights, d, e),
+                         d, times)
 
 
 # ---------------------------------------------------------------------------

@@ -225,18 +225,21 @@ class ProcessTensor:
                 f"{n_steps} steps of dimension {self.system_dim}")
         # scanned and symmetrized in row blocks, so an exactly Hermitian
         # input makes no full-size temporary; np.maximum carries a NaN
-        # through and the check passes in its own direction, so NaN fails
+        # through and the check passes in its own direction, so NaN fails.
+        # A difference of finite entries that overflows reads as inf; the
+        # mean halves before it adds, so finite entries keep a finite mean.
         blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, dim, _ROW_BLOCK)]
         asym = 0.0
-        for rows in blocks:
-            asym = np.maximum(
-                asym, np.abs(choi[rows] - choi[:, rows].conj().T).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in blocks:
+                asym = np.maximum(
+                    asym, np.abs(choi[rows] - choi[:, rows].conj().T).max())
         if not asym <= 1e-8:
             raise ValidationError(f"choi asymmetry {asym:.3e} exceeds 1e-8")
         if asym:
             herm = np.empty_like(choi)
             for rows in blocks:
-                herm[rows] = (choi[rows] + choi[:, rows].conj().T) / 2
+                herm[rows] = choi[rows] / 2 + choi[:, rows].conj().T / 2
             choi = herm
         self.choi = choi
         self.legs = LegShape(dims=(self.system_dim,) * n_legs,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,32 @@ def test_analyze_non_hermitian_blob_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: choi asymmetry")
 
 
+@pytest.mark.parametrize("entries, message", [
+    ({(0, 1): 1.7e308, (1, 0): -1.7e308}, "choi asymmetry inf"),
+    ({(0, 1): 1.7e308, (1, 0): 1.7e308, (2, 3): 0.1 + 1e-9, (3, 2): 0.1},
+     "not a causal comb"),
+], ids=["opposite", "symmetrized"])
+def test_analyze_overflowing_asymmetry_exit_3(tmp_path, capsys, b2_pt,
+                                              entries, message):
+    """Finite entries near 1.7e308 in a B.2 tensor: where (0, 1) and
+    (1, 0) differ by more than the largest double the Hermiticity scan
+    reads an infinite asymmetry; where they agree, but a tiny asymmetry
+    elsewhere makes the constructor symmetrize, their mean stays finite.
+    Both files are refused with exit 3, without a numpy overflow warning."""
+    path = tmp_path / "asym.ptf"
+    b2_pt.save(path)
+    line, blob = path.read_bytes().split(b"\n", 1)
+    raw = np.frombuffer(blob, dtype="<f8").copy()
+    for (i, j), value in entries.items():
+        raw[2 * (i * b2_pt.dim + j)] = value  # real parts
+    _write_ptf(path, json.loads(line), raw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", str(path)]) == 3
+    assert not caught, [str(w.message) for w in caught]
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_analyze_non_causal_blob_exit_3(tmp_path, capsys):
     """A B.2 tensor with its legs reversed is Hermitian and PSD, but its
     final output no longer traces out to the earlier steps."""
@@ -522,13 +549,15 @@ def test_analyze_overflowing_trace_exit_3(tmp_path, capsys, b2_pure_pt3,
     ["simulate", "b1", {"rho0": [[[0.5, 0], [math.nan, 0]],
                                  [[0, 0], [0.5, 0]]]}],
     ["simulate", "b1", {"dephasing_axis": ["z"]}],
+    ["simulate", "b1", {"rho0": [[[1 / 3, 0] if i == j else [0, 0]
+                                  for j in range(3)] for i in range(3)]}],
     ["examples", "b1", "--gamma-g", "nan"],
 ], ids=["b2-nan-state", "b3-inf-state", "markov-nan-state", "b1-nan-state",
-        "b1-list-axis", "examples-b1-nan-gamma"])
+        "b1-list-axis", "b1-qutrit-state", "examples-b1-nan-gamma"])
 def test_cli_malformed_input_exit_2(tmp_path, capsys, argv):
     """Non-finite state entries (JSON's NaN and Infinity), an unhashable
-    dephasing axis and a NaN bound end in exit 2 with an error line, not
-    in a traceback."""
+    dephasing axis, a qutrit state for the qubit model B.1 and a NaN bound
+    end in exit 2 with an error line, not in a traceback."""
     if argv[0] == "simulate":
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": argv[1], "params": argv[2],

@@ -263,13 +263,25 @@ def test_from_tomography_identity_single_step(basis2):
     assert np.abs(pt.choi - expected).max() <= 1e-9
 
 
-def test_tomography_round_trip_b2(b2_model, b2_pt, basis2):
-    grid = (0.0, math.pi / 4, math.pi / 2)
+def test_tomography_round_trip_b2(b1_model, b2_model, b2_pt, basis2):
+    """pt.apply equals simulate_sequence on random controls: for B.2, for
+    B.1 at K = 3 through the random-field ensemble, and for a qutrit
+    dilation on a qubit environment."""
+    qrng = np.random.default_rng(61)
+    qutrit = SEModel(system_dim=3, env_dim=2,
+                     initial_joint=random_density(6, qrng),
+                     step_unitaries=(random_unitary(6, qrng),
+                                     random_unitary(6, qrng)))
+    b1_grid, qutrit_grid = (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0)
+    cases = [(b2_model, (0.0, math.pi / 4, math.pi / 2), b2_pt),
+             (b1_model, b1_grid, build_process_tensor(b1_model, b1_grid)),
+             (qutrit, qutrit_grid, build_process_tensor(qutrit, qutrit_grid))]
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        seq = random_control_sequence(2, 2, rng)
-        direct, _ = simulate_sequence(b2_model, grid, seq)
-        assert np.abs(b2_pt.apply(seq).matrix - direct.matrix).max() <= 1e-9
+    for model, grid, pt in cases:
+        for _ in range(20):
+            seq = random_control_sequence(model.system_dim, pt.n_steps, rng)
+            direct, _ = simulate_sequence(model, grid, seq)
+            assert np.abs(pt.apply(seq).matrix - direct.matrix).max() <= 1e-9
 
 
 def test_b3_tensor_matches_analytic_product(b3_pt, b3_states):
