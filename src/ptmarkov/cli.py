@@ -236,8 +236,7 @@ def cmd_analyze(args) -> int:
         report["analyses"]["divisibility"] = rep.as_dict()
     measure = None
     if "measure" in analyses:
-        measure = non_markovianity(pt, metric=args.metric,
-                                   bond_cutoff=bond_cutoff)
+        measure = non_markovianity(pt, bond_cutoff=bond_cutoff)
         report["analyses"]["measure"] = measure.as_dict()
         for n in range(0, 21):
             csv_rows.append(("confusion", float(n), measure.confusion(n)))
@@ -263,9 +262,11 @@ def cmd_analyze(args) -> int:
             "table": cp.as_dict(),
         }
     report["provenance"] = {
+        # ptr-report-v1 hashes the measure name, fixed as there is one measure
         "config_sha256": _sha256_obj({
             "analyses": analyses, "tol": tol, "bond_cutoff": bond_cutoff,
-            "metric": args.metric, "exhaustive": bool(args.exhaustive)}),
+            "metric": "relative_entropy",
+            "exhaustive": bool(args.exhaustive)}),
         "basis_id": basis.label,
         "wall_time_s": round(time.perf_counter() - t_start, 6),
     }
@@ -446,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--classical", action="store_true")
     p_an.add_argument("--tol", type=float, default=None)
     p_an.add_argument("--bond-cutoff", type=float, default=None)
-    p_an.add_argument("--metric", default="relative_entropy",
-                      choices=["relative_entropy", "trace_distance"])
     p_an.add_argument("--exhaustive", action="store_true")
     p_an.add_argument("-o", "--output", default=None)
     p_an.add_argument("--csv", default=None)

@@ -1,7 +1,9 @@
-"""Default numerical tolerances and guards.
+"""Numerical tolerances and guards.
 
-All values are for double precision and noiseless simulated data; entry
-points that consume them expose keyword or CLI overrides.
+All values are for double precision and noiseless simulated data. Two are
+user settings: MARKOV_TOL and BOND_CUTOFF are the defaults of the analyses'
+``tol`` and ``cutoff`` (``bond_cutoff``) keywords and of ``ptr analyze
+--tol`` and ``--bond-cutoff``. The rest are fixed.
 """
 
 # Validation tolerances for states and maps.

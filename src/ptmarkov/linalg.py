@@ -125,12 +125,12 @@ def hermitize(m: Array, atol: float = HERMITIAN_ATOL) -> Array:
     return (m + m.conj().T) / 2
 
 
-def hermitian_eig(m: Array, atol: float = HERMITIAN_ATOL) -> tuple[Array, Array]:
+def hermitian_eig(m: Array) -> tuple[Array, Array]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ascending real eigenvalues and the unitary eigenvector matrix.
     """
-    w, v = np.linalg.eigh(hermitize(m, atol))
+    w, v = np.linalg.eigh(hermitize(m))
     return w, v
 
 
@@ -143,9 +143,9 @@ def trace_norm_distance(a: Array, b: Array) -> float:
     return float(np.linalg.svd(a - b, compute_uv=False).sum())
 
 
-def sqrtm_psd(m: Array, atol: float = HERMITIAN_ATOL) -> Array:
+def sqrtm_psd(m: Array) -> Array:
     """Principal square root of a PSD Hermitian matrix."""
-    w, v = hermitian_eig(m, atol)
+    w, v = hermitian_eig(m)
     if w.min() < -PSD_ATOL:
         raise NotPositive(f"eigenvalue {w.min():.3e} below -{PSD_ATOL:.1e}")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

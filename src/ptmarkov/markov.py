@@ -30,10 +30,9 @@ from .linalg import (
     hermitize,
     partial_trace,
     tensor_product,
-    trace_norm_distance,
 )
 from .process_tensor import ProcessTensor, default_break
-from .qops import CausalBreak, Instrument, OperationBasis, QuantumMap
+from .qops import Instrument, OperationBasis, QuantumMap
 
 __all__ = [
     "MarkovReport",
@@ -131,9 +130,7 @@ class DivisibilityReport:
 @dataclass(frozen=True)
 class MeasureReport:
     n_value: float
-    metric: str
     bond_dims: tuple[int, ...]
-    is_upper_bound: bool = False
 
     def confusion(self, n: int) -> float:
         return confusion_probability(self.n_value, n)
@@ -141,8 +138,9 @@ class MeasureReport:
     def as_dict(self) -> dict:
         return {
             "n_value": self.n_value,
-            "metric": self.metric,
-            "is_upper_bound": self.is_upper_bound,
+            # fixed fields of the ptr-report-v1 contract: one exact measure
+            "metric": "relative_entropy",
+            "is_upper_bound": False,
             "bond_dims": list(self.bond_dims),
         }
 
@@ -161,9 +159,11 @@ class ClassicalProcess:
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
         object.__setattr__(self, "table", t)
-        if t.min() < -1e-9:
-            raise ValidationError(f"negative probability {t.min():.3e}")
-        if abs(t.sum() - 1.0) > 1e-9:
+        if t.size == 0:
+            raise ValidationError("empty outcome table")
+        if not t.min() >= -1e-9:
+            raise ValidationError(f"negative or NaN probability {t.min():.3e}")
+        if not abs(t.sum() - 1.0) <= 1e-9:
             raise ValidationError(f"table sums to {t.sum()}, not 1")
 
     def as_dict(self) -> dict:
@@ -226,16 +226,17 @@ def _diameter(p: Array) -> tuple[float, int, int]:
     correctly rounded, monotone ``sqrt`` is returned; for d > 2 it is the
     trace norm ``svd(rho_i - rho_j).sum()``, i < j, of the states the
     points view: the numbers ``trace_norm_distance`` gives pair by pair.
-    ``best`` starts at the seed pair's: the point farthest from the
-    centroid and the point whose leaf value against it is largest. Two
-    exact filters then cut the search, with one test (``reach``) that
-    bounds the trace distance by factor * x for a Euclidean bound x; the
-    factor is 1 for qubits and sqrt(d) for d > 2, as ||X||_1 <= sqrt(d)
-    ||X||_F for any d x d matrix. A radial prefilter drops every point
-    whose radius r_x about the bounding-box midpoint cannot reach ``best``
-    (a pair is at most r_i + r_max apart), and the dual tree on the
-    survivors (``_dual_tree``) drops every cell pair whose box bound cannot
-    reach it. The survivors keep their ascending indices, and the test
+    ``best`` starts at the leaf value of one seed pair: the point farthest
+    from the centroid and the point farthest from it in Euclidean
+    distance. Two exact filters then cut the search, with one test
+    (``reach``) that bounds the trace distance by factor * x for a
+    Euclidean bound x; the factor is 1 for qubits and sqrt(d) for d > 2,
+    as ||X||_1 <= sqrt(d) ||X||_F for any d x d matrix. Any pair's leaf
+    value is a valid start, so the result does not depend on the seed.
+    A radial prefilter drops every point whose radius r_x about the
+    bounding-box midpoint cannot reach ``best`` (a pair is at most
+    r_i + r_max apart), and the dual tree on the survivors (``_dual_tree``)
+    drops every cell pair whose box bound cannot reach it. The survivors keep their ascending indices, and the test
     keeps every tie, so the leaves alone apply the first-pair rule.
 
     The rounding margins. With u = 2**-53, gradual underflow and D
@@ -283,16 +284,14 @@ def _diameter(p: Array) -> tuple[float, int, int]:
     lo, hi = p.min(axis=0), p.max(axis=0)
     if n < 2 or not (hi > lo).any():
         return (0.0, 0, 0)
-    i = np.argmax(((p - p.mean(axis=0)) ** 2).sum(axis=-1), keepdims=True)
-    seed = leaf(i, np.arange(n))
-    j = int(np.argmax(seed))
-    best = float(seed[j])
+    i = int(np.argmax(((p - p.mean(axis=0)) ** 2).sum(axis=-1)))
+    j = int(np.argmax(((p - p[i]) ** 2).sum(axis=-1)))
+    best = float(leaf(i, j))
     kept = np.arange(n)
     if math.isfinite(best):
         r = np.sqrt(((p - (lo + hi) / 2) ** 2).sum(axis=-1))
         kept = kept[reach(r + r.max(), best)]
-    best, wi, wj = _dual_tree(p, kept, leaf, reach, best,
-                              *sorted((int(i[0]), j)))
+    best, wi, wj = _dual_tree(p, kept, leaf, reach, best, *sorted((i, j)))
     if best == 0.0:
         return (0.0, 0, 0)
     return (root(best), wi, wj)
@@ -312,11 +311,13 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
     the leaves, of at most ``_CELL_COORDS`` coordinates, it then halves at
     the median of its widest axis every cell that a surviving pair
     references, renumbered in order so that each pair keeps its lower cell
-    first, and replaces each pair by its child pairs; at the leaves it
-    scans the pairs in descending order of bound, pruning as it goes. When
-    the kept count is not a multiple of the leaf count, the lowest kept
-    indices are repeated to fill the cells; a repeated point adds no new
-    distance and no new pair.
+    first, and replaces each pair by its child pairs. At the leaves it
+    walks the pairs once in descending order of bound, ``_PAIR_BATCH`` at a
+    time, and evaluates the pairs of each batch whose bound reaches the
+    ``best`` found so far; a bound that is not finite always does. When the
+    kept count is not a multiple of the leaf count, the lowest kept indices
+    are repeated to fill the cells; a repeated point adds no new distance
+    and no new pair.
     """
     (n, width), m = p.shape, kept.size
     n_cells = 1 << max(0, math.ceil(math.log2(m * width / _CELL_COORDS)))
@@ -346,9 +347,12 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
         keep = ca <= cc
         ca, cc = ca[keep], cc[keep]
 
-    todo = np.argsort(-bound)
-    while todo.size:
-        batch, todo = todo[:_PAIR_BATCH], todo[_PAIR_BATCH:]
+    order = np.argsort(-bound)
+    for start in range(0, order.size, _PAIR_BATCH):
+        batch = order[start:start + _PAIR_BATCH]
+        batch = batch[reach(np.sqrt(bound[batch]), best)]
+        if batch.size == 0:
+            continue
         i, j = cells[ca[batch], :, None], cells[cc[batch], None]
         value = leaf(i, j)
         top = float(value.max())
@@ -357,15 +361,12 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
             i, j = divmod(int(first.min()), n)
             if top > best or (i, j) < (wi, wj):
                 best, wi, wj = top, i, j
-        todo = todo[reach(np.sqrt(bound[todo]), best)]
     return best, wi, wj
 
 
 def markov_test(pt: ProcessTensor, basis: OperationBasis,
-                break_set: CausalBreak | None = None,
                 tol: float = MARKOV_TOL,
-                exhaustive: bool = False,
-                prob_floor: float = PROBABILITY_FLOOR) -> MarkovReport:
+                exhaustive: bool = False) -> MarkovReport:
     """Causal-break sweep for operational Markovianity.
 
     For every break position k in [1, K-1] and readout step l > k, every
@@ -389,8 +390,7 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     """
     n_steps = pt.n_steps
     d = pt.system_dim
-    if break_set is None:
-        break_set = default_break(d)
+    break_set = default_break(d)
     n_basis = len(basis)
     basis_vecs = basis.choi_vectors
     # break realization (r, s) has Choi  P_s (x) Pi_r^T
@@ -419,7 +419,7 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
         outs = pt.contract([basis_vecs] * k + [break_vecs], l).reshape(
             -1, n_out, n_prep, d, d)
         probs = np.einsum("prsaa->prs", outs).real
-        kept = probs > prob_floor
+        kept = probs > PROBABILITY_FLOOR
         skipped += kept.size - int(np.count_nonzero(kept))
         for s in range(n_prep):
             rows = np.flatnonzero(kept[:, :, s])  # flat (past, r) indices
@@ -533,14 +533,13 @@ def _entropy(w: Array) -> float:
     return float(-(w * np.log(w)).sum())
 
 
-def non_markovianity(pt: ProcessTensor, metric: str = "relative_entropy",
+def non_markovianity(pt: ProcessTensor,
                      bond_cutoff: float = BOND_CUTOFF) -> MeasureReport:
-    """Distance from the unit-trace-normalized tensor rho to the closest
-    memoryless one, in nats and clamped at 0.
+    """Relative entropy from the unit-trace-normalized tensor rho to the
+    closest memoryless one, in nats and clamped at 0.
 
-    For relative entropy the minimizer over product structures is the
-    product of the normalized block marginals rho_b, so the measure is the
-    multi-information
+    The minimizer over product structures is the product of the normalized
+    block marginals rho_b, so the measure is the multi-information
 
         N = sum_b S(rho_b) - S(rho),
 
@@ -551,13 +550,9 @@ def non_markovianity(pt: ProcessTensor, metric: str = "relative_entropy",
     from the spectrum of a d**2 x d**2 (or d x d) marginal. The relative
     entropy is +inf when rho has weight outside the support of sigma;
     that cannot happen here, since the support of rho lies inside the
-    support of the product of its marginals. The
-    trace-distance variant builds the product sigma, uses the same
-    candidate and is reported as an upper bound. Both read ``pt.choi``
-    as stored, since a ProcessTensor is Hermitian by construction.
+    support of the product of its marginals. It reads ``pt.choi`` as
+    stored, since a ProcessTensor is Hermitian by construction.
     """
-    if metric not in ("relative_entropy", "trace_distance"):
-        raise ValidationError(f"unknown metric {metric!r}")
     tr = pt.trace
     marginals = _block_marginals(pt, pt.choi)
     traces = [tr] + [float(np.trace(m).real) for m in marginals]
@@ -566,30 +561,24 @@ def non_markovianity(pt: ProcessTensor, metric: str = "relative_entropy",
             f"measure needs a positive finite trace on the tensor and every "
             f"block marginal, got {traces}")
     marginals = [m / t for m, t in zip(marginals, traces[1:])]
-    if metric == "relative_entropy":
-        n_value = sum(_entropy(np.linalg.eigvalsh(m)) for m in marginals) \
-            - _entropy(pt.spectrum / tr)
-        upper = False
-    else:
-        n_value = trace_norm_distance(pt.choi / tr, tensor_product(*marginals))
-        upper = True
+    n_value = sum(_entropy(np.linalg.eigvalsh(m)) for m in marginals) \
+        - _entropy(pt.spectrum / tr)
     if n_value < -1e-10:
         raise ValidationError(f"measure came out negative: {n_value}")
     return MeasureReport(
         n_value=max(0.0, float(n_value)),
-        metric=metric,
         bond_dims=tuple(bond_dimension(pt, cutoff=bond_cutoff)),
-        is_upper_bound=upper,
     )
 
 
 def confusion_probability(n_value: float, n: int) -> float:
     """exp(-n * N): the chance of mistaking the process for a memoryless
     hypothesis after n measurements of its Choi state."""
-    if n < 0:
-        raise ValidationError("measurement count must be nonnegative")
-    if n_value < 0:
-        raise ValidationError("the measure must be nonnegative")
+    if not 0 <= n < math.inf:
+        raise ValidationError(
+            f"measurement count must be finite and nonnegative, got {n!r}")
+    if not n_value >= 0:
+        raise ValidationError(f"the measure must be nonnegative, got {n_value!r}")
     if n == 0:
         return 1.0
     return float(math.exp(-n * n_value))
@@ -689,7 +678,6 @@ def classical_process(pt: ProcessTensor, instruments: Sequence[Instrument],
 
 
 def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,
-                           prob_floor: float = PROBABILITY_FLOOR,
                            marginal_tables: dict | None = None
                            ) -> ClassicalCheck:
     """Check the classical Markov chain condition on the outcome table.
@@ -699,7 +687,8 @@ def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,
     ``marginal_tables`` optionally maps tuples of retained time indices to
     separately measured tables; Kolmogorov consistency then requires each
     to equal the corresponding marginal of the full table (vacuously true
-    when none are supplied).
+    when none are supplied); a table of another shape than that marginal
+    raises DimensionMismatch.
     """
     table = cp.table
     n_axes = table.ndim
@@ -711,10 +700,10 @@ def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,
         pair = joint.sum(axis=tuple(range(0, m - 1)))  # (r_{m-1}, r_m)
         pair_norm = pair.sum(axis=-1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
-            cond_pair = np.where(pair_norm > prob_floor, pair / pair_norm, np.nan)
+            cond_pair = np.where(pair_norm > PROBABILITY_FLOOR, pair / pair_norm, np.nan)
         hist_norm = joint.sum(axis=-1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
-            cond_hist = np.where(hist_norm > prob_floor, joint / hist_norm, np.nan)
+            cond_hist = np.where(hist_norm > PROBABILITY_FLOOR, joint / hist_norm, np.nan)
         diff = np.abs(cond_hist - cond_pair.reshape(
             (1,) * (m - 1) + cond_pair.shape))
         if not np.isnan(diff).all():
@@ -725,7 +714,12 @@ def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,
             keep = tuple(sorted(keep))
             drop = tuple(i for i in range(n_axes) if i not in keep)
             marg = table.sum(axis=drop) if drop else table
-            if np.abs(marg - np.asarray(sub, dtype=float)).max() > tol:
+            sub = np.asarray(sub, dtype=float)
+            if sub.shape != marg.shape:
+                raise DimensionMismatch(
+                    f"marginal table for {keep} has shape {sub.shape}, "
+                    f"not {marg.shape}")
+            if not np.abs(marg - sub).max() <= tol:
                 kolmogorov_ok = False
     return ClassicalCheck(is_markov=bool(max_violation <= tol),
                           max_violation=max_violation,

@@ -415,8 +415,8 @@ class ProcessTensor:
     # -- conditional states ----------------------------------------------------
 
     def conditional_state(self, k: int, prep_index: int, povm_outcome: int,
-                          past=(), future=(), break_set: CausalBreak | None = None,
-                          prob_floor: float = PROBABILITY_FLOOR) -> ConditionalState:
+                          past=(), future=(), break_set: CausalBreak | None = None
+                          ) -> ConditionalState:
         """State at t_l after a causal break at slot k, where
         l = k + 1 + len(future).
 
@@ -440,9 +440,10 @@ class ProcessTensor:
         maps = checked_controls(past + [break_map] + future, l, d)
         out = self.contract(_rows(m.choi for m in maps), l)[0]
         p = float(np.trace(out).real)
-        if p <= prob_floor:
+        if p <= PROBABILITY_FLOOR:
             raise UnresolvableConditional(
-                f"outcome probability {p:.3e} at or below floor {prob_floor:.1e}")
+                f"outcome probability {p:.3e} at or below floor "
+                f"{PROBABILITY_FLOOR:.1e}")
         state = DensityMatrix(out / p)
         record = {
             "break_slot": k,
@@ -512,10 +513,7 @@ def default_break(d: int) -> CausalBreak:
 # ---------------------------------------------------------------------------
 
 def from_tomography(records, basis: OperationBasis, d: int, k: int,
-                    times: Sequence[float] | None = None,
-                    psd_clip: float = PSD_CLIP,
-                    spot_check: int = 16,
-                    check_tol: float = 1e-9) -> ProcessTensor:
+                    times: Sequence[float] | None = None) -> ProcessTensor:
     """Reconstruct a K-step tensor from a complete basis-product sweep.
 
     ``records`` holds pairs ``(key, output)`` where ``key`` is the tuple of
@@ -525,7 +523,8 @@ def from_tomography(records, basis: OperationBasis, d: int, k: int,
 
         Upsilon = sum_mu  rho(mu) (x) D*_{mu_{k-1}} (x) ... (x) D*_{mu_0},
 
-    followed by a PSD repair that clips eigenvalues in [-psd_clip, 0).
+    followed by a PSD repair that clips eigenvalues in [-PSD_CLIP, 0) and
+    a spot check of 16 evenly spaced records against the result.
     """
     if d != basis.dimension:
         raise DimensionMismatch(f"basis dimension {basis.dimension} != {d}")
@@ -569,10 +568,10 @@ def from_tomography(records, basis: OperationBasis, d: int, k: int,
     ups = (ups + ups.conj().T) / 2
 
     w, v = np.linalg.eigh(ups)
-    if w.min() < -psd_clip:
+    if w.min() < -PSD_CLIP:
         raise TomographyDataError(
             f"reconstruction not PSD: eigenvalue {w.min():.3e} below "
-            f"-{psd_clip:.1e} (inconsistent records)")
+            f"-{PSD_CLIP:.1e} (inconsistent records)")
     if w.min() < 0:
         tr_before = ups.trace().real
         w = np.clip(w, 0.0, None)
@@ -583,13 +582,11 @@ def from_tomography(records, basis: OperationBasis, d: int, k: int,
 
     pt = ProcessTensor(ups, d, times if times is not None else range(k + 1))
 
-    if spot_check and count:
-        flat = [tuple(idx) for idx in np.ndindex(shape)]
-        stride = max(1, len(flat) // spot_check)
-        for key in flat[::stride][:spot_check]:
-            got = pt.contract(_rows(basis.elements[i].choi for i in key))[0]
-            err = np.abs(got - table[key]).max()
-            if err > check_tol:
-                raise TomographyDataError(
-                    f"reconstruction mismatch {err:.3e} at key {key}")
+    flat = list(np.ndindex(shape))
+    for key in flat[::max(1, len(flat) // 16)][:16]:
+        got = pt.contract(_rows(basis.elements[i].choi for i in key))[0]
+        err = np.abs(got - table[key]).max()
+        if err > 1e-9:
+            raise TomographyDataError(
+                f"reconstruction mismatch {err:.3e} at key {key}")
     return pt

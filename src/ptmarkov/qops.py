@@ -55,8 +55,8 @@ class DensityMatrix:
     of the conditioning event that produced them.
     """
 
-    def __init__(self, matrix, atol: float = HERMITIAN_ATOL):
-        m = hermitize(as_operator(matrix), atol)
+    def __init__(self, matrix):
+        m = hermitize(as_operator(matrix))
         w = np.linalg.eigvalsh(m)
         if not w.min() >= -PSD_ATOL:
             raise NotPositive(f"state eigenvalue {w.min():.3e} below -{PSD_ATOL:.1e}")
@@ -362,10 +362,10 @@ def ic_frame_states(d: int) -> list[Array]:
     return [np.outer(k, k.conj()) for k in kets]
 
 
-def _dual_frame(vectors: Array, cutoff: float) -> Array:
+def _dual_frame(vectors: Array) -> Array:
     """Columns biorthogonal to the frame columns: duals† frame = identity."""
     gram = vectors.conj().T @ vectors
-    return vectors @ np.linalg.pinv(gram, rcond=cutoff, hermitian=True)
+    return vectors @ np.linalg.pinv(gram, rcond=FRAME_CUTOFF, hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -395,7 +395,7 @@ class OperationBasis:
         return np.stack([du.conj().reshape(d, d, d, d) for du in self.duals])
 
 
-def ic_basis(d: int, cutoff: float = FRAME_CUTOFF) -> OperationBasis:
+def ic_basis(d: int) -> OperationBasis:
     """The default informationally complete operation basis.
 
     Element (mu, nu) at flat index ``mu * d**2 + nu`` is
@@ -411,9 +411,9 @@ def ic_basis(d: int, cutoff: float = FRAME_CUTOFF) -> OperationBasis:
     vecs = np.stack([e.choi.reshape(-1) for e in elements], axis=1)
     gram = vecs.conj().T @ vecs
     svals = np.linalg.svd(gram, compute_uv=False)
-    if (svals > cutoff * svals.max()).sum() < d ** 4:
+    if (svals > FRAME_CUTOFF * svals.max()).sum() < d ** 4:
         raise SingularFrame("operation frame Gram is rank deficient")
-    dual_cols = _dual_frame(vecs, cutoff)
+    dual_cols = _dual_frame(vecs)
     duals = tuple(dual_cols[:, i].reshape(d * d, d * d) for i in range(d ** 4))
     return OperationBasis(
         dimension=d,

@@ -656,10 +656,25 @@ def test_analyze_full_report(tmp_path):
     assert analyses["markov"]["is_markov"] is False
     assert analyses["divisibility"]["max_defect"] > 0.0
     assert analyses["measure"]["n_value"] > 0.0
+    assert analyses["measure"]["metric"] == "relative_entropy"
+    assert analyses["measure"]["is_upper_bound"] is False
     assert analyses["bonddim"]["bond_dims"][1] > 1
     assert analyses["classical"]["max_violation"] > 0.1
     header = csv_path.read_text().splitlines()[0]
     assert header == "series,x,y"
+
+
+def test_analyze_metric_option_is_usage_error(tmp_path, capsys, b2_pt):
+    """The relative entropy is the one measure: ``--metric`` is an unknown
+    option, a usage error with exit 2 and no traceback."""
+    path = tmp_path / "b2.ptf"
+    b2_pt.save(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(path), "--metric", "trace_distance"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --metric" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_all_clear_on_memoryless(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ptmarkov import (
     ClassicalProcess,
+    DimensionMismatch,
     NotPositive,
     ProcessTensor,
     QuantumMap,
@@ -451,20 +452,20 @@ def test_general_diameter_bit_identical_to_loop(kind):
         assert scale < got[0] < 100 * scale
 
 
-def _qutrit_dilation(kind):
-    """A seeded qutrit K = 2 dilation: memoryless (``model_markov``) or a
+def _qutrit_dilation(kind, k=2):
+    """A seeded qutrit K-step dilation: memoryless (``model_markov``) or a
     random joint unitary on a qubit environment from a random joint
     state, which carries memory."""
     rng = np.random.default_rng(15)
     if kind == "markov":
-        model = model_markov(random_control_sequence(3, 2, rng, kraus_rank=2),
+        model = model_markov(random_control_sequence(3, k, rng, kraus_rank=2),
                              random_density(3, rng))
     else:
         model = SEModel(system_dim=3, env_dim=2,
                         initial_joint=random_density(6, rng),
-                        step_unitaries=(random_unitary(6, rng),
-                                        random_unitary(6, rng)))
-    return build_process_tensor(model, range(3))
+                        step_unitaries=tuple(random_unitary(6, rng)
+                                             for _ in range(k)))
+    return build_process_tensor(model, range(k + 1))
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +504,47 @@ def test_general_diameter_bit_identical_on_qutrit_sweeps(kind, qutrit_sweeps):
     for states in groups:
         assert len(states) == 729
         assert _diameter(_points(states)) == diameter_general_batched(states)
+
+
+def test_general_diameter_bit_identical_on_qutrit_k3_group(basis3,
+                                                           monkeypatch):
+    """On 1 000 states drawn from the first group of the seeded qutrit
+    K = 3 joint unitary (59 049 states, diameter 1.946), the value and the
+    first pair equal the batched all-pairs scan's, bit for bit."""
+    import ptmarkov.markov as markov
+
+    class Captured(Exception):
+        pass
+
+    groups = []
+
+    def capture(states):
+        groups.append(states)
+        raise Captured
+
+    monkeypatch.setattr(markov, "_points", capture)
+    with pytest.raises(Captured):
+        markov_test(_qutrit_dilation("joint", k=3), basis3)
+    monkeypatch.undo()
+    group = groups[0]
+    assert len(group) == 59049
+    states = group[np.random.default_rng(3).choice(len(group), 1000,
+                                                   replace=False)]
+    got = markov._diameter(markov._points(states))
+    assert got == diameter_general_batched(states)
+    assert got[0] > 1.9
+
+
+def test_general_diameter_seed_runs_one_svd(monkeypatch):
+    """Design tripwire: the d > 2 seed decomposes one matrix, the pair it
+    picks by Euclidean distance, not a row of n."""
+    import ptmarkov.markov as markov
+    states = _qutrit_group("random", np.random.default_rng(72))
+    svd, matrices = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+        matrices.append(math.prod(a.shape[:-2])) or svd(a, *args, **kwargs)))
+    markov._diameter(markov._points(states))
+    assert matrices[0] == 1 and len(states) == 150
 
 
 def test_qutrit_markov_test_runs_few_svds(basis3, monkeypatch):
@@ -704,20 +746,13 @@ def test_measure_rejects_non_psd_tensor(b2_pt):
         non_markovianity(pt)
 
 
-@pytest.mark.parametrize("metric", ["relative_entropy", "trace_distance"])
-def test_measure_rejects_zero_trace_tensor(metric):
+def test_measure_rejects_zero_trace_tensor():
     """A zero tensor has no state to normalize; the measure says so
     instead of eigensolving NaNs (`ptf.load` refuses such a file first)."""
     pt = ProcessTensor(np.zeros((8, 8)), 2, (0.0, 1.0))
     with pytest.raises(ValidationError,
                        match="measure needs a positive finite trace"):
-        non_markovianity(pt, metric=metric)
-
-
-def test_measure_trace_distance_variant(b3_pt):
-    rep = non_markovianity(b3_pt, metric="trace_distance")
-    assert rep.is_upper_bound
-    assert rep.n_value > 0.0
+        non_markovianity(pt)
 
 
 def test_relative_entropy_support_violation():
@@ -773,6 +808,12 @@ def test_confusion_probability_values():
         confusion_probability(-1.0, 1)
     with pytest.raises(ValidationError):
         confusion_probability(1.0, -1)
+
+
+@pytest.mark.parametrize("n_value, n", [(math.nan, 5), (0.1, math.nan)])
+def test_confusion_probability_refuses_nan(n_value, n):
+    with pytest.raises(ValidationError):
+        confusion_probability(n_value, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,6 +1080,27 @@ def test_classical_kolmogorov_marginals(b3_pt):
     assert classical_markov_check(cp, marginal_tables=good).kolmogorov_ok
     bad = {(0, 1): np.full((2, 2), 0.25)}
     assert not classical_markov_check(cp, marginal_tables=bad).kolmogorov_ok
+
+
+def test_classical_kolmogorov_nan_marginal_fails(b3_pt):
+    inst = computational_reprepare_instrument(2)
+    cp = classical_process(b3_pt, [inst, inst], final_povm=[P0, P1])
+    nan = {(0, 1): np.full((2, 2), math.nan)}
+    assert not classical_markov_check(cp, marginal_tables=nan).kolmogorov_ok
+
+
+def test_classical_kolmogorov_wrong_shape_raises(b3_pt):
+    """A marginal table of the wrong shape is refused, not broadcast."""
+    inst = computational_reprepare_instrument(2)
+    cp = classical_process(b3_pt, [inst, inst], final_povm=[P0, P1])
+    with pytest.raises(DimensionMismatch, match="shape"):
+        classical_markov_check(cp, marginal_tables={(0,): [0.5]})
+
+
+@pytest.mark.parametrize("table", [[math.nan, 1.0], []], ids=["nan", "empty"])
+def test_classical_process_refuses_bad_table(table):
+    with pytest.raises(ValidationError):
+        ClassicalProcess(table=table, outcome_labels=(("0", "1"),))
 
 
 def test_classical_without_final_measurement(b3_pt):

@@ -1,6 +1,9 @@
+import argparse
+import inspect
 import types
 
 import ptmarkov
+from ptmarkov.cli import build_parser
 
 # Every public name of the package, submodules aside. Adding or removing an
 # export is a deliberate edit of this tuple.
@@ -67,3 +70,45 @@ def test_public_surface_is_pinned():
         name for name, value in vars(ptmarkov).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)))
     assert names == PUBLIC_NAMES
+
+
+# The keyword parameters (those with a default) of the public analysis entry
+# points, and the option strings of `ptr analyze`. Adding or removing a
+# setting is a deliberate edit of these tables.
+ANALYSIS_KEYWORDS = {
+    "markov_test": ("tol", "exhaustive"),
+    "non_markovianity": ("bond_cutoff",),
+    "divisibility_test": ("tol", "filler"),
+    "bond_dimension": ("cutoff",),
+    "classical_markov_check": ("tol", "marginal_tables"),
+    "from_tomography": ("times",),
+    "ic_basis": (),
+    "ProcessTensor.conditional_state": ("past", "future", "break_set"),
+}
+
+ANALYZE_OPTIONS = (
+    "--bond-cutoff", "--bonddim", "--classical", "--csv", "--divisibility",
+    "--exhaustive", "--help", "--markov", "--measure", "--output", "--tol",
+    "-h", "-o",
+)
+
+
+def test_analysis_keywords_are_pinned():
+    got = {}
+    for name in ANALYSIS_KEYWORDS:
+        func = ptmarkov
+        for part in name.split("."):
+            func = getattr(func, part)
+        got[name] = tuple(p.name for p in
+                          inspect.signature(func).parameters.values()
+                          if p.default is not inspect.Parameter.empty)
+    assert got == ANALYSIS_KEYWORDS
+
+
+def test_analyze_options_are_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = tuple(sorted(s for a in sub.choices["analyze"]._actions
+                           for s in a.option_strings))
+    assert options == ANALYZE_OPTIONS
