@@ -154,7 +154,7 @@ def _model_from_config(cfg: dict):
         env_dim = joint.shape[0] // d
         model = models.SEModel(
             system_dim=d, env_dim=env_dim, initial_joint=joint,
-            step_unitaries=tuple(unitaries), label="custom")
+            step_unitaries=tuple(unitaries))
     else:
         raise ConfigError(f"unknown model {name!r}")
     return model, times

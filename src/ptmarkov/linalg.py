@@ -117,9 +117,10 @@ def permute_legs(m: Array, shape, perm: Sequence[int]) -> Array:
 
 def hermitize(m: Array, atol: float = HERMITIAN_ATOL) -> Array:
     """Symmetrize (m + m†)/2 after checking the asymmetry is within atol;
-    a NaN entry fails the check."""
+    a NaN or infinite entry fails the check."""
     m = as_operator(m)
-    defect = np.abs(m - m.conj().T).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(m - m.conj().T).max()
     if not defect <= atol:
         raise NotHermitian(f"asymmetry {defect:.3e} exceeds tolerance {atol:.1e}")
     return (m + m.conj().T) / 2

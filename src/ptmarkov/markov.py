@@ -110,7 +110,6 @@ class DivisibilityReport:
     triple_defects: tuple[tuple[int, int, int, float], ...]
     pair_cp_defects: tuple[tuple[int, int, float], ...]
     tolerance: float
-    filler: str
 
     @property
     def is_divisible(self) -> bool:
@@ -123,7 +122,8 @@ class DivisibilityReport:
             "triple_defects": [list(t) for t in self.triple_defects],
             "pair_cp_defects": [list(p) for p in self.pair_cp_defects],
             "tolerance": self.tolerance,
-            "filler": self.filler,
+            # fixed field of the ptr-report-v1 contract: identity fills slots
+            "filler": "identity",
         }
 
 
@@ -184,6 +184,12 @@ class ClassicalCheck(NamedTuple):
 # the operational Markov test
 # ---------------------------------------------------------------------------
 
+def _check_tol(tol: float) -> None:
+    # the bound passes in its own direction, so a NaN fails it
+    if not 0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def _points(states: Array) -> Array:
     """Points of a stack of normalized (d, d) states whose distances bound
     the trace distances: for qubits the (n, 3) Bloch vectors, stored column
@@ -199,11 +205,13 @@ def _points(states: Array) -> Array:
 
 
 # The diameter search splits n points of D coordinates into cells of at
-# most _CELL_COORDS / D points (32 Bloch vectors, 5 qutrit states) and
-# evaluates the leaf values of _PAIR_BATCH cell pairs per numpy call. Its
-# pruning test has a relative margin and an absolute floor (see _diameter):
-# far above the rounding they cover, far below any spread they could hide.
+# most _CELL_COORDS / D points (32 Bloch vectors, 5 qutrit states), bounds
+# _BOUND_CHUNK cell pairs and evaluates the leaf values of _PAIR_BATCH cell
+# pairs per numpy call. Its pruning test has a relative margin and an absolute
+# floor (see _diameter): far above the rounding they cover, far below any
+# spread they could hide.
 _CELL_COORDS = 96
+_BOUND_CHUNK = 1 << 16
 _PAIR_BATCH = 256
 _MARGIN = 2.0 ** -40
 _FLOOR = 2.0 ** -530
@@ -327,7 +335,10 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
     while True:
         pts = p[cells]
         lo, hi = pts.min(axis=1), pts.max(axis=1)
-        bound = _box_bound(lo[ca], hi[ca], lo[cc], hi[cc])
+        bound = np.empty(ca.size)  # in chunks, so the box corners stay small
+        for s in range(0, ca.size, _BOUND_CHUNK):
+            a, c = ca[s:s + _BOUND_CHUNK], cc[s:s + _BOUND_CHUNK]
+            bound[s:s + _BOUND_CHUNK] = _box_bound(lo[a], hi[a], lo[c], hi[c])
         keep = reach(np.sqrt(bound), best)
         ca, cc, bound = ca[keep], cc[keep], bound[keep]
         if cells.shape[1] == size:
@@ -388,6 +399,7 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     at the largest squared Bloch distance. For d > 2 the search bounds
     trace distances by sqrt(d) times Frobenius distances.
     """
+    _check_tol(tol)
     n_steps = pt.n_steps
     d = pt.system_dim
     break_set = default_break(d)
@@ -452,8 +464,8 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
 # divisibility
 # ---------------------------------------------------------------------------
 
-def divisibility_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
-                      filler: str = "identity") -> DivisibilityReport:
+def divisibility_test(pt: ProcessTensor,
+                      tol: float = MARKOV_TOL) -> DivisibilityReport:
     """Extract the dynamics maps for every step pair and check that longer
     maps are products of shorter ones.
 
@@ -464,11 +476,12 @@ def divisibility_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     extracted map's CP defect is reported alongside. A process with fewer
     than two steps has no triple and zero defect.
     """
+    _check_tol(tol)
     n_steps = pt.n_steps
     maps: dict[tuple[int, int], QuantumMap] = {}
     for j in range(n_steps):
         for l in range(j + 1, n_steps + 1):
-            maps[(j, l)] = pt.marginal_map(j, l, filler=filler)
+            maps[(j, l)] = pt.marginal_map(j, l)
     triples = []
     max_defect = 0.0
     for j in range(n_steps - 1):
@@ -485,7 +498,6 @@ def divisibility_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
         triple_defects=tuple(triples),
         pair_cp_defects=cp,
         tolerance=float(tol),
-        filler=filler,
     )
 
 
@@ -553,6 +565,8 @@ def non_markovianity(pt: ProcessTensor,
     support of the product of its marginals. It reads ``pt.choi`` as
     stored, since a ProcessTensor is Hermitian by construction.
     """
+    # first, so that a cutoff outside [0, 1) is refused before any spectrum
+    bond_dims = tuple(bond_dimension(pt, cutoff=bond_cutoff))
     tr = pt.trace
     marginals = _block_marginals(pt, pt.choi)
     traces = [tr] + [float(np.trace(m).real) for m in marginals]
@@ -567,7 +581,7 @@ def non_markovianity(pt: ProcessTensor,
         raise ValidationError(f"measure came out negative: {n_value}")
     return MeasureReport(
         n_value=max(0.0, float(n_value)),
-        bond_dims=tuple(bond_dimension(pt, cutoff=bond_cutoff)),
+        bond_dims=bond_dims,
     )
 
 
@@ -611,8 +625,10 @@ def bond_dimension(pt: ProcessTensor, cutoff: float = BOND_CUTOFF) -> list[int]:
     rank of that cut's own unfolding. Only singular values at or below
     ``cutoff * _CARRY_MARGIN`` times the largest are dropped from the
     carry; the dropped tail moves later singular values by far less than
-    the counting threshold.
+    the counting threshold. ``cutoff`` must lie in [0, 1).
     """
+    if not 0 <= cutoff < 1:
+        raise ValidationError(f"cutoff must lie in [0, 1), got {cutoff!r}")
     k = pt.n_steps
     d = pt.system_dim
     n = 2 * k + 1
@@ -690,6 +706,7 @@ def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,
     when none are supplied); a table of another shape than that marginal
     raises DimensionMismatch.
     """
+    _check_tol(tol)
     table = cp.table
     n_axes = table.ndim
     max_violation = 0.0

@@ -1,13 +1,12 @@
 """System-environment dilations and the built-in example models.
 
-Every process tensor in this package is sourced here: a model is either a
-finite quantum environment with per-interval joint unitaries, or a
-classical-noise ensemble (a random field conditioning a family of system
-unitaries). Both kinds run through one ensemble dilation: a quantum model
-is one dilation of weight 1, a random field one dilation per field node
-with a trivial environment. Every interval's unitaries are checked against
-UNITARY_ATOL, and noise weights must be one per node, nonnegative and sum
-to 1. The three appendix-style demonstration models are
+Every process tensor in this package is sourced here. A model is a
+weighted ensemble of dilations: an initial system-environment state and,
+per grid interval, one joint unitary for each ensemble member. A finite
+quantum environment is an ensemble of one with weight 1; a random field
+is one member per field node on a trivial environment. Every interval's
+unitaries are checked against UNITARY_ATOL, and the weights must be
+nonnegative and sum to 1. The three appendix-style demonstration models are
 
 * ``model_b1``  -- pure dephasing by a Cauchy-distributed random field,
   CP-divisible yet echo-reversible;
@@ -68,57 +67,35 @@ KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 @dataclass(frozen=True)
 class SEModel:
-    """A system-environment dilation.
+    """A weighted ensemble of system-environment dilations.
 
-    Exactly one environment branch is populated:
+    ``initial_joint`` is the state of the system (``system_dim``) and its
+    environment (``env_dim``). Exactly one of the two dynamics is given:
 
-    * quantum: ``env_dim``, ``initial_joint`` and either explicit
-      ``step_unitaries`` (one per grid interval) or a ``unitary_rule``
-      mapping an interval (t_a, t_b) to a joint unitary;
-    * classical: ``initial_system`` plus ``noise_rule`` (grid times ->
-      nodes and weights of the random field) and ``conditional_unitary``
-      (field values and an interval -> the conditional system unitaries).
+    * ``step_unitaries``: one joint unitary per grid interval, a single
+      dilation of weight 1;
+    * ``ensemble``: maps the grid times to ``(weights, stacks)``, n weights
+      and one (n, d*e, d*e) stack of joint unitaries per interval. A random
+      field is an ensemble on a trivial environment (``env_dim`` 1).
     """
 
     system_dim: int
-    env_dim: int | None = None
-    initial_joint: Array | None = None
+    env_dim: int
+    initial_joint: Array
     step_unitaries: tuple[Array, ...] | None = None
-    unitary_rule: Callable[[float, float], Array] | None = None
-    initial_system: Array | None = None
-    noise_rule: Callable[[tuple[float, ...]], tuple[Array, Array]] | None = None
-    conditional_unitary: Callable[[Array, float, float], Array] | None = None
-    label: str = ""
+    ensemble: Callable[[tuple[float, ...]],
+                       tuple[Array, Sequence[Array]]] | None = None
 
     def __post_init__(self):
-        d = self.system_dim
-        if self.env_dim is not None:
-            if self.initial_joint is None:
-                raise ValidationError("quantum-environment model needs initial_joint")
-            joint = as_operator(self.initial_joint)
-            if joint.shape[0] != d * self.env_dim:
-                raise DimensionMismatch(
-                    f"joint state dim {joint.shape[0]} != {d * self.env_dim}")
-            DensityMatrix(joint)  # validates
-            if self.step_unitaries is not None:
-                for u in self.step_unitaries:
-                    _check_unitary(u, d * self.env_dim)
-            elif self.unitary_rule is None:
-                raise ValidationError("need step_unitaries or unitary_rule")
-        else:
-            if self.noise_rule is None or self.conditional_unitary is None \
-                    or self.initial_system is None:
-                raise ValidationError(
-                    "classical-noise model needs initial_system, noise_rule "
-                    "and conditional_unitary")
-            rho = as_operator(self.initial_system)
-            if rho.shape[0] != d:
-                raise DimensionMismatch(f"initial system dim {rho.shape[0]} != {d}")
-            DensityMatrix(rho)
-
-    @property
-    def kind(self) -> str:
-        return "quantum" if self.env_dim is not None else "classical"
+        dim = self.system_dim * self.env_dim
+        joint = as_operator(self.initial_joint)
+        if joint.shape[0] != dim:
+            raise DimensionMismatch(f"joint state dim {joint.shape[0]} != {dim}")
+        DensityMatrix(joint)  # validates
+        if (self.step_unitaries is None) == (self.ensemble is None):
+            raise ValidationError("need exactly one of step_unitaries or ensemble")
+        for u in self.step_unitaries or ():
+            _check_unitary(u, dim)
 
 
 def _check_unitary(u, dim: int, count: int | None = None) -> Array:
@@ -139,43 +116,27 @@ def _check_unitary(u, dim: int, count: int | None = None) -> Array:
 # ---------------------------------------------------------------------------
 
 def _dilation(model: SEModel, times: tuple[float, ...]):
-    """Lay a model out on the grid ``times`` as an ensemble of weighted
-    dilations: ``(weights, joint0, unitaries, e)``.
-
-    A quantum model is one dilation of weight 1 on its e-dimensional
-    environment, with one joint unitary per interval. A classical-noise
-    model is one e = 1 dilation per field node, with an (n, d, d) stack of
-    conditional unitaries per interval. Either way every interval's
-    unitaries are checked here.
+    """Lay a model out on the grid ``times`` as ``(weights, unitaries)``:
+    n ensemble weights and one checked (n, d*e, d*e) stack of joint
+    unitaries per interval. Explicit step unitaries are an ensemble of one
+    with weight 1.
     """
-    d, k = model.system_dim, len(times) - 1
-    intervals = list(zip(times, times[1:]))
-    if model.kind == "quantum":
-        if model.step_unitaries is None:
-            steps = [model.unitary_rule(t0, t1) for t0, t1 in intervals]
-        elif len(model.step_unitaries) < k:
-            raise DimensionMismatch(
-                f"model supplies {len(model.step_unitaries)} step "
-                f"unitaries, grid has {k} steps")
-        else:
-            steps = model.step_unitaries[:k]
-        weights, joint0 = np.ones(1), model.initial_joint
-        e, n = model.env_dim, None
+    k, dim = len(times) - 1, model.system_dim * model.env_dim
+    if model.ensemble is None:
+        weights = np.ones(1)
+        steps = [np.reshape(u, (1, dim, dim)) for u in model.step_unitaries]
     else:
-        nodes, weights = model.noise_rule(times)
-        nodes = np.asarray(nodes, dtype=float)
+        weights, steps = model.ensemble(times)
         weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1 or weights.shape != nodes.shape[:1]:
-            raise DimensionMismatch(
-                f"noise weights of shape {weights.shape} for nodes of "
-                f"shape {nodes.shape}; need one weight per node")
-        # the bound passes in its own direction, so a NaN weight fails it
-        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-8):
-            raise ValidationError("noise weights must be nonnegative and sum to 1")
-        steps = [model.conditional_unitary(nodes, t0, t1) for t0, t1 in intervals]
-        joint0, e, n = model.initial_system, 1, weights.size
-    unitaries = [_check_unitary(u, d * e, n) for u in steps]
-    return weights, as_operator(joint0), unitaries, e
+        # the bounds pass in their own direction, so a NaN weight fails them
+        if not (weights.ndim == 1 and np.all(weights >= 0)
+                and abs(weights.sum() - 1.0) <= 1e-8):
+            raise ValidationError("ensemble weights must be a nonnegative "
+                                  "vector that sums to 1")
+    if len(steps) < k:
+        raise DimensionMismatch(
+            f"model supplies {len(steps)} step unitaries, grid has {k} steps")
+    return weights, [_check_unitary(u, dim, weights.size) for u in steps[:k]]
 
 
 def _link_product(rho0: Array, unitaries: Sequence[Array], weights: Array,
@@ -210,42 +171,42 @@ def _link_product(rho0: Array, unitaries: Sequence[Array], weights: Array,
 
 def simulate_sequence(model: SEModel, times, controls):
     """Run one control sequence, one QuantumMap per step, through the
-    dilation on the time tags ``times``.
+    model's ensemble of dilations on the time tags ``times``.
 
-    Returns ``(system_state, joint_state)``; the joint state is ``None``
-    for classical-noise models, whose environment is a random field rather
-    than a Hilbert space. Outputs are subnormalized when controls are
-    trace decreasing.
+    Returns ``(system_state, joint_state)``: the joint state is the
+    weighted ensemble average sum_n w_n joint_n, and the system state its
+    partial trace over the environment. On a trivial environment, such as
+    a random field's, the two coincide. Outputs are subnormalized when
+    controls are trace decreasing.
     """
     times = checked_times(times)
     maps = checked_controls(controls, len(times) - 1, model.system_dim)
-    weights, joint0, unitaries, e = _dilation(model, times)
-    d, n = model.system_dim, weights.size
+    weights, unitaries = _dilation(model, times)
+    d, e, n = model.system_dim, model.env_dim, weights.size
+    joint0 = as_operator(model.initial_joint)
     joint = np.broadcast_to(joint0, (n,) + joint0.shape)
     for qmap, u in zip(maps, unitaries):
         s4 = qmap.superoperator.reshape(d, d, d, d)
         joint = np.einsum("klxy,nxayb->nkalb", s4, joint.reshape(n, d, e, d, e))
         joint = u @ joint.reshape(n, d * e, d * e) @ u.conj().swapaxes(-1, -2)
-    sys = np.einsum("n,nab->ab", weights,
-                    np.trace(joint.reshape(n, d, e, d, e), axis1=2, axis2=4))
-    if model.kind == "classical":
-        return DensityMatrix(sys), None
-    return DensityMatrix(sys), DensityMatrix(joint[0])
+    joint = np.einsum("n,nab->ab", weights, joint)
+    sys = np.trace(joint.reshape(d, e, d, e), axis1=1, axis2=3)
+    return DensityMatrix(sys), DensityMatrix(joint)
 
 
 def build_process_tensor(model: SEModel, times) -> ProcessTensor:
-    """Process tensor of a dilation on the time tags ``times``, written
-    down directly as the link product of the initial joint state and the
-    step unitaries.
+    """Process tensor of a model on the time tags ``times``, written down
+    directly as the link product of the initial joint state and the step
+    unitaries.
 
     The tensor is the Choi state of the multi-time dilation: with the
     initial joint state purified into columns psi, each slot turns the
     current system index into its input leg I_j, injects a fresh output
     leg O_j as the new system index, and the step unitary acts on system
     and environment. Tracing the environment and the purification leaves
-    Upsilon = M M^dagger, PSD by construction. Classical-noise models stack
-    the columns sqrt(w_n) M_n of every ensemble node. Raises
-    ``SweepGuardError`` above the size guard (see ``check_tensor_size``).
+    Upsilon = M M^dagger, PSD by construction; an ensemble stacks the
+    columns sqrt(w_n) M_n of its members. Raises ``SweepGuardError`` above
+    the size guard (see ``check_tensor_size``).
     """
     times = checked_times(times)
     k = len(times) - 1
@@ -253,8 +214,9 @@ def build_process_tensor(model: SEModel, times) -> ProcessTensor:
         raise ValidationError("process tensors need at least one step")
     d = model.system_dim
     check_tensor_size(d, k)
-    weights, joint0, unitaries, e = _dilation(model, times)
-    return ProcessTensor(_link_product(joint0, unitaries, weights, d, e),
+    weights, unitaries = _dilation(model, times)
+    return ProcessTensor(_link_product(as_operator(model.initial_joint),
+                                       unitaries, weights, d, model.env_dim),
                          d, times)
 
 
@@ -298,13 +260,19 @@ def _wrapped_cauchy_nodes(times: tuple[float, ...], *, gamma: float, g: float,
     return psi / (g * h), w
 
 
-def _b1_conditional_unitary(x: Array, t0: float, t1: float, *, g: float,
-                            axis: str) -> Array:
-    phi = g * np.asarray(x, dtype=float) * (t1 - t0)
+def _b1_ensemble(times: tuple[float, ...], *, gamma: float, g: float,
+                 axis: str, n_nodes: int) -> tuple[Array, list[Array]]:
+    """Weights of the field nodes x and, per interval, the stack of
+    conditional system unitaries exp(-i g x sigma_axis dt / 2)."""
+    x, w = _wrapped_cauchy_nodes(times, gamma=gamma, g=g, n_nodes=n_nodes)
     sig = PAULI[axis]
-    c = np.cos(phi / 2)[:, None, None]
-    s = np.sin(phi / 2)[:, None, None]
-    return c * np.eye(2, dtype=complex) - 1j * s * sig
+    stacks = []
+    for t0, t1 in zip(times, times[1:]):
+        phi = g * x * (t1 - t0)
+        c = np.cos(phi / 2)[:, None, None]
+        s = np.sin(phi / 2)[:, None, None]
+        stacks.append(c * np.eye(2, dtype=complex) - 1j * s * sig)
+    return w, stacks
 
 
 def model_b1(gamma: float, g: float, dephasing_axis: str = "z",
@@ -329,12 +297,10 @@ def model_b1(gamma: float, g: float, dephasing_axis: str = "z",
         rho0 = np.outer(KET_PLUS, KET_PLUS.conj())
     return SEModel(
         system_dim=2,
-        initial_system=as_operator(rho0),
-        noise_rule=partial(_wrapped_cauchy_nodes, gamma=float(gamma),
-                           g=float(g), n_nodes=int(nodes)),
-        conditional_unitary=partial(_b1_conditional_unitary, g=float(g),
-                                    axis=dephasing_axis),
-        label="b1",
+        env_dim=1,
+        initial_joint=as_operator(rho0),
+        ensemble=partial(_b1_ensemble, gamma=float(gamma), g=float(g),
+                         axis=dephasing_axis, n_nodes=int(nodes)),
     )
 
 
@@ -346,10 +312,13 @@ def swap_unitary(d: int) -> Array:
     return s
 
 
-def _partial_swap_unitary(t0: float, t1: float, *, omega: float) -> Array:
-    theta = omega * (t1 - t0)
-    return np.cos(theta) * np.eye(4, dtype=complex) \
-        + 1j * np.sin(theta) * swap_unitary(2)
+def _b2_ensemble(times: tuple[float, ...], *,
+                 omega: float) -> tuple[Array, list[Array]]:
+    """An ensemble of one: per interval, the partial swap by omega * dt."""
+    thetas = [omega * (t1 - t0) for t0, t1 in zip(times, times[1:])]
+    return np.ones(1), [(np.cos(th) * np.eye(4, dtype=complex)
+                         + 1j * np.sin(th) * swap_unitary(2))[None]
+                        for th in thetas]
 
 
 def model_b2(omega: float, rho_s: Array | None = None) -> SEModel:
@@ -362,8 +331,7 @@ def model_b2(omega: float, rho_s: Array | None = None) -> SEModel:
         system_dim=2,
         env_dim=2,
         initial_joint=tensor_product(as_operator(rho_s), np.eye(2) / 2),
-        unitary_rule=partial(_partial_swap_unitary, omega=float(omega)),
-        label="b2",
+        ensemble=partial(_b2_ensemble, omega=float(omega)),
     )
 
 
@@ -381,7 +349,6 @@ def model_b3(rho_s: Array, rho_e: Array) -> SEModel:
         env_dim=d,
         initial_joint=tensor_product(rho_s, rho_e),
         step_unitaries=(s, s),
-        label="b3",
     )
 
 
@@ -483,5 +450,4 @@ def model_markov(per_step_maps: Sequence[QuantumMap], rho0: Array) -> SEModel:
         env_dim=env_dim,
         initial_joint=tensor_product(rho0, env0),
         step_unitaries=tuple(unitaries),
-        label="markov",
     )

@@ -457,14 +457,12 @@ class ProcessTensor:
 
     # -- marginal dynamics -------------------------------------------------------
 
-    def marginal_map(self, j: int, l: int,
-                     filler: str = "identity") -> QuantumMap:
+    def marginal_map(self, j: int, l: int) -> QuantumMap:
         """The dynamics map from slot j's output to the state at t_l.
 
         The d**2 matrix units |a><b| are prepared at slot j (discarding its
-        input; slot Choi |a><b| (x) 1) in one ``contract`` call, identity
-        controls fill slots strictly between j and l, and ``filler``
-        ("identity" or "average") fills slots before j. Output (a, b) is
+        input; slot Choi |a><b| (x) 1) in one ``contract`` call, and
+        identity controls fill every other slot before l. Output (a, b) is
         the map's image of |a><b|, so the outputs are the columns of its
         Choi matrix.
         """
@@ -472,12 +470,7 @@ class ProcessTensor:
         d = self.system_dim
         if not 0 <= j < l <= n_steps:
             raise ValidationError(f"invalid slot range ({j}, {l})")
-        if filler == "identity":
-            fill = QuantumMap.identity(d).choi
-        elif filler == "average":
-            fill = tensor_product(np.eye(d) / d, np.eye(d))
-        else:
-            raise ValidationError(f"unknown filler policy {filler!r}")
+        fill = QuantumMap.identity(d).choi
         units = np.eye(d * d).reshape(d * d, d, d)
         preps = np.stack([tensor_product(u, np.eye(d)).reshape(-1)
                           for u in units])

@@ -142,6 +142,8 @@ class QuantumMap:
     @classmethod
     def from_kraus(cls, kraus: Sequence) -> "QuantumMap":
         ks = [np.asarray(k, dtype=complex) for k in kraus]
+        if not ks:
+            raise ValidationError("a Kraus set needs at least one operator")
         out_dim, in_dim = ks[0].shape
         return cls(in_dim=in_dim, out_dim=out_dim, kraus=ks)
 
@@ -264,6 +266,8 @@ class Instrument:
 
     def __post_init__(self):
         members = tuple(self.members)
+        if not members:
+            raise ValidationError("an instrument needs at least one member")
         object.__setattr__(self, "members", members)
         labels = tuple(self.labels) or tuple(str(i) for i in range(len(members)))
         if len(labels) != len(members):
@@ -299,6 +303,9 @@ class CausalBreak:
     def __post_init__(self):
         effs = tuple(hermitize(as_operator(e)) for e in self.effects)
         preps = tuple(hermitize(as_operator(p)) for p in self.preparations)
+        if not (effs and preps):
+            raise ValidationError(
+                "a causal break needs at least one effect and one preparation")
         object.__setattr__(self, "effects", effs)
         object.__setattr__(self, "preparations", preps)
         d = effs[0].shape[0]
@@ -325,6 +332,11 @@ class CausalBreak:
         return len(self.preparations)
 
     def map(self, outcome: int, preparation: int) -> QuantumMap:
+        if not (0 <= outcome < self.n_outcomes
+                and 0 <= preparation < self.n_preparations):
+            raise ValidationError(
+                f"realization ({outcome}, {preparation}) outside "
+                f"{self.n_outcomes} outcomes x {self.n_preparations} preparations")
         return QuantumMap.measure_and_prepare(
             self.effects[outcome], self.preparations[preparation])
 

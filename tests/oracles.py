@@ -523,7 +523,7 @@ def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
 # ``ProcessTensor.contract`` replaced
 # ---------------------------------------------------------------------------
 
-def marginal_map_frame(pt, j, l, filler="identity"):
+def marginal_map_frame(pt, j, l):
     """Choi matrix of the dynamics map from slot j's output to t_l: each
     frame state P_mu is prepared at slot j in its own contraction, and the
     outputs are summed against the dual frame,
@@ -532,9 +532,7 @@ def marginal_map_frame(pt, j, l, filler="identity"):
 
     d = pt.system_dim
     ident = np.eye(d, dtype=complex).reshape(-1)
-    ident = np.outer(ident, ident)
-    fill = ident if filler == "identity" else np.kron(np.eye(d) / d,
-                                                      np.eye(d))
+    fill = np.outer(ident, ident)
     preps = ic_frame_states(d)
     cols = np.stack([p.reshape(-1) for p in preps], axis=1)
     duals = cols @ np.linalg.pinv(cols.conj().T @ cols, hermitian=True)

@@ -506,6 +506,23 @@ def test_general_diameter_bit_identical_on_qutrit_sweeps(kind, qutrit_sweeps):
         assert _diameter(_points(states)) == diameter_general_batched(states)
 
 
+def test_diameter_bit_identical_with_small_bound_chunks(qutrit_sweeps,
+                                                        monkeypatch):
+    """The cell-pair bounds run _BOUND_CHUNK pairs at a time. With chunks
+    of 7 pairs the diameter stays bit-identical to the oracles on every
+    qutrit sweep group and on the qubit clouds."""
+    import ptmarkov.markov as markov
+    monkeypatch.setattr(markov, "_BOUND_CHUNK", 7)
+    for kind in ("markov", "joint"):
+        for states in qutrit_sweeps[kind][2]:
+            assert markov._diameter(markov._points(states)) == \
+                diameter_general_batched(states)
+    for kind in ("ball", "shell", "ties", "axis-copies", "near-tie"):
+        states = _states_from_bloch(_cloud(kind, np.random.default_rng(71)))
+        assert markov._diameter(markov._points(states)) == \
+            diameter_qubit_all_pairs(states)
+
+
 def test_general_diameter_bit_identical_on_qutrit_k3_group(basis3,
                                                            monkeypatch):
     """On 1 000 states drawn from the first group of the seeded qutrit
@@ -612,6 +629,32 @@ def test_markov_test_matches_per_past_loop(name, exhaustive, basis2, request):
     assert abs(_trace_norm_eig(*states) - rep.max_deviation) <= 1e-12
 
 
+BAD_TOLS = (math.nan, -1e-9, math.inf)
+BAD_CUTOFFS = (math.nan, -0.1, 1.0, 2.0, math.inf)
+
+
+@pytest.mark.parametrize("analysis, value", [
+    *[(a, v) for a in ("markov", "divisibility", "classical") for v in BAD_TOLS],
+    *[(a, v) for a in ("bonddim", "measure") for v in BAD_CUTOFFS],
+])
+def test_out_of_range_tol_and_cutoff_are_refused(analysis, value, b2_pt,
+                                                 basis2):
+    """A tolerance must be finite and >= 0 and a bond cutoff must lie in
+    [0, 1); anything else, NaN included, is refused instead of giving a
+    verdict."""
+    table = ClassicalProcess(table=np.full((2, 2, 2), 1 / 8),
+                             outcome_labels=(("0", "1"),) * 3)
+    run = {
+        "markov": lambda: markov_test(b2_pt, basis2, tol=value),
+        "divisibility": lambda: divisibility_test(b2_pt, tol=value),
+        "classical": lambda: classical_markov_check(table, tol=value),
+        "bonddim": lambda: bond_dimension(b2_pt, cutoff=value),
+        "measure": lambda: non_markovianity(b2_pt, bond_cutoff=value),
+    }[analysis]
+    with pytest.raises(ValidationError, match="tol|cutoff"):
+        run()
+
+
 # ---------------------------------------------------------------------------
 # divisibility
 # ---------------------------------------------------------------------------
@@ -634,14 +677,14 @@ def test_b1_divisible_but_non_markov(b1_pt, basis2):
 
 def test_b3_divisibility_structure(b3_pt, b3_states, basis2):
     """The extracted pair maps: (0,2) is the identity channel, (0,1)
-    prepares the environment state, (1,2) prepares the (filler-dependent)
-    swapped-out state; their composition defect is large."""
+    prepares the environment state, (1,2) prepares the swapped-out state
+    (identity on slot 0); their composition defect is large."""
     rho_s, rho_e = b3_states
     lam_02 = b3_pt.marginal_map(0, 2)
     assert np.abs(lam_02.choi - IDENT.choi).max() <= 1e-9
     lam_01 = b3_pt.marginal_map(0, 1)
     assert np.abs(lam_01.choi - QuantumMap.prepare(rho_e).choi).max() <= 1e-9
-    lam_12 = b3_pt.marginal_map(1, 2, filler="identity")
+    lam_12 = b3_pt.marginal_map(1, 2)
     assert np.abs(lam_12.choi - QuantumMap.prepare(rho_s).choi).max() <= 1e-9
     rep = divisibility_test(b3_pt)
     assert rep.max_defect > 0.1
@@ -865,8 +908,6 @@ def test_bond_dimension_matches_unfoldings(b1_pt, b2_pt, b3_pt, markov_pt2,
             assert bond_dimension(pt, cutoff) == \
                 bond_dimension_unfoldings(pt, cutoff)
     assert bond_dimension(corpus[-1]) == [0, 0]
-    # a cutoff that drops every singular value from the carry as well
-    assert bond_dimension(b3_pt, 1e4) == bond_dimension_unfoldings(b3_pt, 1e4)
 
 
 def test_bond_dimension_decomposes_only_small_matrices(monkeypatch):

@@ -144,13 +144,11 @@ def test_b2_rejects_bad_omega():
             model_b2(omega=omega)
 
 
-def _field_model(nodes, weights, stack):
-    """A classical-noise qubit model whose field has the given nodes and
-    weights and whose conditional unitaries are ``stack`` on every
-    interval."""
-    return SEModel(system_dim=2, initial_system=P0,
-                   noise_rule=lambda times: (nodes, weights),
-                   conditional_unitary=lambda x, t0, t1: stack)
+def _field_model(weights, stack):
+    """A qubit ensemble on a trivial environment with the given weights and
+    the stack of system unitaries ``stack`` on every interval."""
+    return SEModel(system_dim=2, env_dim=1, initial_joint=P0,
+                   ensemble=lambda times: (weights, [stack] * (len(times) - 1)))
 
 
 THIRDS = np.ones(3) / 3
@@ -158,13 +156,11 @@ EYE_STACK = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
 
 
 def test_nan_step_unitary_is_refused():
-    """A NaN joint unitary, and a NaN or 2*I stack of conditional
-    unitaries, are refused in the tensor and in a single run."""
-    quantum = SEModel(system_dim=2, env_dim=1, initial_joint=P0,
-                      unitary_rule=lambda t0, t1: np.full((2, 2), np.nan))
-    models = [quantum,
-              _field_model(np.zeros(3), THIRDS, np.full((3, 2, 2), np.nan)),
-              _field_model(np.zeros(3), THIRDS, 2 * EYE_STACK)]
+    """A NaN unitary in an ensemble of one, and a NaN or 2*I stack of
+    three, are refused in the tensor and in a single run."""
+    models = [_field_model(np.ones(1), np.full((1, 2, 2), np.nan)),
+              _field_model(THIRDS, np.full((3, 2, 2), np.nan)),
+              _field_model(THIRDS, 2 * EYE_STACK)]
     for model in models:
         with pytest.raises(ValidationError, match="not unitary"):
             build_process_tensor(model, (0.0, 1.0))
@@ -172,19 +168,19 @@ def test_nan_step_unitary_is_refused():
             simulate_sequence(model, (0.0, 1.0), [IDENT])
 
 
-@pytest.mark.parametrize("n_nodes, weights, stack, error", [
-    (3, [math.nan, 0.5, 0.5], EYE_STACK, ValidationError),
-    (3, [-0.5, 1.0, 0.5], EYE_STACK, ValidationError),
-    (3, [0.2, 0.2, 0.2], EYE_STACK, ValidationError),
-    (3, [0.5, 0.5], EYE_STACK, DimensionMismatch),
-    (2, [0.5, 0.5], EYE_STACK, DimensionMismatch),
-    (3, THIRDS, np.broadcast_to(np.eye(3), (3, 3, 3)), DimensionMismatch),
+@pytest.mark.parametrize("weights, stack, error", [
+    ([math.nan, 0.5, 0.5], EYE_STACK, ValidationError),
+    ([-0.5, 1.0, 0.5], EYE_STACK, ValidationError),
+    ([0.2, 0.2, 0.2], EYE_STACK, ValidationError),
+    ([0.5, 0.5], EYE_STACK, DimensionMismatch),
+    ([1.0], EYE_STACK, DimensionMismatch),
+    (THIRDS, np.broadcast_to(np.eye(3), (3, 3, 3)), DimensionMismatch),
 ], ids=["nan-weight", "negative-weight", "unnormalized", "two-weights",
         "three-unitaries", "qutrit-stack"])
-def test_malformed_noise_ensemble_is_refused(n_nodes, weights, stack, error):
-    """Weights must be a distribution with one entry per node, and each
-    interval's stack must hold one system unitary per node."""
-    model = _field_model(np.zeros(n_nodes), np.asarray(weights), stack)
+def test_malformed_noise_ensemble_is_refused(weights, stack, error):
+    """Weights must be a distribution with one entry per ensemble member,
+    and each interval's stack must hold one system unitary per member."""
+    model = _field_model(np.asarray(weights), stack)
     with pytest.raises(error):
         build_process_tensor(model, (0.0, 1.0))
     with pytest.raises(error):

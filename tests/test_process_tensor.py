@@ -192,6 +192,17 @@ def test_control_sequence_validation(b2_model, b2_pt):
 # conditional states
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("prep_index, povm_outcome", [
+    (0, 99), (0, -1), (4, 0), (-1, 0)])
+def test_conditional_state_refuses_out_of_range_indices(b2_pt, prep_index,
+                                                       povm_outcome):
+    """The default qubit break has four outcomes and four preparations; an
+    index outside them is refused, a negative one included, rather than
+    raising a raw IndexError or wrapping around."""
+    with pytest.raises(ValidationError, match="outside"):
+        b2_pt.conditional_state(1, prep_index, povm_outcome, past=[IDENT])
+
+
 def test_conditional_on_markov_product_is_propagated_prep(markov_maps,
                                                           markov_pt3):
     """On a memoryless tensor the conditional state is the later dynamics
@@ -324,11 +335,9 @@ def test_marginal_maps_of_product_tensor_compose(markov_maps, markov_pt3,
     lam_02 = markov_pt3.marginal_map(0, 2)
     expected = compose(markov_maps[1], markov_maps[0])
     assert np.abs(lam_02.superoperator - expected.superoperator).max() <= 1e-9
-    for filler in ("identity", "average"):
-        lam_13 = markov_pt3.marginal_map(1, 3, filler=filler)
-        expected = compose(markov_maps[2], markov_maps[1])
-        assert np.abs(lam_13.superoperator
-                      - expected.superoperator).max() <= 1e-9
+    lam_13 = markov_pt3.marginal_map(1, 3)
+    expected = compose(markov_maps[2], markov_maps[1])
+    assert np.abs(lam_13.superoperator - expected.superoperator).max() <= 1e-9
 
 
 def test_marginal_map_is_tp(b1_pt, b2_pt, b3_pt, basis2):
@@ -343,14 +352,13 @@ def test_marginal_map_matches_frame_oracle(b1_pt, b2_pt, b3_pt, markov_pt2,
                                           markov_pt3, b2_pure_pt3):
     """Preparing the matrix units in one contraction gives the Choi matrix
     that the per-state contractions and the dual-frame sum give, for every
-    step pair and both fillers."""
+    step pair."""
     for pt in (b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3):
         for j in range(pt.n_steps):
             for l in range(j + 1, pt.n_steps + 1):
-                for filler in ("identity", "average"):
-                    got = pt.marginal_map(j, l, filler=filler).choi
-                    want = marginal_map_frame(pt, j, l, filler=filler)
-                    assert np.abs(got - want).max() <= 1e-12
+                got = pt.marginal_map(j, l).choi
+                want = marginal_map_frame(pt, j, l)
+                assert np.abs(got - want).max() <= 1e-12
 
 
 def test_b2_marginal_is_depolarizing(b2_pt, basis2):

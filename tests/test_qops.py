@@ -57,6 +57,7 @@ NAN_DIAGONAL = np.diag([np.nan, 0.5])
     lambda: hermitize(NAN_STATE),
     lambda: DensityMatrix(NAN_STATE),
     lambda: DensityMatrix(NAN_DIAGONAL),
+    lambda: DensityMatrix(np.diag([np.inf, 0.0])),
     lambda: build_process_tensor(model_b1(1, 1, rho0=NAN_STATE), (0, 1)),
     lambda: CausalBreak(effects=(P0, np.diag([0.0, np.nan])),
                         preparations=(P0,)),
@@ -64,12 +65,13 @@ NAN_DIAGONAL = np.diag([np.nan, 0.5])
     lambda: Instrument(
         members=(QuantumMap.from_choi(np.full((4, 4), np.nan)),)),
     lambda: model_markov([QuantumMap.from_choi(np.full((4, 4), np.nan))], P0),
-], ids=["hermitize", "state", "state-diagonal", "b1-initial-state",
-        "break-effect", "break-preparation", "instrument", "markov-channel"])
+], ids=["hermitize", "state", "state-diagonal", "state-inf-diagonal",
+        "b1-initial-state", "break-effect", "break-preparation", "instrument",
+        "markov-channel"])
 def test_nan_fails_validation(build):
     """Every bound is tested in its passing direction, so a NaN entry
     fails it with a PtError instead of being accepted, or of ending in a
-    raw numpy error further down."""
+    raw numpy error or warning further down; an infinite one too."""
     with pytest.raises(PtError):
         build()
 
@@ -212,6 +214,17 @@ def test_is_cptp_transpose_map():
 def test_is_cptp_prepare():
     qmap = QuantumMap.prepare(P0)
     assert qmap.cp_defect <= 1e-14 and qmap.tp_defect <= 1e-14
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuantumMap.from_kraus([]),
+    lambda: Instrument(members=()),
+    lambda: CausalBreak(effects=(), preparations=(P0,)),
+    lambda: CausalBreak(effects=(P0, P1), preparations=()),
+], ids=["kraus", "instrument", "break-effects", "break-preparations"])
+def test_empty_sets_are_refused(build):
+    with pytest.raises(ValidationError, match="at least one"):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import types
 
@@ -78,7 +79,7 @@ def test_public_surface_is_pinned():
 ANALYSIS_KEYWORDS = {
     "markov_test": ("tol", "exhaustive"),
     "non_markovianity": ("bond_cutoff",),
-    "divisibility_test": ("tol", "filler"),
+    "divisibility_test": ("tol",),
     "bond_dimension": ("cutoff",),
     "classical_markov_check": ("tol", "marginal_tables"),
     "from_tomography": ("times",),
@@ -103,6 +104,16 @@ def test_analysis_keywords_are_pinned():
                           inspect.signature(func).parameters.values()
                           if p.default is not inspect.Parameter.empty)
     assert got == ANALYSIS_KEYWORDS
+
+
+# The fields of a model. Adding or removing one is a deliberate edit.
+SEMODEL_FIELDS = ("system_dim", "env_dim", "initial_joint", "step_unitaries",
+                  "ensemble")
+
+
+def test_semodel_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(ptmarkov.SEModel)) == \
+        SEMODEL_FIELDS
 
 
 def test_analyze_options_are_pinned():
