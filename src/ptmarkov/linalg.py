@@ -116,14 +116,15 @@ def permute_legs(m: Array, shape, perm: Sequence[int]) -> Array:
 
 
 def hermitize(m: Array, atol: float = HERMITIAN_ATOL) -> Array:
-    """Symmetrize (m + m†)/2 after checking the asymmetry is within atol;
-    a NaN or infinite entry fails the check."""
+    """Symmetrize m/2 + m†/2 after checking the asymmetry is within atol;
+    a NaN or infinite entry fails the check. Halving before the sum keeps
+    the mean of finite entries finite."""
     m = as_operator(m)
     with np.errstate(over="ignore", invalid="ignore"):
         defect = np.abs(m - m.conj().T).max()
     if not defect <= atol:
         raise NotHermitian(f"asymmetry {defect:.3e} exceeds tolerance {atol:.1e}")
-    return (m + m.conj().T) / 2
+    return m / 2 + m.conj().T / 2
 
 
 def hermitian_eig(m: Array) -> tuple[Array, Array]:

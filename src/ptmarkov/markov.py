@@ -31,7 +31,7 @@ from .linalg import (
     partial_trace,
     tensor_product,
 )
-from .process_tensor import ProcessTensor, default_break
+from .process_tensor import ProcessTensor, _contract_form, default_break
 from .qops import Instrument, OperationBasis, QuantumMap
 
 __all__ = [
@@ -375,6 +375,17 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
     return best, wi, wj
 
 
+def _below_floor(pt: ProcessTensor, stacks: Sequence[Array], l: int) -> int:
+    """How many of the realizations that ``stacks`` contract at readout
+    step l have a probability at or below the floor, read from the
+    contraction form with its readout leg traced out first."""
+    d = pt.system_dim
+    form = pt.contraction_form(l)
+    traced = np.einsum("aa...->...", form.reshape((d, d) + form.shape[1:]))
+    probs = _contract_form(traced[None], stacks).real
+    return probs.size - int(np.count_nonzero(probs > PROBABILITY_FLOOR))
+
+
 def markov_test(pt: ProcessTensor, basis: OperationBasis,
                 tol: float = MARKOV_TOL,
                 exhaustive: bool = False) -> MarkovReport:
@@ -392,6 +403,16 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     sweep sufficient: equality across the swept controls implies equality
     for every control sequence.
 
+    Each break contracts one preparation group at a time: the past basis
+    stacks and the n_out realizations of preparation s, the break slot
+    first (``ProcessTensor.contract`` runs latest slot first), so a group
+    costs 1/n_prep of the whole break. The stop comes right after the
+    group whose diameter passes the tolerance; the break's later groups
+    are then never contracted to states. ``skipped_conditionals`` still
+    counts every conditional at or below the probability floor in every
+    tested break: those of the untested groups are read from one
+    contraction with the readout leg traced out first.
+
     Each group's diameter is exact, not estimated, from one routine for
     every d (``_diameter``). The group's computed states run in (past,
     outcome) order, past sequences in ``itertools.product`` order, and its
@@ -405,12 +426,12 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     break_set = default_break(d)
     n_basis = len(basis)
     basis_vecs = basis.choi_vectors
-    # break realization (r, s) has Choi  P_s (x) Pi_r^T
-    break_vecs = np.stack([
-        tensor_product(p, e.T).reshape(-1)
-        for e in break_set.effects for p in break_set.preparations])
     n_out = break_set.n_outcomes
     n_prep = break_set.n_preparations
+    # group s: the Chois P_s (x) Pi_r^T of its n_out realizations (r, s)
+    break_vecs = np.einsum(
+        "sac,reb->srabce", np.stack(break_set.preparations),
+        np.stack(break_set.effects)).reshape(n_prep, n_out, -1)
 
     def record(k: int, l: int, s: int, row: int) -> ConditioningRecord:
         past, r = divmod(int(row), n_out)
@@ -427,24 +448,25 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     for k, l in [(k, l) for k in range(n_steps - 1, 0, -1)
                  for l in range(k + 1, n_steps + 1)]:
         breaks_tested.append((k, l))
-        # axes (past, r, s, row, col); past[0] varies slowest
-        outs = pt.contract([basis_vecs] * k + [break_vecs], l).reshape(
-            -1, n_out, n_prep, d, d)
-        probs = np.einsum("prsaa->prs", outs).real
-        kept = probs > PROBABILITY_FLOOR
-        skipped += kept.size - int(np.count_nonzero(kept))
+        pasts = [basis_vecs] * k
         for s in range(n_prep):
-            rows = np.flatnonzero(kept[:, :, s])  # flat (past, r) indices
+            # rows (past, r); past[0] varies slowest
+            outs = pt.contract(pasts + [break_vecs[s]], l)
+            probs = np.einsum("naa->n", outs).real
+            rows = np.flatnonzero(probs > PROBABILITY_FLOOR)
+            skipped += probs.size - rows.size
             if rows.size == 0:
                 inconclusive.append((k, l, s))
                 continue
-            states = outs[:, :, s].reshape(-1, d, d)
-            group = states[rows] / probs[:, :, s].reshape(-1)[rows, None, None]
+            group = outs[rows] / probs[rows, None, None]
             dev, i, j = _diameter(_points(group))
             if dev > best:
                 best = dev
                 witness = (record(k, l, s, rows[i]), record(k, l, s, rows[j]))
             if best > tol and not exhaustive:
+                if s + 1 < n_prep:
+                    untested = break_vecs[s + 1:].reshape(-1, d ** 4)
+                    skipped += _below_floor(pt, pasts + [untested], l)
                 break
         if best > tol and not exhaustive:
             break

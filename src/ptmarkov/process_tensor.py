@@ -31,8 +31,11 @@ Perinotti, PRA 80, 022339, 2009): ``contraction_form(l)`` traces one trailing
 step at a time, and ``causality_defect`` measures how far a tensor is from
 satisfying the condition. Every reader of the tensor evaluates the
 multilinear map through ``ProcessTensor.contract``, which contracts stacks
-of slot Chois against that form in one batched pass; only ``restrict``,
-which keeps slots open, contracts the form on its own.
+of slot Chois against that form latest slot first: the form's leading slot
+axis is the next one open, so each slot is one plain GEMM batched over the
+rows made so far, no slot axis is moved and no per-slot copy is made, and
+one output-sized transpose at the end puts slot 0 slowest. Only
+``restrict``, which keeps slots open, contracts the form on its own.
 
 Control sequences
 -----------------
@@ -60,7 +63,7 @@ from .errors import (
     UnresolvableConditional,
     ValidationError,
 )
-from .linalg import Array, LegShape, hermitize, tensor_product
+from .linalg import Array, LegShape, hermitize
 from .qops import CausalBreak, DensityMatrix, OperationBasis, QuantumMap
 
 __all__ = [
@@ -186,6 +189,34 @@ def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
             return np.sort(np.concatenate([np.zeros(n - w), w_b])), resid
         w *= 2
     return np.linalg.eigvalsh(choi), 0.0
+
+
+def _contract_form(form: Array, stacks: Sequence[Array]) -> Array:
+    """Contract slot stacks into a contraction form, latest slot first.
+
+    ``form`` has shape (a, d**4, ..., d**4) with one axis per slot, slot
+    l-1 leading, as ``ProcessTensor.contraction_form(l)`` gives it (a =
+    d*d), or with its readout leg traced out (a = 1). ``stacks[j]`` is an
+    (n_j, d**4) stack for slot j; slots ``len(stacks)`` ... l-1 get the
+    identity's one row. Each slot is one ``matmul`` of its stack against
+    the leading open slot axis, batched over the rows made so far, and the
+    last slot one GEMM of all those rows, so no slot axis is moved or
+    copied. Returns the (n_0 * ... * n_{l-1}, a) outputs with slot 0
+    slowest, from one output-sized transpose at the end.
+    """
+    l = form.ndim - 1
+    if len(stacks) < l:
+        d = math.isqrt(math.isqrt(form.shape[1]))
+        ident = QuantumMap.identity(d).choi.reshape(1, -1)
+        stacks = [*stacks, *[ident] * (l - len(stacks))]
+    arr, counts = form, [form.shape[0]]
+    for stack in reversed(stacks):
+        stack = np.asarray(stack, dtype=complex)
+        arr = arr.reshape(math.prod(counts), stack.shape[1], -1)
+        # the last open axis: one GEMM in place of a batch of products
+        arr = arr[..., 0] @ stack.T if arr.shape[2] == 1 else stack @ arr
+        counts.append(len(stack))
+    return arr.reshape(counts).T.reshape(-1, counts[0])
 
 
 def _rows(chois: Iterable[Array]) -> list[Array]:
@@ -354,24 +385,18 @@ class ProcessTensor:
         ``stacks[j]`` is an (n_j, d**4) stack of flattened slot-j Chois;
         slots ``len(stacks)`` ... l-1 hold the identity. Returns an
         (n_0 * ... * n_{m-1}, d, d) array with slot 0 varying slowest. The
-        identity slots are contracted into ``contraction_form(l)`` first,
-        then the stacks from slot 0 up.
+        slots are contracted into ``contraction_form(l)`` from slot l-1
+        down to slot 0, one plain GEMM each on the leading slot axis, with
+        no per-slot copy; one transpose of the output restores the order
+        (see :func:`_contract_form`).
         """
-        d = self.system_dim
         l = self.n_steps if l is None else int(l)
         if len(stacks) > l:
             raise DimensionMismatch(
                 f"{len(stacks)} slot stacks for readout step {l}")
-        form = self.contraction_form(l)
-        ident = QuantumMap.identity(d).choi.reshape(-1)
-        # slots l-1 ... len(stacks) occupy the leading slot axes
-        for _ in range(l - len(stacks)):
-            form = np.tensordot(form, ident, axes=([1], [0]))
-        arr = form[None]
-        for stack in stacks:  # slot 0 sits on the last axis
-            arr = np.moveaxis(arr @ np.asarray(stack, dtype=complex).T, -1, 1)
-            arr = arr.reshape(-1, *arr.shape[2:])
-        return arr.reshape(-1, d, d)
+        d = self.system_dim
+        outs = _contract_form(self.contraction_form(l), stacks)
+        return outs.reshape(-1, d, d)
 
     def apply(self, controls) -> DensityMatrix:
         """Final-time output for a control sequence; the trace is the joint
@@ -471,9 +496,9 @@ class ProcessTensor:
         if not 0 <= j < l <= n_steps:
             raise ValidationError(f"invalid slot range ({j}, {l})")
         fill = QuantumMap.identity(d).choi
-        units = np.eye(d * d).reshape(d * d, d, d)
-        preps = np.stack([tensor_product(u, np.eye(d)).reshape(-1)
-                          for u in units])
+        # row (a, b): the Choi |a><b| (x) 1, entries delta_xa delta_zb delta_yw
+        preps = np.einsum("axz,yw->axyzw", np.eye(d * d).reshape(d * d, d, d),
+                          np.eye(d)).reshape(d * d, -1)
         outs = self.contract(_rows([fill] * j) + [preps], l)
         # Choi[(x, a), (y, b)] = outs[(a, b), x, y]
         choi = outs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, -1)

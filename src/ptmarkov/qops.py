@@ -13,6 +13,7 @@ Representation conventions (fixed package-wide):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -407,8 +408,10 @@ class OperationBasis:
         return np.stack([du.conj().reshape(d, d, d, d) for du in self.duals])
 
 
+@lru_cache(maxsize=8)
 def ic_basis(d: int) -> OperationBasis:
-    """The default informationally complete operation basis.
+    """The default informationally complete operation basis, built once
+    per dimension; its ``gram`` and ``duals`` arrays are read-only.
 
     Element (mu, nu) at flat index ``mu * d**2 + nu`` is
     X -> tr(Pi_mu X) P_nu built from the frame states; the dual frame comes
@@ -426,6 +429,8 @@ def ic_basis(d: int) -> OperationBasis:
     if (svals > FRAME_CUTOFF * svals.max()).sum() < d ** 4:
         raise SingularFrame("operation frame Gram is rank deficient")
     dual_cols = _dual_frame(vecs)
+    for a in (gram, dual_cols):
+        a.setflags(write=False)
     duals = tuple(dual_cols[:, i].reshape(d * d, d * d) for i in range(d ** 4))
     return OperationBasis(
         dimension=d,

@@ -629,6 +629,75 @@ def test_markov_test_matches_per_past_loop(name, exhaustive, basis2, request):
     assert abs(_trace_norm_eig(*states) - rep.max_deviation) <= 1e-12
 
 
+def _b2_four_steps():
+    """A seeded memoryful four-step B.2 tensor of the memory-k4 kind, its
+    contraction forms cached as ``ptf.load`` leaves them."""
+    rng = np.random.default_rng(1)
+    theta = rng.uniform(0.6, 1.0)
+    model = model_b2(1.0, rho_s=random_density(2, rng))
+    pt = build_process_tensor(model, [j * theta for j in range(5)])
+    pt.causality_defect()
+    return pt
+
+
+def test_markov_test_contracts_one_group_before_its_stop(basis2,
+                                                         monkeypatch):
+    """A spy on the contraction kernel while a memoryful four-step B.2
+    sweep stops at its first group: each full contraction holds only the
+    n_out realizations of one preparation at the break slot, one such
+    contraction runs before the stop, and the three untested groups go
+    through one contraction with the readout leg traced out."""
+    import ptmarkov.markov as markov
+    import ptmarkov.process_tensor as process_tensor
+    pt = _b2_four_steps()
+    kernel, calls = process_tensor._contract_form, []
+
+    def spy(form, stacks):
+        calls.append((form.shape[0], [len(s) for s in stacks]))
+        return kernel(form, stacks)
+    monkeypatch.setattr(process_tensor, "_contract_form", spy)
+    monkeypatch.setattr(markov, "_contract_form", spy)
+    rep = markov_test(pt, basis2)
+    assert not rep.is_markov and rep.breaks_tested == ((3, 4),)
+    assert rep.witness[0].preparation == 0
+    assert calls == [(4, [16, 16, 16, 4]), (1, [16, 16, 16, 3 * 4])]
+
+
+def test_early_exit_counts_the_untested_groups(b2_pure_pt3, basis2):
+    """b2_pure_pt3 stops after the first group of its first break, and
+    each of that break's three untested groups holds 256 conditionals
+    below the probability floor: the report counts them, and its breaks
+    and inconclusive groups are the per-past loop's."""
+    from ptmarkov import default_break
+    from oracles import _break_vectors
+    rep = markov_test(b2_pure_pt3, basis2)
+    ref = markov_test_loop(b2_pure_pt3, basis2)
+    assert rep.breaks_tested == ref.breaks_tested == ((2, 3),)
+    assert rep.witness[0].preparation == 0
+    outs = b2_pure_pt3.contract([basis2.choi_vectors] * 2
+                                + [_break_vectors(default_break(2))], 3)
+    probs = np.einsum("prsaa->prs", outs.reshape(-1, 4, 4, 2, 2)).real
+    assert (probs[:, :, 1:] <= 1e-10).sum(axis=(0, 1)).tolist() == [256] * 3
+    assert rep.skipped_conditionals == ref.skipped_conditionals == 1024
+    assert rep.inconclusive_groups == ref.inconclusive_groups == ()
+
+
+def test_markov_test_makes_no_break_sized_temporary(basis2):
+    """Tripwire: on a four-step B.2 tensor with its forms cached, the
+    sweep peaks below two tensor sizes above what was live before the
+    call; contracting all 16 break realizations at once took 2.4."""
+    import tracemalloc
+    pt = _b2_four_steps()
+    markov_test(pt, basis2)  # the lazily built module state
+    tracemalloc.start()
+    try:
+        markov_test(pt, basis2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * pt.choi.nbytes
+
+
 BAD_TOLS = (math.nan, -1e-9, math.inf)
 BAD_CUTOFFS = (math.nan, -0.1, 1.0, 2.0, math.inf)
 

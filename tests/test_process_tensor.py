@@ -148,6 +148,44 @@ def test_contract_matches_apply(markov_pt3, b2_pure_pt3):
             pt.contract(stacks, 2)
 
 
+def _qutrit_memory_pt():
+    """A seeded qutrit two-step dilation with memory: a random joint
+    unitary on a qubit environment from a random joint state."""
+    rng = np.random.default_rng(15)
+    model = SEModel(system_dim=3, env_dim=2,
+                    initial_joint=random_density(6, rng),
+                    step_unitaries=(random_unitary(6, rng),
+                                    random_unitary(6, rng)))
+    return build_process_tensor(model, range(3))
+
+
+@pytest.mark.parametrize("name", ["markov_pt3", "b2_pure_pt3", "qutrit"])
+def test_contract_matches_apply_at_every_width_and_readout(name, request):
+    """Stacks of widths 1, 2 and d**4 give, row for row with slot 0
+    slowest, what per-sequence ``apply`` gives: at every readout step l
+    (below K through ``restrict``) and for every count of leading stacks,
+    with the identity on the slots past them; qubit K = 3 and qutrit
+    K = 2."""
+    pt = _qutrit_memory_pt() if name == "qutrit" \
+        else request.getfixturevalue(name)
+    d, k = pt.system_dim, pt.n_steps
+    rng = np.random.default_rng(32)
+    ident = QuantumMap.identity(d)
+    for widths in ((d ** 4, 2, 1), (1, d ** 4, 2)):
+        maps = [[random_cptp(d, rng) for _ in range(n)] for n in widths[:k]]
+        stacks = [np.stack([m.choi.reshape(-1) for m in slot])
+                  for slot in maps]
+        for l in range(1, k + 1):
+            early = pt.restrict(range(l + 1))
+            for m in range(l + 1):
+                outs = pt.contract(stacks[:m], l)
+                seqs = list(itertools.product(*maps[:m]))
+                assert outs.shape == (len(seqs), d, d)
+                for row, seq in enumerate(seqs):
+                    want = early.apply([*seq] + [ident] * (l - m)).matrix
+                    assert np.abs(outs[row] - want).max() <= 1e-14
+
+
 def test_apply_slot_count_mismatch(b2_pt):
     with pytest.raises(DimensionMismatch):
         b2_pt.apply([IDENT])

@@ -76,6 +76,16 @@ def test_nan_fails_validation(build):
         build()
 
 
+def test_huge_finite_state_is_refused_by_its_trace():
+    """Symmetrizing halves before it adds, so a Hermitian matrix with an
+    entry near the float limit reaches the trace check, which refuses it
+    with a ValidationError and no numpy overflow warning (filterwarnings
+    makes a warning an error)."""
+    with pytest.raises(ValidationError, match="trace"):
+        DensityMatrix([[1.5e308, 0], [0, 0]])
+    assert hermitize(np.diag([1.5e308, 0.0]))[0, 0] == 1.5e308
+
+
 def test_density_matrix_helpers():
     psi = DensityMatrix.pure([1, 1j])
     assert abs(psi.trace - 1.0) <= 1e-12
@@ -295,6 +305,18 @@ def test_ic_basis_frame_reconstruction(d):
     coeffs = _frame_coefficients(qmap, basis)
     resummed = sum(c * e.choi for c, e in zip(coeffs, basis.elements))
     assert np.abs(resummed - qmap.choi).max() <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ic_basis_is_built_once_and_read_only(d):
+    """One basis per dimension, shared by every caller, so its arrays
+    cannot be written through."""
+    basis = ic_basis(d)
+    assert ic_basis(d) is basis
+    for a in (basis.gram, *basis.duals):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
 
 
 def test_ic_basis_duals_biorthogonal(basis2):
