@@ -623,6 +623,12 @@ def confusion_probability(n_value: float, n: int) -> float:
 # bond_dimension carries singular values down to this fraction of its
 # counting threshold from one cut to the next; a fixed margin, not a knob.
 _CARRY_MARGIN = 1e-3
+# bond_dimension reads a remainder in _SLABS slabs: at K = 4 a first-cut
+# slab is 1/32 of a qubit tensor. One of at most _WHOLE entries (256 KiB,
+# a qubit tensor up to K = 3) is read whole, where slabs would cost more in
+# calls than they save in memory.
+_SLABS = 32
+_WHOLE = 1 << 14
 
 
 def bond_dimension(pt: ProcessTensor, cutoff: float = BOND_CUTOFF) -> list[int]:
@@ -635,36 +641,50 @@ def bond_dimension(pt: ProcessTensor, cutoff: float = BOND_CUTOFF) -> list[int]:
 
     The ranks come from one left-to-right sweep, the TT-SVD of Oseledets
     (SIAM J. Sci. Comput. 33, 2295, 2011), not from an SVD of each
-    unfolding. The tensor is transposed once into chronological legs with
-    each leg's row and column axes adjacent, shaped (d*d, -1) for cut 0.
-    Each cut factors the current remainder; a wide one is first reduced to
-    the R factor of a QR of its transpose, so no SVD is larger than the
-    remainder's row count. The sweep then carries U^H times the remainder,
-    reshaped to (r * d**4, -1), to the next cut: the r left singular
-    vectors kept times the two legs between the cuts. Since the kept U has
-    orthonormal columns, the unfolding at the next cut is (U (x) 1) times
-    that remainder and has the same singular values, so each count is the
-    rank of that cut's own unfolding. Only singular values at or below
-    ``cutoff * _CARRY_MARGIN`` times the largest are dropped from the
-    carry; the dropped tail moves later singular values by far less than
-    the counting threshold. ``cutoff`` must lie in [0, 1).
+    unfolding. Chronological order is the reverse of the stored order, so
+    cut j's past legs are the last 2j+1 row legs and the last 2j+1 column
+    legs: the sweep reads ``pt.choi`` as stored, viewed as (future rows,
+    past rows, future columns, past columns), and makes no chronological
+    copy. Each cut factors its unfolding A, past by future. A wide one is
+    first reduced to the R factor of a QR of A^T, built one slab of
+    future row values at a time: the slab's rows of A^T, copied
+    transposed, are QR-factored under the R factor of the rows before
+    them. So no SVD is larger than A's row count and no array the size
+    of A is made. The sweep then carries U^H A to the next cut, slab by
+    slab from the stored layout without a copy, laid out as (future rows,
+    (r, next two row legs, next two column legs), future columns): the r
+    left singular vectors kept times the two legs between the cuts.
+    Since the kept U has orthonormal columns, the unfolding at the next
+    cut is (U (x) 1) times that remainder and has the same singular
+    values, so each count is the rank of that cut's own unfolding. Only
+    singular values at or below ``cutoff * _CARRY_MARGIN`` times the
+    largest are dropped from the carry; the dropped tail moves later
+    singular values by far less than the counting threshold. The first
+    cut's carry is the largest array made, r/d**2 of the tensor.
+    ``cutoff`` must lie in [0, 1).
     """
     if not 0 <= cutoff < 1:
         raise ValidationError(f"cutoff must lie in [0, 1), got {cutoff!r}")
     k = pt.n_steps
     d = pt.system_dim
-    n = 2 * k + 1
-    # chronological leg order is the reverse of the stored order
-    order = [a for leg in range(n - 1, -1, -1) for a in (leg, leg + n)]
-    rest = pt.as_tensor().transpose(order).reshape(d * d, -1)
+    a = d * d  # values of the two row (or column) legs between two cuts
+    f = d ** (2 * k)
+    rest = pt.choi.reshape(f, d, f, d)
     dims = []
     for j in range(k):
-        if rest.shape[0] < rest.shape[1]:
-            # rest = R^T Q^T and Q^T has orthonormal rows: no conjugate
-            # copy of rest is needed
-            u, s, _ = np.linalg.svd(np.linalg.qr(rest.T, mode="r").T)
+        f, p, _, q = rest.shape
+        # future row values per slab
+        step = f if p * q * f * f <= _WHOLE else max(1, f // _SLABS)
+        if p * q < f * f:
+            r = None
+            for lo in range(0, f, step):
+                r = _stack_r(r, rest[lo:lo + step])
+            # A = R^T Q^T and Q^T has orthonormal rows: no conjugate copy
+            # of A is needed
+            u, s, _ = np.linalg.svd(r.T)
         else:
-            u, s, _ = np.linalg.svd(rest, full_matrices=False)
+            u, s, _ = np.linalg.svd(rest.transpose(1, 3, 0, 2)
+                                    .reshape(p * q, -1), full_matrices=False)
         top = s[0]
         if top == 0:  # every unfolding of a zero tensor is zero
             return [0] * k
@@ -672,8 +692,40 @@ def bond_dimension(pt: ProcessTensor, cutoff: float = BOND_CUTOFF) -> list[int]:
         if j < k - 1:
             # the largest always stays, so the next cut has a remainder
             keep = max(1, int((s > cutoff * _CARRY_MARGIN * top).sum()))
-            rest = (u[:, :keep].conj().T @ rest).reshape(keep * d ** 4, -1)
+            # whole future row values beyond the next cut per slab, so
+            # that each slab fills whole rows of the carry
+            rest = _carry(rest, u[:, :keep].conj().reshape(p, q, keep),
+                          -(-step // a) * a, a)
     return dims
+
+
+def _stack_r(r: Array | None, slab: Array) -> Array:
+    """R factor of a QR of the rows of A^T read so far: ``r``, the one of
+    the rows before, stacked over the rows (f_r, f_c) of ``slab``, an
+    (f_r, p, f_c, q) block of the remainder, copied transposed. The copy
+    is freed on return."""
+    _, p, _, q = slab.shape
+    rows = slab.transpose(0, 2, 1, 3).reshape(-1, p * q)
+    return np.linalg.qr(rows if r is None else np.concatenate([r, rows]),
+                        mode="r")
+
+
+def _carry(rest: Array, uh: Array, step: int, a: int) -> Array:
+    """U^H A for the unfolding A of ``rest``, an (f, p, f, q) array, with
+    ``uh`` the kept columns of conj(U) as (p, q, r), read ``step`` future
+    row values at a time with no copy of the slab, and laid out as the
+    next cut's (f/a, r*a*a, f/a, 1) remainder, where a future row value
+    is (f_r', a_r) and a future column value (f_c', a_c)."""
+    f, _, _, q = rest.shape
+    keep = uh.shape[2]
+    g = f // a
+    carry = np.empty((g, keep, a, a, g), dtype=complex)
+    for lo in range(0, f, step):
+        x = rest[lo:lo + step]
+        part = sum(uh[:, i].T @ x[..., i] for i in range(q))  # (f_r, r, f_c)
+        carry[lo // a:(lo + step) // a] = part.reshape(
+            -1, a, keep, g, a).transpose(0, 2, 1, 4, 3)
+    return carry.reshape(g, keep * a * a, g, 1)
 
 
 # ---------------------------------------------------------------------------

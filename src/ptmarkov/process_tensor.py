@@ -137,6 +137,10 @@ _ROW_BLOCK = 64
 # residual at which the sketch is accepted.
 _SKETCH_WIDTH = 16
 _SKETCH_RTOL = 1e-12
+# Relative squared residual from the closed form at or above which a width
+# is rejected without the explicit residual: far above the 1e-24 that
+# acceptance needs and far above rounding.
+_SKETCH_SKIP = 1e-6
 
 
 def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
@@ -159,13 +163,17 @@ def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
     it sets to zero lies below SUPPORT_CUTOFF after the trace is divided
     out, and the accepted residuals of rank-e*r model tensors are about
     1e-14. Otherwise w doubles from ``_SKETCH_WIDTH`` = 16, keeping the
-    columns already sketched. Once w would pass dim/8, where a sketch
-    saves little over it, the dense eigensolve is returned instead, with
-    bound 0: at K <= 2 always, and for full-rank data such as noisy
-    tomography or a malformed file.
+    columns already sketched. Since ||R||_F^2 = ||Upsilon||_F^2 -
+    ||B||_F^2 in exact arithmetic, a width at which that difference is at
+    least ``_SKETCH_SKIP`` ||Upsilon||_F^2 is rejected without the
+    explicit residual, which stays the only way a width is accepted. Once
+    w would pass dim/8, where a sketch saves little over it, the dense
+    eigensolve is returned instead, with bound 0: at K <= 2 always, and
+    for full-rank data such as noisy tomography or a malformed file.
     """
     n = choi.shape[0]
-    norm = math.sqrt(np.vdot(choi, choi).real)
+    square = np.vdot(choi, choi).real
+    norm = math.sqrt(square)
     rng = np.random.default_rng(0)
     y = np.empty((n, 0), dtype=complex)
     w = _SKETCH_WIDTH
@@ -173,22 +181,34 @@ def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
         shape = (n, w - y.shape[1])
         omega = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         y = np.hstack([y, choi @ omega])
-        q = np.linalg.qr(y)[0]
-        qh = q.conj().T
-        b = qh @ (choi @ q)
-        qb = q @ b
-        square = 0.0
-        for s in range(0, n, _ROW_BLOCK):
-            r = qb[s:s + _ROW_BLOCK] @ qh
-            r -= choi[s:s + _ROW_BLOCK]
-            square += np.vdot(r, r).real
-        resid = math.sqrt(square)
+        # a rejected width's arrays go with the call
+        b, resid = _sketch_residual(choi, y, square)
         # the passing direction: a NaN fails it
         if resid <= _SKETCH_RTOL * norm:
             w_b = np.linalg.eigvalsh(b)
             return np.sort(np.concatenate([np.zeros(n - w), w_b])), resid
         w *= 2
     return np.linalg.eigvalsh(choi), 0.0
+
+
+def _sketch_residual(choi: Array, y: Array,
+                     square: float) -> tuple[Array, float]:
+    """B = Q^dagger Upsilon Q for an orthonormal basis Q of ``y``, and
+    ||Upsilon - Q B Q^dagger||_F, or inf when ``square`` = ||Upsilon||_F^2
+    minus ||B||_F^2 already rules the width out."""
+    q = np.linalg.qr(y)[0]
+    qh = q.conj().T
+    b = qh @ (choi @ q)
+    if square - np.vdot(b, b).real >= _SKETCH_SKIP * square:
+        return b, math.inf
+    qb = q @ b
+    del q  # qh is all the residual needs of it
+    total = 0.0
+    for s in range(0, len(choi), _ROW_BLOCK):
+        r = qb[s:s + _ROW_BLOCK] @ qh
+        r -= choi[s:s + _ROW_BLOCK]
+        total += np.vdot(r, r).real
+    return b, math.sqrt(total)
 
 
 def _contract_form(form: Array, stacks: Sequence[Array]) -> Array:
@@ -357,23 +377,31 @@ class ProcessTensor:
                 up = self.contraction_form(l + 1)
                 form = np.einsum("aabibj...->ij...",
                                  up.reshape((d,) * 6 + up.shape[2:]))
-                form = form.reshape((d * d,) + up.shape[2:]) / d
+                form = form.reshape((d * d,) + up.shape[2:])
+                form /= d
             self._forms[l] = form
         return form
 
     def causality_defect(self) -> float:
         """Largest entry of Tr_{O_l} Upsilon_l - 1_{O_{l-1}} (x)
         Upsilon_{l-1} over l = K ... 1, read off the cached contraction
-        forms: rounding level for a causal comb, NaN when entries overflow.
+        forms: rounding level for a causal comb, NaN or inf when entries
+        overflow. Each l is taken one row value (O_{l-1}, I_{l-1}) of the
+        leading slot axis at a time, so no temporary is larger than
+        1/d**4 of the form.
         """
         d = self.system_dim
-        eye = np.eye(d).reshape(d, 1, d, 1, 1)
         gaps = [0.0]
         for l in range(self.n_steps, 0, -1):
             up = self.contraction_form(l)
-            traced = np.einsum("aa...->...", up.reshape((d, d) + up.shape[1:]))
-            low = self.contraction_form(l - 1).reshape(1, d, 1, d, -1)
-            gaps.append(np.abs(traced.reshape(d, d, d, d, -1) - eye * low).max())
+            # (readout row, readout column, O row, I row, O col, I col, rest)
+            up = up.reshape((d,) * 6 + (-1,))
+            low = self.contraction_form(l - 1).reshape(d, d, -1)
+            for o in range(d):
+                for i in range(d):
+                    gap = np.einsum("aa...->...", up[:, :, o, i])
+                    gap[o] -= low[i]
+                    gaps.append(np.abs(gap).max())
         return float(np.max(gaps))
 
     # -- contraction ----------------------------------------------------------
@@ -523,6 +551,8 @@ class ProcessTensor:
 
 @lru_cache(maxsize=8)
 def default_break(d: int) -> CausalBreak:
+    """The default causal break, built once per dimension and shared; its
+    arrays are read-only."""
     return CausalBreak.default(d)
 
 

@@ -9,7 +9,10 @@ checks, in this order, that the entries are finite, that the tensor is
 Hermitian, that its trace is finite, and that it is causal, PSD and of
 trace d**k (the ``tp_choi_trace_d`` convention), the last three within
 ``PSD_CLIP`` times max(1, |trace|). A header above the size guard raises
-``SweepGuardError`` before the blob is read.
+``SweepGuardError`` before the blob is read. The blob's length is checked
+against the header with ``os.fstat`` before anything is allocated, and
+the blob is then read straight into the read-only array the tensor keeps,
+so a load holds it once.
 
 The same header-plus-blob scheme serializes plain matrix bundles
 (``PTF1-mats``), used to supply unitaries for custom models.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -35,6 +39,22 @@ def _deinterleave(blob: bytes, rows: int, cols: int) -> np.ndarray:
     if len(blob) != expected:
         raise FormatError(f"blob holds {len(blob)} bytes, expected {expected}")
     return np.frombuffer(blob, dtype="<c16").reshape(rows, cols)
+
+
+def _read_blob(fh, rows: int, cols: int) -> np.ndarray:
+    """Read-only complex array read straight from the rest of an open
+    file, whose size is checked before anything is allocated; every bit,
+    signed zeros included, comes back as written."""
+    expected = 2 * rows * cols * 8
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != expected:
+        raise FormatError(f"blob holds {size} bytes, expected {expected}")
+    arr = np.empty((rows, cols), dtype="<c16")
+    got = fh.readinto(memoryview(arr).cast("B"))
+    if got != expected:  # the file shrank after the size check
+        raise FormatError(f"blob holds {got} bytes, expected {expected}")
+    arr.setflags(write=False)
+    return arr
 
 
 def save(pt, path) -> None:
@@ -114,7 +134,7 @@ def load(path):
                 f"not {TRACE_CONVENTION!r}")
         check_tensor_size(d, k)
         dim = d ** (2 * k + 1)
-        choi = _deinterleave(fh.read(), dim, dim)
+        choi = _read_blob(fh, dim, dim)
     if not np.isfinite(choi).all():
         raise FormatError("blob holds non-finite entries")
     try:

@@ -109,7 +109,8 @@ def _super_to_choi(sup: Array, out_dim: int, in_dim: int) -> Array:
 
 class QuantumMap:
     """A linear map on operators with lazily interconverted Kraus / Choi /
-    superoperator representations."""
+    superoperator representations; each one it derives is cached
+    read-only."""
 
     def __init__(self, *, in_dim: int, out_dim: int, kraus=None, choi=None,
                  superop=None):
@@ -203,6 +204,7 @@ class QuantumMap:
                 self._choi = vs.T @ vs.conj()
             else:
                 self._choi = _super_to_choi(self._super, self.out_dim, self.in_dim)
+            self._choi.setflags(write=False)
         return self._choi
 
     @property
@@ -212,6 +214,7 @@ class QuantumMap:
                 self._super = sum(np.kron(k, k.conj()) for k in self._kraus)
             else:
                 self._super = _choi_to_super(self._choi, self.out_dim, self.in_dim)
+            self._super.setflags(write=False)
         return self._super
 
     @property
@@ -227,6 +230,8 @@ class QuantumMap:
                 if wi > SUPPORT_CUTOFF:
                     ks.append(np.sqrt(wi) * vi.reshape(self.out_dim, self.in_dim))
             self._kraus = ks or [np.zeros((self.out_dim, self.in_dim), complex)]
+            for k in self._kraus:
+                k.setflags(write=False)
         return self._kraus
 
     # -- behaviour ---------------------------------------------------------
@@ -296,6 +301,7 @@ class CausalBreak:
 
     Realization (r, s) measures effect r and re-prepares state s; its output
     is independent of its input, severing the causal link through the system.
+    Its effect and preparation arrays are read-only.
     """
 
     effects: tuple[Array, ...]
@@ -307,6 +313,8 @@ class CausalBreak:
         if not (effs and preps):
             raise ValidationError(
                 "a causal break needs at least one effect and one preparation")
+        for a in effs + preps:
+            a.setflags(write=False)
         object.__setattr__(self, "effects", effs)
         object.__setattr__(self, "preparations", preps)
         d = effs[0].shape[0]
@@ -411,7 +419,9 @@ class OperationBasis:
 @lru_cache(maxsize=8)
 def ic_basis(d: int) -> OperationBasis:
     """The default informationally complete operation basis, built once
-    per dimension; its ``gram`` and ``duals`` arrays are read-only.
+    per dimension and shared, so every array in it is read-only: ``gram``,
+    ``duals`` and each element's Choi matrix (and, through
+    ``QuantumMap``, each representation derived from it).
 
     Element (mu, nu) at flat index ``mu * d**2 + nu`` is
     X -> tr(Pi_mu X) P_nu built from the frame states; the dual frame comes
@@ -429,7 +439,7 @@ def ic_basis(d: int) -> OperationBasis:
     if (svals > FRAME_CUTOFF * svals.max()).sum() < d ** 4:
         raise SingularFrame("operation frame Gram is rank deficient")
     dual_cols = _dual_frame(vecs)
-    for a in (gram, dual_cols):
+    for a in (gram, dual_cols, *(e.choi for e in elements)):
         a.setflags(write=False)
     duals = tuple(dual_cols[:, i].reshape(d * d, d * d) for i in range(d ** 4))
     return OperationBasis(

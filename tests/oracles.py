@@ -2,11 +2,13 @@
 
 Everything here recomputes expected values through a different route than
 the package (explicit index loops, direct dense evolution, enumeration, or
-closed forms derived by hand), so agreement is meaningful.
+closed forms derived by hand), so agreement is meaningful. ``traced_peak``
+is the suite's one memory probe.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -23,6 +25,19 @@ P0 = np.outer(KET0, KET0.conj())
 P1 = np.outer(KET1, KET1.conj())
 PP = np.outer(KETP, KETP.conj())
 PPI = np.outer(KETPI, KETPI.conj())
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under tracemalloc. Returns its result, the traced
+    peak and the traced bytes still held on return, both counted from the
+    call's start; memory held before the call is not counted."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
 
 
 def kron_loops(a, b):
@@ -313,24 +328,51 @@ def schmidt_rank_across(mat, dims_early, dims_late, cutoff=1e-10):
     return int((s > cutoff * s.max()).sum())
 
 
-def bond_dimension_unfoldings(pt, cutoff=1e-10):
-    """Operator-Schmidt rank of every temporal cut from a full SVD of that
-    cut's own unfolding of the chronologically ordered tensor; the route
-    that the package's one-sweep bond_dimension replaced."""
+def causality_defect_dense(pt):
+    """Largest entry of Tr_{R_l} Upsilon_l - 1_{O_{l-1}} (x) Upsilon_{l-1}
+    over l = K ... 1 from partial traces of whole matrices, where R_l is
+    the leading (readout) leg of Upsilon_l and Upsilon_{l-1} =
+    Tr_{O_{l-1}} Tr_{R_l} Upsilon_l / d; the route that the package's
+    blockwise check on contraction forms replaced."""
+    d = pt.system_dim
+    ups = pt.choi
+    gaps = [0.0]
+    for _ in range(pt.n_steps):
+        rest = ups.shape[0] // d
+        traced = np.einsum("aiaj->ij", ups.reshape(d, rest, d, rest))
+        low = np.einsum("aiaj->ij",
+                        traced.reshape(d, rest // d, d, rest // d)) / d
+        gaps.append(np.abs(traced - np.kron(np.eye(d), low)).max())
+        ups = low
+    return float(np.max(gaps))
+
+
+def unfolding_singular_values(pt):
+    """Descending singular values of every temporal cut's own unfolding of
+    the chronologically ordered tensor, from a full SVD each."""
     k = pt.n_steps
     d = pt.system_dim
     n = 2 * k + 1
     t = pt.as_tensor()
     chrono = list(range(n - 1, -1, -1))
     t = t.transpose([*chrono, *[c + n for c in chrono]])
-    dims = []
+    values = []
     for j in range(k):
         n_early = 2 * j + 1
         n_late = n - n_early
         order = (list(range(n_early)) + [n + i for i in range(n_early)]
                  + list(range(n_early, n)) + [n + i for i in range(n_early, n)])
         mat = t.transpose(order).reshape(d ** (2 * n_early), d ** (2 * n_late))
-        svals = np.linalg.svd(mat, compute_uv=False)
+        values.append(np.linalg.svd(mat, compute_uv=False))
+    return values
+
+
+def bond_dimension_unfoldings(pt, cutoff=1e-10):
+    """Operator-Schmidt rank of every temporal cut from a full SVD of that
+    cut's own unfolding; the route that the package's one-sweep
+    bond_dimension replaced."""
+    dims = []
+    for svals in unfolding_singular_values(pt):
         top = svals.max()
         dims.append(int((svals > cutoff * top).sum()) if top > 0 else 0)
     return dims

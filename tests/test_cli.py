@@ -427,6 +427,19 @@ def test_analyze_nan_blob_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: blob holds non-finite")
 
 
+@pytest.mark.parametrize("cut", [0, 8])
+def test_analyze_blob_size_mismatch_exit_3(tmp_path, capsys, cut):
+    """Eight trailing bytes, or a blob eight bytes short, are malformed
+    data."""
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    blob = raw.tobytes()
+    blob = blob[:-cut] if cut else blob + bytes(8)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: blob holds {len(blob)} bytes, expected {raw.nbytes}")
+
+
 def test_analyze_non_hermitian_blob_exit_3(tmp_path, capsys):
     path, header, raw = _saved_identity_ptf(tmp_path)
     raw[1] = 0.5  # an imaginary part on the diagonal

@@ -54,6 +54,8 @@ from oracles import (
     markov_test_loop,
     relative_entropy_eig,
     schmidt_rank_across,
+    traced_peak,
+    unfolding_singular_values,
 )
 
 IDENT = QuantumMap.identity(2)
@@ -686,15 +688,9 @@ def test_markov_test_makes_no_break_sized_temporary(basis2):
     """Tripwire: on a four-step B.2 tensor with its forms cached, the
     sweep peaks below two tensor sizes above what was live before the
     call; contracting all 16 break realizations at once took 2.4."""
-    import tracemalloc
     pt = _b2_four_steps()
     markov_test(pt, basis2)  # the lazily built module state
-    tracemalloc.start()
-    try:
-        markov_test(pt, basis2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(lambda: markov_test(pt, basis2))
     assert peak < 2 * pt.choi.nbytes
 
 
@@ -956,12 +952,26 @@ def test_bond_dimension_monotone_in_cutoff(b3_pt):
     assert all(a <= b for a, b in zip(loose, tight))
 
 
+def _memoryless_four_steps():
+    """A seeded memoryless four-step dilation of Kraus rank 2, of the
+    memoryless-k4 kind."""
+    rng = np.random.default_rng(57)
+    return build_process_tensor(
+        model_markov(random_control_sequence(2, 4, rng), random_density(2, rng)),
+        range(5))
+
+
 def test_bond_dimension_matches_unfoldings(b1_pt, b2_pt, b3_pt, markov_pt2,
                                            markov_pt3, b2_pure_pt3,
                                            b2_model):
-    """The one-sweep ranks equal the ranks of each cut's own unfolding."""
+    """The one-sweep ranks equal the ranks of each cut's own unfolding,
+    on four-step tensors too, whose cuts are read in slabs, and on qutrit
+    tensors, whose future row counts (81 at K = 2) are not powers of
+    two."""
     rng = np.random.default_rng(55)
-    corpus = [b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3]
+    corpus = [b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3,
+              _memoryless_four_steps(), _b2_four_steps(),
+              _qutrit_dilation("markov")]
     for _ in range(5):
         leg = int(rng.integers(0, b2_pt.legs.n_legs))
         corpus.append(apply_local_channel(b2_pt, leg, random_cptp(2, rng)))
@@ -973,10 +983,58 @@ def test_bond_dimension_matches_unfoldings(b1_pt, b2_pt, b3_pt, markov_pt2,
     corpus.append(build_process_tensor(b2_model, (0.0, 1.0)))
     corpus.append(ProcessTensor(np.zeros((32, 32)), 2, (0.0, 1.0, 2.0)))
     for pt in corpus:
-        for cutoff in (1e-2, 1e-6, 1e-10, 1e-12):
+        for cutoff in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
             assert bond_dimension(pt, cutoff) == \
                 bond_dimension_unfoldings(pt, cutoff)
     assert bond_dimension(corpus[-1]) == [0, 0]
+
+
+@pytest.mark.parametrize("d, k", [(2, 4), (3, 2)])
+def test_bond_dimension_resolves_every_gap(d, k):
+    """A cutoff between two singular values 5 % or more apart of a cut's
+    own unfolding counts exactly the values above it, on a sum of five
+    random Hermitian product operators weighted 1, 0.1, ..., 1e-4, whose
+    cuts are read in slabs (of uneven length at d = 3). The second term
+    lives only on the first final-output row, which the last slabs miss,
+    and the third only on the last initial-input column: leaving out a
+    slab's rows of the R factor, or a column's part of the carry, moves a
+    count."""
+    rng = np.random.default_rng(58)
+
+    def factor(t, leg):
+        if (t, leg) in ((1, 0), (2, 2 * k)):
+            return np.diag(np.eye(d)[0 if t == 1 else d - 1])
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return a + a.conj().T
+    choi = sum(10.0 ** -t * tensor_product(*[factor(t, leg)
+                                             for leg in range(2 * k + 1)])
+               for t in range(5))
+    pt = ProcessTensor(choi, d, range(k + 1))
+    checked = 0
+    for j, s in enumerate(unfolding_singular_values(pt)):
+        for i in range(min(len(s) - 1, 12)):
+            if s[i + 1] > 1e-9 * s[0] and s[i] >= 1.05 * s[i + 1]:
+                cutoff = math.sqrt(s[i] * s[i + 1]) / s[0]
+                assert bond_dimension(pt, cutoff)[j] == i + 1
+                checked += 1
+    assert checked >= k
+
+
+def test_bond_dimension_and_measure_make_no_large_temporary(tmp_path):
+    """Tripwire: on a loaded memoryless K = 4 file (4 MiB), the sweep and
+    the measure each peak within 0.3 tensor sizes above their start, the
+    first cut's carry of a quarter included; the chronological copy of
+    the tensor alone was one tensor size."""
+    path = tmp_path / "k4.ptf"
+    _memoryless_four_steps().save(path)
+    pt = ProcessTensor.load(path)
+    size = pt.choi.nbytes
+    dims = bond_dimension(pt)  # the lazily built module state
+    assert dims == [1, 1, 1, 1]
+    got, peak, _ = traced_peak(lambda: bond_dimension(pt))
+    assert got == dims and peak <= 0.3 * size
+    got, peak, _ = traced_peak(lambda: non_markovianity(pt))
+    assert got.bond_dims == tuple(dims) and peak <= 0.3 * size
 
 
 def test_bond_dimension_decomposes_only_small_matrices(monkeypatch):

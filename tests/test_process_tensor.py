@@ -36,6 +36,7 @@ from oracles import (
     P1,
     PP,
     b3_choi_analytic,
+    causality_defect_dense,
     compose,
     depolarizing,
     entropy_of_spectrum,
@@ -43,6 +44,7 @@ from oracles import (
     restrict_einsum,
     spectrum_dense,
     tomography_process_tensor,
+    traced_peak,
     von_neumann_entropy,
 )
 
@@ -477,6 +479,37 @@ def _legs_reversed(pt):
     return ProcessTensor(t.reshape(pt.dim, pt.dim), pt.system_dim, pt.times)
 
 
+@pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_causality_defect_matches_dense_partial_traces(d, k):
+    """The blockwise defect of a random Hermitian tensor, causal nowhere,
+    is the one from partial traces of whole matrices: every block of
+    every step is compared."""
+    dim = d ** (2 * k + 1)
+    g = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+    pt = ProcessTensor(g + g.conj().T, d, range(k + 1))
+    want = causality_defect_dense(pt)
+    assert abs(pt.causality_defect() - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("qutrit", [False, True])
+def test_causality_defect_sees_a_gap_off_the_first_rows(markov_pt2, qutrit):
+    """A defect confined to the last input value and to the last two
+    output values of the leading slot is found: eps |0><0| (x) Z (x)
+    |d-1><d-1| on the first three legs, with Z = |d-2><d-1| + |d-1><d-2|
+    and the identity on the others, breaks the comb condition of the last
+    step by eps there and nowhere else (Z is traceless, so the steps below
+    are unchanged). At d = 3 no entry of it lies in a first row."""
+    pt = _qutrit_memory_pt() if qutrit else markov_pt2
+    d, eps = pt.system_dim, 1e-2
+    unit = np.eye(d)
+    z = np.outer(unit[d - 2], unit[d - 1])
+    delta = eps * tensor_product(np.outer(unit[0], unit[0]), z + z.T,
+                                 np.outer(unit[d - 1], unit[d - 1]),
+                                 np.eye(d * d))
+    bad = ProcessTensor(pt.choi + delta, d, pt.times)
+    assert abs(bad.causality_defect() - eps) <= 1e-12
+
+
 def test_causality_defect_separates_combs(b1_model, b1_pt, b2_model, b2_pt,
                                           b3_model, b3_pt, markov_model2,
                                           markov_pt2, markov_pt3,
@@ -559,14 +592,8 @@ def test_every_construction_route_stores_exactly_hermitian_choi(
 def test_construction_scans_hermiticity_in_blocks():
     """The constructor scans an exactly Hermitian K = 4 tensor without a
     full-size temporary: the traced peak stays below half its size."""
-    import tracemalloc
     choi = _benchmark_tensor("markov", 4, 1).choi
-    tracemalloc.start()
-    try:
-        ProcessTensor(choi, 2, range(5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(lambda: ProcessTensor(choi, 2, range(5)))
     assert peak < choi.nbytes / 2
 
 
@@ -627,15 +654,9 @@ def test_spectrum_makes_no_full_size_temporary():
     """Sketching the spectrum of a K = 4 benchmark tensor (4 MiB) peaks
     below one tensor size: the residual is summed in row blocks, where a
     full-size residual would take two tensor sizes."""
-    import tracemalloc
     choi = _benchmark_tensor("markov", 4, 1).choi
     pt = ProcessTensor(choi, 2, range(5))
-    tracemalloc.start()
-    try:
-        pt.spectrum
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(lambda: pt.spectrum)
     assert peak < choi.nbytes
 
 
@@ -699,16 +720,10 @@ def test_ptf_round_trip_keeps_signed_zeros(tmp_path):
 def test_ptf_save_makes_no_full_size_copy(tmp_path):
     """Saving a K = 4 tensor (4 MiB) writes the array's own buffer: the
     traced peak stays below the tensor's size, and the blob is its bytes."""
-    import tracemalloc
     pt = ProcessTensor(tensor_product(*[IDENT.choi] * 4, np.eye(2) / 2),
                        2, (0.0, 1.0, 2.0, 3.0, 4.0))
     path = tmp_path / "k4.ptf"
-    tracemalloc.start()
-    try:
-        pt.save(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(lambda: pt.save(path))
     assert peak < pt.choi.nbytes
     assert path.read_bytes().endswith(pt.choi.tobytes())
 
@@ -742,6 +757,42 @@ def test_ptf_rejects_garbage(tmp_path):
     from ptmarkov import FormatError
     with pytest.raises(FormatError):
         ProcessTensor.load(path)
+
+
+def test_ptf_load_reads_the_blob_once(tmp_path):
+    """Tripwire: loading a K = 4 file (a 4 MiB tensor) peaks within 2.3
+    tensor sizes and keeps within 2.1: the tensor, its slot-major form and
+    the smaller forms. Reading the blob as one bytes object held it twice,
+    and the causality check made 0.75 of a tensor in temporaries."""
+    path = tmp_path / "k4.ptf"
+    _benchmark_tensor("markov", 4, 1).save(path)
+    ProcessTensor.load(path)  # the lazily built module state
+    pt, peak, kept = traced_peak(lambda: ProcessTensor.load(path))
+    size = pt.choi.nbytes
+    assert peak <= 2.3 * size and kept <= 2.1 * size
+    assert not pt.choi.flags.writeable
+
+
+@pytest.mark.parametrize("extra", [16, -16, -(1 << 22) + 8])
+def test_ptf_blob_size_is_checked_before_reading(tmp_path, extra):
+    """Trailing bytes, a short blob and a file of eight blob bytes under a
+    K = 4 header are refused with the blob's size, and nothing of the
+    declared 4 MiB is allocated first."""
+    from ptmarkov import FormatError
+    path = tmp_path / "k4.ptf"
+    tensor_k4 = ProcessTensor(tensor_product(*[IDENT.choi] * 4, np.eye(2) / 2),
+                              2, range(5))
+    tensor_k4.save(path)
+    data = path.read_bytes()
+    declared = tensor_k4.choi.nbytes
+    path.write_bytes(data + bytes(extra) if extra > 0 else data[:extra])
+    message = f"blob holds {declared + extra} bytes, expected {declared}"
+
+    def load():
+        with pytest.raises(FormatError, match=message):
+            ProcessTensor.load(path)
+    _, peak, _ = traced_peak(load)
+    assert peak < declared / 16
 
 
 def test_ptf_rejects_truncated_blob(tmp_path, b2_pt):

@@ -11,6 +11,7 @@ from ptmarkov import (
     QuantumMap,
     ValidationError,
     build_process_tensor,
+    default_break,
     ic_basis,
     ic_frame_states,
     model_b1,
@@ -310,11 +311,25 @@ def test_ic_basis_frame_reconstruction(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_ic_basis_is_built_once_and_read_only(d):
     """One basis per dimension, shared by every caller, so its arrays
-    cannot be written through."""
+    cannot be written through: the Gram matrix, the duals, and each
+    element's Choi matrix and the representations derived from it."""
     basis = ic_basis(d)
     assert ic_basis(d) is basis
-    for a in (basis.gram, *basis.duals):
+    elements = [a for e in basis.elements
+                for a in (e.choi, e.superoperator, *e.kraus)]
+    for a in (basis.gram, *basis.duals, *elements):
         assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_default_break_is_built_once_and_read_only(d):
+    """One default break per dimension, shared by every caller, so its
+    effects and preparations cannot be written through."""
+    brk = default_break(d)
+    assert default_break(d) is brk
+    for a in (*brk.effects, *brk.preparations):
         with pytest.raises(ValueError):
             a[0, 0] = 0
 
