@@ -30,11 +30,9 @@ from .markov import (
     DivisibilityReport,
     MarkovReport,
     MeasureReport,
-    apply_local_channel,
     bond_dimension,
     classical_markov_check,
     classical_process,
-    closest_markov,
     confusion_probability,
     divisibility_test,
     markov_test,

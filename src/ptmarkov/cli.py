@@ -43,7 +43,7 @@ from .markov import (
     markov_test,
     non_markovianity,
 )
-from .process_tensor import ProcessTensor, default_break
+from .process_tensor import default_break
 from .qops import QuantumMap, ic_basis
 from .random_ops import (
     computational_reprepare_instrument,
@@ -160,14 +160,6 @@ def _model_from_config(cfg: dict):
     return model, times
 
 
-def _sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _sha256_obj(obj) -> str:
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
@@ -209,7 +201,8 @@ def cmd_analyze(args) -> int:
     if not 0 <= bond_cutoff < 1:
         raise ConfigError(f"--bond-cutoff must lie in [0, 1), "
                           f"got {bond_cutoff!r}")
-    pt = ProcessTensor.load(args.file)
+    digest = hashlib.sha256()
+    pt = ptf.load(args.file, digest)
     d = pt.system_dim
     basis = ic_basis(d)
     analyses = _analysis_flags(args)
@@ -217,7 +210,7 @@ def cmd_analyze(args) -> int:
         "format": "ptr-report-v1",
         "input": {
             "path": str(args.file),
-            "sha256": _sha256_file(args.file),
+            "sha256": digest.hexdigest(),
             "system_dim": d,
             "k": pt.n_steps,
             "times": list(pt.times),

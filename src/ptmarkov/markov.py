@@ -25,12 +25,7 @@ from .defaults import (
     SUPPORT_CUTOFF,
 )
 from .errors import DimensionMismatch, NotPositive, ValidationError
-from .linalg import (
-    Array,
-    hermitize,
-    partial_trace,
-    tensor_product,
-)
+from .linalg import Array, hermitize, partial_trace
 from .process_tensor import ProcessTensor, _contract_form, default_break
 from .qops import Instrument, OperationBasis, QuantumMap
 
@@ -42,13 +37,11 @@ __all__ = [
     "ClassicalCheck",
     "markov_test",
     "divisibility_test",
-    "closest_markov",
     "non_markovianity",
     "confusion_probability",
     "bond_dimension",
     "classical_process",
     "classical_markov_check",
-    "apply_local_channel",
 ]
 
 
@@ -542,22 +535,6 @@ def _block_marginals(pt: ProcessTensor, m: Array) -> list[Array]:
             for block in _block_legs(pt.n_steps)]
 
 
-def closest_markov(pt: ProcessTensor) -> ProcessTensor:
-    """Discard intertemporal correlations: the tensor product of the step
-    marginals and the initial-state marginal, renormalized to the stored
-    trace convention (trace d per step block, trace 1 for the initial
-    state)."""
-    d = pt.system_dim
-    marginals = _block_marginals(pt, pt.choi)
-    scaled = []
-    for i, m in enumerate(marginals):
-        target = float(d) if i < pt.n_steps else 1.0
-        tr = np.trace(m).real
-        scaled.append(m * (target / tr))
-    product = tensor_product(*scaled)
-    return ProcessTensor(product, d, pt.times)
-
-
 def _entropy(w: Array) -> float:
     """Von Neumann entropy in nats of a unit-trace spectrum. Eigenvalues
     at or below SUPPORT_CUTOFF contribute nothing (0 log 0 = 0)."""
@@ -815,29 +792,3 @@ def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,
     return ClassicalCheck(is_markov=bool(max_violation <= tol),
                           max_violation=max_violation,
                           kolmogorov_ok=kolmogorov_ok)
-
-
-# ---------------------------------------------------------------------------
-# plumbing
-# ---------------------------------------------------------------------------
-
-def apply_local_channel(pt: ProcessTensor, leg: int,
-                        channel: QuantumMap) -> ProcessTensor:
-    """Apply a channel to a single leg of the generalized Choi state
-    (post-processing used by the CP-contractivity checks)."""
-    d = pt.system_dim
-    if channel.in_dim != d or channel.out_dim != d:
-        raise DimensionMismatch("channel dims must match the leg dimension")
-    n = pt.legs.n_legs
-    if not 0 <= leg < n:
-        raise ValidationError(f"leg {leg} outside [0, {n - 1}]")
-    t = pt.as_tensor()
-    s4 = channel.superoperator.reshape(d, d, d, d)
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    out = row + col
-    srow, scol = 2 * n, 2 * n + 1
-    sub = [srow, scol, row[leg], col[leg]]
-    out[leg], out[n + leg] = srow, scol
-    res = np.einsum(s4, sub, t, row + col, out)
-    return ProcessTensor(res.reshape(pt.dim, pt.dim), d, pt.times)

@@ -150,65 +150,88 @@ def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
     The adaptive randomized range finder of Halko, Martinsson and Tropp
     (SIAM Rev. 53, 217, 2011, Alg. 4.2): Q is an orthonormal basis of
     Y = Upsilon Omega for a complex Gaussian Omega of width w drawn from
-    ``default_rng(0)``, so the result is the same on every call, and
-    B = Q^dagger Upsilon Q. The residual R = Upsilon - Q B Q^dagger is
-    summed explicitly over row blocks of ``_ROW_BLOCK`` rows, so no
-    full-size temporary is made. Upsilon = Q B Q^dagger + R with R
-    Hermitian, so by Weyl's inequality every eigenvalue of Upsilon lies
-    within ||R||_2 <= ||R||_F of the matching one of eig(B) padded with
-    dim - w zeros.
+    ``default_rng(0)``, so the result is the same on every call.
 
-    The sketch is accepted when ||Upsilon||_F is finite and
-    ||R||_F <= ``_SKETCH_RTOL`` ||Upsilon||_F: at 1e-12 every eigenvalue
-    it sets to zero lies below SUPPORT_CUTOFF after the trace is divided
-    out, and the accepted residuals of rank-e*r model tensors are about
-    1e-14. Otherwise w doubles from ``_SKETCH_WIDTH`` = 16, keeping the
-    columns already sketched. Since ||R||_F^2 = ||Upsilon||_F^2 -
-    ||B||_F^2 in exact arithmetic, a width at which that difference is at
-    least ``_SKETCH_SKIP`` ||Upsilon||_F^2 is rejected without the
-    explicit residual, which stays the only way a width is accepted. Once
-    w would pass dim/8, where a sketch saves little over it, the dense
-    eigensolve is returned instead, with bound 0: at K <= 2 always, and
-    for full-rank data such as noisy tomography or a malformed file.
+    B comes from the sketch alone, in the single pass of their sec. 5.5:
+    if Upsilon = Q B Q^dagger, then Q^dagger Y = B (Q^dagger Omega), and
+    Q^dagger Y is the R factor of Y = Q R, so B solves B C = R with
+    C = Q^dagger Omega and needs no product Upsilon Q. B is then
+    symmetrized, so R_res = Upsilon - Q B Q^dagger is Hermitian and, by
+    Weyl's inequality, every eigenvalue of Upsilon lies within
+    ||R_res||_2 <= ||R_res||_F of the matching one of eig(B) padded with
+    dim - w zeros, whatever B is. That residual is summed explicitly, in
+    row blocks of ``_ROW_BLOCK`` rows on and right of the diagonal: a
+    Hermitian R_res has ||R_res||_F^2 = sum_i ||R_ii||^2 +
+    2 sum_{i<j} ||R_ij||^2 over its row and column blocks, so each
+    diagonal block counts once and the blocks right of it twice, and no
+    full-size temporary is made.
+
+    The explicit residual is the only acceptance: the sketch is accepted
+    when ||Upsilon||_F is finite and ||R_res||_F <= ``_SKETCH_RTOL``
+    ||Upsilon||_F. At 1e-12 every eigenvalue it sets to zero lies below
+    SUPPORT_CUTOFF after the trace is divided out, and the accepted
+    residuals of rank-e*r model tensors are about 1e-14. The single-pass
+    B is less accurate than Q^dagger Upsilon Q by about cond(C), so a
+    width whose residual fails is retried once with B = Q^dagger Upsilon Q,
+    which minimizes ||R_res||_F over B; only if that fails too does w
+    double from ``_SKETCH_WIDTH`` = 16, keeping the columns already
+    sketched. For that minimizer ||R_res||_F^2 = ||Upsilon||_F^2 -
+    ||B||_F^2, so a width at which the single-pass B gives a difference of
+    at least ``_SKETCH_SKIP`` ||Upsilon||_F^2, far above what cond(C) can
+    move it by at an acceptable width, is rejected without either
+    residual; a wrong rejection costs a wider sketch, never a wrong
+    bound. Once w would pass dim/8, where a sketch saves little over it,
+    the dense eigensolve is returned instead, with bound 0: at K <= 2
+    always, and for full-rank data such as noisy tomography or a
+    malformed file.
     """
     n = choi.shape[0]
     square = np.vdot(choi, choi).real
     norm = math.sqrt(square)
     rng = np.random.default_rng(0)
-    y = np.empty((n, 0), dtype=complex)
+    omega = y = np.empty((n, 0), dtype=complex)
     w = _SKETCH_WIDTH
     while w <= n // 8 and math.isfinite(norm):
         shape = (n, w - y.shape[1])
-        omega = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        y = np.hstack([y, choi @ omega])
-        # a rejected width's arrays go with the call
-        b, resid = _sketch_residual(choi, y, square)
-        # the passing direction: a NaN fails it
-        if resid <= _SKETCH_RTOL * norm:
-            w_b = np.linalg.eigvalsh(b)
-            return np.sort(np.concatenate([np.zeros(n - w), w_b])), resid
+        new = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = np.hstack([y, choi @ new])
+        omega = np.hstack([omega, new])
+        del new
+        q, r = np.linalg.qr(y)
+        qh = q.conj().T
+        del q  # qh is all the residual needs of it
+        # B C = R through its adjoint, C^dagger B^dagger = R^dagger
+        b = np.linalg.solve((qh @ omega).conj().T, r.conj().T)
+        b = b / 2 + b.conj().T / 2
+        if square - np.vdot(b, b).real < _SKETCH_SKIP * square:
+            resid = _sketch_residual(choi, qh, b)
+            # the passing direction: a NaN fails it
+            if not resid <= _SKETCH_RTOL * norm:
+                b = qh @ (choi @ qh.conj().T)
+                b = b / 2 + b.conj().T / 2
+                resid = _sketch_residual(choi, qh, b)
+            if resid <= _SKETCH_RTOL * norm:
+                w_b = np.linalg.eigvalsh(b)
+                return np.sort(np.concatenate([np.zeros(n - w), w_b])), resid
         w *= 2
     return np.linalg.eigvalsh(choi), 0.0
 
 
-def _sketch_residual(choi: Array, y: Array,
-                     square: float) -> tuple[Array, float]:
-    """B = Q^dagger Upsilon Q for an orthonormal basis Q of ``y``, and
-    ||Upsilon - Q B Q^dagger||_F, or inf when ``square`` = ||Upsilon||_F^2
-    minus ||B||_F^2 already rules the width out."""
-    q = np.linalg.qr(y)[0]
-    qh = q.conj().T
-    b = qh @ (choi @ q)
-    if square - np.vdot(b, b).real >= _SKETCH_SKIP * square:
-        return b, math.inf
-    qb = q @ b
-    del q  # qh is all the residual needs of it
+def _sketch_residual(choi: Array, qh: Array, b: Array) -> float:
+    """||Upsilon - Q B Q^dagger||_F for a Hermitian ``choi`` and ``b`` and
+    ``qh`` = Q^dagger: each row block's diagonal block once and the part
+    right of it twice (see :func:`_low_rank_spectrum`). A row block of
+    Q B is the adjoint of B Q^dagger's columns, so Q itself is not
+    needed."""
     total = 0.0
     for s in range(0, len(choi), _ROW_BLOCK):
-        r = qb[s:s + _ROW_BLOCK] @ qh
-        r -= choi[s:s + _ROW_BLOCK]
-        total += np.vdot(r, r).real
-    return b, math.sqrt(total)
+        rows = slice(s, s + _ROW_BLOCK)
+        qb = (b @ qh[:, rows]).conj().T
+        for cols, weight in ((rows, 1), (slice(s + _ROW_BLOCK, None), 2)):
+            r = qb @ qh[:, cols]
+            r -= choi[rows, cols]
+            total += weight * np.vdot(r, r).real
+    return math.sqrt(total)
 
 
 def _contract_form(form: Array, stacks: Sequence[Array]) -> Array:
@@ -274,17 +297,22 @@ class ProcessTensor:
             raise DimensionMismatch(
                 f"choi shape {choi.shape} != ({dim}, {dim}) for "
                 f"{n_steps} steps of dimension {self.system_dim}")
-        # scanned and symmetrized in row blocks, so an exactly Hermitian
-        # input makes no full-size temporary; np.maximum carries a NaN
-        # through and the check passes in its own direction, so NaN fails.
-        # A difference of finite entries that overflows reads as inf; the
-        # mean halves before it adds, so finite entries keep a finite mean.
+        # scanned one row block at a time, on and below the diagonal only:
+        # |a - conj(b)| = |b - conj(a)| bit for bit, so each Hermitian pair
+        # is read once and an exactly Hermitian input makes no full-size
+        # temporary. np.maximum carries a NaN through and the check passes
+        # in its own direction, so NaN fails. A difference of finite
+        # entries that overflows reads as inf. The symmetrization takes
+        # whole rows, so every entry, signed zeros included, is the one
+        # (c + c^dagger) / 2 gives; the mean halves before it adds, so
+        # finite entries keep a finite mean.
         blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, dim, _ROW_BLOCK)]
         asym = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for rows in blocks:
-                asym = np.maximum(
-                    asym, np.abs(choi[rows] - choi[:, rows].conj().T).max())
+                end = min(rows.stop, dim)
+                asym = np.maximum(asym, np.abs(
+                    choi[rows, :end] - choi[:end, rows].conj().T).max())
         if not asym <= 1e-8:
             raise ValidationError(f"choi asymmetry {asym:.3e} exceeds 1e-8")
         if asym:
@@ -292,7 +320,9 @@ class ProcessTensor:
             for rows in blocks:
                 herm[rows] = choi[rows] / 2 + choi[:, rows].conj().T / 2
             choi = herm
-        self.choi = choi
+        # a read-only view: the caller's array keeps its own flags
+        self.choi = choi.view()
+        self.choi.setflags(write=False)
         self.legs = LegShape(dims=(self.system_dim,) * n_legs,
                              labels=leg_labels(n_steps))
         self._forms: dict[int, Array] = {}
@@ -321,8 +351,9 @@ class ProcessTensor:
 
         A low-rank tensor, such as a dilation's Upsilon = M M^dagger with
         M of e*r columns, takes the sketch route of
-        :func:`_low_rank_spectrum`: the eigenvalues of Q^dagger Upsilon Q
-        padded with zeros, each within the residual norm of the true one.
+        :func:`_low_rank_spectrum`: the eigenvalues of the sketch's
+        Hermitian w x w matrix B padded with zeros, each within the
+        residual norm of the true one.
         Other tensors get a dense eigensolve.
         """
         if self._spectrum is None:

@@ -12,7 +12,10 @@ trace d**k (the ``tp_choi_trace_d`` convention), the last three within
 ``SweepGuardError`` before the blob is read. The blob's length is checked
 against the header with ``os.fstat`` before anything is allocated, and
 the blob is then read straight into the read-only array the tensor keeps,
-so a load holds it once.
+so a load holds it once. A caller that passes a ``hashlib`` object gets
+the file's digest from the same read: the header line and then the blob
+are fed to it as they come in, so the file is read once and the digest
+covers exactly the bytes analyzed.
 
 The same header-plus-blob scheme serializes plain matrix bundles
 (``PTF1-mats``), used to supply unitaries for custom models.
@@ -74,10 +77,12 @@ def save(pt, path) -> None:
         fh.write(np.ascontiguousarray(pt.choi, dtype="<c16"))
 
 
-def _read_header(fh, fmt: str) -> dict:
+def _read_header(fh, fmt: str, digest=None) -> dict:
     line = fh.readline()
     if not line.endswith(b"\n"):
         raise FormatError("missing header line")
+    if digest is not None:
+        digest.update(line)
     try:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -93,11 +98,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load(path):
+def load(path, digest=None):
+    """The checked tensor of a PTF1 file; ``digest``, a ``hashlib`` object
+    if given, is updated with every byte of the file in order."""
     from .process_tensor import ProcessTensor, check_tensor_size, leg_labels
 
     with open(path, "rb") as fh:
-        header = _read_header(fh, "PTF1")
+        header = _read_header(fh, "PTF1", digest)
         for key in ("system_dim", "k", "times", "leg_dims"):
             if key not in header:
                 raise FormatError(f"header missing field {key!r}")
@@ -135,6 +142,8 @@ def load(path):
         check_tensor_size(d, k)
         dim = d ** (2 * k + 1)
         choi = _read_blob(fh, dim, dim)
+    if digest is not None:
+        digest.update(choi)
     if not np.isfinite(choi).all():
         raise FormatError("blob holds non-finite entries")
     try:

@@ -47,29 +47,6 @@ def random_cptp(d: int, rng: np.random.Generator,
     return QuantumMap.from_kraus(kraus)
 
 
-def random_povm(d: int, n_outcomes: int, rng: np.random.Generator
-                ) -> list[Array]:
-    """Random POVM: Wishart effects squeezed so they sum to identity."""
-    raw = []
-    for _ in range(n_outcomes):
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        raw.append(a @ a.conj().T)
-    total = sum(raw)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return [inv_sqrt @ e @ inv_sqrt for e in raw]
-
-
-def random_reprepare_instrument(d: int, n_outcomes: int,
-                                rng: np.random.Generator) -> Instrument:
-    """Measure-and-reprepare instrument: a random POVM whose outcome r
-    triggers the preparation of a random pure state."""
-    effects = random_povm(d, n_outcomes, rng)
-    members = [QuantumMap.measure_and_prepare(e, random_pure_state(d, rng))
-               for e in effects]
-    return Instrument(members=tuple(members))
-
-
 def computational_reprepare_instrument(d: int) -> Instrument:
     """Measure in the computational basis and re-prepare the outcome state."""
     members = []

@@ -317,6 +317,12 @@ def spectrum_dense(pt):
     return np.linalg.eigvalsh(pt.choi)
 
 
+def sketch_residual_full(choi, qh, b):
+    """||Upsilon - Q B Q^dagger||_F over the whole square, from one
+    full-size residual; ``qh`` is Q^dagger."""
+    return np.linalg.norm(choi - qh.conj().T @ b @ qh)
+
+
 def schmidt_rank_across(mat, dims_early, dims_late, cutoff=1e-10):
     """Operator-Schmidt rank by reshaping a matrix on (early (x) late) legs
     and running an SVD; independent route used against bond_dimension."""
@@ -605,3 +611,62 @@ def classical_process_einsum(pt, instruments, final_povm=None):
     else:
         operands.extend([np.eye(d, dtype=complex).reshape(-1), [0]])
     return np.einsum(*operands, out_labels, optimize=True).real
+
+
+# ---------------------------------------------------------------------------
+# test-only constructions: the closest product tensor, a channel on one leg,
+# and random measure-and-reprepare instruments
+# ---------------------------------------------------------------------------
+
+def closest_markov(pt):
+    """Discard intertemporal correlations: the tensor product of the step
+    marginals (adjacent leg pairs) and the initial-state marginal (the
+    last leg), renormalized to trace d per step and trace 1 for the
+    initial state."""
+    from ptmarkov import ProcessTensor, partial_trace, tensor_product
+
+    d, k = pt.system_dim, pt.n_steps
+    blocks = [(2 * m, 2 * m + 1) for m in range(k)] + [(2 * k,)]
+    scaled = []
+    for i, block in enumerate(blocks):
+        m = partial_trace(pt.choi, pt.legs.dims, block)
+        target = float(d) if i < k else 1.0
+        scaled.append(m * (target / np.trace(m).real))
+    return ProcessTensor(tensor_product(*scaled), d, pt.times)
+
+
+def apply_local_channel(pt, leg, channel):
+    """Apply a channel to a single leg of the generalized Choi state."""
+    from ptmarkov import ProcessTensor
+
+    d, n = pt.system_dim, pt.legs.n_legs
+    s4 = channel.superoperator.reshape(d, d, d, d)
+    row, col = list(range(n)), list(range(n, 2 * n))
+    out = row + col
+    out[leg], out[n + leg] = 2 * n, 2 * n + 1
+    res = np.einsum(s4, [2 * n, 2 * n + 1, row[leg], col[leg]],
+                    pt.as_tensor(), row + col, out)
+    return ProcessTensor(res.reshape(pt.dim, pt.dim), d, pt.times)
+
+
+def random_povm(d, n_outcomes, rng):
+    """Random POVM: Wishart effects squeezed so they sum to identity."""
+    raw = []
+    for _ in range(n_outcomes):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        raw.append(a @ a.conj().T)
+    w, v = np.linalg.eigh(sum(raw))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return [inv_sqrt @ e @ inv_sqrt for e in raw]
+
+
+def random_reprepare_instrument(d, n_outcomes, rng):
+    """Measure-and-reprepare instrument: a random POVM whose outcome r
+    triggers the preparation of a random pure state."""
+    from ptmarkov import Instrument, QuantumMap
+    from ptmarkov.random_ops import random_pure_state
+
+    effects = random_povm(d, n_outcomes, rng)
+    return Instrument(members=tuple(
+        QuantumMap.measure_and_prepare(e, random_pure_state(d, rng))
+        for e in effects))

@@ -9,7 +9,6 @@ import time
 import numpy as np
 from ptmarkov import (
     QuantumMap,
-    apply_local_channel,
     bond_dimension,
     build_process_tensor,
     b2_conditional_output,
@@ -32,10 +31,17 @@ from ptmarkov.random_ops import (
     random_cptp,
     random_control_sequence,
     random_density,
-    random_reprepare_instrument,
 )
 
-from oracles import P0, P1, PP, SX, b3_classical_table
+from oracles import (
+    P0,
+    P1,
+    PP,
+    SX,
+    apply_local_channel,
+    b3_classical_table,
+    random_reprepare_instrument,
+)
 
 IDENT = QuantumMap.identity(2)
 FLIP = QuantumMap.from_unitary(SX)

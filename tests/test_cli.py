@@ -29,7 +29,7 @@ from ptmarkov.defaults import PSD_CLIP
 from ptmarkov.process_tensor import leg_labels
 from ptmarkov.random_ops import random_density, random_unitary
 
-from oracles import P0, PP, partial_swap_unitary
+from oracles import P0, PP, closest_markov, partial_swap_unitary
 
 
 def _write_config(path, **overrides):
@@ -84,7 +84,7 @@ def test_simulate_markov_product_form(tmp_path):
     from ptmarkov import bond_dimension
     assert bond_dimension(pt) == [1, 1]
     # and the tensor factorizes into its block marginals
-    from ptmarkov import closest_markov, trace_norm_distance
+    from ptmarkov import trace_norm_distance
     assert trace_norm_distance(closest_markov(pt).choi, pt.choi) <= 1e-9
 
 
@@ -386,8 +386,8 @@ def test_analyze_measure_solves_no_full_size_spectrum(tmp_path, b2_pure_pt3,
         monkeypatch.setattr(module, "hermitize", recorded)
     loaded = []
 
-    def load(p, _orig=ptf.load):
-        loaded.append(_orig(p))
+    def load(p, *args, _orig=ptf.load):
+        loaded.append(_orig(p, *args))
         return loaded[-1]
     monkeypatch.setattr(ptf, "load", load)
     assert main(["analyze", str(path), "--measure",
@@ -747,6 +747,29 @@ def test_report_reproducible_modulo_wall_time(tmp_path):
         rep["provenance"].pop("wall_time_s")
     assert json.dumps(reports[0], sort_keys=True) == \
         json.dumps(reports[1], sort_keys=True)
+
+
+def test_report_sha256_is_the_file_digest(tmp_path, monkeypatch):
+    """The load hashes the bytes it reads, so the report's digest is the
+    file's, and the file is opened once."""
+    import builtins
+    import hashlib
+    cfg = _write_config(tmp_path / "b2.json")
+    path = tmp_path / "b2.ptf"
+    main(["simulate", str(cfg), "-o", str(path)])
+    opened = []
+
+    def counted(file, *args, _orig=builtins.open, **kwargs):
+        opened.append(str(file))
+        return _orig(file, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", counted)
+    assert main(["analyze", str(path), "--bonddim",
+                 "-o", str(tmp_path / "r.json")]) == 0
+    monkeypatch.undo()
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["input"]["sha256"] == \
+        hashlib.sha256(path.read_bytes()).hexdigest()
+    assert opened.count(str(path)) == 1
 
 
 @pytest.mark.parametrize("name", ["b1", "b2", "b3"])

@@ -13,12 +13,10 @@ from ptmarkov import (
     QuantumMap,
     SEModel,
     ValidationError,
-    apply_local_channel,
     bond_dimension,
     build_process_tensor,
     classical_markov_check,
     classical_process,
-    closest_markov,
     confusion_probability,
     divisibility_test,
     markov_test,
@@ -34,7 +32,6 @@ from ptmarkov.random_ops import (
     random_control_sequence,
     random_cptp,
     random_density,
-    random_reprepare_instrument,
     random_unitary,
 )
 
@@ -42,16 +39,19 @@ from oracles import (
     P0,
     P1,
     PP,
+    apply_local_channel,
     b3_choi_analytic,
     b3_classical_table,
     bond_dimension_unfoldings,
     classical_process_einsum,
+    closest_markov,
     conditional_output_loop,
     diameter_bloch_all_pairs,
     diameter_general_batched,
     diameter_general_loop,
     diameter_qubit_all_pairs,
     markov_test_loop,
+    random_reprepare_instrument,
     relative_entropy_eig,
     schmidt_rank_across,
     traced_peak,

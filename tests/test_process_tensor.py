@@ -27,7 +27,6 @@ from ptmarkov.random_ops import (
     random_cptp,
     random_control_sequence,
     random_density,
-    random_reprepare_instrument,
     random_unitary,
 )
 
@@ -35,13 +34,17 @@ from oracles import (
     P0,
     P1,
     PP,
+    apply_local_channel,
     b3_choi_analytic,
     causality_defect_dense,
+    closest_markov,
     compose,
     depolarizing,
     entropy_of_spectrum,
     marginal_map_frame,
+    random_reprepare_instrument,
     restrict_einsum,
+    sketch_residual_full,
     spectrum_dense,
     tomography_process_tensor,
     traced_peak,
@@ -555,10 +558,10 @@ def test_analyses_build_no_restricted_tensor(markov_pt3, basis2, monkeypatch):
 def test_every_construction_route_stores_exactly_hermitian_choi(
         tmp_path, b2_model, b2_pt, basis2):
     """Each route that makes a tensor leaves ``choi`` equal to its adjoint
-    bit for bit: rounding-level asymmetry is symmetrized at construction,
-    and an asymmetry above 1e-8 is refused there."""
-    from ptmarkov import (FormatError, ValidationError, apply_local_channel,
-                          closest_markov)
+    bit for bit and read-only: rounding-level asymmetry is symmetrized at
+    construction, and an asymmetry above 1e-8 is refused there. The
+    caller's own array keeps its flags."""
+    from ptmarkov import FormatError
     path = tmp_path / "planted.ptf"
     b2_pt.save(path)
     line, blob = path.read_bytes().split(b"\n", 1)
@@ -575,9 +578,15 @@ def test_every_construction_route_stores_exactly_hermitian_choi(
             b2_pt, 2, random_cptp(2, np.random.default_rng(5))),
         "ptf.load": ProcessTensor.load(path),
     }
+    own = b2_pt.choi.copy()
+    routes["constructor"] = ProcessTensor(own, 2, b2_pt.times)
     for route, pt in routes.items():
         assert np.array_equal(pt.choi, pt.choi.conj().T), route
+        assert not pt.choi.flags.writeable, route
+        with pytest.raises(ValueError, match="read-only"):
+            pt.choi[0, 0] += 1
     assert routes["ptf.load"].choi[0, 1] != b2_pt.choi[0, 1]
+    assert own.flags.writeable
 
     choi = b2_pt.choi.copy()
     choi[0, 1] += 2e-8
@@ -597,21 +606,28 @@ def test_construction_scans_hermiticity_in_blocks():
     assert peak < choi.nbytes / 2
 
 
+# entries of a qutrit K = 2 tensor (243 rows: 3 blocks of 64 and a last,
+# partial one of 51) in the strictly lower and strictly upper triangle of
+# the last row block, off and on its diagonal block
+_LAST_BLOCK_PLANTS = ((240, 5), (5, 240), (240, 200), (200, 240))
+
+
 def test_blocked_scan_refuses_and_symmetrizes_every_block():
-    """A NaN or an asymmetry in the last, partial row block (a qutrit
-    K = 2 tensor has 243 rows, so 3 blocks of 64 and one of 51) is refused
-    as in the first block; a rounding-level asymmetry there is symmetrized
-    to the full-size expression bit for bit."""
-    from ptmarkov import ValidationError
-    base = np.eye(243, dtype=complex)
-    for bad in (complex(math.nan, 0), 1e-6):
-        choi = base.copy()
-        choi[240, 5] = bad
-        with pytest.raises(ValidationError, match="choi asymmetry"):
-            ProcessTensor(choi, 3, range(3))
-    choi = base.copy()
-    choi[240, 5] = 1e-12j
-    choi[5, 100] = 1e-12
+    """The scan reads each Hermitian pair once, from the block on or below
+    the diagonal, so a NaN or an asymmetry of 1e-6 planted on either side
+    of the diagonal in the last, partial row block is refused. A
+    rounding-level asymmetry in either triangle of any row block is
+    symmetrized to the full-size expression bit for bit, signed zeros
+    included."""
+    for at in _LAST_BLOCK_PLANTS:
+        for bad in (complex(math.nan, 0), 1e-6):
+            choi = np.eye(243, dtype=complex)
+            choi[at] = bad
+            with pytest.raises(ValidationError, match="choi asymmetry"):
+                ProcessTensor(choi, 3, range(3))
+    choi = np.eye(243, dtype=complex)
+    for n, at in enumerate(_LAST_BLOCK_PLANTS + ((5, 100), (100, 70))):
+        choi[at] = (1e-12, 1e-12j)[n % 2]
     pt = ProcessTensor(choi, 3, range(3))
     assert pt.choi.tobytes() == ((choi + choi.conj().T) / 2).tobytes()
 
@@ -650,14 +666,115 @@ def test_spectrum_agrees_with_dense_route(case, request):
     assert -PSD_CLIP <= bound <= dense[0] + 1e-13 * np.linalg.norm(pt.choi)
 
 
+# Traced peak, in bytes, of the spectrum of the first memoryless K = 4
+# benchmark tensor when B was Q^dagger Upsilon Q at every width and the
+# residual was summed over whole rows.
+_TWO_PASS_PEAK = 1_989_104
+
+
 def test_spectrum_makes_no_full_size_temporary():
     """Sketching the spectrum of a K = 4 benchmark tensor (4 MiB) peaks
     below one tensor size: the residual is summed in row blocks, where a
-    full-size residual would take two tensor sizes."""
+    full-size residual would take two tensor sizes. The single-pass sketch
+    keeps Omega for C = Q^dagger Omega but no Q and no Q B, so its peak
+    also stays at or below the two-pass sketch's."""
     choi = _benchmark_tensor("markov", 4, 1).choi
     pt = ProcessTensor(choi, 2, range(5))
     _, peak, _ = traced_peak(lambda: pt.spectrum)
     assert peak < choi.nbytes
+    assert peak <= _TWO_PASS_PEAK
+
+
+def _eigvalsh_sizes(monkeypatch) -> list[int]:
+    """Record the size of every eigvalsh call from here on: the accepted
+    sketch width, or dim for the dense route."""
+    sizes = []
+    orig = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return orig(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("case", _BENCHMARK_CASES,
+                         ids=lambda c: "{}-k{}-seed{}".format(*c))
+def test_sketch_accepts_the_two_pass_width(case, monkeypatch):
+    """The single-pass B is accepted at the width the two-pass B was: 16
+    at K = 3 and for B.2 at K = 4, 32 for a memoryless K = 4 tensor (rank
+    e * r = 32)."""
+    model, k, _ = case
+    pt = _benchmark_tensor(*case)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    pt.spectrum
+    assert sizes == [32 if (model, k) == ("markov", 4) else 16]
+
+
+def test_sketch_retries_a_failed_width_with_two_pass_b(monkeypatch):
+    """A single-pass B whose residual fails is replaced once by
+    Q^dagger Upsilon Q at the same width before the width doubles: with
+    the solve for B spoiled by 1e-9, the width, the spectrum to 1e-12 and
+    the bound stay as they were."""
+    choi = _benchmark_tensor("markov", 4, 1).choi
+    good = ProcessTensor(choi, 2, range(5)).spectrum
+    orig = np.linalg.solve
+
+    def spoiled(a, b):
+        return orig(a, b) + 1e-9
+    monkeypatch.setattr(np.linalg, "solve", spoiled)
+    pt = ProcessTensor(choi, 2, range(5))
+    sizes = _eigvalsh_sizes(monkeypatch)
+    assert np.abs(pt.spectrum - good).max() <= 1e-12
+    assert sizes == [32]
+    assert -1e-12 <= pt.min_eigenvalue <= spectrum_dense(pt)[0] + 1e-13 * \
+        np.linalg.norm(choi)
+
+
+@pytest.mark.parametrize("k, size", [(4, 64), (3, 128)])
+def test_plant_outside_the_sketch_widens_or_falls_back(k, size,
+                                                       monkeypatch):
+    """A rank-one plant of 1e-9, orthogonal to the range of a memoryless
+    tensor, is far above the 1e-12 relative residual: at K = 4 the sketch
+    widens from 32 to 64, and at K = 3 (rank 16 of 128) the dense route
+    takes over. The bound stays below the dense minimum."""
+    base = _benchmark_tensor("markov", k, 1)
+    w, v = np.linalg.eigh(base.choi)
+    top = v[:, w > 1e-10 * w[-1]]
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(base.dim) + 1j * rng.standard_normal(base.dim)
+    x -= top @ (top.conj().T @ x)
+    x /= np.linalg.norm(x)
+    pt = ProcessTensor(base.choi + 1e-9 * np.outer(x, x.conj()), 2,
+                       base.times)
+    dense = spectrum_dense(pt)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    bound = pt.min_eigenvalue
+    assert sizes == [size]
+    assert bound <= dense[0] + 1e-13 * np.linalg.norm(pt.choi)
+    assert np.abs(pt.spectrum - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d, k", [(2, 4), (3, 2)])
+def test_one_triangle_residual_matches_full_square(d, k):
+    """The residual summed over the row blocks on and right of the
+    diagonal (diagonal blocks once, the rest twice) agrees with the
+    full-square one to 1e-12 relative. The tensor has rank 40 and Q only
+    16 columns, so the residual is far above rounding; the qutrit K = 2
+    tensor has 243 rows, so its last row block is partial."""
+    from ptmarkov.process_tensor import _sketch_residual
+    rng = np.random.default_rng(21)
+    n = d ** (2 * k + 1)
+    m = rng.standard_normal((n, 40)) + 1j * rng.standard_normal((n, 40))
+    choi = ProcessTensor(m @ m.conj().T, d, range(k + 1)).choi
+    q = np.linalg.qr(choi @ (rng.standard_normal((n, 16))
+                             + 1j * rng.standard_normal((n, 16))))[0]
+    qh = q.conj().T
+    b = qh @ choi @ q
+    b = (b + b.conj().T) / 2
+    full = sketch_residual_full(choi, qh, b)
+    assert full > 1e-3 * np.linalg.norm(choi)
+    assert abs(_sketch_residual(choi, qh, b) - full) <= 1e-12 * full
 
 
 def test_spectrum_bit_identical_across_loads(tmp_path):

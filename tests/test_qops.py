@@ -19,7 +19,7 @@ from ptmarkov import (
     tensor_product,
 )
 from ptmarkov.linalg import hermitize
-from ptmarkov.random_ops import random_cptp, random_reprepare_instrument
+from ptmarkov.random_ops import random_cptp
 
 from oracles import (
     P0,
@@ -32,6 +32,7 @@ from oracles import (
     compose,
     depolarizing,
     link_compose_choi,
+    random_reprepare_instrument,
 )
 
 RNG = np.random.default_rng(77)

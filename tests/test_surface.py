@@ -35,14 +35,12 @@ PUBLIC_NAMES = (
     "TomographyDataError",
     "UnresolvableConditional",
     "ValidationError",
-    "apply_local_channel",
     "b2_conditional_output",
     "b2_env_after_break",
     "bond_dimension",
     "build_process_tensor",
     "classical_markov_check",
     "classical_process",
-    "closest_markov",
     "confusion_probability",
     "default_break",
     "divisibility_test",
