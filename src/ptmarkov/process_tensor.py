@@ -170,15 +170,13 @@ def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
     when ||Upsilon||_F is finite and ||R_res||_F <= ``_SKETCH_RTOL``
     ||Upsilon||_F. At 1e-12 every eigenvalue it sets to zero lies below
     SUPPORT_CUTOFF after the trace is divided out, and the accepted
-    residuals of rank-e*r model tensors are about 1e-14. The single-pass
-    B is less accurate than Q^dagger Upsilon Q by about cond(C), so a
-    width whose residual fails is retried once with B = Q^dagger Upsilon Q,
-    which minimizes ||R_res||_F over B; only if that fails too does w
-    double from ``_SKETCH_WIDTH`` = 16, keeping the columns already
-    sketched. For that minimizer ||R_res||_F^2 = ||Upsilon||_F^2 -
-    ||B||_F^2, so a width at which the single-pass B gives a difference of
-    at least ``_SKETCH_SKIP`` ||Upsilon||_F^2, far above what cond(C) can
-    move it by at an acceptable width, is rejected without either
+    residuals of rank-e*r model tensors are about 1e-14. A width that
+    fails doubles from ``_SKETCH_WIDTH`` = 16, keeping the columns already
+    sketched. The single-pass B is less accurate than Q^dagger Upsilon Q
+    by about cond(C); for that projection ||R_res||_F^2 = ||Upsilon||_F^2
+    - ||B||_F^2, so a width at which the single-pass B gives a difference
+    of at least ``_SKETCH_SKIP`` ||Upsilon||_F^2, far above what cond(C)
+    can move it by at an acceptable width, is rejected without the
     residual; a wrong rejection costs a wider sketch, never a wrong
     bound. Once w would pass dim/8, where a sketch saves little over it,
     the dense eigensolve is returned instead, with bound 0: at K <= 2
@@ -206,10 +204,6 @@ def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
         if square - np.vdot(b, b).real < _SKETCH_SKIP * square:
             resid = _sketch_residual(choi, qh, b)
             # the passing direction: a NaN fails it
-            if not resid <= _SKETCH_RTOL * norm:
-                b = qh @ (choi @ qh.conj().T)
-                b = b / 2 + b.conj().T / 2
-                resid = _sketch_residual(choi, qh, b)
             if resid <= _SKETCH_RTOL * norm:
                 w_b = np.linalg.eigvalsh(b)
                 return np.sort(np.concatenate([np.zeros(n - w), w_b])), resid

@@ -22,12 +22,6 @@ def random_unitary(d: int, rng: np.random.Generator) -> Array:
     return q * phases
 
 
-def random_pure_state(d: int, rng: np.random.Generator) -> Array:
-    k = rng.normal(size=d) + 1j * rng.normal(size=d)
-    k /= np.linalg.norm(k)
-    return np.outer(k, k.conj())
-
-
 def random_density(d: int, rng: np.random.Generator,
                    rank: int | None = None) -> Array:
     rank = d if rank is None else rank

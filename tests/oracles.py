@@ -660,11 +660,18 @@ def random_povm(d, n_outcomes, rng):
     return [inv_sqrt @ e @ inv_sqrt for e in raw]
 
 
+def random_pure_state(d, rng):
+    """Random pure state: the projector on a normalized complex Gaussian
+    vector."""
+    k = rng.normal(size=d) + 1j * rng.normal(size=d)
+    k /= np.linalg.norm(k)
+    return np.outer(k, k.conj())
+
+
 def random_reprepare_instrument(d, n_outcomes, rng):
     """Measure-and-reprepare instrument: a random POVM whose outcome r
     triggers the preparation of a random pure state."""
     from ptmarkov import Instrument, QuantumMap
-    from ptmarkov.random_ops import random_pure_state
 
     effects = random_povm(d, n_outcomes, rng)
     return Instrument(members=tuple(

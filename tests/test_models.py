@@ -24,7 +24,7 @@ from ptmarkov import (
     trace_norm_distance,
 )
 from ptmarkov.models import _wrapped_cauchy_nodes
-from ptmarkov.random_ops import random_cptp, random_pure_state
+from ptmarkov.random_ops import random_cptp
 
 from oracles import (
     P0,
@@ -33,6 +33,7 @@ from oracles import (
     SX,
     b2_env_state_direct,
     b2_output_direct,
+    random_pure_state,
     schmidt_rank_across,
     tomography_process_tensor,
     von_neumann_entropy,

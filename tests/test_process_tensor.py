@@ -711,26 +711,6 @@ def test_sketch_accepts_the_two_pass_width(case, monkeypatch):
     assert sizes == [32 if (model, k) == ("markov", 4) else 16]
 
 
-def test_sketch_retries_a_failed_width_with_two_pass_b(monkeypatch):
-    """A single-pass B whose residual fails is replaced once by
-    Q^dagger Upsilon Q at the same width before the width doubles: with
-    the solve for B spoiled by 1e-9, the width, the spectrum to 1e-12 and
-    the bound stay as they were."""
-    choi = _benchmark_tensor("markov", 4, 1).choi
-    good = ProcessTensor(choi, 2, range(5)).spectrum
-    orig = np.linalg.solve
-
-    def spoiled(a, b):
-        return orig(a, b) + 1e-9
-    monkeypatch.setattr(np.linalg, "solve", spoiled)
-    pt = ProcessTensor(choi, 2, range(5))
-    sizes = _eigvalsh_sizes(monkeypatch)
-    assert np.abs(pt.spectrum - good).max() <= 1e-12
-    assert sizes == [32]
-    assert -1e-12 <= pt.min_eigenvalue <= spectrum_dense(pt)[0] + 1e-13 * \
-        np.linalg.norm(choi)
-
-
 @pytest.mark.parametrize("k, size", [(4, 64), (3, 128)])
 def test_plant_outside_the_sketch_widens_or_falls_back(k, size,
                                                        monkeypatch):
