@@ -16,7 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    LegShape,
     fidelity,
     hermitian_eig,
     partial_trace,

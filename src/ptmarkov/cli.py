@@ -28,12 +28,7 @@ import numpy as np
 
 from . import models, ptf
 from .defaults import BOND_CUTOFF, MARKOV_TOL
-from .errors import (
-    ConfigError,
-    FormatError,
-    PtError,
-    TomographyDataError,
-)
+from .errors import ConfigError, FormatError, PtError
 from .linalg import fidelity, trace_norm_distance
 from .markov import (
     bond_dimension,
@@ -43,7 +38,7 @@ from .markov import (
     markov_test,
     non_markovianity,
 )
-from .process_tensor import default_break
+from .process_tensor import default_break, leg_labels
 from .qops import QuantumMap, ic_basis
 from .random_ops import (
     computational_reprepare_instrument,
@@ -178,7 +173,8 @@ def cmd_simulate(args) -> int:
     pt = models.build_process_tensor(model, times)
     pt.save(out_path)
     print(f"wrote {out_path}")
-    print(f"shape: {pt.dim} x {pt.dim}  (legs {' '.join(pt.legs.labels)})")
+    print(f"shape: {pt.dim} x {pt.dim}  "
+          f"(legs {' '.join(leg_labels(pt.n_steps))})")
     print(f"trace: {pt.trace:.12g}")
     return 0
 
@@ -466,7 +462,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, TomographyDataError) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PtError, OSError) as exc:

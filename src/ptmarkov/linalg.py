@@ -8,7 +8,6 @@ first factor's indices vary slowest, i.e. ``tensor_product(a, b)`` places
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -28,45 +27,8 @@ def as_operator(m) -> Array:
     return a
 
 
-@dataclass(frozen=True)
-class LegShape:
-    """Tensor-factor structure of a square operator.
-
-    ``dims`` are the per-leg dimensions, slowest-varying leg first;
-    ``labels`` name the legs (defaulting to ``leg0, leg1, ...``).
-    """
-
-    dims: tuple[int, ...]
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims or any(d <= 0 for d in dims):
-            raise ValidationError(f"leg dims must be positive, got {dims}")
-        labels = tuple(self.labels) or tuple(f"leg{i}" for i in range(len(dims)))
-        if len(labels) != len(dims):
-            raise ValidationError("labels and dims must have equal length")
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"leg labels must be unique, got {labels}")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_legs(self) -> int:
-        return len(self.dims)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-
-def _leg_dims(shape) -> tuple[int, ...]:
-    if isinstance(shape, LegShape):
-        return shape.dims
-    return tuple(int(d) for d in shape)
-
-
 def _split_legs(m: Array, dims: Sequence[int]) -> Array:
-    dims = tuple(dims)
+    dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
     m = as_operator(m)
     if m.shape[0] != total:
@@ -82,13 +44,14 @@ def tensor_product(*ops) -> Array:
     return reduce(np.kron, mats)
 
 
-def partial_trace(m: Array, shape, keep: Sequence[int]) -> Array:
-    """Trace out all legs not listed in ``keep``.
+def partial_trace(m: Array, dims: Sequence[int],
+                  keep: Sequence[int]) -> Array:
+    """Trace out all legs not listed in ``keep``; ``dims`` are the leg
+    dimensions, slowest-varying leg first.
 
     Kept legs stay in their original relative order. ``keep`` may be empty,
     in which case the full trace is returned as a 1x1 matrix.
     """
-    dims = _leg_dims(shape)
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
@@ -102,9 +65,9 @@ def partial_trace(m: Array, shape, keep: Sequence[int]) -> Array:
     return res.reshape(d_keep, d_keep)
 
 
-def permute_legs(m: Array, shape, perm: Sequence[int]) -> Array:
+def permute_legs(m: Array, dims: Sequence[int],
+                 perm: Sequence[int]) -> Array:
     """Reorder tensor factors: new leg ``i`` is old leg ``perm[i]``."""
-    dims = _leg_dims(shape)
     n = len(dims)
     perm = [int(p) for p in perm]
     if sorted(perm) != list(range(n)):

@@ -80,10 +80,6 @@ class MarkovReport:
     skipped_conditionals: int = 0
     inconclusive_groups: tuple[tuple[int, int, int], ...] = ()
 
-    @property
-    def conclusive(self) -> bool:
-        return not self.inconclusive_groups
-
     def as_dict(self) -> dict:
         return {
             "is_markov": self.is_markov,
@@ -384,13 +380,16 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
                 exhaustive: bool = False) -> MarkovReport:
     """Causal-break sweep for operational Markovianity.
 
-    For every break position k in [1, K-1] and readout step l > k, every
+    For every break position k in [0, K-1] and readout step l > k, every
     sequence of basis elements on the earlier slots and every POVM outcome
     of the break are realized; conditional states sharing a preparation are
     compared pairwise in trace distance. Break positions are scanned from
     the latest downward and the sweep stops at the first deviation above
-    tolerance unless ``exhaustive`` is set. A process with fewer than two
-    steps has no break to test and is reported Markovian.
+    tolerance unless ``exhaustive`` is set. A break at slot 0 has no past:
+    its groups compare the states after each outcome r, which differ when
+    the initial system-environment state is correlated, so a one-step
+    process is tested too; a process with no step has no break and is
+    reported Markovian.
 
     Informational completeness of the basis and of the break POVM makes the
     sweep sufficient: equality across the swept controls implies equality
@@ -438,7 +437,7 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     inconclusive: list[tuple[int, int, int]] = []
     breaks_tested: list[tuple[int, int]] = []
 
-    for k, l in [(k, l) for k in range(n_steps - 1, 0, -1)
+    for k, l in [(k, l) for k in range(n_steps - 1, -1, -1)
                  for l in range(k + 1, n_steps + 1)]:
         breaks_tested.append((k, l))
         pasts = [basis_vecs] * k
@@ -531,7 +530,8 @@ def _block_legs(n_steps: int) -> list[tuple[int, ...]]:
 
 def _block_marginals(pt: ProcessTensor, m: Array) -> list[Array]:
     """Block marginals of ``m``, an operator on the legs of ``pt``."""
-    return [partial_trace(m, pt.legs.dims, block)
+    dims = (pt.system_dim,) * (2 * pt.n_steps + 1)
+    return [partial_trace(m, dims, block)
             for block in _block_legs(pt.n_steps)]
 
 

@@ -1,6 +1,6 @@
 """The multi-time process tensor: storage, contraction against control
-sequences, conditional states after causal breaks, restriction, marginal
-maps, and tomographic reconstruction.
+sequences, conditional states after causal breaks, marginal maps, and
+tomographic reconstruction.
 
 Leg convention
 --------------
@@ -34,8 +34,7 @@ multilinear map through ``ProcessTensor.contract``, which contracts stacks
 of slot Chois against that form latest slot first: the form's leading slot
 axis is the next one open, so each slot is one plain GEMM batched over the
 rows made so far, no slot axis is moved and no per-slot copy is made, and
-one output-sized transpose at the end puts slot 0 slowest. Only
-``restrict``, which keeps slots open, contracts the form on its own.
+one output-sized transpose at the end puts slot 0 slowest.
 
 Control sequences
 -----------------
@@ -63,7 +62,7 @@ from .errors import (
     UnresolvableConditional,
     ValidationError,
 )
-from .linalg import Array, LegShape, hermitize
+from .linalg import Array, hermitize
 from .qops import CausalBreak, DensityMatrix, OperationBasis, QuantumMap
 
 __all__ = [
@@ -285,8 +284,7 @@ class ProcessTensor:
         self.system_dim = int(system_dim)
         self.times = checked_times(times)
         n_steps = len(self.times) - 1
-        n_legs = 2 * n_steps + 1
-        dim = self.system_dim ** n_legs
+        dim = self.system_dim ** (2 * n_steps + 1)
         if choi.shape != (dim, dim):
             raise DimensionMismatch(
                 f"choi shape {choi.shape} != ({dim}, {dim}) for "
@@ -317,8 +315,6 @@ class ProcessTensor:
         # a read-only view: the caller's array keeps its own flags
         self.choi = choi.view()
         self.choi.setflags(write=False)
-        self.legs = LegShape(dims=(self.system_dim,) * n_legs,
-                             labels=leg_labels(n_steps))
         self._forms: dict[int, Array] = {}
         self._spectrum = None
         self._residual = 0.0
@@ -363,11 +359,6 @@ class ProcessTensor:
         eigensolve). By Weyl's inequality no eigenvalue lies below it."""
         return float(self.spectrum[0]) - self._residual
 
-    def as_tensor(self) -> Array:
-        """View with one axis per leg: row legs first, then column legs."""
-        d, n = self.system_dim, self.legs.n_legs
-        return self.choi.reshape((d,) * (2 * n))
-
     def contraction_form(self, l: int | None = None) -> Array:
         """Cached slot-major form of the tensor restricted to readout step
         l (default: the final step K), of shape (d*d, d**4, ..., d**4)
@@ -396,7 +387,9 @@ class ProcessTensor:
                 for j in range(k - 1, -1, -1):
                     o, i = _slot_row_axes(k, j)
                     order.extend((o, i, o + n, i + n))
-                form = np.ascontiguousarray(self.as_tensor().transpose(order)
+                # one axis per leg: row legs first, then column legs
+                legs = self.choi.reshape((d,) * (2 * n))
+                form = np.ascontiguousarray(legs.transpose(order)
                                             .reshape((d * d,) + (d ** 4,) * k))
             else:
                 up = self.contraction_form(l + 1)
@@ -456,39 +449,6 @@ class ProcessTensor:
         probability of realizing nondeterministic slots."""
         maps = checked_controls(controls, self.n_steps, self.system_dim)
         return DensityMatrix(self.contract(_rows(m.choi for m in maps))[0])
-
-    # -- restriction -----------------------------------------------------------
-
-    def restrict(self, subset: Sequence[int]) -> "ProcessTensor":
-        """Tensor on a subset of the time grid.
-
-        Starts from the contraction form at the subset's last step, which
-        discards later times through the comb condition, and contracts
-        identity controls into the skipped interior slots.
-        """
-        k = self.n_steps
-        subset = sorted({int(s) for s in subset})
-        if not subset:
-            raise ValidationError("time subset must be nonempty")
-        if subset[0] < 0 or subset[-1] > k:
-            raise ValidationError(f"subset {subset} outside grid [0, {k}]")
-        if len(subset) == k + 1:
-            return self
-        d, l = self.system_dim, subset[-1]
-        form = self.contraction_form(l)
-        ident = QuantumMap.identity(d).choi.reshape(-1)
-        # slot j sits on axis l - j; contracting from slot 0 (the last axis)
-        # up leaves the later slots on their axes
-        for j in range(l):
-            if j not in subset:
-                form = np.tensordot(form, ident, axes=([l - j], [0]))
-        m = form.ndim - 1
-        rows = [0] + [a for s in range(m) for a in (2 + 4 * s, 3 + 4 * s)]
-        cols = [1] + [a for s in range(m) for a in (4 + 4 * s, 5 + 4 * s)]
-        dim = d ** (2 * m + 1)
-        choi = form.reshape((d,) * (2 + 4 * m)).transpose(rows + cols)
-        return ProcessTensor(choi.reshape(dim, dim), d,
-                             [self.times[s] for s in subset])
 
     # -- conditional states ----------------------------------------------------
 

@@ -18,7 +18,9 @@ are fed to it as they come in, so the file is read once and the digest
 covers exactly the bytes analyzed.
 
 The same header-plus-blob scheme serializes plain matrix bundles
-(``PTF1-mats``), used to supply unitaries for custom models.
+(``PTF1-mats``), used to supply unitaries for custom models; their blob is
+read the same way, its length checked against the declared ``dims``
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -31,17 +33,9 @@ import numpy as np
 
 from .defaults import PSD_CLIP
 from .errors import FormatError, PtError
+from .process_tensor import ProcessTensor, check_tensor_size, leg_labels
 
 TRACE_CONVENTION = "tp_choi_trace_d"
-
-
-def _deinterleave(blob: bytes, rows: int, cols: int) -> np.ndarray:
-    """Read-only complex view of a blob; every bit, signed zeros included,
-    comes back as written."""
-    expected = 2 * rows * cols * 8
-    if len(blob) != expected:
-        raise FormatError(f"blob holds {len(blob)} bytes, expected {expected}")
-    return np.frombuffer(blob, dtype="<c16").reshape(rows, cols)
 
 
 def _read_blob(fh, rows: int, cols: int) -> np.ndarray:
@@ -66,8 +60,8 @@ def save(pt, path) -> None:
         "system_dim": pt.system_dim,
         "k": pt.n_steps,
         "times": list(pt.times),
-        "leg_labels": list(pt.legs.labels),
-        "leg_dims": list(pt.legs.dims),
+        "leg_labels": list(leg_labels(pt.n_steps)),
+        "leg_dims": [pt.system_dim] * (2 * pt.n_steps + 1),
         "trace_convention": TRACE_CONVENTION,
     }
     with open(path, "wb") as fh:
@@ -101,8 +95,6 @@ def _is_int(value) -> bool:
 def load(path, digest=None):
     """The checked tensor of a PTF1 file; ``digest``, a ``hashlib`` object
     if given, is updated with every byte of the file in order."""
-    from .process_tensor import ProcessTensor, check_tensor_size, leg_labels
-
     with open(path, "rb") as fh:
         header = _read_header(fh, "PTF1", digest)
         for key in ("system_dim", "k", "times", "leg_dims"):
@@ -201,15 +193,11 @@ def load_matrices(path) -> list[np.ndarray]:
             raise FormatError(f"dims must be a nonempty list of "
                               f"count={count!r} pairs of positive integers, "
                               f"got {dims!r}")
-        # one read of the whole file, so no header can make it allocate more
-        blob = memoryview(fh.read())
+        blob = _read_blob(fh, 1, sum(rows * cols for rows, cols in dims))
+    if not np.isfinite(blob).all():
+        raise FormatError("blob holds non-finite entries")
     mats, start = [], 0
     for rows, cols in dims:
-        stop = start + 2 * rows * cols * 8
-        mats.append(_deinterleave(blob[start:stop], rows, cols))
-        start = stop
-    if start != len(blob):
-        raise FormatError("trailing bytes after declared matrices")
-    if not all(np.isfinite(m).all() for m in mats):
-        raise FormatError("blob holds non-finite entries")
+        mats.append(blob[0, start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
     return mats

@@ -67,12 +67,6 @@ class DensityMatrix:
         self.matrix = m
         self.dim = m.shape[0]
 
-    @classmethod
-    def pure(cls, ket) -> "DensityMatrix":
-        k = np.asarray(ket, dtype=complex).reshape(-1)
-        k = k / np.linalg.norm(k)
-        return cls(np.outer(k, k.conj()))
-
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -161,16 +155,6 @@ class QuantumMap:
         elif out_dim is None:
             out_dim = c.shape[0] // in_dim
         return cls(in_dim=in_dim, out_dim=out_dim, choi=c)
-
-    @classmethod
-    def from_superoperator(cls, superop, in_dim: int | None = None,
-                           out_dim: int | None = None) -> "QuantumMap":
-        s = np.asarray(superop, dtype=complex)
-        if out_dim is None:
-            out_dim = int(round(np.sqrt(s.shape[0])))
-        if in_dim is None:
-            in_dim = int(round(np.sqrt(s.shape[1])))
-        return cls(in_dim=in_dim, out_dim=out_dim, superop=s)
 
     @classmethod
     def from_unitary(cls, u) -> "QuantumMap":

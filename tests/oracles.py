@@ -121,9 +121,8 @@ def compose(later, earlier):
     superoperators."""
     from ptmarkov import QuantumMap
 
-    return QuantumMap.from_superoperator(
-        later.superoperator @ earlier.superoperator,
-        in_dim=earlier.in_dim, out_dim=later.out_dim)
+    return QuantumMap(in_dim=earlier.in_dim, out_dim=later.out_dim,
+                      superop=later.superoperator @ earlier.superoperator)
 
 
 def depolarizing(d, mixing):
@@ -197,7 +196,8 @@ def restrict_einsum(pt, subset):
         o, i = 1 + 2 * (k - 1 - j), 2 + 2 * (k - 1 - j)
         out_rows.extend((row[o], row[i]))
         out_cols.extend((col[o], col[i]))
-    res = np.einsum(pt.as_tensor(), row + col, out_rows + out_cols)
+    res = np.einsum(pt.choi.reshape((d,) * (2 * n)), row + col,
+                    out_rows + out_cols)
     dim = d ** len(out_rows)
     return ProcessTensor(res.reshape(dim, dim) / d ** (k - l_max), d,
                          [pt.times[s] for s in subset])
@@ -359,7 +359,7 @@ def unfolding_singular_values(pt):
     k = pt.n_steps
     d = pt.system_dim
     n = 2 * k + 1
-    t = pt.as_tensor()
+    t = pt.choi.reshape((d,) * (2 * n))
     chrono = list(range(n - 1, -1, -1))
     t = t.transpose([*chrono, *[c + n for c in chrono]])
     values = []
@@ -513,7 +513,7 @@ def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
     inconclusive = []
     breaks_tested = []
     stop = False
-    for k in range(n_steps - 1, 0, -1):
+    for k in range(n_steps - 1, -1, -1):
         for l in range(k + 1, n_steps + 1):
             breaks_tested.append((k, l))
             form = reduced_form_loop(pt, k, l)
@@ -629,7 +629,7 @@ def closest_markov(pt):
     blocks = [(2 * m, 2 * m + 1) for m in range(k)] + [(2 * k,)]
     scaled = []
     for i, block in enumerate(blocks):
-        m = partial_trace(pt.choi, pt.legs.dims, block)
+        m = partial_trace(pt.choi, (d,) * (2 * k + 1), block)
         target = float(d) if i < k else 1.0
         scaled.append(m * (target / np.trace(m).real))
     return ProcessTensor(tensor_product(*scaled), d, pt.times)
@@ -639,13 +639,13 @@ def apply_local_channel(pt, leg, channel):
     """Apply a channel to a single leg of the generalized Choi state."""
     from ptmarkov import ProcessTensor
 
-    d, n = pt.system_dim, pt.legs.n_legs
+    d, n = pt.system_dim, 2 * pt.n_steps + 1
     s4 = channel.superoperator.reshape(d, d, d, d)
     row, col = list(range(n)), list(range(n, 2 * n))
     out = row + col
     out[leg], out[n + leg] = 2 * n, 2 * n + 1
     res = np.einsum(s4, [2 * n, 2 * n + 1, row[leg], col[leg]],
-                    pt.as_tensor(), row + col, out)
+                    pt.choi.reshape((d,) * (2 * n)), row + col, out)
     return ProcessTensor(res.reshape(pt.dim, pt.dim), d, pt.times)
 
 

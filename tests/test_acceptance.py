@@ -244,7 +244,7 @@ def test_criterion_9_measure_properties(markov_pt2, markov_pt3, b1_pt, b2_pt,
     for pt in (b1_pt, b2_pt, b3_pt):
         base = non_markovianity(pt).n_value
         for _ in range(17):
-            leg = int(rng.integers(0, pt.legs.n_legs))
+            leg = int(rng.integers(0, 2 * pt.n_steps + 1))
             post = apply_local_channel(pt, leg, random_cptp(2, rng))
             monotone &= non_markovianity(post).n_value <= base + 1e-9
             checks += 1

@@ -228,6 +228,31 @@ def test_simulate_custom_malformed_bundle_exit_3(tmp_path, capsys, dims):
     assert err.startswith("error: dims must be"), err
 
 
+@pytest.mark.parametrize("change", ["short", "long", "huge dims"])
+def test_simulate_custom_bundle_of_wrong_length_exit_3(tmp_path, capsys,
+                                                       change):
+    """A bundle blob eight bytes short or long, or a header declaring a
+    16 TiB matrix over a small blob, is a malformed file: the blob's
+    length is checked against the header before anything is allocated."""
+    cfg = _write_custom_config(tmp_path)
+    bundle = tmp_path / "unitaries.mats"
+    line, blob = bundle.read_bytes().split(b"\n", 1)
+    if change == "short":
+        blob = blob[:-8]
+    elif change == "long":
+        blob += bytes(8)
+    else:
+        header = json.loads(line)
+        header["dims"][0] = [2 ** 20, 2 ** 20]
+        line = json.dumps(header).encode("utf-8")
+    bundle.write_bytes(line + b"\n" + blob)
+    with pytest.raises(FormatError, match="blob holds"):
+        ptf.load_matrices(bundle)
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 3
+    assert capsys.readouterr().err.startswith("error: blob holds")
+    assert not (tmp_path / "x.ptf").exists()
+
+
 def test_simulate_custom_non_finite_bundle_exit_3(tmp_path, capsys):
     cfg = _write_custom_config(tmp_path)
     ptf.save_matrices(tmp_path / "joint.mats", [np.full((4, 4), np.nan)])
@@ -402,8 +427,9 @@ def test_analyze_measure_solves_no_full_size_spectrum(tmp_path, b2_pure_pt3,
 
 
 def test_analyze_one_step_file(tmp_path):
-    """A one-step process is Markovian by construction: every analysis
-    runs and the causal-break and divisibility reports are vacuous."""
+    """A one-step process from an uncorrelated initial state: every
+    analysis runs, the causal-break test runs its one break at slot 0 and
+    finds no memory, and the divisibility report is vacuous."""
     ident = QuantumMap.identity(2).choi
     path = tmp_path / "k1.ptf"
     ProcessTensor(np.kron(ident, np.eye(2) / 2), 2, (0.0, 1.0)).save(path)
@@ -413,8 +439,9 @@ def test_analyze_one_step_file(tmp_path):
     assert sorted(analyses) == ["bonddim", "classical", "divisibility",
                                 "markov", "measure"]
     assert analyses["markov"]["is_markov"] is True
-    assert analyses["markov"]["breaks_tested"] == []
-    assert analyses["markov"]["max_deviation"] == 0.0
+    assert analyses["markov"]["breaks_tested"] == [[0, 1]]
+    # every break outcome leaves the same state: rounding level, one ulp
+    assert analyses["markov"]["max_deviation"] <= np.finfo(float).eps
     assert analyses["divisibility"]["triple_defects"] == []
     assert analyses["divisibility"]["max_defect"] == 0.0
 
@@ -478,9 +505,10 @@ def test_analyze_non_causal_blob_exit_3(tmp_path, capsys):
     """A B.2 tensor with its legs reversed is Hermitian and PSD, but its
     final output no longer traces out to the earlier steps."""
     pt = build_process_tensor(model_b2(omega=1.0), (0.0, 0.7, 1.4))
-    n = pt.legs.n_legs
+    n = 2 * pt.n_steps + 1
     rev = list(range(n - 1, -1, -1))
-    t = pt.as_tensor().transpose(rev + [a + n for a in rev])
+    t = pt.choi.reshape((pt.system_dim,) * (2 * n))
+    t = t.transpose(rev + [a + n for a in rev])
     path = tmp_path / "reversed.ptf"
     ProcessTensor(t.reshape(pt.dim, pt.dim), 2, pt.times).save(path)
     assert main(["analyze", str(path)]) == 3

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmarkov import (
-    LegShape,
     NotHermitian,
     DimensionMismatch,
     fidelity,
@@ -98,13 +97,6 @@ def test_partial_trace_all_legs_is_trace():
 def test_partial_trace_dimension_error():
     with pytest.raises(DimensionMismatch):
         partial_trace(np.eye(4), (2, 3), keep=[0])
-
-
-def test_partial_trace_accepts_legshape():
-    m = _rand_psd(4)
-    shape = LegShape(dims=(2, 2), labels=("a", "b"))
-    assert np.allclose(partial_trace(m, shape, [0]),
-                       partial_trace(m, (2, 2), [0]))
 
 
 # ---------------------------------------------------------------------------

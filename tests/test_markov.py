@@ -71,7 +71,7 @@ def test_markov_test_passes_on_product(markov_pt2, markov_pt3, basis2):
         assert rep.is_markov
         assert rep.max_deviation <= 1e-9
         assert rep.witness is None
-        assert rep.conclusive
+        assert not rep.inconclusive_groups
 
 
 def test_markov_test_flags_b3_with_witness(b3_pt, basis2):
@@ -110,13 +110,14 @@ def test_markov_test_flags_b1(b1_pt, basis2):
 
 
 def test_one_step_process_is_vacuously_markov(basis2):
-    """A single step has no causal break and no triple of times."""
+    """A single step from an uncorrelated initial state has one causal
+    break, at slot 0, that finds no memory, and no triple of times."""
     model = model_markov([IDENT], P0)
     pt = build_process_tensor(model, (0.0, 1.0))
     rep = markov_test(pt, basis2)
     assert rep.is_markov
     assert rep.max_deviation == 0.0
-    assert rep.breaks_tested == ()
+    assert rep.breaks_tested == ((0, 1),)
     assert rep.witness is None
     div = divisibility_test(pt)
     assert div.triple_defects == ()
@@ -125,7 +126,7 @@ def test_one_step_process_is_vacuously_markov(basis2):
 
 def test_markov_test_breaks_scanned(b3_pt, basis2):
     rep = markov_test(b3_pt, basis2, exhaustive=True)
-    assert rep.breaks_tested == ((1, 2),)
+    assert rep.breaks_tested == ((1, 2), (0, 1), (0, 2))
 
 
 def test_markov_test_inconclusive_on_degenerate_data(b3_pt, basis2):
@@ -134,7 +135,6 @@ def test_markov_test_inconclusive_on_degenerate_data(b3_pt, basis2):
     from ptmarkov import ProcessTensor
     degenerate = ProcessTensor(np.zeros_like(b3_pt.choi), 2, b3_pt.times)
     rep = markov_test(degenerate, basis2, exhaustive=True)
-    assert not rep.conclusive
     assert rep.inconclusive_groups
     assert rep.skipped_conditionals > 0
 
@@ -498,13 +498,14 @@ def qutrit_sweeps(basis3):
 
 @pytest.mark.parametrize("kind", ["markov", "joint"])
 def test_general_diameter_bit_identical_on_qutrit_sweeps(kind, qutrit_sweeps):
-    """On every group of a qutrit K = 2 sweep (729 states each), the value
-    and the first pair equal the batched all-pairs scan's, bit for bit."""
+    """On every group of a qutrit K = 2 sweep (729 states each at break
+    slot 1, the 9 break outcomes at slot 0), the value and the first pair
+    equal the batched all-pairs scan's, bit for bit."""
     from ptmarkov.markov import _diameter, _points
     _, report, groups = qutrit_sweeps[kind]
-    assert len(groups) == 9 and report.is_markov is (kind == "markov")
+    assert len(groups) == 27 and report.is_markov is (kind == "markov")
+    assert [len(states) for states in groups] == [729] * 9 + [9] * 18
     for states in groups:
-        assert len(states) == 729
         assert _diameter(_points(states)) == diameter_general_batched(states)
 
 
@@ -580,7 +581,7 @@ def test_qutrit_markov_test_runs_few_svds(basis3, monkeypatch):
         matrices.append(math.prod(a.shape[:-2])) or svd(a, *args, **kwargs)))
     markov_test(pt, basis3, exhaustive=True)
     all_pairs = sum(n * (n - 1) // 2 for n in sizes)
-    assert len(sizes) == 9 and 0 < sum(matrices) < all_pairs / 4
+    assert len(sizes) == 27 and 0 < sum(matrices) < all_pairs / 4
 
 
 @pytest.mark.parametrize("kind", ["markov", "joint"])
@@ -766,7 +767,7 @@ def test_closest_markov_fixes_products(markov_pt2):
 
 def test_closest_markov_preserves_marginals(b3_pt):
     cm = closest_markov(b3_pt)
-    dims = b3_pt.legs.dims
+    dims = (2,) * 5
     k = b3_pt.n_steps
     blocks = [(0, 1), (2, 3), (4,)]
     assert k == 2
@@ -813,7 +814,7 @@ def test_measure_monotone_under_local_channels(b3_pt, b2_pt):
     for pt in (b3_pt, b2_pt):
         base = non_markovianity(pt).n_value
         for _ in range(10):
-            leg = int(rng.integers(0, pt.legs.n_legs))
+            leg = int(rng.integers(0, 2 * pt.n_steps + 1))
             chan = random_cptp(2, rng)
             post = apply_local_channel(pt, leg, chan)
             assert non_markovianity(post).n_value <= base + 1e-9
@@ -827,7 +828,7 @@ def test_closed_form_measure_matches_eigen_route(b1_pt, b2_pt, b3_pt,
     rng = np.random.default_rng(64)
     corpus = [b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3]
     for _ in range(5):
-        leg = int(rng.integers(0, b2_pt.legs.n_legs))
+        leg = int(rng.integers(0, 2 * b2_pt.n_steps + 1))
         corpus.append(apply_local_channel(b2_pt, leg, random_cptp(2, rng)))
     for pt in corpus:
         rho = pt.choi / pt.trace
@@ -890,7 +891,7 @@ def test_minimizer_probe_random_product_perturbations(b3_pt):
     sigma = closest_markov(b3_pt).choi
     sigma = sigma / np.trace(sigma).real
     base = relative_entropy_eig(rho, sigma)
-    dims = b3_pt.legs.dims
+    dims = (2,) * 5
     blocks = [(0, 1), (2, 3), (4,)]
     marginals = [partial_trace(rho, dims, b) for b in blocks]
     for _ in range(200):
@@ -973,7 +974,7 @@ def test_bond_dimension_matches_unfoldings(b1_pt, b2_pt, b3_pt, markov_pt2,
               _memoryless_four_steps(), _b2_four_steps(),
               _qutrit_dilation("markov")]
     for _ in range(5):
-        leg = int(rng.integers(0, b2_pt.legs.n_legs))
+        leg = int(rng.integers(0, 2 * b2_pt.n_steps + 1))
         corpus.append(apply_local_channel(b2_pt, leg, random_cptp(2, rng)))
     qutrit = SEModel(system_dim=3, env_dim=2,
                      initial_joint=random_density(6, rng),
@@ -1103,12 +1104,8 @@ def test_theorem_verdicts_agree_on_random_dilations(basis2, seed, k, kind,
     and unit bond dimensions agree, and Markovian implies divisible. At
     K = 3 the entropy S(rho) comes from the sketch when the tensor's rank
     is at most 16 and from the dense eigensolve otherwise; at K <= 2 it is
-    always dense.
-
-    A one-step process has no causal break at slot 1 or later, so there
-    the causal-break test is vacuous and misses initial system-environment
-    correlations (see the strict xfail below); the two tensor-side verdicts
-    must still agree."""
+    always dense. A one-step process is tested by its causal break at
+    slot 0, which sees initial system-environment correlations."""
     pt = build_process_tensor(
         _random_dilation(kind, size, k, np.random.default_rng(seed)),
         range(k + 1))
@@ -1116,19 +1113,16 @@ def test_theorem_verdicts_agree_on_random_dilations(basis2, seed, k, kind,
     rep = non_markovianity(pt)
     small_n = rep.n_value <= 1e-8
     assert small_n == all(b == 1 for b in rep.bond_dims)
-    if k > 1 or kind == "markov" or size == 1:
-        assert mk.is_markov == small_n
+    assert mk.is_markov == small_n
     if mk.is_markov:
         assert divisibility_test(pt).max_defect <= 10 * mk.tolerance
 
 
-@pytest.mark.xfail(strict=True, reason="markov_test breaks only at slots "
-                   "1 ... K-1, so it cannot see initial correlations at K = 1")
 def test_markov_test_sees_initial_correlations_at_one_step(basis2):
     """A correlated initial joint state makes the one-step tensor differ
     from Lambda (x) rho_0: N > 0 and the bond dimension is 4. The paper's
-    causal break at slot 0 would show the memory; markov_test tests no
-    break there and reports the process Markovian."""
+    causal break at slot 0, the only one a single step has, shows the
+    memory."""
     pt = build_process_tensor(
         _random_dilation("joint", 2, 1, np.random.default_rng(3)), (0.0, 1.0))
     rep = non_markovianity(pt)

@@ -352,7 +352,7 @@ def test_markov_tensor_schmidt_rank_one(markov_pt3):
     d = 2
     k = markov_pt3.n_steps
     n = 2 * k + 1
-    t = markov_pt3.as_tensor()
+    t = markov_pt3.choi.reshape((d,) * (2 * n))
     chrono = list(range(n - 1, -1, -1))
     mat = t.transpose([*chrono, *[c + n for c in chrono]]).reshape(
         d ** n, d ** n)

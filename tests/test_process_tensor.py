@@ -143,12 +143,12 @@ def test_contract_matches_apply(markov_pt3, b2_pure_pt3):
             assert np.abs(outs[row] - pt.apply(seq).matrix).max() <= 1e-14
         for l in (1, 2, 3):
             outs = pt.contract(stacks[:1], l)
-            early = pt.restrict(range(l + 1))
+            early = restrict_einsum(pt, range(l + 1))
             for row, m in enumerate(maps[0]):
                 want = early.apply([m] + [IDENT] * (l - 1)).matrix
                 assert np.abs(outs[row] - want).max() <= 1e-14
         assert np.abs(pt.contract([], 0)[0]
-                      - pt.restrict([0]).choi).max() <= 1e-15
+                      - restrict_einsum(pt, [0]).choi).max() <= 1e-15
         with pytest.raises(DimensionMismatch):
             pt.contract(stacks, 2)
 
@@ -167,10 +167,10 @@ def _qutrit_memory_pt():
 @pytest.mark.parametrize("name", ["markov_pt3", "b2_pure_pt3", "qutrit"])
 def test_contract_matches_apply_at_every_width_and_readout(name, request):
     """Stacks of widths 1, 2 and d**4 give, row for row with slot 0
-    slowest, what per-sequence ``apply`` gives: at every readout step l
-    (below K through ``restrict``) and for every count of leading stacks,
-    with the identity on the slots past them; qubit K = 3 and qutrit
-    K = 2."""
+    slowest, what per-sequence ``apply`` gives on the one-einsum
+    restriction of the oracles: at every readout step l and for every
+    count of leading stacks, with the identity on the slots past them;
+    qubit K = 3 and qutrit K = 2."""
     pt = _qutrit_memory_pt() if name == "qutrit" \
         else request.getfixturevalue(name)
     d, k = pt.system_dim, pt.n_steps
@@ -181,7 +181,7 @@ def test_contract_matches_apply_at_every_width_and_readout(name, request):
         stacks = [np.stack([m.choi.reshape(-1) for m in slot])
                   for slot in maps]
         for l in range(1, k + 1):
-            early = pt.restrict(range(l + 1))
+            early = restrict_einsum(pt, range(l + 1))
             for m in range(l + 1):
                 outs = pt.contract(stacks[:m], l)
                 seqs = list(itertools.product(*maps[:m]))
@@ -412,22 +412,18 @@ def test_b2_marginal_is_depolarizing(b2_pt, basis2):
 
 
 # ---------------------------------------------------------------------------
-# restriction
+# restriction: the one-einsum oracle that the contraction tests read
 # ---------------------------------------------------------------------------
-
-def test_restrict_full_subset_is_identity(b2_pt):
-    assert b2_pt.restrict([0, 1, 2]) is b2_pt
-
 
 def test_restrict_matches_direct_tomography(b2_model, b2_pt):
     direct = build_process_tensor(b2_model, (0.0, math.pi / 4))
-    restricted = b2_pt.restrict([0, 1])
+    restricted = restrict_einsum(b2_pt, [0, 1])
     assert np.abs(restricted.choi - direct.choi).max() <= 1e-9
     assert restricted.times == direct.times
 
 
 def test_restrict_markov_product_form(markov_maps, markov_pt3):
-    restricted = markov_pt3.restrict([0, 1, 2])
+    restricted = restrict_einsum(markov_pt3, [0, 1, 2])
     expected = tensor_product(markov_maps[1].choi, markov_maps[0].choi,
                               _markov_rho0())
     assert np.abs(restricted.choi - expected).max() <= 1e-9
@@ -441,44 +437,19 @@ def _markov_rho0():
 
 
 def test_restrict_interior_skip_composes(markov_maps, markov_pt3):
-    restricted = markov_pt3.restrict([0, 2, 3])
+    restricted = restrict_einsum(markov_pt3, [0, 2, 3])
     lam_20 = compose(markov_maps[1], markov_maps[0])
     expected = tensor_product(markov_maps[2].choi, lam_20.choi, _markov_rho0())
     assert np.abs(restricted.choi - expected).max() <= 1e-9
 
 
-def test_restrict_empty_subset_raises(b2_pt):
-    with pytest.raises(Exception):
-        b2_pt.restrict([])
-
-
-def test_restrict_matches_einsum_oracle(b1_pt, b2_pt, b3_pt, markov_pt2,
-                                       markov_pt3, b2_pure_pt3):
-    """The trailing-step trace plus identity contractions equal the
-    one-einsum restriction on every proper subset of the time grid."""
-    rng = np.random.default_rng(61)
-    qutrit = SEModel(system_dim=3, env_dim=2,
-                     initial_joint=random_density(6, rng),
-                     step_unitaries=(random_unitary(6, rng),
-                                     random_unitary(6, rng)))
-    corpus = [b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3,
-              build_process_tensor(qutrit, (0.0, 1.0, 2.0))]
-    for pt in corpus:
-        for size in range(1, pt.n_steps + 1):
-            for subset in itertools.combinations(range(pt.n_steps + 1), size):
-                got = pt.restrict(subset)
-                want = restrict_einsum(pt, subset)
-                assert got.times == want.times
-                assert np.abs(got.choi - want.choi).max() <= \
-                    1e-14 * max(1.0, pt.trace)
-
-
 def _legs_reversed(pt):
     """The same matrix entries with the leg order reversed: Hermitian and
     PSD, but the final output now sits where the initial state was."""
-    n = pt.legs.n_legs
+    n = 2 * pt.n_steps + 1
     rev = list(range(n - 1, -1, -1))
-    t = pt.as_tensor().transpose(rev + [a + n for a in rev])
+    t = pt.choi.reshape((pt.system_dim,) * (2 * n))
+    t = t.transpose(rev + [a + n for a in rev])
     return ProcessTensor(t.reshape(pt.dim, pt.dim), pt.system_dim, pt.times)
 
 
@@ -541,10 +512,10 @@ def test_causality_defect_separates_combs(b1_model, b1_pt, b2_model, b2_pt,
 def test_analyses_build_no_restricted_tensor(markov_pt3, basis2, monkeypatch):
     """The causal-break test, the divisibility test and a conditional state
     read before the final step all contract the cached form at their
-    readout step; none of them builds a restricted tensor."""
-    def tripwire(self, subset):
-        raise AssertionError(f"restrict({subset}) called")
-    monkeypatch.setattr(ProcessTensor, "restrict", tripwire)
+    readout step; none of them builds a restricted, or any other, tensor."""
+    def tripwire(self, *args, **kwargs):
+        raise AssertionError("a ProcessTensor was built")
+    monkeypatch.setattr(ProcessTensor, "__init__", tripwire)
     markov_test(markov_pt3, basis2, exhaustive=True)
     divisibility_test(markov_pt3)
     cond = markov_pt3.conditional_state(1, 0, 0, past=[IDENT])
@@ -572,7 +543,6 @@ def test_every_construction_route_stores_exactly_hermitian_choi(
         "build_process_tensor": b2_pt,
         "tomography": tomography_process_tensor(b2_model, b2_pt.times,
                                                 basis2),
-        "restrict": b2_pt.restrict([0, 2]),
         "closest_markov": closest_markov(b2_pt),
         "apply_local_channel": apply_local_channel(
             b2_pt, 2, random_cptp(2, np.random.default_rng(5))),
@@ -800,7 +770,8 @@ def test_ptf_round_trip_bit_exact(tmp_path, b2_pt):
     loaded = ProcessTensor.load(p1)
     assert np.array_equal(loaded.choi, b2_pt.choi)
     assert loaded.times == b2_pt.times
-    assert loaded.legs.labels == b2_pt.legs.labels
+    header = json.loads(p1.read_bytes().split(b"\n", 1)[0])
+    assert header["leg_labels"] == ["O2", "O1", "I1", "O0", "I0"]
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
 

@@ -89,7 +89,7 @@ def test_huge_finite_state_is_refused_by_its_trace():
 
 
 def test_density_matrix_helpers():
-    psi = DensityMatrix.pure([1, 1j])
+    psi = DensityMatrix(np.array([[1, -1j], [1j, 1]]) / 2)
     assert abs(psi.trace - 1.0) <= 1e-12
     sub = DensityMatrix(PP / 4)
     assert abs(sub.trace - 0.25) <= 1e-12
@@ -121,7 +121,7 @@ def test_choi_vs_superoperator_oracle():
 def test_representation_round_trips():
     qmap = random_cptp(3, RNG, kraus_rank=2)
     via_choi = QuantumMap.from_choi(qmap.choi)
-    via_super = QuantumMap.from_superoperator(qmap.superoperator)
+    via_super = QuantumMap(in_dim=3, out_dim=3, superop=qmap.superoperator)
     rho = np.eye(3, dtype=complex) / 3
     for other in (via_choi, via_super):
         assert np.abs(qmap.apply(rho) - other.apply(rho)).max() <= 1e-13
@@ -218,7 +218,7 @@ def test_is_cptp_transpose_map():
     for i in range(2):
         for j in range(2):
             sup[i * 2 + j, j * 2 + i] = 1.0
-    qmap = QuantumMap.from_superoperator(sup)
+    qmap = QuantumMap(in_dim=2, out_dim=2, superop=sup)
     assert abs(qmap.cp_defect - 1.0) <= 1e-12
     assert qmap.tp_defect <= 1e-14
 

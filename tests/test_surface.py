@@ -19,7 +19,6 @@ PUBLIC_NAMES = (
     "DivisibilityReport",
     "FormatError",
     "Instrument",
-    "LegShape",
     "MarkovReport",
     "MeasureReport",
     "NotHermitian",
