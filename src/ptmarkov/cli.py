@@ -10,7 +10,10 @@ Subcommands::
 
 Exit codes: 0 success, 2 configuration or size-guard error (an
 out-of-range --tol or --bond-cutoff too) or an unreadable or unwritable
-path, 3 malformed data file. Reports are
+path, 3 malformed data file. This module alone defines ``ptr-report-v1``,
+the JSON report of ``ptr analyze``: each analysis entry is the fields of
+its library result type (``dataclasses.asdict``) plus fixed fields set in
+``cmd_analyze``; the result types carry no serializer. Reports are
 deterministic for a fixed configuration and seed except for the
 ``wall_time_s`` provenance field.
 """
@@ -18,11 +21,13 @@ deterministic for a fixed configuration and seed except for the
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -34,11 +39,12 @@ from .markov import (
     bond_dimension,
     classical_markov_check,
     classical_process,
+    confusion_probability,
     divisibility_test,
     markov_test,
     non_markovianity,
 )
-from .process_tensor import default_break, leg_labels
+from .process_tensor import check_matrix_size, default_break, leg_labels
 from .qops import QuantumMap, ic_basis
 from .random_ops import (
     computational_reprepare_instrument,
@@ -133,10 +139,10 @@ def _model_from_config(cfg: dict):
     elif name == "markov":
         n_steps = len(times) - 1
         seed = _typed(int, cfg.get("seed", params.get("seed", 0)), "seed", 0)
+        rank = _typed(int, params.get("kraus_rank", 2), "kraus_rank", 1)
+        check_matrix_size(2 * rank ** n_steps, "joint unitary of the dilation")
         maps = random_control_sequence(
-            2, n_steps, np.random.default_rng(seed),
-            kraus_rank=_typed(int, params.get("kraus_rank", 2), "kraus_rank",
-                              1))
+            2, n_steps, np.random.default_rng(seed), kraus_rank=rank)
         rho0 = _parse_state(params.get("rho0", "mixed"), "rho0")
         model = models.model_markov(maps, rho0)
     elif name == "custom":
@@ -179,19 +185,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# The analyses of ptr-report-v1, in report order; each has its own flag of
+# `ptr analyze`, and a call that names none runs them all.
+ANALYSES = ("markov", "divisibility", "measure", "bonddim", "classical")
+
+
 def _analysis_flags(args) -> list[str]:
-    chosen = [name for name in
-              ("markov", "divisibility", "measure", "bonddim", "classical")
-              if getattr(args, name)]
-    return chosen or ["markov", "divisibility", "measure", "bonddim",
-                      "classical"]
+    return [n for n in ANALYSES if getattr(args, n)] or list(ANALYSES)
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """One line per row: its series name, then the repr of each value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for series, *values in rows:
+            fh.write(",".join([series, *map(repr, values)]) + "\n")
+    print(f"wrote {path}")
 
 
 def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
-    tol = args.tol if args.tol is not None else MARKOV_TOL
-    bond_cutoff = args.bond_cutoff if args.bond_cutoff is not None \
-        else BOND_CUTOFF
+    tol, bond_cutoff = args.tol, args.bond_cutoff
     if not 0 <= tol < math.inf:
         raise ConfigError(f"--tol must be finite and >= 0, got {tol!r}")
     if not 0 <= bond_cutoff < 1:
@@ -219,16 +233,23 @@ def cmd_analyze(args) -> int:
     csv_rows: list[tuple[str, float, float]] = []
     if "markov" in analyses:
         rep = markov_test(pt, basis, tol=tol, exhaustive=args.exhaustive)
-        report["analyses"]["markov"] = rep.as_dict()
+        report["analyses"]["markov"] = asdict(rep)
     if "divisibility" in analyses:
         rep = divisibility_test(pt, tol=tol)
-        report["analyses"]["divisibility"] = rep.as_dict()
+        # identity fills the slots outside each tested pair or triple
+        report["analyses"]["divisibility"] = {
+            **asdict(rep), "is_divisible": rep.is_divisible,
+            "filler": "identity"}
     measure = None
     if "measure" in analyses:
         measure = non_markovianity(pt, bond_cutoff=bond_cutoff)
-        report["analyses"]["measure"] = measure.as_dict()
-        for n in range(0, 21):
-            csv_rows.append(("confusion", float(n), measure.confusion(n)))
+        # one measure, computed exactly
+        report["analyses"]["measure"] = {
+            **asdict(measure), "metric": "relative_entropy",
+            "is_upper_bound": False}
+        csv_rows.extend(
+            ("confusion", float(n), confusion_probability(measure.n_value, n))
+            for n in range(21))
     if "bonddim" in analyses:
         dims = list(measure.bond_dims) if measure is not None \
             else bond_dimension(pt, cutoff=bond_cutoff)
@@ -238,17 +259,16 @@ def cmd_analyze(args) -> int:
                         for i, v in enumerate(dims))
     if "classical" in analyses:
         instrument = computational_reprepare_instrument(d)
-        final = [np.diag((np.arange(d) == r).astype(complex))
-                 for r in range(d)]
+        final = [np.diag(row) for row in np.eye(d, dtype=complex)]
         cp = classical_process(pt, [instrument] * pt.n_steps, final_povm=final)
         check = classical_markov_check(cp, tol=tol)
         report["analyses"]["classical"] = {
             "instrument": "computational measure-and-reprepare",
             "final_povm": "computational",
-            "is_markov": check.is_markov,
-            "max_violation": check.max_violation,
-            "kolmogorov_ok": check.kolmogorov_ok,
-            "table": cp.as_dict(),
+            **check._asdict(),
+            "table": {"shape": cp.table.shape,
+                      "outcome_labels": cp.outcome_labels,
+                      "probabilities": cp.table.reshape(-1).tolist()},
         }
     report["provenance"] = {
         # ptr-report-v1 hashes the measure name, fixed as there is one measure
@@ -267,11 +287,7 @@ def cmd_analyze(args) -> int:
     else:
         print(text)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("series,x,y\n")
-            for series, x, y in csv_rows:
-                fh.write(f"{series},{x!r},{y!r}\n")
-        print(f"wrote {args.csv}")
+        _write_csv(args.csv, "series,x,y", csv_rows)
     return 0
 
 
@@ -402,11 +418,7 @@ def cmd_examples(args) -> int:
     else:
         ok = _examples_b3(args, csv_rows)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("series,x,y,marker\n")
-            for series, x, y, marker in csv_rows:
-                fh.write(f"{series},{x!r},{y!r},{marker!r}\n")
-        print(f"wrote {args.csv}")
+        _write_csv(args.csv, "series,x,y,marker", csv_rows)
     return 0 if ok else 1
 
 
@@ -429,13 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run analyses on a PTF1 file")
     p_an.add_argument("file")
-    p_an.add_argument("--markov", action="store_true")
-    p_an.add_argument("--divisibility", action="store_true")
-    p_an.add_argument("--measure", action="store_true")
-    p_an.add_argument("--bonddim", action="store_true")
-    p_an.add_argument("--classical", action="store_true")
-    p_an.add_argument("--tol", type=float, default=None)
-    p_an.add_argument("--bond-cutoff", type=float, default=None)
+    for name in ANALYSES:
+        p_an.add_argument(f"--{name}", action="store_true")
+    p_an.add_argument("--tol", type=float, default=MARKOV_TOL)
+    p_an.add_argument("--bond-cutoff", type=float, default=BOND_CUTOFF)
     p_an.add_argument("--exhaustive", action="store_true")
     p_an.add_argument("-o", "--output", default=None)
     p_an.add_argument("--csv", default=None)
@@ -457,9 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call and reused: building it costs far more than a parse.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as exc:

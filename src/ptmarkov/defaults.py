@@ -39,7 +39,8 @@ BOND_CUTOFF = 1e-10
 # Largest dense process tensor, in bytes, that is built or loaded: a K-step
 # tensor of dimension d holds 16 * d**(4K + 2) bytes, so the guard admits
 # qubits up to K = 5 (64 MiB) and qutrits up to K = 3 (73 MiB), and refuses
-# qubit K = 6 (1 GiB).
+# qubit K = 6 (1 GiB). It caps a ``model_markov`` joint unitary too:
+# 16 * (d * e)**2 bytes at environment dimension e, so qubits to e = 1448.
 TENSOR_BYTES_GUARD = 128 * 2 ** 20
 
 # Default node count for classical-noise ensembles.

@@ -60,15 +60,6 @@ class ConditioningRecord:
     preparation: int
     past: tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "break_slot": self.break_slot,
-            "readout_step": self.readout_step,
-            "povm_outcome": self.povm_outcome,
-            "preparation": self.preparation,
-            "past": list(self.past),
-        }
-
 
 @dataclass(frozen=True)
 class MarkovReport:
@@ -79,18 +70,6 @@ class MarkovReport:
     breaks_tested: tuple[tuple[int, int], ...]
     skipped_conditionals: int = 0
     inconclusive_groups: tuple[tuple[int, int, int], ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "is_markov": self.is_markov,
-            "max_deviation": self.max_deviation,
-            "witness": None if self.witness is None else
-                [w.as_dict() for w in self.witness],
-            "tolerance": self.tolerance,
-            "breaks_tested": [list(b) for b in self.breaks_tested],
-            "skipped_conditionals": self.skipped_conditionals,
-            "inconclusive_groups": [list(g) for g in self.inconclusive_groups],
-        }
 
 
 @dataclass(frozen=True)
@@ -104,34 +83,11 @@ class DivisibilityReport:
     def is_divisible(self) -> bool:
         return self.max_defect <= self.tolerance
 
-    def as_dict(self) -> dict:
-        return {
-            "max_defect": self.max_defect,
-            "is_divisible": self.is_divisible,
-            "triple_defects": [list(t) for t in self.triple_defects],
-            "pair_cp_defects": [list(p) for p in self.pair_cp_defects],
-            "tolerance": self.tolerance,
-            # fixed field of the ptr-report-v1 contract: identity fills slots
-            "filler": "identity",
-        }
-
 
 @dataclass(frozen=True)
 class MeasureReport:
     n_value: float
     bond_dims: tuple[int, ...]
-
-    def confusion(self, n: int) -> float:
-        return confusion_probability(self.n_value, n)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_value": self.n_value,
-            # fixed fields of the ptr-report-v1 contract: one exact measure
-            "metric": "relative_entropy",
-            "is_upper_bound": False,
-            "bond_dims": list(self.bond_dims),
-        }
 
 
 @dataclass(frozen=True)
@@ -154,13 +110,6 @@ class ClassicalProcess:
             raise ValidationError(f"negative or NaN probability {t.min():.3e}")
         if not abs(t.sum() - 1.0) <= 1e-9:
             raise ValidationError(f"table sums to {t.sum()}, not 1")
-
-    def as_dict(self) -> dict:
-        return {
-            "shape": list(self.table.shape),
-            "outcome_labels": [list(l) for l in self.outcome_labels],
-            "probabilities": self.table.reshape(-1).tolist(),
-        }
 
 
 class ClassicalCheck(NamedTuple):

@@ -39,7 +39,7 @@ from .errors import DimensionMismatch, QuadratureError, ValidationError
 from .linalg import Array, as_operator, permute_legs, tensor_product
 from .process_tensor import (
     ProcessTensor,
-    check_tensor_size,
+    check_matrix_size,
     checked_controls,
     checked_times,
 )
@@ -206,14 +206,14 @@ def build_process_tensor(model: SEModel, times) -> ProcessTensor:
     and environment. Tracing the environment and the purification leaves
     Upsilon = M M^dagger, PSD by construction; an ensemble stacks the
     columns sqrt(w_n) M_n of its members. Raises ``SweepGuardError`` above
-    the size guard (see ``check_tensor_size``).
+    the size guard (see ``check_matrix_size``).
     """
     times = checked_times(times)
     k = len(times) - 1
     if k < 1:
         raise ValidationError("process tensors need at least one step")
     d = model.system_dim
-    check_tensor_size(d, k)
+    check_matrix_size(d ** (2 * k + 1), f"{k}-step tensor of dimension {d}")
     weights, unitaries = _dilation(model, times)
     return ProcessTensor(_link_product(as_operator(model.initial_joint),
                                        unitaries, weights, d, model.env_dim),
@@ -422,6 +422,8 @@ def model_markov(per_step_maps: Sequence[QuantumMap], rho0: Array) -> SEModel:
     Step j acts as the Stinespring unitary of its channel on the system and
     the j-th environment factor (initialized to |0>), leaving the other
     factors untouched; the resulting process tensor factorizes exactly.
+    Raises ``SweepGuardError``, before any unitary is built, when the joint
+    unitary exceeds the size guard (see ``check_matrix_size``).
     """
     rho0 = as_operator(rho0)
     d = rho0.shape[0]
@@ -434,6 +436,8 @@ def model_markov(per_step_maps: Sequence[QuantumMap], rho0: Array) -> SEModel:
             raise ValidationError(f"map {idx} is not CPTP")
         kraus_sets.append(qmap.kraus)
     env_factors = [max(len(ks), 1) for ks in kraus_sets]
+    env_dim = math.prod(env_factors)
+    check_matrix_size(d * env_dim, "joint unitary of the dilation")
     dims = [d] + env_factors
     unitaries = []
     for j, ks in enumerate(kraus_sets):
@@ -442,7 +446,6 @@ def model_markov(per_step_maps: Sequence[QuantumMap], rho0: Array) -> SEModel:
         for e, kop in enumerate(ks):
             v[e::r, :] = kop
         unitaries.append(_embed_pair(_complete_isometry(v), dims, j + 1))
-    env_dim = int(np.prod(env_factors))
     env0 = np.zeros((env_dim, env_dim), dtype=complex)
     env0[0, 0] = 1.0
     return SEModel(

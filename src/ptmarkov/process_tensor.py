@@ -119,14 +119,16 @@ def checked_times(times: Iterable[float]) -> tuple[float, ...]:
     return times
 
 
-def check_tensor_size(d: int, k: int) -> None:
-    """Raise SweepGuardError if a dense K-step tensor of dimension d, of
-    16 * d**(4K + 2) bytes, exceeds TENSOR_BYTES_GUARD."""
-    size = 16 * d ** (4 * k + 2)
+def check_matrix_size(side: int, what: str) -> None:
+    """Raise SweepGuardError if a dense complex side x side matrix, of
+    16 * side**2 bytes, exceeds TENSOR_BYTES_GUARD. A K-step tensor of
+    dimension d has side d**(2K + 1); the joint unitary of a dilation with
+    a d-dimensional system and an e-dimensional environment has side d * e.
+    """
+    size = 16 * side ** 2
     if size > TENSOR_BYTES_GUARD:
-        raise SweepGuardError(
-            f"{k}-step tensor of dimension {d} takes {size} bytes, above the "
-            f"size guard of {TENSOR_BYTES_GUARD}")
+        raise SweepGuardError(f"{what} takes {size} bytes, above the size "
+                              f"guard of {TENSOR_BYTES_GUARD}")
 
 
 # Rows per block in the Hermiticity scan and the sketch residual: a

@@ -33,7 +33,7 @@ import numpy as np
 
 from .defaults import PSD_CLIP
 from .errors import FormatError, PtError
-from .process_tensor import ProcessTensor, check_tensor_size, leg_labels
+from .process_tensor import ProcessTensor, check_matrix_size, leg_labels
 
 TRACE_CONVENTION = "tp_choi_trace_d"
 
@@ -131,8 +131,8 @@ def load(path, digest=None):
             raise FormatError(
                 f"trace convention {header.get('trace_convention')!r} is "
                 f"not {TRACE_CONVENTION!r}")
-        check_tensor_size(d, k)
         dim = d ** (2 * k + 1)
+        check_matrix_size(dim, f"{k}-step tensor of dimension {d}")
         choi = _read_blob(fh, dim, dim)
     if digest is not None:
         digest.update(choi)

@@ -128,6 +128,44 @@ def test_simulate_guard_exit_2(tmp_path):
     assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 2
 
 
+@pytest.mark.parametrize("rank, times", [(16, [0, 1, 2, 3]),
+                                         (10 ** 6, [0, 1])])
+def test_simulate_markov_dilation_guard_exit_2(tmp_path, capsys, monkeypatch,
+                                               rank, times):
+    """A `markov` config whose joint unitary exceeds the size guard (16
+    Kraus operators over three steps: 8192 x 8192, 1 GiB; or a rank of
+    10**6) exits 2 before any channel is drawn, and writes nothing."""
+    from ptmarkov import cli
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("channels drawn past the size guard")
+    monkeypatch.setattr(cli, "random_control_sequence", drawn)
+    cfg = tmp_path / "mk.json"
+    cfg.write_text(json.dumps({"model": "markov",
+                               "params": {"kraus_rank": rank},
+                               "times": times}))
+    out = tmp_path / "x.ptf"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "size guard" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_parser_is_reused_without_state():
+    """`main` builds its parser once; a flag of one call does not carry
+    into the next."""
+    from ptmarkov import cli
+    from ptmarkov.defaults import BOND_CUTOFF, MARKOV_TOL
+    first = cli._parser().parse_args(["analyze", "f.ptf", "--markov",
+                                      "--tol", "0.5", "--csv", "d.csv"])
+    again = cli._parser().parse_args(["analyze", "f.ptf"])
+    assert first.markov and first.tol == 0.5 and first.csv == "d.csv"
+    assert not any(getattr(again, name) for name in cli.ANALYSES)
+    assert (again.tol, again.bond_cutoff, again.csv) == \
+        (MARKOV_TOL, BOND_CUTOFF, None)
+    assert cli._parser() is cli._parser()
+
+
 def test_simulate_non_finite_times_exit_2(tmp_path, capsys):
     """A time tag that JSON reads as infinity is a config error, and no
     file is written."""
@@ -705,6 +743,53 @@ def test_analyze_full_report(tmp_path):
     assert header == "series,x,y"
 
 
+# The keys of a default ptr-report-v1 report. A result type's fields enter
+# the report through ``dataclasses.asdict``, so adding a field to one is a
+# deliberate edit of this mapping.
+REPORT_KEYS = {
+    "": {"format", "input", "analyses", "tolerances", "provenance"},
+    "input": {"path", "sha256", "system_dim", "k", "times", "trace",
+              "min_eigenvalue"},
+    "tolerances": {"tol", "bond_cutoff"},
+    "provenance": {"config_sha256", "basis_id", "wall_time_s"},
+    "analyses": {"markov", "divisibility", "measure", "bonddim", "classical"},
+    "markov": {"is_markov", "max_deviation", "witness", "tolerance",
+               "breaks_tested", "skipped_conditionals", "inconclusive_groups"},
+    "witness": {"break_slot", "readout_step", "povm_outcome", "preparation",
+                "past"},
+    "divisibility": {"max_defect", "is_divisible", "triple_defects",
+                     "pair_cp_defects", "tolerance", "filler"},
+    "measure": {"n_value", "metric", "is_upper_bound", "bond_dims"},
+    "bonddim": {"bond_dims", "cutoff"},
+    "classical": {"instrument", "final_povm", "is_markov", "max_violation",
+                  "kolmogorov_ok", "table"},
+    "table": {"shape", "outcome_labels", "probabilities"},
+}
+
+
+def test_default_report_keys_are_pinned(tmp_path, b2_pt):
+    """`ptr analyze` with no flags on a K = 2 b2 file writes exactly the
+    pinned keys, down to the witness records and the classical table."""
+    path = tmp_path / "b2.ptf"
+    b2_pt.save(path)
+    assert main(["analyze", str(path), "-o", str(tmp_path / "r.json")]) == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    analyses = doc["analyses"]
+    witness = analyses["markov"]["witness"]
+    assert len(witness) == 2
+    got = {"": doc, "analyses": analyses, "witness": witness[0],
+           "table": analyses["classical"]["table"],
+           **{k: doc[k] for k in ("input", "tolerances", "provenance")},
+           **analyses}
+    assert {k: set(v) for k, v in got.items()} == REPORT_KEYS
+    assert set(witness[1]) == REPORT_KEYS["witness"]
+    assert doc["format"] == "ptr-report-v1"
+    assert analyses["divisibility"]["filler"] == "identity"
+    assert analyses["classical"]["instrument"] == \
+        "computational measure-and-reprepare"
+    assert analyses["classical"]["final_povm"] == "computational"
+
+
 def test_analyze_metric_option_is_usage_error(tmp_path, capsys, b2_pt):
     """The relative entropy is the one measure: ``--metric`` is an unknown
     option, a usage error with exit 2 and no traceback."""
@@ -806,4 +891,4 @@ def test_examples_pass(name, tmp_path, capsys):
     assert main(["examples", name, "--csv", str(csv)]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert csv.exists()
+    assert csv.read_text().startswith("series,x,y,marker\n")

@@ -413,6 +413,25 @@ def test_build_guard():
         build_process_tensor(model, grid)
 
 
+def test_markov_dilation_guard(monkeypatch):
+    """`model_markov` prices its joint unitary, 16 * (d * e)**2 bytes for
+    the product e of the steps' Kraus counts, and refuses one above the
+    size guard before it builds any unitary: qubits admit e up to 1448."""
+    from ptmarkov import SweepGuardError, models
+    from ptmarkov.process_tensor import check_matrix_size
+    check_matrix_size(2 * 1448, "joint unitary")
+    with pytest.raises(SweepGuardError):
+        check_matrix_size(2 * 1449, "joint unitary")
+
+    def built(*args, **kwargs):
+        raise AssertionError("unitary built past the size guard")
+    monkeypatch.setattr(models, "_complete_isometry", built)
+    rng = np.random.default_rng(0)
+    maps = [random_cptp(2, rng, kraus_rank=16) for _ in range(3)]  # e = 4096
+    with pytest.raises(SweepGuardError, match="size guard"):
+        models.model_markov(maps, np.eye(2) / 2)
+
+
 def test_direct_construction_matches_tomography(
         b1_model, b1_pt, b2_model, b2_pt, b3_model, b3_pt, markov_model2,
         markov_pt2, markov_model3, markov_pt3, basis2):
