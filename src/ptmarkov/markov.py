@@ -26,7 +26,12 @@ from .defaults import (
 )
 from .errors import DimensionMismatch, NotPositive, ValidationError
 from .linalg import Array, hermitize, partial_trace
-from .process_tensor import ProcessTensor, _contract_form, default_break
+from .process_tensor import (
+    _WHOLE,
+    ProcessTensor,
+    _contract_form,
+    default_break,
+)
 from .qops import Instrument, OperationBasis, QuantumMap
 
 __all__ = [
@@ -145,9 +150,10 @@ def _points(states: Array) -> Array:
 # The diameter search splits n points of D coordinates into cells of at
 # most _CELL_COORDS / D points (32 Bloch vectors, 5 qutrit states), bounds
 # _BOUND_CHUNK cell pairs and evaluates the leaf values of _PAIR_BATCH cell
-# pairs per numpy call. Its pruning test has a relative margin and an absolute
-# floor (see _diameter): far above the rounding they cover, far below any
-# spread they could hide.
+# pairs per numpy call; a group of at most two cells takes every pair in
+# one leaf call instead. Its pruning test has a relative margin and an
+# absolute floor (see _diameter): far above the rounding they cover, far
+# below any spread they could hide.
 _CELL_COORDS = 96
 _BOUND_CHUNK = 1 << 16
 _PAIR_BATCH = 256
@@ -172,18 +178,29 @@ def _diameter(p: Array) -> tuple[float, int, int]:
     correctly rounded, monotone ``sqrt`` is returned; for d > 2 it is the
     trace norm ``svd(rho_i - rho_j).sum()``, i < j, of the states the
     points view: the numbers ``trace_norm_distance`` gives pair by pair.
-    ``best`` starts at the leaf value of one seed pair: the point farthest
-    from the centroid and the point farthest from it in Euclidean
-    distance. Two exact filters then cut the search, with one test
-    (``reach``) that bounds the trace distance by factor * x for a
-    Euclidean bound x; the factor is 1 for qubits and sqrt(d) for d > 2,
-    as ||X||_1 <= sqrt(d) ||X||_F for any d x d matrix. Any pair's leaf
-    value is a valid start, so the result does not depend on the seed.
-    A radial prefilter drops every point whose radius r_x about the
+
+    A group of n points of D coordinates with n D <= 2 ``_CELL_COORDS``
+    (64 Bloch vectors, 10 qutrit states) fills at most two leaf cells, where
+    the tree can drop nothing. It goes straight to the leaf step: ``leaf``
+    on every pair in one call, for qubits the n x n matrix, for d > 2 the
+    pairs of ``np.triu_indices`` in (i, j) order, and the first ``argmax``.
+    The search below returns the largest leaf value over all pairs and
+    the first pair at it, and each value here comes from the same float
+    operations, so the result is the search's, bit for bit.
+
+    A larger group is searched. ``best`` starts at the leaf value of one
+    seed pair: the point farthest from the centroid and the point farthest
+    from it in Euclidean distance. Two exact filters then cut the search,
+    with one test (``reach``) that bounds the trace distance by factor * x
+    for a Euclidean bound x; the factor is 1 for qubits and sqrt(d) for
+    d > 2, as ||X||_1 <= sqrt(d) ||X||_F for any d x d matrix. Any pair's
+    leaf value is a valid start, so the result does not depend on the
+    seed. A radial prefilter drops every point whose radius r_x about the
     bounding-box midpoint cannot reach ``best`` (a pair is at most
     r_i + r_max apart), and the dual tree on the survivors (``_dual_tree``)
-    drops every cell pair whose box bound cannot reach it. The survivors keep their ascending indices, and the test
-    keeps every tie, so the leaves alone apply the first-pair rule.
+    drops every cell pair whose box bound cannot reach it. The survivors
+    keep their ascending indices, and the test keeps every tie, so the
+    leaves alone apply the first-pair rule.
 
     The rounding margins. With u = 2**-53, gradual underflow and D
     coordinates, a computed squared distance lies within (1 +- u)**(D + 2)
@@ -230,14 +247,26 @@ def _diameter(p: Array) -> tuple[float, int, int]:
     lo, hi = p.min(axis=0), p.max(axis=0)
     if n < 2 or not (hi > lo).any():
         return (0.0, 0, 0)
-    i = int(np.argmax(((p - p.mean(axis=0)) ** 2).sum(axis=-1)))
-    j = int(np.argmax(((p - p[i]) ** 2).sum(axis=-1)))
-    best = float(leaf(i, j))
-    kept = np.arange(n)
-    if math.isfinite(best):
-        r = np.sqrt(((p - (lo + hi) / 2) ** 2).sum(axis=-1))
-        kept = kept[reach(r + r.max(), best)]
-    best, wi, wj = _dual_tree(p, kept, leaf, reach, best, *sorted((i, j)))
+    if n * width <= 2 * _CELL_COORDS:
+        # the leaf step on one cell of every point; qubit values form a
+        # symmetric matrix with a zero diagonal, whose first maximum in
+        # row-major order lies at i < j
+        i, j = ((np.arange(n)[:, None], np.arange(n)[None]) if width == 3
+                else np.triu_indices(n, 1))
+        value = leaf(i, j)
+        top = int(np.argmax(value))
+        best = float(value.flat[top])
+        wi, wj = divmod(top, n) if width == 3 else (int(i[top]), int(j[top]))
+    else:
+        i = int(np.argmax(((p - p.mean(axis=0)) ** 2).sum(axis=-1)))
+        j = int(np.argmax(((p - p[i]) ** 2).sum(axis=-1)))
+        best = float(leaf(i, j))
+        kept = np.arange(n)
+        if math.isfinite(best):
+            r = np.sqrt(((p - (lo + hi) / 2) ** 2).sum(axis=-1))
+            kept = kept[reach(r + r.max(), best)]
+        best, wi, wj = _dual_tree(p, kept, leaf, reach, best,
+                                  *sorted((i, j)))
     if best == 0.0:
         return (0.0, 0, 0)
     return (root(best), wi, wj)
@@ -550,11 +579,9 @@ def confusion_probability(n_value: float, n: int) -> float:
 # counting threshold from one cut to the next; a fixed margin, not a knob.
 _CARRY_MARGIN = 1e-3
 # bond_dimension reads a remainder in _SLABS slabs: at K = 4 a first-cut
-# slab is 1/32 of a qubit tensor. One of at most _WHOLE entries (256 KiB,
-# a qubit tensor up to K = 3) is read whole, where slabs would cost more in
-# calls than they save in memory.
+# slab is 1/32 of a qubit tensor. One of at most _WHOLE entries is read
+# whole.
 _SLABS = 32
-_WHOLE = 1 << 14
 
 
 def bond_dimension(pt: ProcessTensor, cutoff: float = BOND_CUTOFF) -> list[int]:

@@ -142,6 +142,10 @@ _SKETCH_RTOL = 1e-12
 # is rejected without the explicit residual: far above the 1e-24 that
 # acceptance needs and far above rounding.
 _SKETCH_SKIP = 1e-6
+# An array of at most _WHOLE entries (256 KiB; a qubit tensor, or its
+# final contraction form, up to K = 3) is read whole where a larger one is
+# read in slices: slices would cost more in calls than they save in memory.
+_WHOLE = 1 << 14
 
 
 def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
@@ -244,8 +248,7 @@ def _contract_form(form: Array, stacks: Sequence[Array]) -> Array:
     """
     l = form.ndim - 1
     if len(stacks) < l:
-        d = math.isqrt(math.isqrt(form.shape[1]))
-        ident = QuantumMap.identity(d).choi.reshape(1, -1)
+        ident = _identity_row(math.isqrt(math.isqrt(form.shape[1])))
         stacks = [*stacks, *[ident] * (l - len(stacks))]
     arr, counts = form, [form.shape[0]]
     for stack in reversed(stacks):
@@ -255,6 +258,14 @@ def _contract_form(form: Array, stacks: Sequence[Array]) -> Array:
         arr = arr[..., 0] @ stack.T if arr.shape[2] == 1 else stack @ arr
         counts.append(len(stack))
     return arr.reshape(counts).T.reshape(-1, counts[0])
+
+
+def _identity_row(d: int) -> Array:
+    """The identity channel's Choi as one contraction row: entry
+    ((x, a), (y, b)) is delta_xa delta_yb, the 0s and 1s of
+    ``QuantumMap.identity(d).choi``."""
+    e = np.eye(d, dtype=complex).reshape(-1)
+    return np.outer(e, e).reshape(1, -1)
 
 
 def _rows(chois: Iterable[Array]) -> list[Array]:
@@ -406,9 +417,9 @@ class ProcessTensor:
         """Largest entry of Tr_{O_l} Upsilon_l - 1_{O_{l-1}} (x)
         Upsilon_{l-1} over l = K ... 1, read off the cached contraction
         forms: rounding level for a causal comb, NaN or inf when entries
-        overflow. Each l is taken one row value (O_{l-1}, I_{l-1}) of the
-        leading slot axis at a time, so no temporary is larger than
-        1/d**4 of the form.
+        overflow. A form of at most ``_WHOLE`` entries is read in one
+        round; a larger one one row value (O_{l-1}, I_{l-1}) of the leading
+        slot axis at a time, so no temporary is larger than 1/d**4 of it.
         """
         d = self.system_dim
         gaps = [0.0]
@@ -417,6 +428,12 @@ class ProcessTensor:
             # (readout row, readout column, O row, I row, O col, I col, rest)
             up = up.reshape((d,) * 6 + (-1,))
             low = self.contraction_form(l - 1).reshape(d, d, -1)
+            if up.size <= _WHOLE:
+                gap = np.einsum("aa...->...", up)
+                for o in range(d):
+                    gap[o, :, o] -= low
+                gaps.append(np.abs(gap).max())
+                continue
             for o in range(d):
                 for i in range(d):
                     gap = np.einsum("aa...->...", up[:, :, o, i])
@@ -510,11 +527,10 @@ class ProcessTensor:
         d = self.system_dim
         if not 0 <= j < l <= n_steps:
             raise ValidationError(f"invalid slot range ({j}, {l})")
-        fill = QuantumMap.identity(d).choi
         # row (a, b): the Choi |a><b| (x) 1, entries delta_xa delta_zb delta_yw
         preps = np.einsum("axz,yw->axyzw", np.eye(d * d).reshape(d * d, d, d),
                           np.eye(d)).reshape(d * d, -1)
-        outs = self.contract(_rows([fill] * j) + [preps], l)
+        outs = self.contract([_identity_row(d)] * j + [preps], l)
         # Choi[(x, a), (y, b)] = outs[(a, b), x, y]
         choi = outs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, -1)
         return QuantumMap.from_choi(hermitize(choi, atol=1e-8),

@@ -362,24 +362,26 @@ def test_bloch_diameter_planted_far_pairs(kind, seed, monkeypatch):
         assert 16 <= counts[0] < len(b)
 
 
-def test_bloch_diameter_at_radial_threshold():
+def test_bloch_diameter_at_radial_threshold(monkeypatch):
     """Points at the prefilter's threshold: on the ray from the point m
     farthest from the box midpoint c through c, at the computed radius
     sqrt(best) - r_m, so that in exact arithmetic each lies at the seed
     distance from m and ties with the seed pair. Rounding alone decides
     whether it wins; placed first in index order it wins the tie too. In
-    1000 seeded clouds of 23 points, the point sits at the threshold or one
+    1000 seeded clouds of 64 points, the point sits at the threshold or one
     ulp per coordinate toward or away from c, inside the bounding box,
-    which it leaves unchanged. A filter comparing r_x + r_max with
-    sqrt(best) with no rounding margin drops the winner in two of these
-    3000 clouds."""
+    which it leaves unchanged. Each cloud of 65 points is one above the
+    all-pairs threshold, so every call runs the prefilter and the tree. A
+    filter comparing r_x + r_max with sqrt(best) with no rounding margin
+    drops the winner in seven of these 3000 clouds."""
     from ptmarkov.markov import _diameter
+    counts = _kept_counts(monkeypatch)
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         a, h = rng.uniform(0.6, 1.0), rng.uniform(0.2, 0.8)
         base = rng.uniform(-0.3, 0.3, 3) + np.concatenate([
             [[a, 0, 0], [-a, 0, 0], [0, h, 0]],
-            [0, h / 2, 0] + 0.2 * h * _ball(rng, 20)])
+            [0, h / 2, 0] + 0.2 * h * _ball(rng, 61)])
         base = base[:, rng.permutation(3)]
         lo, hi = base.min(axis=0), base.max(axis=0)
         c = (lo + hi) / 2
@@ -391,6 +393,7 @@ def test_bloch_diameter_at_radial_threshold():
             b = np.concatenate([[np.nextafter(x, x + ulps * (x - c))], base])
             assert (b.min(axis=0) == lo).all() and (b.max(axis=0) == hi).all()
             assert _diameter(b) == diameter_bloch_all_pairs(b), seed
+    assert len(counts) == 3000
 
 
 def test_bloch_diameter_prefilter_shrinks_b2_group(basis2, monkeypatch):
@@ -411,6 +414,65 @@ def test_bloch_diameter_prefilter_shrinks_b2_group(basis2, monkeypatch):
     assert not markov_test(pt, basis2).is_markov
     assert sizes[0] > 10 ** 4
     assert 0 < counts[0] <= sizes[0] // 10
+
+
+def _small_cloud(kind, n, rng):
+    """n Bloch vectors of one kind, for groups near the all-pairs
+    threshold of 64 points."""
+    if kind == "ties":
+        # +-e_x, +-e_y, +-e_z in turn among interior points: from n = 4 on,
+        # several pairs tie at distance 2
+        pts = 0.5 * rng.uniform(-1, 1, size=(n, 3))
+        axes = np.concatenate([np.eye(3), -np.eye(3)])[[0, 3, 1, 4, 2, 5]]
+        for m, slot in enumerate(rng.permutation(n)[:12]):
+            pts[slot] = axes[m % 6]
+        return pts
+    if kind == "duplicates":
+        return rng.normal(size=(3, 3))[rng.integers(0, 3, size=n)] / 3
+    if kind == "identical":
+        return np.tile([0.1, 0.2, -0.3], (n, 1))
+    if kind == "cluster-1e-15":
+        return np.array([0.3, -0.2, 0.5]) + 1e-15 * rng.normal(size=(n, 3))
+    if kind == "cluster-1e-160":  # some squared distances underflow to 0
+        return 1e-160 * rng.normal(size=(n, 3))
+    if kind == "overflow":  # squared distances across the ball are inf
+        return 1e154 * _ball(rng, n)
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["ties", "duplicates", "identical",
+                                  "cluster-1e-15", "cluster-1e-160",
+                                  "overflow"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 32, 63, 64, 65])
+def test_bloch_diameter_bit_identical_at_all_pairs_threshold(kind, n,
+                                                            monkeypatch):
+    """Up to 64 points take one all-pairs leaf call, 65 the prefilter and
+    the tree; on both sides the value and the first pair equal the
+    all-pairs scan's, bit for bit."""
+    from ptmarkov.markov import _diameter
+    b = _small_cloud(kind, n, np.random.default_rng(n))
+    counts = _kept_counts(monkeypatch)
+    with np.errstate(over="ignore"):
+        got = _diameter(b)
+        assert got == diameter_bloch_all_pairs(b)
+    assert type(got[0]) is float
+    if kind == "identical":
+        assert got == (0.0, 0, 0)
+    assert len(counts) == (n > 64 and kind != "identical")
+
+
+def test_memoryless_two_step_sweep_skips_the_tree(markov_pt2, basis2,
+                                                  monkeypatch):
+    """Design tripwire: the groups of a memoryless two-step sweep hold 64
+    states (16 pasts times 4 outcomes, break at slot 1) or 4 (break at
+    slot 0), so no diameter reaches the dual tree."""
+    import ptmarkov.markov as markov
+    sizes, points = [], markov._points
+    monkeypatch.setattr(markov, "_points", lambda states: (
+        sizes.append(len(states)) or points(states)))
+    counts = _kept_counts(monkeypatch)
+    assert markov_test(markov_pt2, basis2).is_markov
+    assert max(sizes) == 64 and counts == []
 
 
 def _qutrit_group(kind, rng):
@@ -452,6 +514,23 @@ def test_general_diameter_bit_identical_to_loop(kind):
     if kind.startswith("cluster-"):
         scale = float(kind[len("cluster-"):])
         assert scale < got[0] < 100 * scale
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicates", "identical",
+                                  "cluster-1e-15", "cluster-1e-160"])
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_general_diameter_bit_identical_at_all_pairs_threshold(kind, n,
+                                                              monkeypatch):
+    """Up to 10 qutrit states take one all-pairs leaf call, 11 the
+    prefilter and the tree; on both sides the value and the first pair
+    equal the batched all-pairs scan's, bit for bit."""
+    from ptmarkov.markov import _diameter, _points
+    states = _qutrit_group(kind, np.random.default_rng(n))[:n]
+    counts = _kept_counts(monkeypatch)
+    got = _diameter(_points(states))
+    assert got == diameter_general_batched(states)
+    assert type(got[0]) is float
+    assert len(counts) == (n > 10 and kind != "identical")
 
 
 def _qutrit_dilation(kind, k=2):
