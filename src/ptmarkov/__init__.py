@@ -52,7 +52,6 @@ from .models import (
 from .process_tensor import (
     ConditionalState,
     ProcessTensor,
-    default_break,
     from_tomography,
 )
 from .qops import (
@@ -61,6 +60,7 @@ from .qops import (
     Instrument,
     OperationBasis,
     QuantumMap,
+    default_break,
     ic_basis,
     ic_frame_states,
 )

@@ -44,8 +44,8 @@ from .markov import (
     markov_test,
     non_markovianity,
 )
-from .process_tensor import check_matrix_size, default_break, leg_labels
-from .qops import QuantumMap, ic_basis
+from .process_tensor import check_matrix_size, leg_labels
+from .qops import QuantumMap, default_break, ic_basis
 from .random_ops import (
     computational_reprepare_instrument,
     random_control_sequence,
@@ -91,6 +91,17 @@ def _load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
+
+
+def _path(cfg: dict, key: str) -> str:
+    """``cfg[key]`` if it is a non-empty string, else a ConfigError naming
+    the key: a JSON number, boolean, list, object or null is no path (an
+    integer would be taken as a file descriptor)."""
+    path = cfg[key]
+    if isinstance(path, str) and path:
+        return path
+    raise ConfigError(f"config key {key!r}: expected a non-empty path "
+                      f"string, got {path!r}")
 
 
 def _typed(kind, value, key: str, minimum=-math.inf):
@@ -147,8 +158,8 @@ def _model_from_config(cfg: dict):
         model = models.model_markov(maps, rho0)
     elif name == "custom":
         try:
-            unitaries = ptf.load_matrices(params["unitaries_file"])
-            joint = ptf.load_matrices(params["initial_joint_file"])[0]
+            unitaries = ptf.load_matrices(_path(params, "unitaries_file"))
+            joint = ptf.load_matrices(_path(params, "initial_joint_file"))[0]
         except KeyError as exc:
             raise ConfigError(f"custom model config missing {exc}")
         d = _typed(int, params.get("system_dim", 2), "system_dim", 1)
@@ -173,9 +184,9 @@ def _sha256_obj(obj) -> str:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     model, times = _model_from_config(cfg)
-    out_path = args.output or cfg.get("output")
-    if not out_path:
+    if not (args.output or "output" in cfg):
         raise ConfigError("no output path: pass -o or set 'output' in the config")
+    out_path = args.output or _path(cfg, "output")
     pt = models.build_process_tensor(model, times)
     pt.save(out_path)
     print(f"wrote {out_path}")
@@ -232,7 +243,7 @@ def cmd_analyze(args) -> int:
     }
     csv_rows: list[tuple[str, float, float]] = []
     if "markov" in analyses:
-        rep = markov_test(pt, basis, tol=tol, exhaustive=args.exhaustive)
+        rep = markov_test(pt, tol=tol, exhaustive=args.exhaustive)
         report["analyses"]["markov"] = asdict(rep)
     if "divisibility" in analyses:
         rep = divisibility_test(pt, tol=tol)
@@ -397,7 +408,7 @@ def _examples_b3(args, csv_rows) -> bool:
           f"system state for 20 random intermediate channels "
           f"(max distance {worst:.3e})")
     pt = models.build_process_tensor(model, grid)
-    rep = markov_test(pt, ic_basis(2))
+    rep = markov_test(pt)
     print(f"[{'PASS' if not rep.is_markov else 'FAIL'}] b3 flagged "
           f"non-Markovian (deviation {rep.max_deviation:.6f})")
     dims = bond_dimension(pt)

@@ -26,13 +26,8 @@ from .defaults import (
 )
 from .errors import DimensionMismatch, NotPositive, ValidationError
 from .linalg import Array, hermitize, partial_trace
-from .process_tensor import (
-    _WHOLE,
-    ProcessTensor,
-    _contract_form,
-    default_break,
-)
-from .qops import Instrument, OperationBasis, QuantumMap
+from .process_tensor import _WHOLE, ProcessTensor, _contract_form
+from .qops import Instrument, QuantumMap, default_break, ic_basis
 
 __all__ = [
     "MarkovReport",
@@ -353,25 +348,26 @@ def _below_floor(pt: ProcessTensor, stacks: Sequence[Array], l: int) -> int:
     return probs.size - int(np.count_nonzero(probs > PROBABILITY_FLOOR))
 
 
-def markov_test(pt: ProcessTensor, basis: OperationBasis,
-                tol: float = MARKOV_TOL,
+def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
                 exhaustive: bool = False) -> MarkovReport:
     """Causal-break sweep for operational Markovianity.
 
     For every break position k in [0, K-1] and readout step l > k, every
-    sequence of basis elements on the earlier slots and every POVM outcome
-    of the break are realized; conditional states sharing a preparation are
-    compared pairwise in trace distance. Break positions are scanned from
-    the latest downward and the sweep stops at the first deviation above
-    tolerance unless ``exhaustive`` is set. A break at slot 0 has no past:
-    its groups compare the states after each outcome r, which differ when
-    the initial system-environment state is correlated, so a one-step
-    process is tested too; a process with no step has no break and is
-    reported Markovian.
+    sequence of elements of ``ic_basis(d)`` on the earlier slots and every
+    POVM outcome of the break ``default_break(d)`` are realized;
+    conditional states sharing a preparation are compared pairwise in
+    trace distance. Break positions are scanned from the latest downward
+    and the sweep stops at the first deviation above tolerance unless
+    ``exhaustive`` is set. A break at slot 0 has no past: its groups
+    compare the states after each outcome r, which differ when the initial
+    system-environment state is correlated, so a one-step process is
+    tested too; a process with no step has no break and is reported
+    Markovian.
 
     Informational completeness of the basis and of the break POVM makes the
     sweep sufficient: equality across the swept controls implies equality
-    for every control sequence.
+    for every control sequence. Any IC basis and break would do, so both
+    follow from the dimension d.
 
     Each break contracts one preparation group at a time: the past basis
     stacks and the n_out realizations of preparation s, the break slot
@@ -394,8 +390,8 @@ def markov_test(pt: ProcessTensor, basis: OperationBasis,
     n_steps = pt.n_steps
     d = pt.system_dim
     break_set = default_break(d)
-    n_basis = len(basis)
-    basis_vecs = basis.choi_vectors
+    basis_vecs = ic_basis(d).choi_vectors
+    n_basis = len(basis_vecs)
     n_out = break_set.n_outcomes
     n_prep = break_set.n_preparations
     # group s: the Chois P_s (x) Pi_r^T of its n_out realizations (r, s)
@@ -720,6 +716,14 @@ def classical_process(pt: ProcessTensor, instruments: Sequence[Instrument],
                             outcome_labels=tuple(labels))
 
 
+def _conditional(joint: Array) -> Array:
+    """P(last outcome | the others) from a joint table; NaN where the
+    others' probability is at or below the floor."""
+    norm = joint.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(norm > PROBABILITY_FLOOR, joint / norm, np.nan)
+
+
 def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,
                            marginal_tables: dict | None = None
                            ) -> ClassicalCheck:
@@ -742,12 +746,7 @@ def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,
         joint = table.sum(axis=tuple(range(m + 1, n_axes))) if m + 1 < n_axes \
             else table
         pair = joint.sum(axis=tuple(range(0, m - 1)))  # (r_{m-1}, r_m)
-        pair_norm = pair.sum(axis=-1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond_pair = np.where(pair_norm > PROBABILITY_FLOOR, pair / pair_norm, np.nan)
-        hist_norm = joint.sum(axis=-1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond_hist = np.where(hist_norm > PROBABILITY_FLOOR, joint / hist_norm, np.nan)
+        cond_pair, cond_hist = _conditional(pair), _conditional(joint)
         diff = np.abs(cond_hist - cond_pair.reshape(
             (1,) * (m - 1) + cond_pair.shape))
         if not np.isnan(diff).all():

@@ -42,14 +42,13 @@ A control sequence is a list of ``QuantumMap`` objects of dimension d, one
 per slot from slot 0 on (``checked_controls`` checks it). An instrument
 outcome r enters as ``ins.members[r]`` and a causal-break realization
 (r, s) as ``brk.map(r, s)``; ``conditional_state`` inserts the break
-itself.
+``default_break(d)`` itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Array, hermitize
-from .qops import CausalBreak, DensityMatrix, OperationBasis, QuantumMap
+from .qops import DensityMatrix, QuantumMap, default_break, ic_basis
 
 __all__ = [
     "ProcessTensor",
@@ -472,10 +471,10 @@ class ProcessTensor:
     # -- conditional states ----------------------------------------------------
 
     def conditional_state(self, k: int, prep_index: int, povm_outcome: int,
-                          past=(), future=(), break_set: CausalBreak | None = None
-                          ) -> ConditionalState:
-        """State at t_l after a causal break at slot k, where
-        l = k + 1 + len(future).
+                          past=(), future=()) -> ConditionalState:
+        """State at t_l after the realization (``povm_outcome``,
+        ``prep_index``) of the causal break ``default_break(d)`` at slot k,
+        where l = k + 1 + len(future).
 
         ``past`` supplies the controls on slots 0..k-1 and ``future`` the
         controls strictly between the break and the readout time.
@@ -484,8 +483,6 @@ class ProcessTensor:
         d = self.system_dim
         if not 0 <= k < n_steps:
             raise ValidationError(f"break slot {k} outside [0, {n_steps - 1}]")
-        if break_set is None:
-            break_set = default_break(d)
         past, future = list(past), list(future)
         if len(past) != k:
             raise DimensionMismatch(f"past must cover slots 0..{k - 1}")
@@ -493,7 +490,7 @@ class ProcessTensor:
         if l > n_steps:
             raise DimensionMismatch(
                 f"readout step {l} beyond final step {n_steps}")
-        break_map = break_set.map(povm_outcome, prep_index)
+        break_map = default_break(d).map(povm_outcome, prep_index)
         maps = checked_controls(past + [break_map] + future, l, d)
         out = self.contract(_rows(m.choi for m in maps), l)[0]
         p = float(np.trace(out).real)
@@ -552,20 +549,14 @@ class ProcessTensor:
                 f"trace={self.trace:.6g})")
 
 
-@lru_cache(maxsize=8)
-def default_break(d: int) -> CausalBreak:
-    """The default causal break, built once per dimension and shared; its
-    arrays are read-only."""
-    return CausalBreak.default(d)
-
-
 # ---------------------------------------------------------------------------
 # tomographic reconstruction
 # ---------------------------------------------------------------------------
 
-def from_tomography(records, basis: OperationBasis, d: int, k: int,
+def from_tomography(records, d: int, k: int,
                     times: Sequence[float] | None = None) -> ProcessTensor:
-    """Reconstruct a K-step tensor from a complete basis-product sweep.
+    """Reconstruct a K-step tensor from a complete sweep of the basis
+    ``ic_basis(d)``.
 
     ``records`` holds pairs ``(key, output)`` where ``key`` is the tuple of
     basis-element indices applied at slots (0, ..., k-1) and ``output`` the
@@ -577,8 +568,7 @@ def from_tomography(records, basis: OperationBasis, d: int, k: int,
     followed by a PSD repair that clips eigenvalues in [-PSD_CLIP, 0) and
     a spot check of 16 evenly spaced records against the result.
     """
-    if d != basis.dimension:
-        raise DimensionMismatch(f"basis dimension {basis.dimension} != {d}")
+    basis = ic_basis(d)
     n = len(basis)
     shape = (n,) * k
     table = np.zeros(shape + (d, d), dtype=complex)

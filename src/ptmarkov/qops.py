@@ -40,6 +40,7 @@ __all__ = [
     "Instrument",
     "OperationBasis",
     "CausalBreak",
+    "default_break",
     "ic_basis",
     "ic_frame_states",
 ]
@@ -96,26 +97,20 @@ def _choi_to_super(choi: Array, out_dim: int, in_dim: int) -> Array:
     return c4.transpose(0, 2, 1, 3).reshape(out_dim * out_dim, in_dim * in_dim)
 
 
-def _super_to_choi(sup: Array, out_dim: int, in_dim: int) -> Array:
-    s4 = sup.reshape(out_dim, out_dim, in_dim, in_dim)
-    return s4.transpose(0, 2, 1, 3).reshape(out_dim * in_dim, out_dim * in_dim)
-
-
 class QuantumMap:
-    """A linear map on operators with lazily interconverted Kraus / Choi /
-    superoperator representations; each one it derives is cached
-    read-only."""
+    """A linear map on operators, given by a Kraus set or a Choi matrix;
+    the other of the two and the superoperator are derived lazily, and
+    each one it derives is cached read-only."""
 
-    def __init__(self, *, in_dim: int, out_dim: int, kraus=None, choi=None,
-                 superop=None):
-        if kraus is None and choi is None and superop is None:
+    def __init__(self, *, in_dim: int, out_dim: int, kraus=None, choi=None):
+        if kraus is None and choi is None:
             raise ValidationError("QuantumMap needs at least one representation")
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self._kraus = None if kraus is None else [
             np.asarray(k, dtype=complex) for k in kraus]
         self._choi = None if choi is None else np.asarray(choi, dtype=complex)
-        self._super = None if superop is None else np.asarray(superop, dtype=complex)
+        self._super = None
         self._check_shapes()
 
     def _check_shapes(self):
@@ -128,10 +123,6 @@ class QuantumMap:
         if self._choi is not None and self._choi.shape != (dout * din, dout * din):
             raise DimensionMismatch(
                 f"Choi shape {self._choi.shape} != ({dout * din}, {dout * din})")
-        if self._super is not None and self._super.shape != (dout * dout, din * din):
-            raise DimensionMismatch(
-                f"superoperator shape {self._super.shape} != "
-                f"({dout * dout}, {din * din})")
 
     # -- constructors ------------------------------------------------------
 
@@ -183,11 +174,8 @@ class QuantumMap:
     @property
     def choi(self) -> Array:
         if self._choi is None:
-            if self._kraus is not None:
-                vs = np.stack([k.reshape(-1) for k in self._kraus])
-                self._choi = vs.T @ vs.conj()
-            else:
-                self._choi = _super_to_choi(self._super, self.out_dim, self.in_dim)
+            vs = np.stack([k.reshape(-1) for k in self._kraus])
+            self._choi = vs.T @ vs.conj()
             self._choi.setflags(write=False)
         return self._choi
 
@@ -333,20 +321,9 @@ class CausalBreak:
         return QuantumMap.measure_and_prepare(
             self.effects[outcome], self.preparations[preparation])
 
-    @classmethod
-    def default(cls, d: int) -> "CausalBreak":
-        """IC break: frame projectors squeezed into a POVM, frame states
-        as preparations."""
-        projs = ic_frame_states(d)
-        a = sum(projs)
-        w, v = hermitian_eig(a)
-        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-        effects = tuple(inv_sqrt @ p @ inv_sqrt for p in projs)
-        return cls(effects=effects, preparations=tuple(projs))
-
 
 # ---------------------------------------------------------------------------
-# informationally complete operation bases
+# the informationally complete frame: states, causal break, operation basis
 # ---------------------------------------------------------------------------
 
 def ic_frame_states(d: int) -> list[Array]:
@@ -365,6 +342,18 @@ def ic_frame_states(d: int) -> list[Array]:
             kets.append((np.eye(d, dtype=complex)[:, j]
                          + 1j * np.eye(d, dtype=complex)[:, k]) / np.sqrt(2))
     return [np.outer(k, k.conj()) for k in kets]
+
+
+@lru_cache(maxsize=8)
+def default_break(d: int) -> CausalBreak:
+    """The informationally complete causal break, built once per dimension
+    and shared, so its arrays are read-only: the frame projectors squeezed
+    into a POVM as effects, the frame states as preparations."""
+    projs = ic_frame_states(d)
+    w, v = hermitian_eig(sum(projs))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    effects = tuple(inv_sqrt @ p @ inv_sqrt for p in projs)
+    return CausalBreak(effects=effects, preparations=tuple(projs))
 
 
 def _dual_frame(vectors: Array) -> Array:

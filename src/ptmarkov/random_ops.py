@@ -7,6 +7,8 @@ supplied generator, so fixed seeds give bitwise-reproducible artifacts.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .linalg import Array
@@ -41,13 +43,17 @@ def random_cptp(d: int, rng: np.random.Generator,
     return QuantumMap.from_kraus(kraus)
 
 
+@lru_cache(maxsize=8)
 def computational_reprepare_instrument(d: int) -> Instrument:
-    """Measure in the computational basis and re-prepare the outcome state."""
+    """Measure in the computational basis and re-prepare the outcome state;
+    built once per dimension and shared, so each member's Choi matrix is
+    read-only."""
     members = []
     for r in range(d):
         proj = np.zeros((d, d), dtype=complex)
         proj[r, r] = 1.0
         members.append(QuantumMap.measure_and_prepare(proj, proj))
+        members[-1].choi.setflags(write=False)
     return Instrument(members=tuple(members),
                       labels=tuple(str(r) for r in range(d)))
 

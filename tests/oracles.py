@@ -117,12 +117,13 @@ def apply_choi(choi, rho, d):
 
 
 def compose(later, earlier):
-    """later ∘ earlier as a QuantumMap, by the product of the two
-    superoperators."""
+    """later ∘ earlier on dimension d as a QuantumMap, by the product of
+    the two superoperators, read into a Choi matrix by
+    ``choi_from_superop``."""
     from ptmarkov import QuantumMap
 
-    return QuantumMap(in_dim=earlier.in_dim, out_dim=later.out_dim,
-                      superop=later.superoperator @ earlier.superoperator)
+    return QuantumMap.from_choi(choi_from_superop(
+        later.superoperator @ earlier.superoperator, earlier.in_dim))
 
 
 def depolarizing(d, mixing):
@@ -144,19 +145,20 @@ def swap(d=2):
     return s
 
 
-def tomography_process_tensor(model, grid, basis):
-    """Process tensor by the data route: every basis-element sequence run
-    through the public ``simulate_sequence`` and reconstructed by
-    ``from_tomography``."""
-    from ptmarkov import from_tomography, simulate_sequence
+def tomography_process_tensor(model, grid):
+    """Process tensor by the data route: every sequence of elements of
+    ``ic_basis(d)`` run through the public ``simulate_sequence`` and
+    reconstructed by ``from_tomography``."""
+    from ptmarkov import from_tomography, ic_basis, simulate_sequence
 
+    basis = ic_basis(model.system_dim)
     k = len(grid) - 1
     records = []
     for key in itertools.product(range(len(basis)), repeat=k):
         out, _ = simulate_sequence(model, grid,
                                    [basis.elements[i] for i in key])
         records.append((key, out))
-    return from_tomography(records, basis, model.system_dim, k, times=grid)
+    return from_tomography(records, model.system_dim, k, times=grid)
 
 
 def restrict_einsum(pt, subset):
@@ -494,7 +496,7 @@ def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
     and the all-pairs diameter; returns a ``MarkovReport``."""
     from ptmarkov.defaults import MARKOV_TOL, PROBABILITY_FLOOR
     from ptmarkov.markov import ConditioningRecord, MarkovReport
-    from ptmarkov.process_tensor import default_break
+    from ptmarkov.qops import default_break
 
     tol = MARKOV_TOL if tol is None else tol
     prob_floor = PROBABILITY_FLOOR if prob_floor is None else prob_floor

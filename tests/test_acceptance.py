@@ -106,18 +106,18 @@ def test_criterion_3_b1_decay_and_echo(b1_model):
                     f"{decay_err:.2e}), echo fidelity {fid:.12f}")
 
 
-def test_criterion_4_divisible_yet_non_markov(b1_pt, basis2):
+def test_criterion_4_divisible_yet_non_markov(b1_pt):
     """On the dephasing tensor: divisibility defect <= 1e-6 while the
     causal-break deviation exceeds 0.1."""
     div = divisibility_test(b1_pt)
-    mk = markov_test(b1_pt, basis2, exhaustive=True)
+    mk = markov_test(b1_pt, exhaustive=True)
     ok = div.max_defect <= 1e-6 and mk.max_deviation > 0.1 and not mk.is_markov
     _verdict(4, ok, f"divisibility defect {div.max_defect:.2e} <= 1e-6, "
                     f"break deviation {mk.max_deviation:.4f} > 0.1")
 
 
 def test_criterion_5_b3_memory_without_correlations(b3_model, b3_pt,
-                                                    b3_states, basis2):
+                                                    b3_states):
     """Output equals the initial state for 100 random intermediate
     channels, the joint state stays product, the break test fails, and the
     middle temporal cut carries bond dimension > 1."""
@@ -137,7 +137,7 @@ def test_criterion_5_b3_memory_without_correlations(b3_model, b3_pt,
             env = np.trace(j.reshape(2, 2, 2, 2), axis1=0, axis2=2)
             worst_prod = max(worst_prod, trace_norm_distance(
                 j, tensor_product(sys, env)))
-    mk = markov_test(b3_pt, basis2)
+    mk = markov_test(b3_pt)
     dims = bond_dimension(b3_pt)
     ok = (worst_out <= 1e-10 and worst_prod <= 1e-10
           and not mk.is_markov and dims[1] > 1)
@@ -146,7 +146,7 @@ def test_criterion_5_b3_memory_without_correlations(b3_model, b3_pt,
                     f"middle-cut bond dimension {dims[1]}")
 
 
-def test_criterion_6_markov_soundness(basis2):
+def test_criterion_6_markov_soundness():
     """100 random memoryless dilations (K = 2 and 3): break test passes,
     measure <= 1e-8, unit bond dimensions, divisibility defect <= 1e-8;
     under five minutes."""
@@ -159,7 +159,7 @@ def test_criterion_6_markov_soundness(basis2):
         rho0 = random_density(2, rng)
         model = model_markov(maps, rho0)
         pt = build_process_tensor(model, tuple(float(i) for i in range(k + 1)))
-        mk = markov_test(pt, basis2, tol=1e-8)
+        mk = markov_test(pt, tol=1e-8)
         assert mk.is_markov, f"trial {trial} flagged non-Markov"
         meas = non_markovianity(pt)
         div = divisibility_test(pt)

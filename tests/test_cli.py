@@ -618,6 +618,12 @@ def test_analyze_overflowing_trace_exit_3(tmp_path, capsys, b2_pure_pt3,
     assert err == "error: trace inf is not finite\n", err
 
 
+# JSON values that are no path: an integer or a boolean would be taken as a
+# file descriptor, the rest raise inside open().
+_NOT_PATHS = {"int": 1, "true": True, "list": ["x.ptf"], "object": {"a": 1},
+              "float": 3.5, "null": None}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "b2", {"rho_s": [[[math.nan, 0], [0, 0]],
                                   [[0, 0], [1, 0]]]}],
@@ -631,20 +637,39 @@ def test_analyze_overflowing_trace_exit_3(tmp_path, capsys, b2_pure_pt3,
     ["simulate", "b1", {"rho0": [[[1 / 3, 0] if i == j else [0, 0]
                                   for j in range(3)] for i in range(3)]}],
     ["examples", "b1", "--gamma-g", "nan"],
+    *[["simulate", "b2", {}, {"output": v}] for v in _NOT_PATHS.values()],
+    *[["simulate", "custom", {key: v}] for key in
+      ("unitaries_file", "initial_joint_file") for v in _NOT_PATHS.values()],
 ], ids=["b2-nan-state", "b3-inf-state", "markov-nan-state", "b1-nan-state",
-        "b1-list-axis", "b1-qutrit-state", "examples-b1-nan-gamma"])
+        "b1-list-axis", "b1-qutrit-state", "examples-b1-nan-gamma",
+        *[f"{key}-{kind}" for key in ("output", "unitaries_file",
+                                      "initial_joint_file")
+          for kind in _NOT_PATHS]])
 def test_cli_malformed_input_exit_2(tmp_path, capsys, argv):
     """Non-finite state entries (JSON's NaN and Infinity), an unhashable
-    dephasing axis, a qutrit state for the qubit model B.1 and a NaN bound
-    end in exit 2 with an error line, not in a traceback."""
+    dephasing axis, a qutrit state for the qubit model B.1, a NaN bound and
+    a config path that is not a non-empty string (the `output` of a config
+    run without -o, or a bundle file of the `custom` model) end in exit 2
+    with an error line, not in a traceback, and nothing is written; the
+    line names a bad path's key."""
+    out, paths = tmp_path / "x.ptf", {}
     if argv[0] == "simulate":
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": argv[1], "params": argv[2],
-                                   "times": [0.0, 1.0, 2.0]}))
-        argv = ["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]
+        extra = argv[3] if len(argv) > 3 else {}  # top-level config keys
+        if argv[1] == "custom":
+            paths = argv[2]
+            cfg = _write_custom_config(tmp_path, **paths)
+        else:
+            paths = extra
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"model": argv[1], "params": argv[2],
+                                       "times": [0.0, 1.0, 2.0], **extra}))
+        argv = ["simulate", str(cfg)] + ([] if extra else ["-o", str(out)])
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: ") and "Traceback" not in err, err
+    assert all(f"config key {key!r}" in err for key in paths), err
+    assert captured.out == "" and not out.exists()
 
 
 _JSON = st.recursive(

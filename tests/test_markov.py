@@ -65,17 +65,17 @@ IDENT = QuantumMap.identity(2)
 # markov_test
 # ---------------------------------------------------------------------------
 
-def test_markov_test_passes_on_product(markov_pt2, markov_pt3, basis2):
+def test_markov_test_passes_on_product(markov_pt2, markov_pt3):
     for pt in (markov_pt2, markov_pt3):
-        rep = markov_test(pt, basis2)
+        rep = markov_test(pt)
         assert rep.is_markov
         assert rep.max_deviation <= 1e-9
         assert rep.witness is None
         assert not rep.inconclusive_groups
 
 
-def test_markov_test_flags_b3_with_witness(b3_pt, basis2):
-    rep = markov_test(b3_pt, basis2, exhaustive=True)
+def test_markov_test_flags_b3_with_witness(b3_pt):
+    rep = markov_test(b3_pt, exhaustive=True)
     assert not rep.is_markov
     assert rep.max_deviation > 0.1
     a, b = rep.witness
@@ -84,9 +84,9 @@ def test_markov_test_flags_b3_with_witness(b3_pt, basis2):
     assert a.preparation == b.preparation
 
 
-def test_markov_test_flags_b2_with_closed_form_deviation(b2_pt, basis2):
+def test_markov_test_flags_b2_with_closed_form_deviation(b2_pt):
     from ptmarkov import b2_conditional_output, default_break
-    rep = markov_test(b2_pt, basis2, exhaustive=True)
+    rep = markov_test(b2_pt, exhaustive=True)
     assert not rep.is_markov
     assert rep.max_deviation > 10 * rep.tolerance
     # cross-check the scale of the deviation against the closed form for
@@ -103,18 +103,18 @@ def test_markov_test_flags_b2_with_closed_form_deviation(b2_pt, basis2):
     assert rep.max_deviation >= spread - 1e-9
 
 
-def test_markov_test_flags_b1(b1_pt, basis2):
-    rep = markov_test(b1_pt, basis2)
+def test_markov_test_flags_b1(b1_pt):
+    rep = markov_test(b1_pt)
     assert not rep.is_markov
     assert rep.max_deviation > 0.1
 
 
-def test_one_step_process_is_vacuously_markov(basis2):
+def test_one_step_process_is_vacuously_markov():
     """A single step from an uncorrelated initial state has one causal
     break, at slot 0, that finds no memory, and no triple of times."""
     model = model_markov([IDENT], P0)
     pt = build_process_tensor(model, (0.0, 1.0))
-    rep = markov_test(pt, basis2)
+    rep = markov_test(pt)
     assert rep.is_markov
     assert rep.max_deviation == 0.0
     assert rep.breaks_tested == ((0, 1),)
@@ -124,17 +124,17 @@ def test_one_step_process_is_vacuously_markov(basis2):
     assert div.max_defect == 0.0
 
 
-def test_markov_test_breaks_scanned(b3_pt, basis2):
-    rep = markov_test(b3_pt, basis2, exhaustive=True)
+def test_markov_test_breaks_scanned(b3_pt):
+    rep = markov_test(b3_pt, exhaustive=True)
     assert rep.breaks_tested == ((1, 2), (0, 1), (0, 2))
 
 
-def test_markov_test_inconclusive_on_degenerate_data(b3_pt, basis2):
+def test_markov_test_inconclusive_on_degenerate_data(b3_pt):
     """When every conditional at some group falls below the probability
     floor, the report is marked inconclusive rather than guessed."""
     from ptmarkov import ProcessTensor
     degenerate = ProcessTensor(np.zeros_like(b3_pt.choi), 2, b3_pt.times)
-    rep = markov_test(degenerate, basis2, exhaustive=True)
+    rep = markov_test(degenerate, exhaustive=True)
     assert rep.inconclusive_groups
     assert rep.skipped_conditionals > 0
 
@@ -296,7 +296,7 @@ def test_bloch_diameter_bounds_stay_linear(monkeypatch):
     assert 0 < sum(pairs) < 4 * len(b)
 
 
-def test_bloch_diameter_bit_identical_on_b2_groups(basis2, monkeypatch):
+def test_bloch_diameter_bit_identical_on_b2_groups(monkeypatch):
     """Every group of a three-step B.2 sweep; several hold pairs whose
     distances round to the same maximum while their squared distances
     differ in the last bit."""
@@ -310,7 +310,7 @@ def test_bloch_diameter_bit_identical_on_b2_groups(basis2, monkeypatch):
     bloch = markov._points
     monkeypatch.setattr(markov, "_points",
                         lambda states: groups.append(states) or bloch(states))
-    markov_test(pt, basis2, exhaustive=True)
+    markov_test(pt, exhaustive=True)
     monkeypatch.undo()
     assert groups
     for states in groups:
@@ -396,7 +396,7 @@ def test_bloch_diameter_at_radial_threshold(monkeypatch):
     assert len(counts) == 3000
 
 
-def test_bloch_diameter_prefilter_shrinks_b2_group(basis2, monkeypatch):
+def test_bloch_diameter_prefilter_shrinks_b2_group(monkeypatch):
     """Design tripwire: on the first group of a seeded four-step B.2 sweep
     (16 256 states), the dual tree sees at most 10 % of the points; the
     radial prefilter drops the rest."""
@@ -411,7 +411,7 @@ def test_bloch_diameter_prefilter_shrinks_b2_group(basis2, monkeypatch):
                         lambda states: sizes.append(len(states)) or
                         bloch(states))
     counts = _kept_counts(monkeypatch)
-    assert not markov_test(pt, basis2).is_markov
+    assert not markov_test(pt).is_markov
     assert sizes[0] > 10 ** 4
     assert 0 < counts[0] <= sizes[0] // 10
 
@@ -461,8 +461,7 @@ def test_bloch_diameter_bit_identical_at_all_pairs_threshold(kind, n,
     assert len(counts) == (n > 64 and kind != "identical")
 
 
-def test_memoryless_two_step_sweep_skips_the_tree(markov_pt2, basis2,
-                                                  monkeypatch):
+def test_memoryless_two_step_sweep_skips_the_tree(markov_pt2, monkeypatch):
     """Design tripwire: the groups of a memoryless two-step sweep hold 64
     states (16 pasts times 4 outcomes, break at slot 1) or 4 (break at
     slot 0), so no diameter reaches the dual tree."""
@@ -471,7 +470,7 @@ def test_memoryless_two_step_sweep_skips_the_tree(markov_pt2, basis2,
     monkeypatch.setattr(markov, "_points", lambda states: (
         sizes.append(len(states)) or points(states)))
     counts = _kept_counts(monkeypatch)
-    assert markov_test(markov_pt2, basis2).is_markov
+    assert markov_test(markov_pt2).is_markov
     assert max(sizes) == 64 and counts == []
 
 
@@ -550,13 +549,7 @@ def _qutrit_dilation(kind, k=2):
 
 
 @pytest.fixture(scope="module")
-def basis3():
-    from ptmarkov import ic_basis
-    return ic_basis(3)
-
-
-@pytest.fixture(scope="module")
-def qutrit_sweeps(basis3):
+def qutrit_sweeps():
     """Every group of the causal-break sweeps of both seeded dilations,
     captured on their way to the diameter: the memoryless one as it runs
     by default, the joint unitary exhaustively."""
@@ -568,7 +561,7 @@ def qutrit_sweeps(basis3):
         markov._points = lambda states: groups.append(states) or \
             points(states)
         try:
-            report = markov_test(pt, basis3, exhaustive=kind == "joint")
+            report = markov_test(pt, exhaustive=kind == "joint")
         finally:
             markov._points = points
         sweeps[kind] = pt, report, groups
@@ -605,8 +598,7 @@ def test_diameter_bit_identical_with_small_bound_chunks(qutrit_sweeps,
             diameter_qubit_all_pairs(states)
 
 
-def test_general_diameter_bit_identical_on_qutrit_k3_group(basis3,
-                                                           monkeypatch):
+def test_general_diameter_bit_identical_on_qutrit_k3_group(monkeypatch):
     """On 1 000 states drawn from the first group of the seeded qutrit
     K = 3 joint unitary (59 049 states, diameter 1.946), the value and the
     first pair equal the batched all-pairs scan's, bit for bit."""
@@ -623,7 +615,7 @@ def test_general_diameter_bit_identical_on_qutrit_k3_group(basis3,
 
     monkeypatch.setattr(markov, "_points", capture)
     with pytest.raises(Captured):
-        markov_test(_qutrit_dilation("joint", k=3), basis3)
+        markov_test(_qutrit_dilation("joint", k=3))
     monkeypatch.undo()
     group = groups[0]
     assert len(group) == 59049
@@ -646,7 +638,7 @@ def test_general_diameter_seed_runs_one_svd(monkeypatch):
     assert matrices[0] == 1 and len(states) == 150
 
 
-def test_qutrit_markov_test_runs_few_svds(basis3, monkeypatch):
+def test_qutrit_markov_test_runs_few_svds(monkeypatch):
     """Design tripwire: the exhaustive causal-break test of the seeded
     qutrit joint unitary decomposes fewer than a quarter of the matrices
     an all-pairs scan of its groups would."""
@@ -658,7 +650,7 @@ def test_qutrit_markov_test_runs_few_svds(basis3, monkeypatch):
         sizes.append(len(states)) or points(states)))
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
         matrices.append(math.prod(a.shape[:-2])) or svd(a, *args, **kwargs)))
-    markov_test(pt, basis3, exhaustive=True)
+    markov_test(pt, exhaustive=True)
     all_pairs = sum(n * (n - 1) // 2 for n in sizes)
     assert len(sizes) == 27 and 0 < sum(matrices) < all_pairs / 4
 
@@ -687,7 +679,7 @@ def _trace_norm_eig(a, b):
 def test_markov_test_matches_per_past_loop(name, exhaustive, basis2, request):
     from ptmarkov import default_break
     pt = request.getfixturevalue(name)
-    rep = markov_test(pt, basis2, exhaustive=exhaustive)
+    rep = markov_test(pt, exhaustive=exhaustive)
     ref = markov_test_loop(pt, basis2, exhaustive=exhaustive)
     assert abs(rep.max_deviation - ref.max_deviation) <= 1e-12
     assert rep.is_markov == ref.is_markov
@@ -722,8 +714,7 @@ def _b2_four_steps():
     return pt
 
 
-def test_markov_test_contracts_one_group_before_its_stop(basis2,
-                                                         monkeypatch):
+def test_markov_test_contracts_one_group_before_its_stop(monkeypatch):
     """A spy on the contraction kernel while a memoryful four-step B.2
     sweep stops at its first group: each full contraction holds only the
     n_out realizations of one preparation at the break slot, one such
@@ -739,7 +730,7 @@ def test_markov_test_contracts_one_group_before_its_stop(basis2,
         return kernel(form, stacks)
     monkeypatch.setattr(process_tensor, "_contract_form", spy)
     monkeypatch.setattr(markov, "_contract_form", spy)
-    rep = markov_test(pt, basis2)
+    rep = markov_test(pt)
     assert not rep.is_markov and rep.breaks_tested == ((3, 4),)
     assert rep.witness[0].preparation == 0
     assert calls == [(4, [16, 16, 16, 4]), (1, [16, 16, 16, 3 * 4])]
@@ -752,7 +743,7 @@ def test_early_exit_counts_the_untested_groups(b2_pure_pt3, basis2):
     and inconclusive groups are the per-past loop's."""
     from ptmarkov import default_break
     from oracles import _break_vectors
-    rep = markov_test(b2_pure_pt3, basis2)
+    rep = markov_test(b2_pure_pt3)
     ref = markov_test_loop(b2_pure_pt3, basis2)
     assert rep.breaks_tested == ref.breaks_tested == ((2, 3),)
     assert rep.witness[0].preparation == 0
@@ -764,13 +755,13 @@ def test_early_exit_counts_the_untested_groups(b2_pure_pt3, basis2):
     assert rep.inconclusive_groups == ref.inconclusive_groups == ()
 
 
-def test_markov_test_makes_no_break_sized_temporary(basis2):
+def test_markov_test_makes_no_break_sized_temporary():
     """Tripwire: on a four-step B.2 tensor with its forms cached, the
     sweep peaks below two tensor sizes above what was live before the
     call; contracting all 16 break realizations at once took 2.4."""
     pt = _b2_four_steps()
-    markov_test(pt, basis2)  # the lazily built module state
-    _, peak, _ = traced_peak(lambda: markov_test(pt, basis2))
+    markov_test(pt)  # the lazily built module state
+    _, peak, _ = traced_peak(lambda: markov_test(pt))
     assert peak < 2 * pt.choi.nbytes
 
 
@@ -782,15 +773,14 @@ BAD_CUTOFFS = (math.nan, -0.1, 1.0, 2.0, math.inf)
     *[(a, v) for a in ("markov", "divisibility", "classical") for v in BAD_TOLS],
     *[(a, v) for a in ("bonddim", "measure") for v in BAD_CUTOFFS],
 ])
-def test_out_of_range_tol_and_cutoff_are_refused(analysis, value, b2_pt,
-                                                 basis2):
+def test_out_of_range_tol_and_cutoff_are_refused(analysis, value, b2_pt):
     """A tolerance must be finite and >= 0 and a bond cutoff must lie in
     [0, 1); anything else, NaN included, is refused instead of giving a
     verdict."""
     table = ClassicalProcess(table=np.full((2, 2, 2), 1 / 8),
                              outcome_labels=(("0", "1"),) * 3)
     run = {
-        "markov": lambda: markov_test(b2_pt, basis2, tol=value),
+        "markov": lambda: markov_test(b2_pt, tol=value),
         "divisibility": lambda: divisibility_test(b2_pt, tol=value),
         "classical": lambda: classical_markov_check(table, tol=value),
         "bonddim": lambda: bond_dimension(b2_pt, cutoff=value),
@@ -811,11 +801,11 @@ def test_divisibility_of_product_tensor(markov_pt3, basis2):
     assert all(defect <= 1e-8 for _, _, defect in rep.pair_cp_defects)
 
 
-def test_b1_divisible_but_non_markov(b1_pt, basis2):
+def test_b1_divisible_but_non_markov(b1_pt):
     """The standing counterexample: CP-divisible dynamics with memory."""
     div = divisibility_test(b1_pt)
     assert div.max_defect <= 1e-6
-    mk = markov_test(b1_pt, basis2)
+    mk = markov_test(b1_pt)
     assert not mk.is_markov
     assert mk.max_deviation > 0.1
 
@@ -1138,23 +1128,23 @@ def test_bond_dimension_decomposes_only_small_matrices(monkeypatch):
 
 
 def test_measure_faithfulness_on_corpus(markov_pt2, markov_pt3, b1_pt, b2_pt,
-                                        b3_pt, basis2):
+                                        b3_pt):
     """N <= 1e-8, unit bond dims, and a passing causal-break test coincide
     across the corpus."""
     for pt in (markov_pt2, markov_pt3, b1_pt, b2_pt, b3_pt):
         rep = non_markovianity(pt)
-        mk = markov_test(pt, basis2)
+        mk = markov_test(pt)
         small_n = rep.n_value <= 1e-8
         unit_bonds = all(b == 1 for b in rep.bond_dims)
         assert small_n == unit_bonds == mk.is_markov
 
 
 def test_lemma_direction_on_corpus(markov_pt2, markov_pt3, b1_pt, b2_pt,
-                                   b3_pt, basis2):
+                                   b3_pt):
     """Markovian => divisible (never the converse; the b1 tensor is the
     counterexample exercised above)."""
     for pt in (markov_pt2, markov_pt3, b1_pt, b2_pt, b3_pt):
-        mk = markov_test(pt, basis2)
+        mk = markov_test(pt)
         if mk.is_markov:
             div = divisibility_test(pt)
             assert div.max_defect <= 10 * mk.tolerance
@@ -1176,7 +1166,7 @@ def _random_dilation(kind, size, k, rng):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
        kind=st.sampled_from(("markov", "joint")), size=st.integers(1, 3))
-def test_theorem_verdicts_agree_on_random_dilations(basis2, seed, k, kind,
+def test_theorem_verdicts_agree_on_random_dilations(seed, k, kind,
                                                     size):
     """The paper's theorem: a process is operationally Markovian iff its
     tensor is a product of step Chois. So the causal-break test, N <= 1e-8
@@ -1188,7 +1178,7 @@ def test_theorem_verdicts_agree_on_random_dilations(basis2, seed, k, kind,
     pt = build_process_tensor(
         _random_dilation(kind, size, k, np.random.default_rng(seed)),
         range(k + 1))
-    mk = markov_test(pt, basis2)
+    mk = markov_test(pt)
     rep = non_markovianity(pt)
     small_n = rep.n_value <= 1e-8
     assert small_n == all(b == 1 for b in rep.bond_dims)
@@ -1197,7 +1187,7 @@ def test_theorem_verdicts_agree_on_random_dilations(basis2, seed, k, kind,
         assert divisibility_test(pt).max_defect <= 10 * mk.tolerance
 
 
-def test_markov_test_sees_initial_correlations_at_one_step(basis2):
+def test_markov_test_sees_initial_correlations_at_one_step():
     """A correlated initial joint state makes the one-step tensor differ
     from Lambda (x) rho_0: N > 0 and the bond dimension is 4. The paper's
     causal break at slot 0, the only one a single step has, shows the
@@ -1206,11 +1196,11 @@ def test_markov_test_sees_initial_correlations_at_one_step(basis2):
         _random_dilation("joint", 2, 1, np.random.default_rng(3)), (0.0, 1.0))
     rep = non_markovianity(pt)
     assert rep.n_value > 1e-2 and rep.bond_dims == (4,)
-    assert not markov_test(pt, basis2).is_markov
+    assert not markov_test(pt).is_markov
 
 
 @pytest.mark.parametrize("kind", ["b2", "markov"])
-def test_theorem_verdicts_agree_at_five_steps(basis2, kind):
+def test_theorem_verdicts_agree_at_five_steps(kind):
     """The theorem at K = 5, where the causal-break groups hold 16**4 pasts
     times 4 outcomes: on a seeded B.2 process the causal-break test, N > 0
     and a bond dimension above 1 all report memory, and on a seeded
@@ -1224,7 +1214,7 @@ def test_theorem_verdicts_agree_at_five_steps(basis2, kind):
     else:
         pt = build_process_tensor(_random_dilation("markov", 2, 5, rng),
                                   range(6))
-    mk = markov_test(pt, basis2)
+    mk = markov_test(pt)
     rep = non_markovianity(pt)
     memory = kind == "b2"
     assert mk.is_markov is not memory

@@ -362,8 +362,8 @@ def test_markov_tensor_schmidt_rank_one(markov_pt3):
         assert rank == 1
 
 
-def test_markov_tensor_passes_markov_test(markov_pt3, basis2):
-    rep = markov_test(markov_pt3, basis2)
+def test_markov_tensor_passes_markov_test(markov_pt3):
+    rep = markov_test(markov_pt3)
     assert rep.is_markov
     assert rep.max_deviation <= 1e-9
 
@@ -434,7 +434,7 @@ def test_markov_dilation_guard(monkeypatch):
 
 def test_direct_construction_matches_tomography(
         b1_model, b1_pt, b2_model, b2_pt, b3_model, b3_pt, markov_model2,
-        markov_pt2, markov_model3, markov_pt3, basis2):
+        markov_pt2, markov_model3, markov_pt3):
     """The link-product tensor equals the tomographic reconstruction from
     simulated basis-sequence outputs on the whole fixture corpus."""
     corpus = [
@@ -445,5 +445,5 @@ def test_direct_construction_matches_tomography(
         (markov_model3, markov_pt3),
     ]
     for model, pt in corpus:
-        tomo = tomography_process_tensor(model, pt.times, basis2)
+        tomo = tomography_process_tensor(model, pt.times)
         assert np.abs(pt.choi - tomo.choi).max() <= 1e-12

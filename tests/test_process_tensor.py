@@ -32,7 +32,6 @@ from ptmarkov.random_ops import (
 
 from oracles import (
     P0,
-    P1,
     PP,
     apply_local_channel,
     b3_choi_analytic,
@@ -199,8 +198,8 @@ def test_apply_slot_count_mismatch(b2_pt):
 def test_control_sequence_validation(b2_model, b2_pt):
     """Every reader of a control sequence refuses, at any slot, an entry
     that is not a QuantumMap (the instrument and break tuples included:
-    those pass as ``ins.members[r]`` and ``brk.map(r, s)``), a map or break
-    set of another dimension, and a slot too few or too many."""
+    those pass as ``ins.members[r]`` and ``brk.map(r, s)``), a map of
+    another dimension, and a slot too few or too many."""
     bad_entries = [
         ((random_reprepare_instrument(2, 2, RNG), 0), ValidationError),
         ((default_break(2), 0, 1), ValidationError),
@@ -226,9 +225,6 @@ def test_control_sequence_validation(b2_model, b2_pt):
         b2_pt.conditional_state(1, 0, 0, past=[])
     with pytest.raises(DimensionMismatch):
         b2_pt.conditional_state(0, 0, 0, future=[IDENT, IDENT])
-    with pytest.raises(DimensionMismatch):
-        b2_pt.conditional_state(1, 0, 0, past=[IDENT],
-                                break_set=default_break(3))
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +284,29 @@ def test_conditional_b3_always_initial_state(b3_pt, b3_states):
 
 
 def test_conditional_probability_floor():
-    """An outcome with exactly zero probability is reported unresolvable."""
-    prep_zero = QuantumMap.prepare(P0)
-    maps = [prep_zero, QuantumMap.identity(2)]
-    pt = build_process_tensor(model_markov(maps, np.eye(2) / 2),
+    """An outcome of zero probability is reported unresolvable: slot 0
+    prepares the state orthogonal to the vector of the rank-one effect of
+    outcome 1 of the default break, and identity dynamics carry it to the
+    break at slot 1. Outcome 0 stays resolvable."""
+    vec = np.linalg.eigh(default_break(2).effects[1])[1][:, -1]
+    orth = np.array([-vec[1].conj(), vec[0].conj()])
+    past = [QuantumMap.prepare(np.outer(orth, orth.conj()))]
+    pt = build_process_tensor(model_markov([IDENT, IDENT], np.eye(2) / 2),
                               (0.0, 1.0, 2.0))
-    brk = _orthogonal_break()
+    assert pt.conditional_state(1, 0, 0, past=past).probability > 0.1
     with pytest.raises(UnresolvableConditional):
-        pt.conditional_state(1, prep_index=0, povm_outcome=1,
-                             past=[prep_zero], break_set=brk)
-
-
-def _orthogonal_break():
-    from ptmarkov import CausalBreak
-    return CausalBreak(effects=(P0, P1), preparations=(P0, P1))
+        pt.conditional_state(1, prep_index=0, povm_outcome=1, past=past)
 
 
 # ---------------------------------------------------------------------------
 # tomography
 # ---------------------------------------------------------------------------
 
-def test_from_tomography_identity_single_step(basis2):
+def test_from_tomography_identity_single_step():
     """k=1 identity dynamics on the maximally mixed state reconstructs the
     product of the identity Choi and the initial state."""
     model = model_markov([QuantumMap.identity(2)], np.eye(2) / 2)
-    pt = tomography_process_tensor(model, (0.0, 1.0), basis2)
+    pt = tomography_process_tensor(model, (0.0, 1.0))
     expected = tensor_product(QuantumMap.identity(2).choi, np.eye(2) / 2)
     assert np.abs(pt.choi - expected).max() <= 1e-9
 
@@ -352,16 +346,16 @@ def test_b3_reconstruction_against_random_slot_maps(b3_pt, b3_states):
         assert np.abs(out.matrix - rho_s).max() <= 1e-9
 
 
-def test_from_tomography_rejects_incomplete(basis2):
+def test_from_tomography_rejects_incomplete():
     records = [((0, 0), np.eye(2) / 2)]
     with pytest.raises(TomographyDataError):
-        from_tomography(records, basis2, 2, 2)
+        from_tomography(records, 2, 2)
 
 
-def test_from_tomography_rejects_duplicates(basis2):
+def test_from_tomography_rejects_duplicates():
     records = [((0,), np.eye(2) / 2), ((0,), np.eye(2) / 2)]
     with pytest.raises(TomographyDataError):
-        from_tomography(records, basis2, 2, 1)
+        from_tomography(records, 2, 1)
 
 
 def test_reconstruction_psd(b1_pt, b2_pt, b3_pt, markov_pt3):
@@ -487,7 +481,7 @@ def test_causality_defect_sees_a_gap_off_the_first_rows(markov_pt2, qutrit):
 def test_causality_defect_separates_combs(b1_model, b1_pt, b2_model, b2_pt,
                                           b3_model, b3_pt, markov_model2,
                                           markov_pt2, markov_pt3,
-                                          b2_pure_pt3, basis2):
+                                          b2_pure_pt3):
     """Tensors built by every model, directly or through tomography, are
     causal combs to rounding; a random PSD matrix and a leg-reversed B.2
     tensor are not."""
@@ -495,7 +489,7 @@ def test_causality_defect_separates_combs(b1_model, b1_pt, b2_model, b2_pt,
         assert pt.causality_defect() <= 1e-13
     for model, pt in ((b1_model, b1_pt), (b2_model, b2_pt),
                       (b3_model, b3_pt), (markov_model2, markov_pt2)):
-        tomo = tomography_process_tensor(model, pt.times, basis2)
+        tomo = tomography_process_tensor(model, pt.times)
         assert tomo.causality_defect() <= 1e-13
     g = RNG.normal(size=(32, 32)) + 1j * RNG.normal(size=(32, 32))
     wishart = g @ g.conj().T
@@ -509,14 +503,14 @@ def test_causality_defect_separates_combs(b1_model, b1_pt, b2_model, b2_pt,
     assert stacked.causality_defect() > 1e-3
 
 
-def test_analyses_build_no_restricted_tensor(markov_pt3, basis2, monkeypatch):
+def test_analyses_build_no_restricted_tensor(markov_pt3, monkeypatch):
     """The causal-break test, the divisibility test and a conditional state
     read before the final step all contract the cached form at their
     readout step; none of them builds a restricted, or any other, tensor."""
     def tripwire(self, *args, **kwargs):
         raise AssertionError("a ProcessTensor was built")
     monkeypatch.setattr(ProcessTensor, "__init__", tripwire)
-    markov_test(markov_pt3, basis2, exhaustive=True)
+    markov_test(markov_pt3, exhaustive=True)
     divisibility_test(markov_pt3)
     cond = markov_pt3.conditional_state(1, 0, 0, past=[IDENT])
     assert cond.conditioning["readout_step"] == 2 < markov_pt3.n_steps
@@ -527,7 +521,7 @@ def test_analyses_build_no_restricted_tensor(markov_pt3, basis2, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_every_construction_route_stores_exactly_hermitian_choi(
-        tmp_path, b2_model, b2_pt, basis2):
+        tmp_path, b2_model, b2_pt):
     """Each route that makes a tensor leaves ``choi`` equal to its adjoint
     bit for bit and read-only: rounding-level asymmetry is symmetrized at
     construction, and an asymmetry above 1e-8 is refused there. The
@@ -541,8 +535,7 @@ def test_every_construction_route_stores_exactly_hermitian_choi(
     path.write_bytes(line + b"\n" + raw.tobytes())
     routes = {
         "build_process_tensor": b2_pt,
-        "tomography": tomography_process_tensor(b2_model, b2_pt.times,
-                                                basis2),
+        "tomography": tomography_process_tensor(b2_model, b2_pt.times),
         "closest_markov": closest_markov(b2_pt),
         "apply_local_channel": apply_local_channel(
             b2_pt, 2, random_cptp(2, np.random.default_rng(5))),

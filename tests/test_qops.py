@@ -19,7 +19,7 @@ from ptmarkov import (
     tensor_product,
 )
 from ptmarkov.linalg import hermitize
-from ptmarkov.random_ops import random_cptp
+from ptmarkov.random_ops import computational_reprepare_instrument, random_cptp
 
 from oracles import (
     P0,
@@ -121,7 +121,7 @@ def test_choi_vs_superoperator_oracle():
 def test_representation_round_trips():
     qmap = random_cptp(3, RNG, kraus_rank=2)
     via_choi = QuantumMap.from_choi(qmap.choi)
-    via_super = QuantumMap(in_dim=3, out_dim=3, superop=qmap.superoperator)
+    via_super = QuantumMap.from_choi(choi_from_superop(qmap.superoperator, 3))
     rho = np.eye(3, dtype=complex) / 3
     for other in (via_choi, via_super):
         assert np.abs(qmap.apply(rho) - other.apply(rho)).max() <= 1e-13
@@ -218,7 +218,7 @@ def test_is_cptp_transpose_map():
     for i in range(2):
         for j in range(2):
             sup[i * 2 + j, j * 2 + i] = 1.0
-    qmap = QuantumMap(in_dim=2, out_dim=2, superop=sup)
+    qmap = QuantumMap.from_choi(choi_from_superop(sup, 2))
     assert abs(qmap.cp_defect - 1.0) <= 1e-12
     assert qmap.tp_defect <= 1e-14
 
@@ -259,7 +259,7 @@ def test_instrument_choi_sum_is_tp(basis2):
 
 
 def test_causal_break_default():
-    brk = CausalBreak.default(2)
+    brk = default_break(2)
     assert np.abs(sum(brk.effects) - np.eye(2)).max() <= 1e-10
     assert brk.n_outcomes == 4 and brk.n_preparations == 4
     m = brk.map(1, 2)
@@ -333,6 +333,18 @@ def test_default_break_is_built_once_and_read_only(d):
     for a in (*brk.effects, *brk.preparations):
         with pytest.raises(ValueError):
             a[0, 0] = 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_computational_instrument_is_built_once_and_read_only(d):
+    """`ptr analyze --classical` takes one computational instrument per
+    dimension, shared, so its member Choi matrices cannot be written
+    through."""
+    ins = computational_reprepare_instrument(d)
+    assert computational_reprepare_instrument(d) is ins
+    for m in ins.members:
+        with pytest.raises(ValueError):
+            m.choi[0, 0] = 0
 
 
 def test_ic_basis_duals_biorthogonal(basis2):

@@ -81,7 +81,7 @@ ANALYSIS_KEYWORDS = {
     "classical_markov_check": ("tol", "marginal_tables"),
     "from_tomography": ("times",),
     "ic_basis": (),
-    "ProcessTensor.conditional_state": ("past", "future", "break_set"),
+    "ProcessTensor.conditional_state": ("past", "future"),
 }
 
 ANALYZE_OPTIONS = (
@@ -91,16 +91,43 @@ ANALYZE_OPTIONS = (
 )
 
 
+def _parameters(name: str) -> list[inspect.Parameter]:
+    """The parameters of a public function or method, named as
+    ``func`` or ``Class.method``."""
+    func = ptmarkov
+    for part in name.split("."):
+        func = getattr(func, part)
+    return list(inspect.signature(func).parameters.values())
+
+
 def test_analysis_keywords_are_pinned():
-    got = {}
-    for name in ANALYSIS_KEYWORDS:
-        func = ptmarkov
-        for part in name.split("."):
-            func = getattr(func, part)
-        got[name] = tuple(p.name for p in
-                          inspect.signature(func).parameters.values()
-                          if p.default is not inspect.Parameter.empty)
+    got = {name: tuple(p.name for p in _parameters(name)
+                       if p.default is not inspect.Parameter.empty)
+           for name in ANALYSIS_KEYWORDS}
     assert got == ANALYSIS_KEYWORDS
+
+
+# The positional parameters (those without a default) of the entry points
+# whose IC frame follows from the dimension, and the keywords of
+# QuantumMap, which takes a Kraus set or a Choi matrix. A basis, break or
+# superoperator argument coming back is a deliberate edit of these tables.
+FRAME_POSITIONALS = {
+    "markov_test": ("pt",),
+    "from_tomography": ("records", "d", "k"),
+    "ProcessTensor.conditional_state": ("self", "k", "prep_index",
+                                        "povm_outcome"),
+}
+QUANTUM_MAP_KEYWORDS = ("in_dim", "out_dim", "kraus", "choi")
+
+
+def test_frame_follows_from_the_dimension():
+    got = {name: tuple(p.name for p in _parameters(name)
+                       if p.default is inspect.Parameter.empty)
+           for name in FRAME_POSITIONALS}
+    assert got == FRAME_POSITIONALS
+    assert tuple(p.name for p in _parameters("QuantumMap.__init__")
+                 if p.kind is inspect.Parameter.KEYWORD_ONLY) == \
+        QUANTUM_MAP_KEYWORDS
 
 
 # The fields of a model. Adding or removing one is a deliberate edit.
