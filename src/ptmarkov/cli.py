@@ -134,7 +134,6 @@ def _model_from_config(cfg: dict):
             g=_typed(float, params.get("g", 1.0), "g"),
             dephasing_axis=params.get("dephasing_axis", "z"),
             rho0=_parse_state(params["rho0"], "rho0") if "rho0" in params else None,
-            nodes=_typed(int, params.get("nodes", 2001), "nodes"),
         )
     elif name == "b2":
         model = models.model_b2(

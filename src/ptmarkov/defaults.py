@@ -40,8 +40,7 @@ BOND_CUTOFF = 1e-10
 # tensor of dimension d holds 16 * d**(4K + 2) bytes, so the guard admits
 # qubits up to K = 5 (64 MiB) and qutrits up to K = 3 (73 MiB), and refuses
 # qubit K = 6 (1 GiB). It caps a ``model_markov`` joint unitary too:
-# 16 * (d * e)**2 bytes at environment dimension e, so qubits to e = 1448.
+# 16 * (d * e)**2 bytes at environment dimension e, so qubits to e = 1448,
+# and the link-product columns, 16 * d**(2K + 1) * n * e * r bytes for n
+# ensemble members and a rank-r initial joint state.
 TENSOR_BYTES_GUARD = 128 * 2 ** 20
-
-# Default node count for classical-noise ensembles.
-B1_NODES = 2001

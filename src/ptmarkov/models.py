@@ -29,12 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .defaults import (
-    B1_NODES,
-    CPTP_DEFECT_TOL,
-    SUPPORT_CUTOFF,
-    UNITARY_ATOL,
-)
+from .defaults import CPTP_DEFECT_TOL, SUPPORT_CUTOFF, UNITARY_ATOL
 from .errors import DimensionMismatch, QuadratureError, ValidationError
 from .linalg import Array, as_operator, permute_legs, tensor_product
 from .process_tensor import (
@@ -139,21 +134,18 @@ def _dilation(model: SEModel, times: tuple[float, ...]):
     return weights, [_check_unitary(u, dim, weights.size) for u in steps[:k]]
 
 
-def _link_product(rho0: Array, unitaries: Sequence[Array], weights: Array,
+def _link_product(psi: Array, unitaries: Sequence[Array], weights: Array,
                   d: int, e: int) -> Array:
     """Choi matrix Upsilon = M M^dagger of a dilation, Hermitian up to
     rounding; ProcessTensor symmetrizes it on construction.
 
-    ``rho0`` is purified on its support (eigenvalues above
-    SUPPORT_CUTOFF). ``unitaries`` hold one joint (d*e)-square unitary per step, or a stack
+    ``psi`` purifies the initial joint state, psi psi^dagger = rho0.
+    ``unitaries`` hold one joint (d*e)-square unitary per step, or a stack
     of them over the ensemble axis n. M carries axes (n, system, env, past
     legs, purification); the past legs are kept newest first, so that after
     the last step they are already in the stored order
     [O_{K-1}, I_{K-1}, ..., O_0, I_0] behind the final output O_K.
     """
-    w, v = np.linalg.eigh(rho0)
-    keep = w > SUPPORT_CUTOFF
-    psi = v[:, keep] * np.sqrt(w[keep])
     r = psi.shape[1]
     m = psi.reshape(1, d, e, 1, r)
     for u in unitaries:
@@ -205,18 +197,24 @@ def build_process_tensor(model: SEModel, times) -> ProcessTensor:
     leg O_j as the new system index, and the step unitary acts on system
     and environment. Tracing the environment and the purification leaves
     Upsilon = M M^dagger, PSD by construction; an ensemble stacks the
-    columns sqrt(w_n) M_n of its members. Raises ``SweepGuardError`` above
-    the size guard (see ``check_matrix_size``).
+    columns sqrt(w_n) M_n of its members. Raises ``SweepGuardError``,
+    before the sweep, when the tensor or M (n members times environment
+    dimension times purification rank columns) exceeds the size guard.
     """
     times = checked_times(times)
     k = len(times) - 1
     if k < 1:
         raise ValidationError("process tensors need at least one step")
-    d = model.system_dim
-    check_matrix_size(d ** (2 * k + 1), f"{k}-step tensor of dimension {d}")
+    d, e = model.system_dim, model.env_dim
+    side = d ** (2 * k + 1)
+    check_matrix_size(side, f"{k}-step tensor of dimension {d}")
     weights, unitaries = _dilation(model, times)
-    return ProcessTensor(_link_product(as_operator(model.initial_joint),
-                                       unitaries, weights, d, model.env_dim),
+    w, v = np.linalg.eigh(as_operator(model.initial_joint))
+    keep = w > SUPPORT_CUTOFF
+    psi = v[:, keep] * np.sqrt(w[keep])
+    check_matrix_size(side, f"link-product columns of {weights.size} "
+                      f"ensemble members", weights.size * e * psi.shape[1])
+    return ProcessTensor(_link_product(psi, unitaries, weights, d, e),
                          d, times)
 
 
@@ -224,16 +222,18 @@ def build_process_tensor(model: SEModel, times) -> ProcessTensor:
 # built-in models
 # ---------------------------------------------------------------------------
 
-def _wrapped_cauchy_nodes(times: tuple[float, ...], *, gamma: float, g: float,
-                          n_nodes: int) -> tuple[Array, Array]:
+def _wrapped_cauchy_nodes(times: tuple[float, ...], *, gamma: float,
+                          g: float) -> tuple[Array, Array]:
     """Field nodes and weights reproducing Cauchy dephasing on a grid.
 
     Interval phases only enter as exp(-i g x dt) with the dt's commensurate
     multiples of a base h, so g*x reduces to an angle on the circle whose
-    distribution is wrapped Cauchy with rho = exp(-gamma*|g|*h). A uniform
-    trapezoid rule on the circle then reproduces every needed moment
-    exp(-gamma*|g|*m*h) with error O(rho**n), i.e. far below double
-    precision at the default node count.
+    distribution is wrapped Cauchy with rho = exp(-gamma*|g|*h). The grid
+    needs the moments rho**m for m up to M, the sum of the interval
+    multiples. A uniform n-node trapezoid rule on the circle aliases moment
+    m with error O(rho**(n - m)), so n - M >= 37 / (gamma*|g|*h) keeps
+    every error at or below e**-37 = 8.5e-17. Raises QuadratureError on an
+    incommensurate grid or above 500 000 nodes, before laying any out.
     """
     dts = np.diff(np.asarray(times, dtype=float))
     if dts.size == 0:
@@ -249,22 +249,22 @@ def _wrapped_cauchy_nodes(times: tuple[float, ...], *, gamma: float, g: float,
             f"grid intervals {dts.tolist()} are not commensurate; the "
             f"dephasing ensemble requires rationally related step lengths")
     decay = gamma * abs(g) * h
-    n_eff = max(int(n_nodes), int(mults.sum()) + math.ceil(37.0 / decay) + 1)
-    if n_eff > 500_000:
+    n = int(mults.sum()) + math.ceil(37.0 / decay) + 1
+    if n > 500_000:
         raise QuadratureError(
-            f"grid requires {n_eff} ensemble nodes; coarsen the time grid")
-    psi = (np.arange(n_eff) + 0.5) * (2 * np.pi / n_eff) - np.pi
+            f"grid requires {n} ensemble nodes; coarsen the time grid")
+    psi = (np.arange(n) + 0.5) * (2 * np.pi / n) - np.pi
     rho = np.exp(-decay)
-    w = (1 - rho * rho) / (1 + rho * rho - 2 * rho * np.cos(psi)) / n_eff
+    w = (1 - rho * rho) / (1 + rho * rho - 2 * rho * np.cos(psi)) / n
     w = w / w.sum()
     return psi / (g * h), w
 
 
 def _b1_ensemble(times: tuple[float, ...], *, gamma: float, g: float,
-                 axis: str, n_nodes: int) -> tuple[Array, list[Array]]:
+                 axis: str) -> tuple[Array, list[Array]]:
     """Weights of the field nodes x and, per interval, the stack of
     conditional system unitaries exp(-i g x sigma_axis dt / 2)."""
-    x, w = _wrapped_cauchy_nodes(times, gamma=gamma, g=g, n_nodes=n_nodes)
+    x, w = _wrapped_cauchy_nodes(times, gamma=gamma, g=g)
     sig = PAULI[axis]
     stacks = []
     for t0, t1 in zip(times, times[1:]):
@@ -276,7 +276,7 @@ def _b1_ensemble(times: tuple[float, ...], *, gamma: float, g: float,
 
 
 def model_b1(gamma: float, g: float, dephasing_axis: str = "z",
-             rho0: Array | None = None, nodes: int = B1_NODES) -> SEModel:
+             rho0: Array | None = None) -> SEModel:
     """Random-field dephasing with a Lorentzian (Cauchy) field density.
 
     The field x has density (gamma/pi)/(x**2 + gamma**2) and conditions the
@@ -300,7 +300,7 @@ def model_b1(gamma: float, g: float, dephasing_axis: str = "z",
         env_dim=1,
         initial_joint=as_operator(rho0),
         ensemble=partial(_b1_ensemble, gamma=float(gamma), g=float(g),
-                         axis=dephasing_axis, n_nodes=int(nodes)),
+                         axis=dephasing_axis),
     )
 
 

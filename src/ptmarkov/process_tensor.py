@@ -118,13 +118,14 @@ def checked_times(times: Iterable[float]) -> tuple[float, ...]:
     return times
 
 
-def check_matrix_size(side: int, what: str) -> None:
-    """Raise SweepGuardError if a dense complex side x side matrix, of
-    16 * side**2 bytes, exceeds TENSOR_BYTES_GUARD. A K-step tensor of
-    dimension d has side d**(2K + 1); the joint unitary of a dilation with
-    a d-dimensional system and an e-dimensional environment has side d * e.
+def check_matrix_size(side: int, what: str, cols: int | None = None) -> None:
+    """Raise SweepGuardError if a dense complex side x cols matrix (square
+    when ``cols`` is None), of 16 * side * cols bytes, exceeds
+    TENSOR_BYTES_GUARD. A K-step tensor of dimension d has side d**(2K + 1);
+    the joint unitary of a dilation with a d-dimensional system and an
+    e-dimensional environment has side d * e.
     """
-    size = 16 * side ** 2
+    size = 16 * side * (side if cols is None else cols)
     if size > TENSOR_BYTES_GUARD:
         raise SweepGuardError(f"{what} takes {size} bytes, above the size "
                               f"guard of {TENSOR_BYTES_GUARD}")

@@ -151,6 +151,30 @@ def test_simulate_markov_dilation_guard_exit_2(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma, times, message", [
+    (1e-3, [0, 1, 2, 3, 4], "size guard"),
+    (1.0, [0, 1, 1 + math.sqrt(2)], "not commensurate"),
+    (1e-5, [0, 1], "coarsen the time grid")],
+    ids=["columns-guard", "incommensurate", "over-cap"])
+def test_simulate_b1_ensemble_refused_exit_2(tmp_path, capsys, monkeypatch,
+                                             gamma, times, message):
+    """A b1 config whose link-product columns exceed the size guard, or
+    whose grid no quadrature fits, exits 2 before the sweep, without a
+    traceback, and writes nothing."""
+    from ptmarkov import models
+
+    def swept(*args, **kwargs):
+        raise AssertionError("link product swept past the size guard")
+    monkeypatch.setattr(models, "_link_product", swept)
+    cfg = _write_config(tmp_path / "b1.json", model="b1",
+                        params={"gamma": gamma, "g": 1.0}, times=times)
+    out = tmp_path / "x.ptf"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_parser_is_reused_without_state():
     """`main` builds its parser once; a flag of one call does not carry
     into the next."""
@@ -301,7 +325,7 @@ def test_simulate_custom_non_finite_bundle_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("key, overrides", [
     ("times", {"times": ["a", 1]}),
     ("omega", {"params": {"omega": "x"}}),
-    ("nodes", {"model": "b1", "params": {"nodes": "x"}}),
+    ("gamma", {"model": "b1", "params": {"gamma": "x"}}),
     ("seed", {"model": "markov", "seed": "s"}),
     ("system_dim", None),
     ("params", {"params": [1]}),

@@ -69,11 +69,12 @@ def test_grid_rejects_non_finite_times(b2_model, b1_model, bad):
 # ---------------------------------------------------------------------------
 
 def test_b1_ensemble_weights():
-    x, w = _wrapped_cauchy_nodes((0.0, 1.0, 2.0), gamma=1.0, g=1.0,
-                                 n_nodes=2001)
+    """The grid fixes the node count: the moments up to 2 plus 37 / decay
+    aliasing margin plus one, 40 nodes at gamma*g = 1 and dt = 1."""
+    x, w = _wrapped_cauchy_nodes((0.0, 1.0, 2.0), gamma=1.0, g=1.0)
     assert w.min() >= 0.0
     assert abs(w.sum() - 1.0) <= 1e-8
-    assert x.size == 2001
+    assert x.size == 40
 
 
 def test_b1_coherence_matches_characteristic_function(b1_model):
@@ -90,7 +91,7 @@ def test_b1_coherence_matches_characteristic_function(b1_model):
 
 
 def test_b1_zero_time_factor_is_one(b1_model):
-    x, w = _wrapped_cauchy_nodes((0.0, 1.0), gamma=1.0, g=1.0, n_nodes=501)
+    x, w = _wrapped_cauchy_nodes((0.0, 1.0), gamma=1.0, g=1.0)
     assert abs(np.sum(w * np.exp(-1j * 0 * x)) - 1.0) <= 1e-12
 
 
@@ -112,13 +113,20 @@ def test_b1_echo_restores_earlier_state(b1_model):
     assert abs(coherence - 1.0) <= 1e-6
 
 
-def test_b1_quadrature_converges_under_doubling():
-    values = []
-    for nodes in (2001, 4002):
-        model = model_b1(gamma=1.0, g=1.0, nodes=nodes)
-        sys1, _ = simulate_sequence(model, (0.0, 1.0), [IDENT])
-        values.append(abs(sys1.matrix[0, 1]) * 2)
-    assert abs(values[0] - values[1]) <= 1e-8
+@pytest.mark.parametrize("gg", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("times, h, top", [
+    ((0.0, 1.0, 2.0), 1.0, 2), ((0.0, 1.0, 2.0, 3.0), 1.0, 3),
+    ((0.0, 1.0, 2.0, 3.0, 4.0), 1.0, 4),
+    ((0.0, 1.0, 2.0, 3.0, 4.0, 5.0), 1.0, 5),
+    ((0.0, 0.5, 1.5, 2.0), 0.5, 4)], ids=["K2", "K3", "K4", "K5", "mixed"])
+def test_b1_quadrature_matches_closed_form_moments(gg, times, h, top):
+    """On a grid with base step h and interval multiples summing to top,
+    the nodes reproduce every wrapped-Cauchy moment the grid needs, the
+    characteristic function exp(-gamma*|g|*m*h) for m = 0 ... top."""
+    x, w = _wrapped_cauchy_nodes(times, gamma=gg, g=1.0)
+    for m in range(top + 1):
+        got = np.sum(w * np.exp(-1j * m * h * x))
+        assert abs(got - math.exp(-gg * m * h)) <= 1e-14, (m, got)
 
 
 def test_b1_axis_parameter():
@@ -192,6 +200,24 @@ def test_b1_incommensurate_grid_raises():
     model = model_b1(gamma=1.0, g=1.0)
     with pytest.raises(QuadratureError):
         simulate_sequence(model, (0.0, 1.0, 1.0 + math.pi * 1e-4), [IDENT, IDENT])
+
+
+def test_b1_over_cap_grid_raises_before_allocating():
+    """A grid whose moments need more than 500 000 nodes (3.7 M at
+    gamma*g*dt = 1e-5) raises QuadratureError in a single run and in the
+    tensor, before any node array is laid out."""
+    import tracemalloc
+    model = model_b1(gamma=1e-5, g=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="coarsen the time grid"):
+            simulate_sequence(model, (0.0, 1.0), [IDENT])
+        with pytest.raises(QuadratureError, match="coarsen the time grid"):
+            build_process_tensor(model, (0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_b1_marginal_decay_factor(b1_pt, basis2):
@@ -430,6 +456,24 @@ def test_markov_dilation_guard(monkeypatch):
     maps = [random_cptp(2, rng, kraus_rank=16) for _ in range(3)]  # e = 4096
     with pytest.raises(SweepGuardError, match="size guard"):
         models.model_markov(maps, np.eye(2) / 2)
+
+
+def test_link_product_columns_guard(monkeypatch):
+    """`build_process_tensor` prices the link product's column block,
+    16 * d**(2K + 1) * n * e * r bytes, before the sweep: b1 at K = 4 and
+    gamma*g*dt = 1e-3 needs 37 005 nodes and 303 MB of columns, and is
+    refused, while a single run of the same ensemble still works."""
+    from ptmarkov import SweepGuardError, models
+
+    def swept(*args, **kwargs):
+        raise AssertionError("link product swept past the size guard")
+    monkeypatch.setattr(models, "_link_product", swept)
+    model = model_b1(gamma=1e-3, g=1.0)
+    grid = (0.0, 1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(SweepGuardError, match="size guard"):
+        build_process_tensor(model, grid)
+    sys4, _ = simulate_sequence(model, grid, [IDENT] * 4)
+    assert abs(abs(sys4.matrix[0, 1]) * 2 - math.exp(-4e-3)) <= 1e-12
 
 
 def test_direct_construction_matches_tomography(
