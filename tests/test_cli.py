@@ -941,3 +941,124 @@ def test_examples_pass(name, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert csv.read_text().startswith("series,x,y,marker\n")
+
+
+# ---------------------------------------------------------------------------
+# output writes: in place, cut to length, only after the work succeeded
+# ---------------------------------------------------------------------------
+
+def test_report_over_longer_report_parses(tmp_path):
+    """A short report written over a longer one is cut to its own length."""
+    ptf_path = tmp_path / "b2.ptf"
+    assert main(["simulate", str(_write_config(tmp_path / "b2.json")),
+                 "-o", str(ptf_path)]) == 0
+    report, fresh = tmp_path / "report.json", tmp_path / "fresh.json"
+    assert main(["analyze", str(ptf_path), "-o", str(report)]) == 0
+    long_size = report.stat().st_size
+    for path in (report, fresh):
+        assert main(["analyze", str(ptf_path), "--bonddim",
+                     "-o", str(path)]) == 0
+    assert report.stat().st_size < long_size
+    docs = [json.loads(p.read_text()) for p in (report, fresh)]
+    for doc in docs:
+        doc["provenance"].pop("wall_time_s")
+        doc["input"].pop("path")
+    assert docs[0] == docs[1]
+
+
+def test_analyze_to_non_regular_target(tmp_path):
+    """A target that is not a regular file is written and not cut."""
+    ptf_path = tmp_path / "b2.ptf"
+    assert main(["simulate", str(_write_config(tmp_path / "b2.json")),
+                 "-o", str(ptf_path)]) == 0
+    assert main(["analyze", str(ptf_path), "--bonddim", "-o", os.devnull,
+                 "--csv", os.devnull]) == 0
+
+
+def test_failed_write_leaves_a_prefix_refused_exit_3(tmp_path, capsys,
+                                                     monkeypatch):
+    """A write that raises part way through the blob leaves the file cut
+    where writing stopped, over a longer old file too; `ptr simulate`
+    exits 2 and `ptr analyze` refuses the prefix with exit 3."""
+    cfg = _write_config(tmp_path / "b2.json")
+    fresh, out = tmp_path / "fresh.ptf", tmp_path / "out.ptf"
+    assert main(["simulate", str(cfg), "-o", str(fresh)]) == 0
+    out.write_bytes(b"\xab" * (2 * fresh.stat().st_size))
+    calls = []
+
+    def failing(fd, data, _orig=os.write):
+        calls.append(len(data))
+        if len(calls) == 1:  # the header line
+            return _orig(fd, data)
+        if len(calls) == 2:  # a first part of the blob
+            return _orig(fd, data[:1000])
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(os, "write", failing)
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    monkeypatch.undo()
+    assert len(calls) == 3
+    written = fresh.read_bytes()
+    assert out.read_bytes() == written[:written.index(b"\n") + 1001]
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: blob holds")
+
+
+def test_outputs_open_without_truncating(tmp_path, monkeypatch):
+    """Tripwire: `ptr simulate` then `ptr analyze -o --csv` open each
+    output once, through ``os.open`` without ``O_TRUNC``, and never
+    through ``open`` in a writing mode."""
+    import builtins
+    cfg = _write_config(tmp_path / "b2.json")
+    outputs = [tmp_path / n for n in ("b2.ptf", "report.json", "data.csv")]
+    for path in outputs:  # each one overwritten
+        path.write_bytes(b"old")
+    opened, modes = [], []
+
+    def os_open(path, flags, *args, _orig=os.open):
+        opened.append((str(path), flags))
+        return _orig(path, flags, *args)
+
+    def builtin_open(file, mode="r", *args, _orig=builtins.open, **kwargs):
+        modes.append((str(file), mode))
+        return _orig(file, mode, *args, **kwargs)
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", builtin_open)
+    assert main(["simulate", str(cfg), "-o", str(outputs[0])]) == 0
+    assert main(["analyze", str(outputs[0]), "-o", str(outputs[1]),
+                 "--csv", str(outputs[2])]) == 0
+    monkeypatch.undo()
+    assert not [m for m in modes if set(m[1]) & set("wax+")], modes
+    assert not [o for o in opened if o[1] & os.O_TRUNC], opened
+    assert sorted(p for p, _ in opened) == sorted(map(str, outputs))
+    assert json.loads(outputs[1].read_text())["format"] == "ptr-report-v1"
+    assert outputs[2].read_text().startswith("series,x,y\n")
+
+
+@pytest.mark.parametrize("case", ["size guard", "malformed bundle",
+                                  "tol nan"])
+def test_refused_command_leaves_outputs_unchanged(tmp_path, capsys, case):
+    """A command refused before its work is done opens none of its
+    outputs: an existing PTF1 file, report or CSV stays byte for byte."""
+    ptf_path, report, csv = (tmp_path / n for n in
+                             ("old.ptf", "report.json", "data.csv"))
+    assert main(["simulate", str(_write_config(tmp_path / "b2.json")),
+                 "-o", str(ptf_path)]) == 0
+    assert main(["analyze", str(ptf_path), "-o", str(report),
+                 "--csv", str(csv)]) == 0
+    before = [p.read_bytes() for p in (ptf_path, report, csv)]
+    if case == "size guard":
+        cfg = _write_config(tmp_path / "big.json",
+                            times=[float(i) for i in range(7)])
+        argv, code = ["simulate", str(cfg), "-o", str(ptf_path)], 2
+    elif case == "malformed bundle":
+        cfg = _write_custom_config(tmp_path)
+        (tmp_path / "unitaries.mats").write_bytes(b"PTF1-mats\n")
+        argv, code = ["simulate", str(cfg), "-o", str(ptf_path)], 3
+    else:
+        argv, code = ["analyze", str(ptf_path), "--tol", "nan",
+                      "-o", str(report), "--csv", str(csv)], 2
+    capsys.readouterr()
+    assert main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert [p.read_bytes() for p in (ptf_path, report, csv)] == before

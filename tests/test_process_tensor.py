@@ -864,3 +864,52 @@ def test_ptf_rejects_truncated_blob(tmp_path, b2_pt):
     from ptmarkov import FormatError
     with pytest.raises(FormatError):
         ProcessTensor.load(path)
+
+
+def test_ptf_save_over_longer_file_matches_fresh(tmp_path, b2_pt,
+                                                 b2_pure_pt3):
+    """A K = 2 save over an existing K = 3 file is rewritten in place and
+    cut to length: the bytes are those of a save to a fresh path."""
+    fresh, over = tmp_path / "fresh.ptf", tmp_path / "over.ptf"
+    b2_pt.save(fresh)
+    b2_pure_pt3.save(over)
+    b2_pt.save(over)
+    assert over.read_bytes() == fresh.read_bytes()
+    assert np.array_equal(ProcessTensor.load(over).choi, b2_pt.choi)
+
+
+def test_ptf_save_keeps_mode_and_writes_through_symlink(tmp_path, b2_pt):
+    """As with ``open(path, "wb")``: an existing file keeps its mode, a new
+    one gets the same mode, and a symlinked path writes its target."""
+    ref, new = tmp_path / "ref.ptf", tmp_path / "new.ptf"
+    with open(ref, "wb"):
+        pass
+    b2_pt.save(new)
+    assert new.stat().st_mode == ref.stat().st_mode
+    kept = tmp_path / "kept.ptf"
+    kept.write_bytes(b"old")
+    kept.chmod(0o640)
+    b2_pt.save(kept)
+    assert kept.stat().st_mode & 0o777 == 0o640
+    link = tmp_path / "link.ptf"
+    link.symlink_to(kept)
+    kept.write_bytes(b"old")
+    b2_pt.save(link)
+    assert link.is_symlink()
+    assert kept.read_bytes() == new.read_bytes()
+
+
+def test_ptf_new_bytes_over_old_refused(tmp_path, b2_pt):
+    """What a save killed part way over an older file of the same header
+    can leave, the new bytes followed by the old ones, fails the
+    Hermiticity scan of ``load``."""
+    from ptmarkov import FormatError
+    old, new = tmp_path / "old.ptf", tmp_path / "new.ptf"
+    b2_pt.save(old)
+    build_process_tensor(model_b2(0.5), b2_pt.times).save(new)
+    raw_old, raw_new = old.read_bytes(), new.read_bytes()
+    assert raw_old.split(b"\n")[0] == raw_new.split(b"\n")[0]
+    half = len(raw_new) // 2
+    old.write_bytes(raw_new[:half] + raw_old[half:])
+    with pytest.raises(FormatError, match="asymmetry"):
+        ProcessTensor.load(old)
