@@ -128,30 +128,49 @@ def _check_tol(tol: float) -> None:
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
 
 
-def _points(states: Array) -> Array:
-    """Points of a stack of normalized (d, d) states whose distances bound
-    the trace distances: for qubits the (n, 3) Bloch vectors, stored column
-    by column so that reductions over the n points run along contiguous
-    memory; for d > 2 the real and imaginary parts of the entries, an
-    (n, 2 d**2) view whose distances are the Frobenius distances."""
-    if states.shape[-1] > 2:
+def _points(outs: Array, probs: Array, rows: Array) -> Array:
+    """Points of the normalized states ``outs[rows] / probs[rows]`` of a
+    group, from its raw outputs ``outs`` and their probabilities, whose
+    distances bound the trace distances: for qubits the (n, 3) Bloch
+    vectors, stored column by column so that reductions over the n points
+    run along contiguous memory; for d > 2 the real and imaginary parts of
+    the entries, an (n, 2 d**2) view whose distances are the Frobenius
+    distances.
+
+    Each entry used is normalized by the complex division
+    ``outs[r] / probs[r]``, so the points are those of the normalized
+    states bit for bit. For d > 2 the states are ``outs`` itself, divided
+    in place, when every row survives, and else one copy of the surviving
+    rows. Qubit points are built ``_ROWS`` rows at a time, so no temporary
+    grows with the group.
+    """
+    if outs.shape[-1] > 2:
+        states = outs[rows] if rows.size < len(outs) else \
+            np.ascontiguousarray(outs)
+        states /= probs[rows, None, None]
         return states.view(float).reshape(len(states), -1)
-    bx = (states[:, 0, 1] + states[:, 1, 0]).real
-    by = (1j * (states[:, 0, 1] - states[:, 1, 0])).real
-    bz = (states[:, 0, 0] - states[:, 1, 1]).real
-    return np.stack([bx, by, bz]).T
+    p = np.empty((3, rows.size))
+    for s in range(0, rows.size, _ROWS):
+        r = rows[s:s + _ROWS]
+        w = probs[r]
+        g01, g10 = outs[r, 0, 1] / w, outs[r, 1, 0] / w
+        p[0, s:s + _ROWS] = (g01 + g10).real
+        p[1, s:s + _ROWS] = (1j * (g01 - g10)).real
+        p[2, s:s + _ROWS] = (outs[r, 0, 0] / w - outs[r, 1, 1] / w).real
+    return p.T
 
 
 # The diameter search splits n points of D coordinates into cells of at
-# most _CELL_COORDS / D points (32 Bloch vectors, 5 qutrit states), bounds
-# _BOUND_CHUNK cell pairs and evaluates the leaf values of _PAIR_BATCH cell
-# pairs per numpy call; a group of at most two cells takes every pair in
-# one leaf call instead. Its pruning test has a relative margin and an
-# absolute floor (see _diameter): far above the rounding they cover, far
-# below any spread they could hide.
+# most _CELL_COORDS / D points (32 Bloch vectors, 5 qutrit states); a group
+# of at most two cells takes every pair in one leaf call. Beyond that, its
+# numpy calls take at most _PAIRS point pairs, a box bound counting as
+# one, for every d, and ``_points`` takes _ROWS states at a time, so their
+# temporaries do not grow with the group. Its pruning test has a relative
+# margin and an absolute floor (see _diameter): far above the rounding
+# they cover, far below any spread they could hide.
 _CELL_COORDS = 96
-_BOUND_CHUNK = 1 << 16
-_PAIR_BATCH = 256
+_PAIRS = 1 << 13
+_ROWS = 1 << 11
 _MARGIN = 2.0 ** -40
 _FLOOR = 2.0 ** -530
 
@@ -282,12 +301,20 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
     the median of its widest axis every cell that a surviving pair
     references, renumbered in order so that each pair keeps its lower cell
     first, and replaces each pair by its child pairs. At the leaves it
-    walks the pairs once in descending order of bound, ``_PAIR_BATCH`` at a
-    time, and evaluates the pairs of each batch whose bound reaches the
-    ``best`` found so far; a bound that is not finite always does. When the
-    kept count is not a multiple of the leaf count, the lowest kept indices
-    are repeated to fill the cells; a repeated point adds no new distance
-    and no new pair.
+    walks the pairs once in descending order of bound, in batches of whole
+    cell pairs, and evaluates the pairs of each batch whose bound reaches
+    the ``best`` found so far; a bound that is not finite always does. When
+    the kept count is not a multiple of the leaf count, the lowest kept
+    indices are repeated to fill the cells; a repeated point adds no new
+    distance and no new pair.
+
+    Every batch has one budget of ``_PAIRS`` point pairs for every d: the
+    box bounds are computed ``_PAIRS`` cell pairs at a time, and a leaf
+    batch holds ``_PAIRS // size**2`` cell pairs of ``size`` points each,
+    at least one. The levels' cell-pair lists remain, but no temporary
+    grows with them. The batch sizes do not change the result: every pair
+    that can reach the largest leaf value is evaluated, ties included, and
+    the first-pair rule picks among them.
     """
     (n, width), m = p.shape, kept.size
     n_cells = 1 << max(0, math.ceil(math.log2(m * width / _CELL_COORDS)))
@@ -297,10 +324,10 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
     while True:
         pts = p[cells]
         lo, hi = pts.min(axis=1), pts.max(axis=1)
-        bound = np.empty(ca.size)  # in chunks, so the box corners stay small
-        for s in range(0, ca.size, _BOUND_CHUNK):
-            a, c = ca[s:s + _BOUND_CHUNK], cc[s:s + _BOUND_CHUNK]
-            bound[s:s + _BOUND_CHUNK] = _box_bound(lo[a], hi[a], lo[c], hi[c])
+        bound = np.empty(ca.size)
+        for s in range(0, ca.size, _PAIRS):
+            a, c = ca[s:s + _PAIRS], cc[s:s + _PAIRS]
+            bound[s:s + _PAIRS] = _box_bound(lo[a], hi[a], lo[c], hi[c])
         keep = reach(np.sqrt(bound), best)
         ca, cc, bound = ca[keep], cc[keep], bound[keep]
         if cells.shape[1] == size:
@@ -321,8 +348,9 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
         ca, cc = ca[keep], cc[keep]
 
     order = np.argsort(-bound)
-    for start in range(0, order.size, _PAIR_BATCH):
-        batch = order[start:start + _PAIR_BATCH]
+    step = max(1, _PAIRS // size ** 2)
+    for start in range(0, order.size, step):
+        batch = order[start:start + step]
         batch = batch[reach(np.sqrt(bound[batch]), best)]
         if batch.size == 0:
             continue
@@ -337,15 +365,41 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
     return best, wi, wj
 
 
-def _below_floor(pt: ProcessTensor, stacks: Sequence[Array], l: int) -> int:
-    """How many of the realizations that ``stacks`` contract at readout
-    step l have a probability at or below the floor, read from the
-    contraction form with its readout leg traced out first."""
+def _below_floor(pt: ProcessTensor, pasts: list[Array], untested: Array,
+                 l: int) -> int:
+    """How many realizations of the untested preparation groups have a
+    probability at or below the floor at readout step l. ``untested``
+    holds each group's stack of break realizations; the groups are
+    contracted behind the ``pasts`` one at a time, into the contraction
+    form with its readout leg traced out first."""
     d = pt.system_dim
     form = pt.contraction_form(l)
     traced = np.einsum("aa...->...", form.reshape((d, d) + form.shape[1:]))
-    probs = _contract_form(traced[None], stacks).real
-    return probs.size - int(np.count_nonzero(probs > PROBABILITY_FLOOR))
+    below = 0
+    for group in untested:
+        probs = _contract_form(traced[None], pasts + [group]).real
+        below += probs.size - int(np.count_nonzero(probs > PROBABILITY_FLOOR))
+    return below
+
+
+def _group_diameter(pt: ProcessTensor, stacks: Sequence[Array], l: int
+                    ) -> tuple[int, tuple[float, int, int] | None]:
+    """One preparation group, contracted from ``stacks`` at readout step
+    l: how many of its realizations have a probability at or below the
+    floor, and the ``_diameter`` of the normalized outputs of the others
+    with its pair as output rows, or None when none is left. The raw
+    outputs are dropped before the diameter runs, and nothing of the
+    group's size outlives the call."""
+    outs = pt.contract(stacks, l)
+    probs = np.einsum("naa->n", outs).real
+    rows = np.flatnonzero(probs > PROBABILITY_FLOOR)
+    below = probs.size - rows.size
+    if rows.size == 0:
+        return below, None
+    points = _points(outs, probs, rows)
+    del outs, probs
+    dev, i, j = _diameter(points)
+    return below, (dev, int(rows[i]), int(rows[j]))
 
 
 def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
@@ -376,8 +430,16 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     group whose diameter passes the tolerance; the break's later groups
     are then never contracted to states. ``skipped_conditionals`` still
     counts every conditional at or below the probability floor in every
-    tested break: those of the untested groups are read from one
-    contraction with the readout leg traced out first.
+    tested break: those of the untested groups are read from contractions
+    with the readout leg traced out first, one group at a time.
+
+    The working set holds one array of a group's size: its raw outputs
+    while ``_points`` reads them (for d > 2 they are normalized in place,
+    or copied once when some fall below the floor), and only the points
+    while ``_diameter`` runs, whose temporaries have a fixed size
+    (``_dual_tree``). Nothing of the group's size outlives the group, so
+    the untested groups are counted beside the traced form and one
+    group's probabilities alone.
 
     Each group's diameter is exact, not estimated, from one routine for
     every d (``_diameter``). The group's computed states run in (past,
@@ -417,22 +479,18 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
         pasts = [basis_vecs] * k
         for s in range(n_prep):
             # rows (past, r); past[0] varies slowest
-            outs = pt.contract(pasts + [break_vecs[s]], l)
-            probs = np.einsum("naa->n", outs).real
-            rows = np.flatnonzero(probs > PROBABILITY_FLOOR)
-            skipped += probs.size - rows.size
-            if rows.size == 0:
+            below, top = _group_diameter(pt, pasts + [break_vecs[s]], l)
+            skipped += below
+            if top is None:
                 inconclusive.append((k, l, s))
                 continue
-            group = outs[rows] / probs[rows, None, None]
-            dev, i, j = _diameter(_points(group))
+            dev, i, j = top
             if dev > best:
                 best = dev
-                witness = (record(k, l, s, rows[i]), record(k, l, s, rows[j]))
+                witness = (record(k, l, s, i), record(k, l, s, j))
             if best > tol and not exhaustive:
                 if s + 1 < n_prep:
-                    untested = break_vecs[s + 1:].reshape(-1, d ** 4)
-                    skipped += _below_floor(pt, pasts + [untested], l)
+                    skipped += _below_floor(pt, pasts, break_vecs[s + 1:], l)
                 break
         if best > tol and not exhaustive:
             break

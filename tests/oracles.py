@@ -391,25 +391,35 @@ def bond_dimension_unfoldings(pt, cutoff=1e-10):
 # and an all-pairs Bloch diameter
 # ---------------------------------------------------------------------------
 
+def bloch_vectors(states):
+    """(n, 3) Bloch vectors of a stack of normalized qubit states, read off
+    the entries: 2 Re rho_01, -2 Im rho_01 and rho_00 - rho_11, each as the
+    real part of one complex sum or difference of two entries."""
+    bx = (states[:, 0, 1] + states[:, 1, 0]).real
+    by = (1j * (states[:, 0, 1] - states[:, 1, 0])).real
+    bz = (states[:, 0, 0] - states[:, 1, 1]).real
+    return np.stack([bx, by, bz], axis=1)
+
+
 def diameter_qubit_all_pairs(states):
     """Max pairwise trace distance of normalized qubit states by the
     all-pairs Bloch-space distance matrix, scanned in blocks of rows; the
     pair is the first (row, column) at the largest squared distance. Each
     block's argmax is compared with the best so far in squared distance,
     so the block size only bounds memory."""
-    from ptmarkov.markov import _points
-
-    return diameter_bloch_all_pairs(_points(states))
+    return diameter_bloch_all_pairs(bloch_vectors(states))
 
 
 def diameter_bloch_all_pairs(b):
-    """``diameter_qubit_all_pairs`` on an (n, 3) array of Bloch vectors."""
+    """``diameter_qubit_all_pairs`` on an (n, 3) array of Bloch vectors.
+    Each squared distance sums the squared coordinate differences in
+    coordinate order, one contiguous column of coordinates at a time."""
     n = b.shape[0]
     best, pair = 0.0, (0, 0)
-    chunk = max(1, min(n, 2 ** 22 // max(n, 1)))
+    chunk = max(1, min(n, 2 ** 20 // max(n, 1)))
+    cols = [np.ascontiguousarray(x) for x in b.T]
     for start in range(0, n, chunk):
-        block = b[start:start + chunk]
-        d2 = ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        d2 = sum((x[start:start + chunk, None] - x) ** 2 for x in cols)
         idx = np.unravel_index(np.argmax(d2), d2.shape)
         if d2[idx] > best:
             best, pair = float(d2[idx]), (start + int(idx[0]), int(idx[1]))

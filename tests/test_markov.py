@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from oracles import (
     apply_local_channel,
     b3_choi_analytic,
     b3_classical_table,
+    bloch_vectors,
     bond_dimension_unfoldings,
     classical_process_einsum,
     closest_markov,
@@ -150,6 +152,30 @@ def _states_from_bloch(b):
     return out
 
 
+def _points_of(states):
+    """``_points`` of normalized states, handed over as raw outputs of
+    probability 1 with every row kept; a copy, since for d > 2 it divides
+    its outputs in place."""
+    from ptmarkov.markov import _points
+    n = len(states)
+    return _points(states.copy(), np.ones(n), np.arange(n))
+
+
+def _spy_points(monkeypatch):
+    """Record each group that markov_test hands ``_points``: its kept
+    outputs normalized as ``outs[rows] / probs[rows]``, the states its
+    points stand for, and the points ``_points`` makes of them."""
+    import ptmarkov.markov as markov
+    groups, points = [], markov._points
+
+    def spy(outs, probs, rows):
+        states = outs[rows] / probs[rows, None, None]
+        groups.append((states, points(outs, probs, rows)))
+        return groups[-1][1]
+    monkeypatch.setattr(markov, "_points", spy)
+    return groups
+
+
 def _ball(rng, n):
     """n points filling the unit ball evenly."""
     v = rng.normal(size=(n, 3))
@@ -220,9 +246,9 @@ def _cloud(kind, rng):
                                   "near-tie-multiblock", "overflow", "one",
                                   "two"])
 def test_bloch_diameter_bit_identical_to_all_pairs(kind):
-    from ptmarkov.markov import _diameter, _points
+    from ptmarkov.markov import _diameter
     states = _states_from_bloch(_cloud(kind, np.random.default_rng(71)))
-    b = _points(states)
+    b = _points_of(states)
     if kind.startswith("near-tie"):
         d2 = [float(((b[i] - b[i + 1]) ** 2).sum()) for i in (0, len(b) - 2)]
         assert d2[0] < d2[1] and math.sqrt(d2[0]) == math.sqrt(d2[1])
@@ -268,9 +294,9 @@ def _tie_clouds(draw):
 @settings(max_examples=40, deadline=None)
 @given(_tie_clouds())
 def test_bloch_diameter_matches_all_pairs_property(cloud):
-    from ptmarkov.markov import _diameter, _points
+    from ptmarkov.markov import _diameter
     states = _states_from_bloch(cloud)
-    assert _diameter(_points(states)) == \
+    assert _diameter(_points_of(states)) == \
         diameter_qubit_all_pairs(states)
 
 
@@ -299,23 +325,20 @@ def test_bloch_diameter_bounds_stay_linear(monkeypatch):
 def test_bloch_diameter_bit_identical_on_b2_groups(monkeypatch):
     """Every group of a three-step B.2 sweep; several hold pairs whose
     distances round to the same maximum while their squared distances
-    differ in the last bit."""
-    import ptmarkov.markov as markov
+    differ in the last bit. The points made from the raw outputs are the
+    Bloch vectors of the normalized states, bit for bit."""
     from ptmarkov.markov import _diameter
     rng = np.random.default_rng(1)
     theta = rng.uniform(0.6, 1.0)
     model = model_b2(1.0, rho_s=random_density(2, rng))
     pt = build_process_tensor(model, [j * theta for j in range(4)])
-    groups = []
-    bloch = markov._points
-    monkeypatch.setattr(markov, "_points",
-                        lambda states: groups.append(states) or bloch(states))
+    groups = _spy_points(monkeypatch)
     markov_test(pt, exhaustive=True)
     monkeypatch.undo()
     assert groups
-    for states in groups:
-        assert _diameter(bloch(states)) == \
-            diameter_qubit_all_pairs(states)
+    for states, points in groups:
+        assert np.array_equal(points, bloch_vectors(states))
+        assert _diameter(points) == diameter_qubit_all_pairs(states)
 
 
 def _kept_counts(monkeypatch):
@@ -400,18 +423,14 @@ def test_bloch_diameter_prefilter_shrinks_b2_group(monkeypatch):
     """Design tripwire: on the first group of a seeded four-step B.2 sweep
     (16 256 states), the dual tree sees at most 10 % of the points; the
     radial prefilter drops the rest."""
-    import ptmarkov.markov as markov
     rng = np.random.default_rng(1)
     theta = rng.uniform(0.6, 1.0)
     model = model_b2(1.0, rho_s=random_density(2, rng))
     pt = build_process_tensor(model, [j * theta for j in range(5)])
-    sizes = []
-    bloch = markov._points
-    monkeypatch.setattr(markov, "_points",
-                        lambda states: sizes.append(len(states)) or
-                        bloch(states))
+    groups = _spy_points(monkeypatch)
     counts = _kept_counts(monkeypatch)
     assert not markov_test(pt).is_markov
+    sizes = [len(states) for states, _ in groups]
     assert sizes[0] > 10 ** 4
     assert 0 < counts[0] <= sizes[0] // 10
 
@@ -465,13 +484,10 @@ def test_memoryless_two_step_sweep_skips_the_tree(markov_pt2, monkeypatch):
     """Design tripwire: the groups of a memoryless two-step sweep hold 64
     states (16 pasts times 4 outcomes, break at slot 1) or 4 (break at
     slot 0), so no diameter reaches the dual tree."""
-    import ptmarkov.markov as markov
-    sizes, points = [], markov._points
-    monkeypatch.setattr(markov, "_points", lambda states: (
-        sizes.append(len(states)) or points(states)))
+    groups = _spy_points(monkeypatch)
     counts = _kept_counts(monkeypatch)
     assert markov_test(markov_pt2).is_markov
-    assert max(sizes) == 64 and counts == []
+    assert max(len(states) for states, _ in groups) == 64 and counts == []
 
 
 def _qutrit_group(kind, rng):
@@ -501,9 +517,9 @@ def _qutrit_group(kind, rng):
 def test_general_diameter_bit_identical_to_loop(kind):
     """The d > 2 diameter: same value and same first pair as the pairwise
     loop, bit for bit, on rounding-level clusters too."""
-    from ptmarkov.markov import _diameter, _points
+    from ptmarkov.markov import _diameter
     states = _qutrit_group(kind, np.random.default_rng(72))
-    got = _diameter(_points(states))
+    got = _diameter(_points_of(states))
     assert got == diameter_general_loop(states)
     assert type(got[0]) is float
     if kind == "duplicates":
@@ -523,10 +539,10 @@ def test_general_diameter_bit_identical_at_all_pairs_threshold(kind, n,
     """Up to 10 qutrit states take one all-pairs leaf call, 11 the
     prefilter and the tree; on both sides the value and the first pair
     equal the batched all-pairs scan's, bit for bit."""
-    from ptmarkov.markov import _diameter, _points
+    from ptmarkov.markov import _diameter
     states = _qutrit_group(kind, np.random.default_rng(n))[:n]
     counts = _kept_counts(monkeypatch)
-    got = _diameter(_points(states))
+    got = _diameter(_points_of(states))
     assert got == diameter_general_batched(states)
     assert type(got[0]) is float
     assert len(counts) == (n > 10 and kind != "identical")
@@ -551,19 +567,15 @@ def _qutrit_dilation(kind, k=2):
 @pytest.fixture(scope="module")
 def qutrit_sweeps():
     """Every group of the causal-break sweeps of both seeded dilations,
-    captured on their way to the diameter: the memoryless one as it runs
-    by default, the joint unitary exhaustively."""
-    import ptmarkov.markov as markov
-    points = markov._points
+    captured on their way to the diameter as (states, points): the
+    memoryless one as it runs by default, the joint unitary
+    exhaustively."""
     sweeps = {}
     for kind in ("markov", "joint"):
-        pt, groups = _qutrit_dilation(kind), []
-        markov._points = lambda states: groups.append(states) or \
-            points(states)
-        try:
+        pt = _qutrit_dilation(kind)
+        with pytest.MonkeyPatch.context() as mp:
+            groups = _spy_points(mp)
             report = markov_test(pt, exhaustive=kind == "joint")
-        finally:
-            markov._points = points
         sweeps[kind] = pt, report, groups
     return sweeps
 
@@ -573,28 +585,32 @@ def test_general_diameter_bit_identical_on_qutrit_sweeps(kind, qutrit_sweeps):
     """On every group of a qutrit K = 2 sweep (729 states each at break
     slot 1, the 9 break outcomes at slot 0), the value and the first pair
     equal the batched all-pairs scan's, bit for bit."""
-    from ptmarkov.markov import _diameter, _points
+    from ptmarkov.markov import _diameter
     _, report, groups = qutrit_sweeps[kind]
     assert len(groups) == 27 and report.is_markov is (kind == "markov")
-    assert [len(states) for states in groups] == [729] * 9 + [9] * 18
-    for states in groups:
-        assert _diameter(_points(states)) == diameter_general_batched(states)
+    assert [len(states) for states, _ in groups] == [729] * 9 + [9] * 18
+    for states, points in groups:
+        assert _diameter(points) == diameter_general_batched(states)
 
 
 def test_diameter_bit_identical_with_small_bound_chunks(qutrit_sweeps,
                                                         monkeypatch):
-    """The cell-pair bounds run _BOUND_CHUNK pairs at a time. With chunks
-    of 7 pairs the diameter stays bit-identical to the oracles on every
-    qutrit sweep group and on the qubit clouds."""
+    """The cell-pair bounds run _PAIRS pairs at a time, the leaves whole
+    cell pairs of at most _PAIRS point pairs, and the Bloch points _ROWS
+    states at a time. With 7 pairs per call, one cell pair per leaf call
+    for cells of three points or more, and 7 states per block, the
+    diameter stays bit-identical to the oracles on every qutrit sweep
+    group and on the qubit clouds."""
     import ptmarkov.markov as markov
-    monkeypatch.setattr(markov, "_BOUND_CHUNK", 7)
+    monkeypatch.setattr(markov, "_PAIRS", 7)
+    monkeypatch.setattr(markov, "_ROWS", 7)
     for kind in ("markov", "joint"):
-        for states in qutrit_sweeps[kind][2]:
-            assert markov._diameter(markov._points(states)) == \
+        for states, points in qutrit_sweeps[kind][2]:
+            assert markov._diameter(points) == \
                 diameter_general_batched(states)
     for kind in ("ball", "shell", "ties", "axis-copies", "near-tie"):
         states = _states_from_bloch(_cloud(kind, np.random.default_rng(71)))
-        assert markov._diameter(markov._points(states)) == \
+        assert markov._diameter(_points_of(states)) == \
             diameter_qubit_all_pairs(states)
 
 
@@ -609,19 +625,20 @@ def test_general_diameter_bit_identical_on_qutrit_k3_group(monkeypatch):
 
     groups = []
 
-    def capture(states):
-        groups.append(states)
+    def capture(outs, probs, rows):
+        groups.append((outs[rows], probs[rows]))
         raise Captured
 
     monkeypatch.setattr(markov, "_points", capture)
     with pytest.raises(Captured):
         markov_test(_qutrit_dilation("joint", k=3))
     monkeypatch.undo()
-    group = groups[0]
-    assert len(group) == 59049
-    states = group[np.random.default_rng(3).choice(len(group), 1000,
-                                                   replace=False)]
-    got = markov._diameter(markov._points(states))
+    outs, probs = groups[0]
+    assert len(outs) == 59049
+    pick = np.random.default_rng(3).choice(len(outs), 1000, replace=False)
+    outs, probs = outs[pick], probs[pick]
+    states = outs / probs[:, None, None]
+    got = markov._diameter(markov._points(outs, probs, np.arange(1000)))
     assert got == diameter_general_batched(states)
     assert got[0] > 1.9
 
@@ -634,7 +651,7 @@ def test_general_diameter_seed_runs_one_svd(monkeypatch):
     svd, matrices = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
         matrices.append(math.prod(a.shape[:-2])) or svd(a, *args, **kwargs)))
-    markov._diameter(markov._points(states))
+    markov._diameter(_points_of(states))
     assert matrices[0] == 1 and len(states) == 150
 
 
@@ -644,13 +661,12 @@ def test_qutrit_markov_test_runs_few_svds(monkeypatch):
     an all-pairs scan of its groups would."""
     import ptmarkov.markov as markov
     pt = _qutrit_dilation("joint")
-    svd, points = np.linalg.svd, markov._points
-    sizes, matrices = [], []
-    monkeypatch.setattr(markov, "_points", lambda states: (
-        sizes.append(len(states)) or points(states)))
+    svd, matrices = np.linalg.svd, []
+    groups = _spy_points(monkeypatch)
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
         matrices.append(math.prod(a.shape[:-2])) or svd(a, *args, **kwargs)))
     markov_test(pt, exhaustive=True)
+    sizes = [len(states) for states, _ in groups]
     all_pairs = sum(n * (n - 1) // 2 for n in sizes)
     assert len(sizes) == 27 and 0 < sum(matrices) < all_pairs / 4
 
@@ -677,17 +693,25 @@ def _trace_norm_eig(a, b):
 @pytest.mark.parametrize("name", ["b1_pt", "b2_pt", "b3_pt", "markov_pt2",
                                   "markov_pt3", "b2_pure_pt3"])
 def test_markov_test_matches_per_past_loop(name, exhaustive, basis2, request):
-    from ptmarkov import default_break
     pt = request.getfixturevalue(name)
     rep = markov_test(pt, exhaustive=exhaustive)
     ref = markov_test_loop(pt, basis2, exhaustive=exhaustive)
+    _assert_matches_loop(pt, rep, ref, basis2)
+    if name == "b2_pure_pt3":
+        assert rep.skipped_conditionals > 0
+
+
+def _assert_matches_loop(pt, rep, ref, basis2):
+    """``rep`` agrees with the per-past loop's report ``ref``: the same
+    verdict, breaks, counts and inconclusive groups, the deviation within
+    1e-12, and a witness pair of one group whose states, recomputed one
+    past at a time, lie at that deviation."""
+    from ptmarkov import default_break
     assert abs(rep.max_deviation - ref.max_deviation) <= 1e-12
     assert rep.is_markov == ref.is_markov
     assert rep.breaks_tested == ref.breaks_tested
     assert rep.skipped_conditionals == ref.skipped_conditionals
     assert rep.inconclusive_groups == ref.inconclusive_groups
-    if name == "b2_pure_pt3":
-        assert rep.skipped_conditionals > 0
     assert (rep.witness is None) == (ref.witness is None)
     if rep.witness is None:
         return
@@ -703,26 +727,27 @@ def test_markov_test_matches_per_past_loop(name, exhaustive, basis2, request):
     assert abs(_trace_norm_eig(*states) - rep.max_deviation) <= 1e-12
 
 
-def _b2_four_steps():
-    """A seeded memoryful four-step B.2 tensor of the memory-k4 kind, its
-    contraction forms cached as ``ptf.load`` leaves them."""
+def _b2_steps(k=4):
+    """A seeded memoryful k-step B.2 tensor drawn like memory-k4 (k = 4),
+    its contraction forms cached as ``ptf.load`` leaves them."""
     rng = np.random.default_rng(1)
     theta = rng.uniform(0.6, 1.0)
     model = model_b2(1.0, rho_s=random_density(2, rng))
-    pt = build_process_tensor(model, [j * theta for j in range(5)])
+    pt = build_process_tensor(model, [j * theta for j in range(k + 1)])
     pt.causality_defect()
     return pt
 
 
 def test_markov_test_contracts_one_group_before_its_stop(monkeypatch):
     """A spy on the contraction kernel while a memoryful four-step B.2
-    sweep stops at its first group: each full contraction holds only the
-    n_out realizations of one preparation at the break slot, one such
-    contraction runs before the stop, and the three untested groups go
-    through one contraction with the readout leg traced out."""
+    sweep stops at its first group: each contraction holds only the n_out
+    realizations of one preparation at the break slot, one full
+    contraction runs before the stop, and each of the three untested
+    groups goes through one contraction with the readout leg traced
+    out."""
     import ptmarkov.markov as markov
     import ptmarkov.process_tensor as process_tensor
-    pt = _b2_four_steps()
+    pt = _b2_steps()
     kernel, calls = process_tensor._contract_form, []
 
     def spy(form, stacks):
@@ -733,7 +758,7 @@ def test_markov_test_contracts_one_group_before_its_stop(monkeypatch):
     rep = markov_test(pt)
     assert not rep.is_markov and rep.breaks_tested == ((3, 4),)
     assert rep.witness[0].preparation == 0
-    assert calls == [(4, [16, 16, 16, 4]), (1, [16, 16, 16, 3 * 4])]
+    assert calls == [(4, [16, 16, 16, 4])] + [(1, [16, 16, 16, 4])] * 3
 
 
 def test_early_exit_counts_the_untested_groups(b2_pure_pt3, basis2):
@@ -755,14 +780,32 @@ def test_early_exit_counts_the_untested_groups(b2_pure_pt3, basis2):
     assert rep.inconclusive_groups == ref.inconclusive_groups == ()
 
 
-def test_markov_test_makes_no_break_sized_temporary():
-    """Tripwire: on a four-step B.2 tensor with its forms cached, the
-    sweep peaks below two tensor sizes above what was live before the
-    call; contracting all 16 break realizations at once took 2.4."""
-    pt = _b2_four_steps()
+@pytest.mark.parametrize("k", [4, 5])
+def test_markov_test_keeps_one_group_array_alive(k, basis2, tmp_path,
+                                                 monkeypatch):
+    """Tripwire: on a loaded B.2 tensor drawn like memory-k4, the sweep
+    peaks at most 0.6 tensor sizes above what was live before the call,
+    which leaves room for the contraction of one group and nothing else
+    of its size, and when ``_diameter`` starts less than 0.2 are live: the
+    points and rows of the group (0.13), not its raw outputs (0.25 more).
+    Keeping the raw and normalized outputs through the diameter, with its
+    batches of up to 256 cell pairs, and counting the untested groups in
+    one contraction peaked at 1.49. At K = 4 the report is the per-past
+    loop's; at K = 5 that loop's all-pairs diameter of 262 144 states is
+    out of reach."""
+    import ptmarkov.markov as markov
+    _b2_steps(k).save(tmp_path / "b2.ptf")
+    pt = ProcessTensor.load(tmp_path / "b2.ptf")
     markov_test(pt)  # the lazily built module state
-    _, peak, _ = traced_peak(lambda: markov_test(pt))
-    assert peak < 2 * pt.choi.nbytes
+    live, diameter = [], markov._diameter
+    monkeypatch.setattr(markov, "_diameter", lambda p: (
+        live.append(tracemalloc.get_traced_memory()[0]) or diameter(p)))
+    rep, peak, _ = traced_peak(lambda: markov_test(pt))
+    assert peak <= 0.6 * pt.choi.nbytes
+    assert len(live) == 1 and live[0] < 0.2 * pt.choi.nbytes
+    assert not rep.is_markov and rep.breaks_tested == ((k - 1, k),)
+    if k == 4:
+        _assert_matches_loop(pt, rep, markov_test_loop(pt, basis2), basis2)
 
 
 BAD_TOLS = (math.nan, -1e-9, math.inf)
@@ -1040,7 +1083,7 @@ def test_bond_dimension_matches_unfoldings(b1_pt, b2_pt, b3_pt, markov_pt2,
     two."""
     rng = np.random.default_rng(55)
     corpus = [b1_pt, b2_pt, b3_pt, markov_pt2, markov_pt3, b2_pure_pt3,
-              _memoryless_four_steps(), _b2_four_steps(),
+              _memoryless_four_steps(), _b2_steps(),
               _qutrit_dilation("markov")]
     for _ in range(5):
         leg = int(rng.integers(0, 2 * b2_pt.n_steps + 1))
