@@ -106,10 +106,13 @@ def _path(cfg: dict, key: str) -> str:
 
 def _typed(kind, value, key: str, minimum=-math.inf):
     """``kind(value)`` if it is finite and at least ``minimum`` (so never
-    NaN), else a ConfigError naming the config key."""
+    NaN), else a ConfigError naming the config key. A JSON boolean is no
+    number, and an int key takes no fractional value."""
     try:
         out = kind(value)
-        if out >= minimum and abs(out) < math.inf:
+        exact = not isinstance(value, float) or out == value
+        if not isinstance(value, bool) and exact and out >= minimum \
+                and abs(out) < math.inf:
             return out
     except (TypeError, ValueError, OverflowError):
         pass

@@ -26,7 +26,7 @@ from .defaults import (
 )
 from .errors import DimensionMismatch, NotPositive, ValidationError
 from .linalg import Array, hermitize, partial_trace
-from .process_tensor import _WHOLE, ProcessTensor, _contract_form
+from .process_tensor import ProcessTensor, _contract_form
 from .qops import Instrument, QuantumMap, default_break, ic_basis
 
 __all__ = [
@@ -632,10 +632,9 @@ def confusion_probability(n_value: float, n: int) -> float:
 # bond_dimension carries singular values down to this fraction of its
 # counting threshold from one cut to the next; a fixed margin, not a knob.
 _CARRY_MARGIN = 1e-3
-# bond_dimension reads a remainder in _SLABS slabs: at K = 4 a first-cut
-# slab is 1/32 of a qubit tensor. One of at most _WHOLE entries is read
-# whole.
-_SLABS = 32
+# bond_dimension factors an unfolding of more entries than this in row
+# slabs of at most this many: 1/64 of a qubit tensor at K = 4.
+_SLAB = 1 << 12
 
 
 def bond_dimension(pt: ProcessTensor, cutoff: float = BOND_CUTOFF) -> list[int]:
@@ -646,52 +645,42 @@ def bond_dimension(pt: ProcessTensor, cutoff: float = BOND_CUTOFF) -> list[int]:
     singular values of that cut's unfolding above ``cutoff`` times the
     largest. A memoryless process is rank 1 across every cut.
 
-    The ranks come from one left-to-right sweep, the TT-SVD of Oseledets
-    (SIAM J. Sci. Comput. 33, 2295, 2011), not from an SVD of each
-    unfolding. Chronological order is the reverse of the stored order, so
-    cut j's past legs are the last 2j+1 row legs and the last 2j+1 column
-    legs: the sweep reads ``pt.choi`` as stored, viewed as (future rows,
-    past rows, future columns, past columns), and makes no chronological
-    copy. Each cut factors its unfolding A, past by future. A wide one is
-    first reduced to the R factor of a QR of A^T, built one slab of
-    future row values at a time: the slab's rows of A^T, copied
-    transposed, are QR-factored under the R factor of the rows before
-    them. So no SVD is larger than A's row count and no array the size
-    of A is made. The sweep then carries U^H A to the next cut, slab by
-    slab from the stored layout without a copy, laid out as (future rows,
-    (r, next two row legs, next two column legs), future columns): the r
-    left singular vectors kept times the two legs between the cuts.
-    Since the kept U has orthonormal columns, the unfolding at the next
-    cut is (U (x) 1) times that remainder and has the same singular
-    values, so each count is the rank of that cut's own unfolding. Only
-    singular values at or below ``cutoff * _CARRY_MARGIN`` times the
-    largest are dropped from the carry; the dropped tail moves later
-    singular values by far less than the counting threshold. The first
-    cut's carry is the largest array made, r/d**2 of the tensor.
-    ``cutoff`` must lie in [0, 1).
+    The ranks come from one sweep, the TT-SVD of Oseledets (SIAM J. Sci.
+    Comput. 33, 2295, 2011), over ``pt.contraction_form()``, which a
+    tensor built in process, not loaded, gets cached first. Its legs are
+    in stored order with each leg's row and column index side by side, so
+    cut j's past is the trailing 2j+1 legs and its unfolding A, future by
+    past, is a reshape. An A of more than ``_SLAB`` entries with more rows
+    than columns is reduced to the R factor of a QR taken one row slab at
+    a time under the R factor of the rows before, so no copy of A is made
+    and no SVD is larger than A's column count. The carry to the next cut
+    is A V for the right singular vectors V kept, with the two legs
+    between the cuts moved to its columns: V has orthonormal columns, so
+    the next unfolding, that carry times (1 (x) V^H), has the same
+    singular values, and each count is the rank of that cut's own
+    unfolding. Only singular values at or below ``cutoff *
+    _CARRY_MARGIN`` times the largest leave the carry, which moves later
+    ones by far less than the counting threshold. The first cut's carry,
+    r/d**2 of the tensor, is the largest array made. ``cutoff`` must lie
+    in [0, 1).
     """
     if not 0 <= cutoff < 1:
         raise ValidationError(f"cutoff must lie in [0, 1), got {cutoff!r}")
     k = pt.n_steps
     d = pt.system_dim
-    a = d * d  # values of the two row (or column) legs between two cuts
-    f = d ** (2 * k)
-    rest = pt.choi.reshape(f, d, f, d)
+    rest = pt.contraction_form().reshape(-1, d * d)
     dims = []
     for j in range(k):
-        f, p, _, q = rest.shape
-        # future row values per slab
-        step = f if p * q * f * f <= _WHOLE else max(1, f // _SLABS)
-        if p * q < f * f:
-            r = None
-            for lo in range(0, f, step):
-                r = _stack_r(r, rest[lo:lo + step])
-            # A = R^T Q^T and Q^T has orthonormal rows: no conjugate copy
-            # of A is needed
-            u, s, _ = np.linalg.svd(r.T)
+        rows, cols = rest.shape
+        if rows > cols and rest.size > _SLAB:
+            step = max(1, _SLAB // cols)
+            r = rest[:0]
+            for lo in range(0, rows, step):
+                r = np.linalg.qr(np.concatenate([r, rest[lo:lo + step]]),
+                                 mode="r")
+            _, s, vh = np.linalg.svd(r)
         else:
-            u, s, _ = np.linalg.svd(rest.transpose(1, 3, 0, 2)
-                                    .reshape(p * q, -1), full_matrices=False)
+            _, s, vh = np.linalg.svd(rest, full_matrices=False)
         top = s[0]
         if top == 0:  # every unfolding of a zero tensor is zero
             return [0] * k
@@ -699,40 +688,8 @@ def bond_dimension(pt: ProcessTensor, cutoff: float = BOND_CUTOFF) -> list[int]:
         if j < k - 1:
             # the largest always stays, so the next cut has a remainder
             keep = max(1, int((s > cutoff * _CARRY_MARGIN * top).sum()))
-            # whole future row values beyond the next cut per slab, so
-            # that each slab fills whole rows of the carry
-            rest = _carry(rest, u[:, :keep].conj().reshape(p, q, keep),
-                          -(-step // a) * a, a)
+            rest = (rest @ vh[:keep].conj().T).reshape(rows // d ** 4, -1)
     return dims
-
-
-def _stack_r(r: Array | None, slab: Array) -> Array:
-    """R factor of a QR of the rows of A^T read so far: ``r``, the one of
-    the rows before, stacked over the rows (f_r, f_c) of ``slab``, an
-    (f_r, p, f_c, q) block of the remainder, copied transposed. The copy
-    is freed on return."""
-    _, p, _, q = slab.shape
-    rows = slab.transpose(0, 2, 1, 3).reshape(-1, p * q)
-    return np.linalg.qr(rows if r is None else np.concatenate([r, rows]),
-                        mode="r")
-
-
-def _carry(rest: Array, uh: Array, step: int, a: int) -> Array:
-    """U^H A for the unfolding A of ``rest``, an (f, p, f, q) array, with
-    ``uh`` the kept columns of conj(U) as (p, q, r), read ``step`` future
-    row values at a time with no copy of the slab, and laid out as the
-    next cut's (f/a, r*a*a, f/a, 1) remainder, where a future row value
-    is (f_r', a_r) and a future column value (f_c', a_c)."""
-    f, _, _, q = rest.shape
-    keep = uh.shape[2]
-    g = f // a
-    carry = np.empty((g, keep, a, a, g), dtype=complex)
-    for lo in range(0, f, step):
-        x = rest[lo:lo + step]
-        part = sum(uh[:, i].T @ x[..., i] for i in range(q))  # (f_r, r, f_c)
-        carry[lo // a:(lo + step) // a] = part.reshape(
-            -1, a, keep, g, a).transpose(0, 2, 1, 4, 3)
-    return carry.reshape(g, keep * a * a, g, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,19 @@ Contraction of slot Chois A_j against the tensor follows
 which reproduces ordinary channel composition on product tensors and defines
 the multilinear action in general.
 
-Earlier steps are read off through the causal-comb condition
-Tr_{O_l} Upsilon_l = 1_{O_{l-1}} (x) Upsilon_{l-1} (Chiribella, D'Ariano and
-Perinotti, PRA 80, 022339, 2009): ``contraction_form(l)`` traces one trailing
-step at a time, and ``causality_defect`` measures how far a tensor is from
-satisfying the condition. Every reader of the tensor evaluates the
-multilinear map through ``ProcessTensor.contract``, which contracts stacks
-of slot Chois against that form latest slot first: the form's leading slot
-axis is the next one open, so each slot is one plain GEMM batched over the
-rows made so far, no slot axis is moved and no per-slot copy is made, and
-one output-sized transpose at the end puts slot 0 slowest.
+Every reader of the tensor goes through ``contraction_form``, one layout
+of it: the legs in stored order, each leg's row and column index side by
+side, so a slot axis is (O_row, O_col, I_row, I_col) and every temporal
+cut's unfolding is a reshape. Earlier steps are read off through the
+causal-comb condition Tr_{O_l} Upsilon_l = 1_{O_{l-1}} (x) Upsilon_{l-1}
+(Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009):
+``contraction_form(l)`` traces one trailing step at a time, and
+``causality_defect`` measures how far a tensor is from satisfying the
+condition. ``ProcessTensor.contract`` takes stacks of Choi-flattened slot
+Chois, reorders them to the form's slot axis and contracts them latest
+slot first: the leading slot axis is the next one open, so each slot is
+one plain GEMM batched over the rows made so far, no axis of the form is
+moved or copied, and one output-sized transpose puts slot 0 slowest.
 
 Control sequences
 -----------------
@@ -77,12 +80,6 @@ def leg_labels(n_steps: int) -> tuple[str, ...]:
     for j in range(n_steps - 1, -1, -1):
         labels.extend((f"O{j}", f"I{j}"))
     return tuple(labels)
-
-
-def _slot_row_axes(n_steps: int, j: int) -> tuple[int, int]:
-    """Row-tensor axes (O_j, I_j) of slot j in the stored leg order."""
-    base = 1 + 2 * (n_steps - 1 - j)
-    return base, base + 1
 
 
 def checked_controls(controls: Iterable, n_slots: int,
@@ -239,12 +236,13 @@ def _contract_form(form: Array, stacks: Sequence[Array]) -> Array:
     ``form`` has shape (a, d**4, ..., d**4) with one axis per slot, slot
     l-1 leading, as ``ProcessTensor.contraction_form(l)`` gives it (a =
     d*d), or with its readout leg traced out (a = 1). ``stacks[j]`` is an
-    (n_j, d**4) stack for slot j; slots ``len(stacks)`` ... l-1 get the
-    identity's one row. Each slot is one ``matmul`` of its stack against
-    the leading open slot axis, batched over the rows made so far, and the
-    last slot one GEMM of all those rows, so no slot axis is moved or
-    copied. Returns the (n_0 * ... * n_{l-1}, a) outputs with slot 0
-    slowest, from one output-sized transpose at the end.
+    (n_j, d**4) stack of slot-j Chois flattened in Choi order, (O_row,
+    I_row, O_col, I_col), each reordered to the form's (O_row, O_col,
+    I_row, I_col); slots ``len(stacks)`` ... l-1 get the identity's one
+    row. Each slot is one ``matmul`` of its stack against the leading open
+    slot axis, batched over the rows made so far, and the last slot one
+    GEMM of all those rows, so no axis of the form is moved or copied.
+    Returns the (n_0 * ... * n_{l-1}, a) outputs with slot 0 slowest.
     """
     l = form.ndim - 1
     if len(stacks) < l:
@@ -253,10 +251,12 @@ def _contract_form(form: Array, stacks: Sequence[Array]) -> Array:
     arr, counts = form, [form.shape[0]]
     for stack in reversed(stacks):
         stack = np.asarray(stack, dtype=complex)
+        n, d = len(stack), math.isqrt(math.isqrt(stack.shape[1]))
+        stack = stack.reshape(n, d, d, d, d).swapaxes(2, 3).reshape(n, -1)
         arr = arr.reshape(math.prod(counts), stack.shape[1], -1)
         # the last open axis: one GEMM in place of a batch of products
         arr = arr[..., 0] @ stack.T if arr.shape[2] == 1 else stack @ arr
-        counts.append(len(stack))
+        counts.append(n)
     return arr.reshape(counts).T.reshape(-1, counts[0])
 
 
@@ -377,9 +377,11 @@ class ProcessTensor:
         l (default: the final step K), of shape (d*d, d**4, ..., d**4)
         with l slot axes.
 
-        Axis 0 combines the readout leg's row/column indices; slot axes run
-        from slot l-1 down to slot 0, each combining that slot's
-        (O_row, I_row, O_col, I_col) indices in Choi-flattening order.
+        The legs keep their stored order with each leg's row and column
+        index side by side: axis 0 is the readout leg's (row, column) and
+        the slot axes run from slot l-1 down to slot 0, each (O_row,
+        O_col, I_row, I_col). The K form is one transpose of ``choi``,
+        cached on first use (``ptf.load`` makes it for the comb check).
 
         Below K each form comes from the one above through the comb
         condition Tr_{O_{l+1}} Upsilon_{l+1} = 1_{O_l} (x) Upsilon_l: trace
@@ -396,17 +398,13 @@ class ProcessTensor:
             d = self.system_dim
             if l == k:
                 n = 2 * k + 1
-                order = [0, n]
-                for j in range(k - 1, -1, -1):
-                    o, i = _slot_row_axes(k, j)
-                    order.extend((o, i, o + n, i + n))
-                # one axis per leg: row legs first, then column legs
                 legs = self.choi.reshape((d,) * (2 * n))
+                order = [a for leg in range(n) for a in (leg, leg + n)]
                 form = np.ascontiguousarray(legs.transpose(order)
                                             .reshape((d * d,) + (d ** 4,) * k))
             else:
                 up = self.contraction_form(l + 1)
-                form = np.einsum("aabibj...->ij...",
+                form = np.einsum("aabbij...->ij...",
                                  up.reshape((d,) * 6 + up.shape[2:]))
                 form = form.reshape((d * d,) + up.shape[2:])
                 form /= d
@@ -418,26 +416,27 @@ class ProcessTensor:
         Upsilon_{l-1} over l = K ... 1, read off the cached contraction
         forms: rounding level for a causal comb, NaN or inf when entries
         overflow. A form of at most ``_WHOLE`` entries is read in one
-        round; a larger one one row value (O_{l-1}, I_{l-1}) of the leading
+        round; a larger one one O-leg value (O_row, O_col) of the leading
         slot axis at a time, so no temporary is larger than 1/d**4 of it.
         """
         d = self.system_dim
         gaps = [0.0]
         for l in range(self.n_steps, 0, -1):
             up = self.contraction_form(l)
-            # (readout row, readout column, O row, I row, O col, I col, rest)
+            # (readout row, readout column, O row, O col, I row, I col, rest)
             up = up.reshape((d,) * 6 + (-1,))
             low = self.contraction_form(l - 1).reshape(d, d, -1)
             if up.size <= _WHOLE:
                 gap = np.einsum("aa...->...", up)
                 for o in range(d):
-                    gap[o, :, o] -= low
+                    gap[o, o] -= low
                 gaps.append(np.abs(gap).max())
                 continue
             for o in range(d):
-                for i in range(d):
-                    gap = np.einsum("aa...->...", up[:, :, o, i])
-                    gap[o] -= low[i]
+                for p in range(d):
+                    gap = np.einsum("aa...->...", up[:, :, o, p])
+                    if o == p:
+                        gap -= low
                     gaps.append(np.abs(gap).max())
         return float(np.max(gaps))
 
@@ -447,13 +446,13 @@ class ProcessTensor:
         """Raw outputs at readout step l (default: the final step K) for
         every combination of the rows of ``stacks``.
 
-        ``stacks[j]`` is an (n_j, d**4) stack of flattened slot-j Chois;
-        slots ``len(stacks)`` ... l-1 hold the identity. Returns an
-        (n_0 * ... * n_{m-1}, d, d) array with slot 0 varying slowest. The
-        slots are contracted into ``contraction_form(l)`` from slot l-1
-        down to slot 0, one plain GEMM each on the leading slot axis, with
-        no per-slot copy; one transpose of the output restores the order
-        (see :func:`_contract_form`).
+        ``stacks[j]`` is an (n_j, d**4) stack of slot-j Chois flattened in
+        Choi order, as ``QuantumMap.choi.reshape(-1)`` gives them; slots
+        ``len(stacks)`` ... l-1 hold the identity. Returns an (n_0 * ... *
+        n_{m-1}, d, d) array with slot 0 varying slowest. The stacks are
+        reordered to the leg-paired slot axis of ``contraction_form(l)``
+        and contracted into it from slot l-1 down, one plain GEMM each,
+        with no copy of the form (see :func:`_contract_form`).
         """
         l = self.n_steps if l is None else int(l)
         if len(stacks) > l:

@@ -463,11 +463,39 @@ def _break_vectors(break_set):
                      for p in break_set.preparations])
 
 
+def comb_choi(pt, l):
+    """Upsilon_l, the tensor restricted to readout step l, from partial
+    traces of whole matrices: Upsilon_{l-1} = Tr_{O_{l-1}} Tr_{R_l}
+    Upsilon_l / d, as in ``causality_defect_dense``."""
+    d = pt.system_dim
+    ups = pt.choi
+    for _ in range(pt.n_steps - l):
+        rest = ups.shape[0] // d
+        traced = np.einsum("aiaj->ij", ups.reshape(d, rest, d, rest))
+        ups = np.einsum("aiaj->ij",
+                        traced.reshape(d, rest // d, d, rest // d)) / d
+    return ups
+
+
+def choi_form(pt, l):
+    """Slot-major form of ``comb_choi(pt, l)`` in Choi order: shape (d*d,
+    d**4 [slot l-1], ..., d**4 [slot 0]), axis 0 the readout leg's (row,
+    column) and each slot axis (O_row, I_row, O_col, I_col), the order in
+    which a slot Choi flattens."""
+    d = pt.system_dim
+    n = 2 * l + 1
+    order = [0, n]
+    for leg in range(1, n, 2):  # slot l-1 first
+        order.extend((leg, leg + 1, leg + n, leg + 1 + n))
+    legs = comb_choi(pt, l).reshape((d,) * (2 * n))
+    return legs.transpose(order).reshape((d * d,) + (d ** 4,) * l)
+
+
 def reduced_form_loop(pt, k, l):
-    """Contraction form at readout step l with identity controls paired
-    into the slots strictly between k and l, one ``tensordot`` per slot.
+    """``choi_form`` at readout step l with identity controls paired into
+    the slots strictly between k and l, one ``tensordot`` per slot.
     Shape (d*d, d**4 [slot k], d**4 [slot k-1], ..., d**4 [slot 0])."""
-    form = pt.contraction_form(l)
+    form = choi_form(pt, l)
     d = pt.system_dim
     ident = np.eye(d, dtype=complex).reshape(-1)
     ident = np.outer(ident, ident).reshape(-1)  # Choi of the identity map
@@ -605,10 +633,10 @@ def marginal_map_frame(pt, j, l):
 
 def classical_process_einsum(pt, instruments, final_povm=None):
     """Joint outcome table by one labelled ``np.einsum`` of the final
-    contraction form with every instrument's member stack and the final
-    POVM (or a trace)."""
+    ``choi_form`` with every instrument's member stack and the final POVM
+    (or a trace)."""
     k, d = pt.n_steps, pt.system_dim
-    operands = [pt.contraction_form(), [0] + [1 + j for j in range(k - 1, -1, -1)]]
+    operands = [choi_form(pt, k), [0] + [1 + j for j in range(k - 1, -1, -1)]]
     out_labels = []
     for j, ins in enumerate(instruments):
         stack = np.stack([m.choi.reshape(-1) for m in ins.members])

@@ -331,11 +331,24 @@ def test_simulate_custom_non_finite_bundle_exit_3(tmp_path, capsys):
     ("params", {"params": [1]}),
     ("omega", {"params": {"omega": 1e400}}),
     ("g", {"model": "b1", "params": {"g": 1e400}}),
+    ("kraus_rank", {"model": "markov", "params": {"kraus_rank": 2.9}}),
+    ("kraus_rank", {"model": "markov", "params": {"kraus_rank": True}}),
+    ("seed", {"model": "markov", "seed": 3.7}),
+    ("seed", {"model": "markov", "seed": False}),
+    ("omega", {"params": {"omega": True}}),
+    ("times", {"times": [False, True]}),
+    ("system_dim", {"model": "custom", "params": {"system_dim": 2.5}}),
+    ("system_dim", {"model": "custom", "params": {"system_dim": True}}),
 ])
 def test_simulate_malformed_config_value_exit_2(tmp_path, capsys, key,
                                                 overrides):
+    """A value of the wrong type exits 2 naming its key: JSON booleans for
+    every numeric key and fractional values for the int keys included,
+    which int() and float() would otherwise coerce quietly."""
     if overrides is None:
         cfg = _write_custom_config(tmp_path, system_dim="x")
+    elif overrides.get("model") == "custom":
+        cfg = _write_custom_config(tmp_path, **overrides["params"])
     else:
         cfg = _write_config(tmp_path / "cfg.json", **overrides)
     assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 2

@@ -567,16 +567,18 @@ def _qutrit_dilation(kind, k=2):
 @pytest.fixture(scope="module")
 def qutrit_sweeps():
     """Every group of the causal-break sweeps of both seeded dilations,
-    captured on their way to the diameter as (states, points): the
-    memoryless one as it runs by default, the joint unitary
-    exhaustively."""
+    captured on their way to the diameter as (points, the batched
+    all-pairs scan's diameter of its states): the memoryless one as it
+    runs by default, the joint unitary exhaustively."""
     sweeps = {}
     for kind in ("markov", "joint"):
         pt = _qutrit_dilation(kind)
         with pytest.MonkeyPatch.context() as mp:
             groups = _spy_points(mp)
             report = markov_test(pt, exhaustive=kind == "joint")
-        sweeps[kind] = pt, report, groups
+        sweeps[kind] = pt, report, [
+            (points, diameter_general_batched(states))
+            for states, points in groups]
     return sweeps
 
 
@@ -588,9 +590,9 @@ def test_general_diameter_bit_identical_on_qutrit_sweeps(kind, qutrit_sweeps):
     from ptmarkov.markov import _diameter
     _, report, groups = qutrit_sweeps[kind]
     assert len(groups) == 27 and report.is_markov is (kind == "markov")
-    assert [len(states) for states, _ in groups] == [729] * 9 + [9] * 18
-    for states, points in groups:
-        assert _diameter(points) == diameter_general_batched(states)
+    assert [len(points) for points, _ in groups] == [729] * 9 + [9] * 18
+    for points, want in groups:
+        assert _diameter(points) == want
 
 
 def test_diameter_bit_identical_with_small_bound_chunks(qutrit_sweeps,
@@ -605,13 +607,40 @@ def test_diameter_bit_identical_with_small_bound_chunks(qutrit_sweeps,
     monkeypatch.setattr(markov, "_PAIRS", 7)
     monkeypatch.setattr(markov, "_ROWS", 7)
     for kind in ("markov", "joint"):
-        for states, points in qutrit_sweeps[kind][2]:
-            assert markov._diameter(points) == \
-                diameter_general_batched(states)
+        for points, want in qutrit_sweeps[kind][2]:
+            assert markov._diameter(points) == want
     for kind in ("ball", "shell", "ties", "axis-copies", "near-tie"):
         states = _states_from_bloch(_cloud(kind, np.random.default_rng(71)))
         assert markov._diameter(_points_of(states)) == \
             diameter_qubit_all_pairs(states)
+
+
+def test_bloch_diameter_reads_the_last_cell_pair_of_a_leaf_batch(
+        monkeypatch):
+    """On a shell of 600 Bloch vectors the leaf batch that holds the
+    diameter is full, 22 cell pairs of 19 points each, and the diameter
+    lies in its last cell pair and in no other: the value and the first
+    pair are still the all-pairs scan's. A batch that dropped its last
+    cell pair would miss the diameter."""
+    import ptmarkov.markov as markov
+    calls, tree = [], markov._dual_tree
+
+    def spy_tree(p, kept, leaf, *args):
+        def spy_leaf(i, j):
+            calls.append(np.broadcast_arrays(i, j))
+            return leaf(i, j)
+        return tree(p, kept, spy_leaf, *args)
+    monkeypatch.setattr(markov, "_dual_tree", spy_tree)
+    v = np.random.default_rng(0).normal(size=(600, 3))
+    states = _states_from_bloch(v / np.linalg.norm(v, axis=1, keepdims=True))
+    got = markov._diameter(_points_of(states))
+    assert got == diameter_qubit_all_pairs(states)
+    _, wi, wj = got
+    hits = [((i == wi) & (j == wj) | (i == wj) & (j == wi)).any(axis=(1, 2))
+            for i, j in calls]
+    (hit,) = [h for h in hits if h.any()]
+    assert len(hit) == markov._PAIRS // calls[0][0].shape[1] ** 2 == 22
+    assert np.flatnonzero(hit).tolist() == [len(hit) - 1]
 
 
 def test_general_diameter_bit_identical_on_qutrit_k3_group(monkeypatch):

@@ -37,6 +37,7 @@ from oracles import (
     b3_choi_analytic,
     causality_defect_dense,
     closest_markov,
+    comb_choi,
     compose,
     depolarizing,
     entropy_of_spectrum,
@@ -445,6 +446,40 @@ def _legs_reversed(pt):
     t = pt.choi.reshape((pt.system_dim,) * (2 * n))
     t = t.transpose(rev + [a + n for a in rev])
     return ProcessTensor(t.reshape(pt.dim, pt.dim), pt.system_dim, pt.times)
+
+
+def _leg_paired_loops(m, d, n):
+    """An operator on n legs of dimension d with one axis per leg, each
+    leg's (row, column) index pair, set one entry at a time."""
+    legs = (d,) * n
+    out = np.empty((d * d,) * n, dtype=complex)
+    for row in np.ndindex(*legs):
+        for col in np.ndindex(*legs):
+            out[tuple(r * d + c for r, c in zip(row, col))] = m[
+                np.ravel_multi_index(row, legs),
+                np.ravel_multi_index(col, legs)]
+    return out
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (2, 3), (3, 1)])
+def test_contraction_forms_are_leg_paired(d, k):
+    """The K form is ``choi`` with each leg's row and column index side by
+    side in stored leg order, entry for entry; each lower form is, laid
+    out the same way, the whole-matrix partial trace Tr_{O_l} Tr_{R_{l+1}}
+    Upsilon_{l+1} divided by d (a random Hermitian tensor: the partial
+    traces hold whether or not it is a comb)."""
+    dim = d ** (2 * k + 1)
+    g = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+    pt = ProcessTensor(g + g.conj().T, d, range(k + 1))
+    for l in range(k, -1, -1):
+        got = pt.contraction_form(l)
+        want = _leg_paired_loops(comb_choi(pt, l), d, 2 * l + 1)
+        assert got.shape == (d * d,) + (d ** 4,) * l
+        if l == k:
+            assert np.array_equal(got.reshape(want.shape), want)
+        else:
+            gap = np.abs(got.reshape(want.shape) - want).max()
+            assert gap <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
