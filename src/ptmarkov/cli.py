@@ -106,12 +106,12 @@ def _path(cfg: dict, key: str) -> str:
 
 def _typed(kind, value, key: str, minimum=-math.inf):
     """``kind(value)`` if it is finite and at least ``minimum`` (so never
-    NaN), else a ConfigError naming the config key. A JSON boolean is no
-    number, and an int key takes no fractional value."""
+    NaN), else a ConfigError naming the config key. A JSON boolean or
+    string is no number, and an int key takes no fractional value."""
     try:
         out = kind(value)
         exact = not isinstance(value, float) or out == value
-        if not isinstance(value, bool) and exact and out >= minimum \
+        if not isinstance(value, (bool, str)) and exact and out >= minimum \
                 and abs(out) < math.inf:
             return out
     except (TypeError, ValueError, OverflowError):
@@ -164,7 +164,7 @@ def _model_from_config(cfg: dict):
             joint = ptf.load_matrices(_path(params, "initial_joint_file"))[0]
         except KeyError as exc:
             raise ConfigError(f"custom model config missing {exc}")
-        d = _typed(int, params.get("system_dim", 2), "system_dim", 1)
+        d = _typed(int, params.get("system_dim", 2), "system_dim", 2)
         env_dim = joint.shape[0] // d
         model = models.SEModel(
             system_dim=d, env_dim=env_dim, initial_joint=joint,

@@ -26,7 +26,7 @@ from .defaults import (
 )
 from .errors import DimensionMismatch, NotPositive, ValidationError
 from .linalg import Array, hermitize, partial_trace
-from .process_tensor import ProcessTensor, _contract_form
+from .process_tensor import ProcessTensor
 from .qops import Instrument, QuantumMap, default_break, ic_basis
 
 __all__ = [
@@ -365,23 +365,6 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
     return best, wi, wj
 
 
-def _below_floor(pt: ProcessTensor, pasts: list[Array], untested: Array,
-                 l: int) -> int:
-    """How many realizations of the untested preparation groups have a
-    probability at or below the floor at readout step l. ``untested``
-    holds each group's stack of break realizations; the groups are
-    contracted behind the ``pasts`` one at a time, into the contraction
-    form with its readout leg traced out first."""
-    d = pt.system_dim
-    form = pt.contraction_form(l)
-    traced = np.einsum("aa...->...", form.reshape((d, d) + form.shape[1:]))
-    below = 0
-    for group in untested:
-        probs = _contract_form(traced[None], pasts + [group]).real
-        below += probs.size - int(np.count_nonzero(probs > PROBABILITY_FLOOR))
-    return below
-
-
 def _group_diameter(pt: ProcessTensor, stacks: Sequence[Array], l: int
                     ) -> tuple[int, tuple[float, int, int] | None]:
     """One preparation group, contracted from ``stacks`` at readout step
@@ -430,16 +413,21 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     group whose diameter passes the tolerance; the break's later groups
     are then never contracted to states. ``skipped_conditionals`` still
     counts every conditional at or below the probability floor in every
-    tested break: those of the untested groups are read from contractions
-    with the readout leg traced out first, one group at a time.
+    tested break, and the untested groups need no contraction for it: on
+    a causal comb a realization's probability depends on neither the
+    preparation s nor the readout step l. Tracing the readout leg and the
+    identity slots after the break reduces Upsilon_l to 1_{O_k} (x)
+    Upsilon_k (Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009),
+    and Tr P_s = 1, so row (past, r) has the same probability in every
+    group, and each untested group counts what the stopping group counted.
+    ``ptf.load`` refuses tensors that break the comb condition, and every
+    model and ``from_tomography`` output meets it to rounding.
 
     The working set holds one array of a group's size: its raw outputs
     while ``_points`` reads them (for d > 2 they are normalized in place,
     or copied once when some fall below the floor), and only the points
     while ``_diameter`` runs, whose temporaries have a fixed size
-    (``_dual_tree``). Nothing of the group's size outlives the group, so
-    the untested groups are counted beside the traced form and one
-    group's probabilities alone.
+    (``_dual_tree``). Nothing of the group's size outlives the group.
 
     Each group's diameter is exact, not estimated, from one routine for
     every d (``_diameter``). The group's computed states run in (past,
@@ -489,8 +477,7 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
                 best = dev
                 witness = (record(k, l, s, i), record(k, l, s, j))
             if best > tol and not exhaustive:
-                if s + 1 < n_prep:
-                    skipped += _below_floor(pt, pasts, break_vecs[s + 1:], l)
+                skipped += (n_prep - s - 1) * below
                 break
         if best > tol and not exhaustive:
             break

@@ -33,11 +33,12 @@ causal-comb condition Tr_{O_l} Upsilon_l = 1_{O_{l-1}} (x) Upsilon_{l-1}
 (Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009):
 ``contraction_form(l)`` traces one trailing step at a time, and
 ``causality_defect`` measures how far a tensor is from satisfying the
-condition. ``ProcessTensor.contract`` takes stacks of Choi-flattened slot
-Chois, reorders them to the form's slot axis and contracts them latest
-slot first: the leading slot axis is the next one open, so each slot is
-one plain GEMM batched over the rows made so far, no axis of the form is
-moved or copied, and one output-sized transpose puts slot 0 slowest.
+condition. ``ProcessTensor.contract`` is the one contraction kernel: it
+takes stacks of Choi-flattened slot Chois, reorders them to the form's
+slot axis and contracts them latest slot first. The leading slot axis is
+the next one open, so each slot is one plain GEMM batched over the rows
+made so far, no axis of the form is moved or copied, and one output-sized
+transpose puts slot 0 slowest.
 
 Control sequences
 -----------------
@@ -230,36 +231,6 @@ def _sketch_residual(choi: Array, qh: Array, b: Array) -> float:
     return math.sqrt(total)
 
 
-def _contract_form(form: Array, stacks: Sequence[Array]) -> Array:
-    """Contract slot stacks into a contraction form, latest slot first.
-
-    ``form`` has shape (a, d**4, ..., d**4) with one axis per slot, slot
-    l-1 leading, as ``ProcessTensor.contraction_form(l)`` gives it (a =
-    d*d), or with its readout leg traced out (a = 1). ``stacks[j]`` is an
-    (n_j, d**4) stack of slot-j Chois flattened in Choi order, (O_row,
-    I_row, O_col, I_col), each reordered to the form's (O_row, O_col,
-    I_row, I_col); slots ``len(stacks)`` ... l-1 get the identity's one
-    row. Each slot is one ``matmul`` of its stack against the leading open
-    slot axis, batched over the rows made so far, and the last slot one
-    GEMM of all those rows, so no axis of the form is moved or copied.
-    Returns the (n_0 * ... * n_{l-1}, a) outputs with slot 0 slowest.
-    """
-    l = form.ndim - 1
-    if len(stacks) < l:
-        ident = _identity_row(math.isqrt(math.isqrt(form.shape[1])))
-        stacks = [*stacks, *[ident] * (l - len(stacks))]
-    arr, counts = form, [form.shape[0]]
-    for stack in reversed(stacks):
-        stack = np.asarray(stack, dtype=complex)
-        n, d = len(stack), math.isqrt(math.isqrt(stack.shape[1]))
-        stack = stack.reshape(n, d, d, d, d).swapaxes(2, 3).reshape(n, -1)
-        arr = arr.reshape(math.prod(counts), stack.shape[1], -1)
-        # the last open axis: one GEMM in place of a batch of products
-        arr = arr[..., 0] @ stack.T if arr.shape[2] == 1 else stack @ arr
-        counts.append(n)
-    return arr.reshape(counts).T.reshape(-1, counts[0])
-
-
 def _identity_row(d: int) -> Array:
     """The identity channel's Choi as one contraction row: entry
     ((x, a), (y, b)) is delta_xa delta_yb, the 0s and 1s of
@@ -447,20 +418,33 @@ class ProcessTensor:
         every combination of the rows of ``stacks``.
 
         ``stacks[j]`` is an (n_j, d**4) stack of slot-j Chois flattened in
-        Choi order, as ``QuantumMap.choi.reshape(-1)`` gives them; slots
-        ``len(stacks)`` ... l-1 hold the identity. Returns an (n_0 * ... *
-        n_{m-1}, d, d) array with slot 0 varying slowest. The stacks are
-        reordered to the leg-paired slot axis of ``contraction_form(l)``
-        and contracted into it from slot l-1 down, one plain GEMM each,
-        with no copy of the form (see :func:`_contract_form`).
+        Choi order, (O_row, I_row, O_col, I_col), as
+        ``QuantumMap.choi.reshape(-1)`` gives them; slots ``len(stacks)``
+        ... l-1 get the identity's one row. Each stack is reordered to the
+        form's slot axis (O_row, O_col, I_row, I_col) and contracted into
+        ``contraction_form(l)`` latest slot first: one ``matmul`` of the
+        stack against the leading open slot axis, batched over the rows
+        made so far, and the last slot one GEMM of all those rows, so no
+        axis of the form is moved or copied. Returns an (n_0 * ... *
+        n_{l-1}, d, d) array with slot 0 varying slowest.
         """
         l = self.n_steps if l is None else int(l)
         if len(stacks) > l:
             raise DimensionMismatch(
                 f"{len(stacks)} slot stacks for readout step {l}")
         d = self.system_dim
-        outs = _contract_form(self.contraction_form(l), stacks)
-        return outs.reshape(-1, d, d)
+        if len(stacks) < l:
+            stacks = [*stacks, *[_identity_row(d)] * (l - len(stacks))]
+        arr, counts = self.contraction_form(l), [d * d]
+        for stack in reversed(stacks):
+            stack = np.asarray(stack, dtype=complex)
+            n = len(stack)
+            stack = stack.reshape(n, d, d, d, d).swapaxes(2, 3).reshape(n, -1)
+            arr = arr.reshape(math.prod(counts), stack.shape[1], -1)
+            # the last open axis: one GEMM in place of a batch of products
+            arr = arr[..., 0] @ stack.T if arr.shape[2] == 1 else stack @ arr
+            counts.append(n)
+        return arr.reshape(counts).T.reshape(-1, d, d)
 
     def apply(self, controls) -> DensityMatrix:
         """Final-time output for a control sequence; the trace is the joint

@@ -143,8 +143,8 @@ def load(path, digest=None):
         k = header["k"]
         times = header["times"]
         leg_dims = header["leg_dims"]
-        if not _is_int(d) or d < 1:
-            raise FormatError(f"system_dim must be a positive integer, got {d!r}")
+        if not _is_int(d) or d < 2:
+            raise FormatError(f"system_dim must be an integer >= 2, got {d!r}")
         if not _is_int(k) or k < 0:
             raise FormatError(f"k must be a nonnegative integer, got {k!r}")
         if not isinstance(times, list) or not all(

@@ -339,12 +339,19 @@ def test_simulate_custom_non_finite_bundle_exit_3(tmp_path, capsys):
     ("times", {"times": [False, True]}),
     ("system_dim", {"model": "custom", "params": {"system_dim": 2.5}}),
     ("system_dim", {"model": "custom", "params": {"system_dim": True}}),
+    ("system_dim", {"model": "custom", "params": {"system_dim": 1}}),
+    ("kraus_rank", {"model": "markov", "params": {"kraus_rank": "2"}}),
+    ("seed", {"model": "markov", "seed": "3"}),
+    ("omega", {"params": {"omega": "1.5"}}),
+    ("gamma", {"model": "b1", "params": {"gamma": "1"}}),
+    ("times", {"times": ["0", "0.5", "1"]}),
 ])
 def test_simulate_malformed_config_value_exit_2(tmp_path, capsys, key,
                                                 overrides):
-    """A value of the wrong type exits 2 naming its key: JSON booleans for
-    every numeric key and fractional values for the int keys included,
-    which int() and float() would otherwise coerce quietly."""
+    """A value of the wrong type exits 2 naming its key: JSON booleans and
+    numeric strings for every numeric key and fractional values for the
+    int keys included, which int() and float() would otherwise coerce
+    quietly, and a custom system below dimension 2."""
     if overrides is None:
         cfg = _write_custom_config(tmp_path, system_dim="x")
     elif overrides.get("model") == "custom":
@@ -459,6 +466,15 @@ def test_analyze_leg_labels_mismatch_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: leg labels")
     assert "Traceback" not in err
+
+
+def test_analyze_system_dim_1_exit_3(tmp_path, capsys):
+    """A one-step tensor of dimension 1 is refused at load, so no
+    analysis, not even --bonddim alone, reaches it and exits 2."""
+    path = tmp_path / "d1.ptf"
+    ProcessTensor(np.ones((1, 1)), 1, (0.0, 1.0)).save(path)
+    assert main(["analyze", str(path), "--bonddim"]) == 3
+    assert capsys.readouterr().err.startswith("error: system_dim must be")
 
 
 def test_analyze_measure_solves_no_full_size_spectrum(tmp_path, b2_pure_pt3,

@@ -768,26 +768,39 @@ def _b2_steps(k=4):
 
 
 def test_markov_test_contracts_one_group_before_its_stop(monkeypatch):
-    """A spy on the contraction kernel while a memoryful four-step B.2
-    sweep stops at its first group: each contraction holds only the n_out
-    realizations of one preparation at the break slot, one full
-    contraction runs before the stop, and each of the three untested
-    groups goes through one contraction with the readout leg traced
-    out."""
-    import ptmarkov.markov as markov
-    import ptmarkov.process_tensor as process_tensor
+    """A spy on ``ProcessTensor.contract`` while a memoryful four-step B.2
+    sweep stops at its first group: the one contraction holds only the
+    n_out realizations of one preparation at the break slot, and the
+    three untested groups are counted without another."""
     pt = _b2_steps()
-    kernel, calls = process_tensor._contract_form, []
+    contract, calls = ProcessTensor.contract, []
 
-    def spy(form, stacks):
-        calls.append((form.shape[0], [len(s) for s in stacks]))
-        return kernel(form, stacks)
-    monkeypatch.setattr(process_tensor, "_contract_form", spy)
-    monkeypatch.setattr(markov, "_contract_form", spy)
+    def spy(self, stacks, l=None):
+        calls.append((l, [len(s) for s in stacks]))
+        return contract(self, stacks, l)
+    monkeypatch.setattr(ProcessTensor, "contract", spy)
     rep = markov_test(pt)
     assert not rep.is_markov and rep.breaks_tested == ((3, 4),)
     assert rep.witness[0].preparation == 0
-    assert calls == [(4, [16, 16, 16, 4])] + [(1, [16, 16, 16, 4])] * 3
+    assert calls == [(4, [16, 16, 16, 4])]
+
+
+def test_stop_at_a_later_group_counts_the_groups_after_it(basis2):
+    """A two-step swap-then-CZ dilation stops at preparation 2 of its
+    first break, with one untested group: the report counts that group's
+    conditionals at or below the floor once, as the per-past loop does,
+    not once for each group after the first."""
+    from ptmarkov.models import swap_unitary
+    model = SEModel(system_dim=2, env_dim=2, initial_joint=np.kron(P0, P0),
+                    step_unitaries=(swap_unitary(2),
+                                    np.diag([1, 1, 1, -1]).astype(complex)))
+    pt = build_process_tensor(model, [0, 1, 2])
+    rep = markov_test(pt)
+    ref = markov_test_loop(pt, basis2)
+    assert rep.breaks_tested == ((1, 2),)
+    assert rep.witness[0].preparation == 2
+    assert rep.skipped_conditionals == ref.skipped_conditionals == 64
+    _assert_matches_loop(pt, rep, ref, basis2)
 
 
 def test_early_exit_counts_the_untested_groups(b2_pure_pt3, basis2):
