@@ -151,7 +151,7 @@ def _model_from_config(cfg: dict):
         )
     elif name == "markov":
         n_steps = len(times) - 1
-        seed = _typed(int, cfg.get("seed", params.get("seed", 0)), "seed", 0)
+        seed = _typed(int, cfg.get("seed", 0), "seed", 0)
         rank = _typed(int, params.get("kraus_rank", 2), "kraus_rank", 1)
         check_matrix_size(2 * rank ** n_steps, "joint unitary of the dilation")
         maps = random_control_sequence(
@@ -171,6 +171,19 @@ def _model_from_config(cfg: dict):
             step_unitaries=tuple(unitaries))
     else:
         raise ConfigError(f"unknown model {name!r}")
+    # the params keys each model reads, as README's table lists them; any
+    # other key is refused once the model's own keys have parsed
+    takes = {
+        "b1": ("gamma", "g", "dephasing_axis", "rho0"),
+        "b2": ("omega", "rho_s"),
+        "b3": ("rho_s", "rho_e"),
+        "markov": ("kraus_rank", "rho0"),
+        "custom": ("system_dim", "unitaries_file", "initial_joint_file"),
+    }[name]
+    for key in params:
+        if key not in takes:
+            raise ConfigError(f"config key {key!r}: not a parameter of model "
+                              f"{name!r}, which takes {', '.join(takes)}")
     return model, times
 
 

@@ -30,15 +30,14 @@ of it: the legs in stored order, each leg's row and column index side by
 side, so a slot axis is (O_row, O_col, I_row, I_col) and every temporal
 cut's unfolding is a reshape. Earlier steps are read off through the
 causal-comb condition Tr_{O_l} Upsilon_l = 1_{O_{l-1}} (x) Upsilon_{l-1}
-(Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009):
-``contraction_form(l)`` traces one trailing step at a time, and
-``causality_defect`` measures how far a tensor is from satisfying the
-condition. ``ProcessTensor.contract`` is the one contraction kernel: it
-takes stacks of Choi-flattened slot Chois, reorders them to the form's
-slot axis and contracts them latest slot first. The leading slot axis is
-the next one open, so each slot is one plain GEMM batched over the rows
-made so far, no axis of the form is moved or copied, and one output-sized
-transpose puts slot 0 slowest.
+(Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009): one comb
+step builds each lower ``contraction_form`` and the gap that
+``causality_defect`` reports. ``ProcessTensor.contract`` is the one
+contraction kernel: it takes stacks of Choi-flattened slot Chois,
+reorders them to the form's slot axis and contracts them latest slot
+first. The leading slot axis is the next one open, so each slot is one
+plain GEMM batched over the rows made so far, no axis of the form is
+moved or copied, and one output-sized transpose puts slot 0 slowest.
 
 Control sequences
 -----------------
@@ -140,10 +139,6 @@ _SKETCH_RTOL = 1e-12
 # is rejected without the explicit residual: far above the 1e-24 that
 # acceptance needs and far above rounding.
 _SKETCH_SKIP = 1e-6
-# An array of at most _WHOLE entries (256 KiB; a qubit tensor, or its
-# final contraction form, up to K = 3) is read whole where a larger one is
-# read in slices: slices would cost more in calls than they save in memory.
-_WHOLE = 1 << 14
 
 
 def _low_rank_spectrum(choi: Array) -> tuple[Array, float]:
@@ -231,6 +226,24 @@ def _sketch_residual(choi: Array, qh: Array, b: Array) -> float:
     return math.sqrt(total)
 
 
+def _comb_step(up: Array, d: int) -> tuple[Array, float]:
+    """The form one readout step below the contraction form ``up``,
+    low = sum_{a, b} up[a, a, b, b] / d, and the comb gap max |sum_a
+    up[a, a, o, p] - delta_op low| (NaN or inf on overflow). Sums run from
+    zero, a-major, over contiguous 1/d**4 blocks, as ``np.einsum`` does."""
+    up = up.reshape((d,) * 4 + (d * d,) + up.shape[2:])
+    low = sum(up[a, a, b, b] for a, b in np.ndindex(d, d)) / d
+    gaps, gap = [], np.empty_like(low)  # reused: one gap block at a time
+    for o, p in np.ndindex(d, d):
+        gap[...] = 0
+        for a in range(d):
+            gap += up[a, a, o, p]
+        if o == p:
+            gap -= low
+        gaps.append(np.abs(gap).max())
+    return low, float(np.max(gaps))
+
+
 def _identity_row(d: int) -> Array:
     """The identity channel's Choi as one contraction row: entry
     ((x, a), (y, b)) is delta_xa delta_yb, the 0s and 1s of
@@ -260,11 +273,16 @@ class ConditionalState:
 
 class ProcessTensor:
     """Generalized Choi matrix of a K-step process with time and leg
-    metadata. Immutable and Hermitian after construction: an asymmetry
-    above 1e-8 is refused and a smaller one symmetrized away."""
+    metadata, for a system of integer dimension at least 2. Immutable and
+    Hermitian after construction: an asymmetry above 1e-8 is refused and
+    a smaller one symmetrized away."""
 
     def __init__(self, choi: Array, system_dim: int, times: Sequence[float]):
         choi = np.asarray(choi, dtype=complex)
+        if isinstance(system_dim, bool) or not isinstance(
+                system_dim, (int, np.integer)) or system_dim < 2:
+            raise ValidationError(
+                f"system_dim must be an integer >= 2, got {system_dim!r}")
         self.system_dim = int(system_dim)
         self.times = checked_times(times)
         n_steps = len(self.times) - 1
@@ -299,7 +317,7 @@ class ProcessTensor:
         # a read-only view: the caller's array keeps its own flags
         self.choi = choi.view()
         self.choi.setflags(write=False)
-        self._forms: dict[int, Array] = {}
+        self._forms, self._gaps = [], []  # forms K, K-1, ..., gaps below
         self._spectrum = None
         self._residual = 0.0
 
@@ -354,62 +372,36 @@ class ProcessTensor:
         O_col, I_row, I_col). The K form is one transpose of ``choi``,
         cached on first use (``ptf.load`` makes it for the comb check).
 
-        Below K each form comes from the one above through the comb
-        condition Tr_{O_{l+1}} Upsilon_{l+1} = 1_{O_l} (x) Upsilon_l: trace
-        the readout leg and slot l's O leg, keep its I leg as the new
-        readout leg, and divide by d. ``ptf.load`` refuses tensors for
-        which this fails (see :meth:`causality_defect`).
+        Below K the forms are built top-down through the comb condition
+        Tr_{O_{l+1}} Upsilon_{l+1} = 1_{O_l} (x) Upsilon_l, one
+        :func:`_comb_step` each: trace the readout leg and slot l's O leg,
+        keep its I leg as the new readout leg, divide by d, and record the
+        condition's gap for :meth:`causality_defect`.
         """
         k = self.n_steps
         l = k if l is None else int(l)
         if not 0 <= l <= k:
             raise ValidationError(f"readout step {l} outside [0, {k}]")
-        form = self._forms.get(l)
-        if form is None:
-            d = self.system_dim
-            if l == k:
-                n = 2 * k + 1
-                legs = self.choi.reshape((d,) * (2 * n))
-                order = [a for leg in range(n) for a in (leg, leg + n)]
-                form = np.ascontiguousarray(legs.transpose(order)
-                                            .reshape((d * d,) + (d ** 4,) * k))
-            else:
-                up = self.contraction_form(l + 1)
-                form = np.einsum("aabbij...->ij...",
-                                 up.reshape((d,) * 6 + up.shape[2:]))
-                form = form.reshape((d * d,) + up.shape[2:])
-                form /= d
-            self._forms[l] = form
-        return form
+        d = self.system_dim
+        if not self._forms:
+            n = 2 * k + 1
+            legs = self.choi.reshape((d,) * (2 * n))
+            order = [a for leg in range(n) for a in (leg, leg + n)]
+            self._forms.append(np.ascontiguousarray(
+                legs.transpose(order).reshape((d * d,) + (d ** 4,) * k)))
+        while len(self._forms) <= k - l:
+            low, gap = _comb_step(self._forms[-1], d)
+            self._forms.append(low)
+            self._gaps.append(gap)
+        return self._forms[k - l]
 
     def causality_defect(self) -> float:
         """Largest entry of Tr_{O_l} Upsilon_l - 1_{O_{l-1}} (x)
-        Upsilon_{l-1} over l = K ... 1, read off the cached contraction
-        forms: rounding level for a causal comb, NaN or inf when entries
-        overflow. A form of at most ``_WHOLE`` entries is read in one
-        round; a larger one one O-leg value (O_row, O_col) of the leading
-        slot axis at a time, so no temporary is larger than 1/d**4 of it.
-        """
-        d = self.system_dim
-        gaps = [0.0]
-        for l in range(self.n_steps, 0, -1):
-            up = self.contraction_form(l)
-            # (readout row, readout column, O row, O col, I row, I col, rest)
-            up = up.reshape((d,) * 6 + (-1,))
-            low = self.contraction_form(l - 1).reshape(d, d, -1)
-            if up.size <= _WHOLE:
-                gap = np.einsum("aa...->...", up)
-                for o in range(d):
-                    gap[o, o] -= low
-                gaps.append(np.abs(gap).max())
-                continue
-            for o in range(d):
-                for p in range(d):
-                    gap = np.einsum("aa...->...", up[:, :, o, p])
-                    if o == p:
-                        gap -= low
-                    gaps.append(np.abs(gap).max())
-        return float(np.max(gaps))
+        Upsilon_{l-1} over l = K ... 1, the gaps of the comb steps down to
+        step 0: rounding level for a causal comb, NaN or inf when entries
+        overflow."""
+        self.contraction_form(0)
+        return float(np.max([0.0, *self._gaps]))
 
     # -- contraction ----------------------------------------------------------
 

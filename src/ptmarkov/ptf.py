@@ -5,7 +5,8 @@ blob of 2 * dim**2 little-endian IEEE-754 doubles (row-major entries,
 interleaved real/imaginary). Round-trips are bit exact.
 
 ``load`` raises ``FormatError`` unless the tensor is a causal comb. It
-checks, in this order, that the entries are finite, that the tensor is
+checks, in this order, that the entries are finite (read from the
+Hermiticity scan, which any non-finite entry fails), that the tensor is
 Hermitian, that its trace is finite, and that it is causal, PSD and of
 trace d**k (the ``tp_choi_trace_d`` convention), the last three within
 ``PSD_CLIP`` times max(1, |trace|). A header above the size guard raises
@@ -175,8 +176,6 @@ def load(path, digest=None):
         choi = _read_blob(fh, dim, dim)
     if digest is not None:
         digest.update(choi)
-    if not np.isfinite(choi).all():
-        raise FormatError("blob holds non-finite entries")
     try:
         pt = ProcessTensor(choi, d, times)
         with np.errstate(all="ignore"):
@@ -189,6 +188,9 @@ def load(path, digest=None):
         min_eig = pt.min_eigenvalue
         defect = pt.causality_defect()
     except (PtError, np.linalg.LinAlgError) as exc:
+        # any non-finite entry fails the Hermiticity scan
+        if not np.isfinite(choi).all():
+            raise FormatError("blob holds non-finite entries") from exc
         raise FormatError(str(exc)) from exc
     # each check passes in its own direction, so a NaN fails it
     if not defect <= tol:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -345,13 +346,15 @@ def test_simulate_custom_non_finite_bundle_exit_3(tmp_path, capsys):
     ("omega", {"params": {"omega": "1.5"}}),
     ("gamma", {"model": "b1", "params": {"gamma": "1"}}),
     ("times", {"times": ["0", "0.5", "1"]}),
+    ("omega", {"params": {"omgea": 2.0, "omega": "x"}}),
 ])
 def test_simulate_malformed_config_value_exit_2(tmp_path, capsys, key,
                                                 overrides):
     """A value of the wrong type exits 2 naming its key: JSON booleans and
     numeric strings for every numeric key and fractional values for the
     int keys included, which int() and float() would otherwise coerce
-    quietly, and a custom system below dimension 2."""
+    quietly, and a custom system below dimension 2. A bad value is named
+    before an unknown ``params`` key beside it."""
     if overrides is None:
         cfg = _write_custom_config(tmp_path, system_dim="x")
     elif overrides.get("model") == "custom":
@@ -361,6 +364,48 @@ def test_simulate_malformed_config_value_exit_2(tmp_path, capsys, key,
     assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config key {key!r}"), err
+
+
+@pytest.mark.parametrize("model, params, key", [
+    ("b2", {"omgea": 2.0}, "omgea"),
+    ("b1", {"rho_s": "plus"}, "rho_s"),
+    ("markov", {"seed": 3}, "seed"),
+])
+def test_simulate_unknown_param_exit_2(tmp_path, capsys, model, params, key):
+    """A ``params`` key that the model does not read, a misspelling or
+    another model's key, exits 2 naming it, where it used to leave the
+    default in place; a markov model's seed is a top-level key."""
+    cfg = _write_config(tmp_path / "cfg.json", model=model, params=params)
+    out = tmp_path / "x.ptf"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r}: not a parameter of "
+                          f"model {model!r}"), err
+    assert not out.exists()
+
+
+def test_unknown_param_error_lists_readme_keys(tmp_path, capsys):
+    """The keys that the refusal of an unknown parameter lists for each
+    model are those of the README's per-model table (parenthesized
+    remarks aside)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        row = re.fullmatch(r"\| `(\w+)` +\| (.*) \|", line)
+        if row:
+            rows[row[1]] = re.findall(r"`(\w+)`",
+                                      re.sub(r"\([^)]*\)", "", row[2]))
+    assert sorted(rows) == ["b1", "b2", "b3", "custom", "markov"]
+    for model, keys in rows.items():
+        if model == "custom":
+            cfg = _write_custom_config(tmp_path, extra=1)
+        else:
+            cfg = _write_config(tmp_path / "cfg.json", model=model,
+                                params={"extra": 1})
+        assert main(["simulate", str(cfg), "-o", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: config key 'extra': not a parameter of "
+                       f"model {model!r}, which takes {', '.join(keys)}\n")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -472,7 +517,10 @@ def test_analyze_system_dim_1_exit_3(tmp_path, capsys):
     """A one-step tensor of dimension 1 is refused at load, so no
     analysis, not even --bonddim alone, reaches it and exits 2."""
     path = tmp_path / "d1.ptf"
-    ProcessTensor(np.ones((1, 1)), 1, (0.0, 1.0)).save(path)
+    header = {"format": "PTF1", "system_dim": 1, "k": 1, "times": [0.0, 1.0],
+              "leg_labels": list(leg_labels(1)), "leg_dims": [1, 1, 1],
+              "trace_convention": "tp_choi_trace_d"}
+    _write_ptf(path, header, np.array([1.0, 0.0]))
     assert main(["analyze", str(path), "--bonddim"]) == 3
     assert capsys.readouterr().err.startswith("error: system_dim must be")
 
@@ -543,6 +591,29 @@ def test_analyze_nan_blob_exit_3(tmp_path, capsys):
     _write_ptf(path, header, raw)
     assert main(["analyze", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: blob holds non-finite")
+
+
+@pytest.mark.parametrize("entries, value, times", [
+    ([(5, 0, 0)], np.inf, None),
+    ([(5, 0, 0), (0, 5, 0)], np.inf, None),
+    ([(3, 3, 1)], -np.inf, None),
+    ([(7, 2, 1)], np.nan, None),
+    ([(0, 0, 0)], np.nan, [0.0, 2.0, 1.0]),
+])
+def test_analyze_non_finite_blob_keeps_its_message(tmp_path, capsys, entries,
+                                                   value, times):
+    """An infinite or NaN double anywhere, off the diagonal, in a
+    Hermitian pair, in an imaginary part, or in a file whose times are
+    also out of order, is refused as non-finite: the Hermiticity scan
+    fails on it, and only then is the blob searched."""
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    for row, col, part in entries:
+        raw[2 * (row * 32 + col) + part] = value
+    if times is not None:
+        header["times"] = times
+    _write_ptf(path, header, raw)
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err == "error: blob holds non-finite entries\n"
 
 
 @pytest.mark.parametrize("cut", [0, 8])

@@ -482,7 +482,26 @@ def test_contraction_forms_are_leg_paired(d, k):
             assert gap <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+@pytest.mark.parametrize("d, k", [(2, 4), (3, 2)])
+def test_lower_forms_are_the_einsum_trace_bit_for_bit(d, k):
+    """Each lower contraction form is ``np.einsum("aabbij...->ij...")`` of
+    the form above divided by d, bit for bit: the comb step sums the
+    blocks in einsum's order."""
+    rng = np.random.default_rng(32)
+    dim = d ** (2 * k + 1)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    pt = ProcessTensor(g + g.conj().T, d, range(k + 1))
+    for l in range(k, 0, -1):
+        up = pt.contraction_form(l)
+        want = np.einsum("aabbij...->ij...",
+                         up.reshape((d,) * 6 + up.shape[2:])) / d
+        got = pt.contraction_form(l - 1)
+        assert got.tobytes() == want.tobytes()
+        assert got.shape == (d * d,) + up.shape[2:]
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                  (3, 2)])
 def test_causality_defect_matches_dense_partial_traces(d, k):
     """The blockwise defect of a random Hermitian tensor, causal nowhere,
     is the one from partial traces of whole matrices: every block of
@@ -511,6 +530,16 @@ def test_causality_defect_sees_a_gap_off_the_first_rows(markov_pt2, qutrit):
                                  np.eye(d * d))
     bad = ProcessTensor(pt.choi + delta, d, pt.times)
     assert abs(bad.causality_defect() - eps) <= 1e-12
+
+
+def test_causality_defect_of_overflowing_entries_is_nan(b2_pure_pt3):
+    """A B.2 tensor scaled so that its largest entry is 1.5e308 overflows
+    in the partial traces; the defect reads NaN, not the largest of the
+    finite gaps around it."""
+    choi = b2_pure_pt3.choi / np.abs(b2_pure_pt3.choi).max() * 1.5e308
+    pt = ProcessTensor(choi, 2, b2_pure_pt3.times)
+    with np.errstate(all="ignore"):
+        assert math.isnan(pt.causality_defect())
 
 
 def test_causality_defect_separates_combs(b1_model, b1_pt, b2_model, b2_pt,
@@ -830,6 +859,25 @@ def test_process_tensor_rejects_non_finite_times(bad):
     choi = np.kron(IDENT.choi, np.eye(2) / 2)
     with pytest.raises(ValidationError, match="finite"):
         ProcessTensor(choi, 2, (0.0, bad))
+
+
+@pytest.mark.parametrize("system_dim, choi", [
+    (2.5, np.eye(8)), (2.0, np.eye(8)), (True, np.ones((1, 1))),
+    (1, np.ones((1, 1))), (0, np.zeros((0, 0))), (np.int64(1), np.eye(1)),
+])
+def test_process_tensor_refuses_system_dim_below_2(system_dim, choi):
+    """A bool, a non-integer or a dimension below 2 is refused, the rule
+    that ``ptf.load`` applies to a header, even where ``choi`` has the
+    shape that the coerced dimension would give."""
+    with pytest.raises(ValidationError, match="system_dim must be an "
+                                              "integer >= 2"):
+        ProcessTensor(choi, system_dim, (0.0, 1.0))
+
+
+def test_process_tensor_takes_a_numpy_integer_dimension():
+    pt = ProcessTensor(np.kron(IDENT.choi, np.eye(2) / 2), np.int64(2),
+                       (0.0, 1.0))
+    assert pt.system_dim == 2 and type(pt.system_dim) is int
 
 
 def test_ptf_refuses_oversize_header_before_reading(tmp_path):
