@@ -422,6 +422,7 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     group, and each untested group counts what the stopping group counted.
     ``ptf.load`` refuses tensors that break the comb condition, and every
     model and ``from_tomography`` output meets it to rounding.
+    Every slot map enters ``contract`` as its flattened superoperator.
 
     The working set holds one array of a group's size: its raw outputs
     while ``_points`` reads them (for d > 2 they are normalized in place,
@@ -440,13 +441,14 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     n_steps = pt.n_steps
     d = pt.system_dim
     break_set = default_break(d)
-    basis_vecs = ic_basis(d).choi_vectors
+    basis_vecs = np.stack([e.superoperator.reshape(-1)
+                           for e in ic_basis(d).elements])
     n_basis = len(basis_vecs)
     n_out = break_set.n_outcomes
     n_prep = break_set.n_preparations
-    # group s: the Chois P_s (x) Pi_r^T of its n_out realizations (r, s)
+    # group s: its realizations (r, s), X -> tr(Pi_r X) P_s, as superoperators
     break_vecs = np.einsum(
-        "sac,reb->srabce", np.stack(break_set.preparations),
+        "sxy,rwz->srxyzw", np.stack(break_set.preparations),
         np.stack(break_set.effects)).reshape(n_prep, n_out, -1)
 
     def record(k: int, l: int, s: int, row: int) -> ConditioningRecord:
@@ -697,9 +699,11 @@ def classical_process(pt: ProcessTensor, instruments: Sequence[Instrument],
     if len(instruments) != k:
         raise DimensionMismatch(f"{len(instruments)} instruments for {k} slots")
     for idx, ins in enumerate(instruments):
-        if ins.in_dim != d:
-            raise DimensionMismatch(f"instrument {idx} dim != system dim")
-    outs = pt.contract([np.stack([m.choi.reshape(-1) for m in ins.members])
+        if any(m.in_dim != d or m.out_dim != d for m in ins.members):
+            raise DimensionMismatch(
+                f"instrument {idx} does not map dimension {d} to {d}")
+    outs = pt.contract([np.stack([m.superoperator.reshape(-1)
+                                  for m in ins.members])
                         for ins in instruments])
     labels = [tuple(ins.labels) for ins in instruments]
     if final_povm is not None:
@@ -736,8 +740,9 @@ def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,
     ``marginal_tables`` optionally maps tuples of retained time indices to
     separately measured tables; Kolmogorov consistency then requires each
     to equal the corresponding marginal of the full table (vacuously true
-    when none are supplied); a table of another shape than that marginal
-    raises DimensionMismatch.
+    when none are supplied). A key that repeats an index or names one
+    outside [0, table.ndim), or a table of another shape than its
+    marginal, raises DimensionMismatch.
     """
     _check_tol(tol)
     table = cp.table
@@ -756,6 +761,11 @@ def classical_markov_check(cp: ClassicalProcess, tol: float = 1e-9,
     kolmogorov_ok = True
     if marginal_tables:
         for keep, sub in marginal_tables.items():
+            if len(set(keep)) != len(keep) or not all(
+                    0 <= i < n_axes for i in keep):
+                raise DimensionMismatch(
+                    f"marginal table key {keep} does not name distinct "
+                    f"time indices in [0, {n_axes})")
             keep = tuple(sorted(keep))
             drop = tuple(i for i in range(n_axes) if i not in keep)
             marg = table.sum(axis=drop) if drop else table

@@ -33,11 +33,12 @@ causal-comb condition Tr_{O_l} Upsilon_l = 1_{O_{l-1}} (x) Upsilon_{l-1}
 (Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009): one comb
 step builds each lower ``contraction_form`` and the gap that
 ``causality_defect`` reports. ``ProcessTensor.contract`` is the one
-contraction kernel: it takes stacks of Choi-flattened slot Chois,
-reorders them to the form's slot axis and contracts them latest slot
-first. The leading slot axis is the next one open, so each slot is one
-plain GEMM batched over the rows made so far, no axis of the form is
-moved or copied, and one output-sized transpose puts slot 0 slowest.
+contraction kernel: a slot axis is the slot map's flattened superoperator
+(Zyczkowski and Bengtsson, Open Syst. Inf. Dyn. 11, 3, 2004), so it
+contracts stacks of superoperator rows as they come, latest slot first.
+The leading slot axis is the next one open, so each slot is one plain
+GEMM batched over the rows made so far, no axis of the form is moved or
+copied, and one output-sized transpose puts slot 0 slowest.
 
 Control sequences
 -----------------
@@ -244,17 +245,9 @@ def _comb_step(up: Array, d: int) -> tuple[Array, float]:
     return low, float(np.max(gaps))
 
 
-def _identity_row(d: int) -> Array:
-    """The identity channel's Choi as one contraction row: entry
-    ((x, a), (y, b)) is delta_xa delta_yb, the 0s and 1s of
-    ``QuantumMap.identity(d).choi``."""
-    e = np.eye(d, dtype=complex).reshape(-1)
-    return np.outer(e, e).reshape(1, -1)
-
-
-def _rows(chois: Iterable[Array]) -> list[Array]:
-    """One-row contraction stacks, one per slot Choi."""
-    return [np.asarray(c, dtype=complex).reshape(1, -1) for c in chois]
+def _rows(maps: Iterable[QuantumMap]) -> list[Array]:
+    """One-row contraction stacks, one per slot map."""
+    return [m.superoperator.reshape(1, -1) for m in maps]
 
 
 @dataclass(frozen=True)
@@ -409,40 +402,44 @@ class ProcessTensor:
         """Raw outputs at readout step l (default: the final step K) for
         every combination of the rows of ``stacks``.
 
-        ``stacks[j]`` is an (n_j, d**4) stack of slot-j Chois flattened in
-        Choi order, (O_row, I_row, O_col, I_col), as
-        ``QuantumMap.choi.reshape(-1)`` gives them; slots ``len(stacks)``
-        ... l-1 get the identity's one row. Each stack is reordered to the
-        form's slot axis (O_row, O_col, I_row, I_col) and contracted into
+        ``stacks[j]`` is an (n_j, d**4) stack of slot-j superoperators,
+        each flattened as ``QuantumMap.superoperator.reshape(-1)`` gives
+        it: (O_row, O_col, I_row, I_col), the form's own slot axis, so no
+        stack is reordered. Slots ``len(stacks)`` ... l-1 get the
+        identity's one row. The stacks are contracted into
         ``contraction_form(l)`` latest slot first: one ``matmul`` of the
         stack against the leading open slot axis, batched over the rows
         made so far, and the last slot one GEMM of all those rows, so no
         axis of the form is moved or copied. Returns an (n_0 * ... *
-        n_{l-1}, d, d) array with slot 0 varying slowest.
+        n_{l-1}, d, d) array with slot 0 varying slowest. Raises
+        DimensionMismatch for more than l stacks or a stack that is not
+        2-D with d**4 columns.
         """
         l = self.n_steps if l is None else int(l)
         if len(stacks) > l:
             raise DimensionMismatch(
                 f"{len(stacks)} slot stacks for readout step {l}")
         d = self.system_dim
-        if len(stacks) < l:
-            stacks = [*stacks, *[_identity_row(d)] * (l - len(stacks))]
+        for j, stack in enumerate(stacks):
+            shape = getattr(stack, "shape", None)
+            if shape is None or len(shape) != 2 or shape[1] != d ** 4:
+                raise DimensionMismatch(
+                    f"slot {j} stack of shape {shape}, expected (n, {d ** 4})")
+        ident = np.eye(d * d).reshape(1, -1)
+        stacks = [*stacks, *[ident] * (l - len(stacks))]
         arr, counts = self.contraction_form(l), [d * d]
         for stack in reversed(stacks):
-            stack = np.asarray(stack, dtype=complex)
-            n = len(stack)
-            stack = stack.reshape(n, d, d, d, d).swapaxes(2, 3).reshape(n, -1)
             arr = arr.reshape(math.prod(counts), stack.shape[1], -1)
             # the last open axis: one GEMM in place of a batch of products
             arr = arr[..., 0] @ stack.T if arr.shape[2] == 1 else stack @ arr
-            counts.append(n)
+            counts.append(len(stack))
         return arr.reshape(counts).T.reshape(-1, d, d)
 
     def apply(self, controls) -> DensityMatrix:
         """Final-time output for a control sequence; the trace is the joint
         probability of realizing nondeterministic slots."""
         maps = checked_controls(controls, self.n_steps, self.system_dim)
-        return DensityMatrix(self.contract(_rows(m.choi for m in maps))[0])
+        return DensityMatrix(self.contract(_rows(maps))[0])
 
     # -- conditional states ----------------------------------------------------
 
@@ -468,7 +465,7 @@ class ProcessTensor:
                 f"readout step {l} beyond final step {n_steps}")
         break_map = default_break(d).map(povm_outcome, prep_index)
         maps = checked_controls(past + [break_map] + future, l, d)
-        out = self.contract(_rows(m.choi for m in maps), l)[0]
+        out = self.contract(_rows(maps), l)[0]
         p = float(np.trace(out).real)
         if p <= PROBABILITY_FLOOR:
             raise UnresolvableConditional(
@@ -491,7 +488,7 @@ class ProcessTensor:
         """The dynamics map from slot j's output to the state at t_l.
 
         The d**2 matrix units |a><b| are prepared at slot j (discarding its
-        input; slot Choi |a><b| (x) 1) in one ``contract`` call, and
+        input, X -> tr(X) |a><b|) in one ``contract`` call, and
         identity controls fill every other slot before l. Output (a, b) is
         the map's image of |a><b|, so the outputs are the columns of its
         Choi matrix.
@@ -500,10 +497,10 @@ class ProcessTensor:
         d = self.system_dim
         if not 0 <= j < l <= n_steps:
             raise ValidationError(f"invalid slot range ({j}, {l})")
-        # row (a, b): the Choi |a><b| (x) 1, entries delta_xa delta_zb delta_yw
-        preps = np.einsum("axz,yw->axyzw", np.eye(d * d).reshape(d * d, d, d),
-                          np.eye(d)).reshape(d * d, -1)
-        outs = self.contract([_identity_row(d)] * j + [preps], l)
+        # row (a, b): X -> tr(X) |a><b|, entry ((x, y), (z, w)) delta_ax
+        # delta_by delta_zw
+        preps = np.outer(np.eye(d * d), np.eye(d)).reshape(d * d, -1)
+        outs = self.contract([np.eye(d * d).reshape(1, -1)] * j + [preps], l)
         # Choi[(x, a), (y, b)] = outs[(a, b), x, y]
         choi = outs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, -1)
         return QuantumMap.from_choi(hermitize(choi, atol=1e-8),
@@ -601,7 +598,7 @@ def from_tomography(records, d: int, k: int,
 
     flat = list(np.ndindex(shape))
     for key in flat[::max(1, len(flat) // 16)][:16]:
-        got = pt.contract(_rows(basis.elements[i].choi for i in key))[0]
+        got = pt.contract(_rows(basis.elements[i] for i in key))[0]
         err = np.abs(got - table[key]).max()
         if err > 1e-9:
             raise TomographyDataError(

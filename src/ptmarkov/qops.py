@@ -181,11 +181,11 @@ class QuantumMap:
 
     @property
     def superoperator(self) -> Array:
+        """S with vec(Map(X)) = S vec(X), the reshuffled Choi matrix
+        S[(a, b), (x, y)] = C[(a, x), (b, y)]; flattened, the map's row in
+        ``ProcessTensor.contract``."""
         if self._super is None:
-            if self._kraus is not None:
-                self._super = sum(np.kron(k, k.conj()) for k in self._kraus)
-            else:
-                self._super = _choi_to_super(self._choi, self.out_dim, self.in_dim)
+            self._super = _choi_to_super(self.choi, self.out_dim, self.in_dim)
             self._super.setflags(write=False)
         return self._super
 
@@ -375,11 +375,6 @@ class OperationBasis:
 
     def __len__(self):
         return len(self.elements)
-
-    @property
-    def choi_vectors(self) -> Array:
-        """(n, (d*d)**2) stack of flattened element Choi matrices."""
-        return np.stack([e.choi.reshape(-1) for e in self.elements])
 
     @property
     def dual_conj_tensors(self) -> Array:

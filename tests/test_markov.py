@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ptmarkov import (
     ClassicalProcess,
     DimensionMismatch,
+    Instrument,
     NotPositive,
     ProcessTensor,
     QuantumMap,
@@ -809,13 +811,16 @@ def test_early_exit_counts_the_untested_groups(b2_pure_pt3, basis2):
     below the probability floor: the report counts them, and its breaks
     and inconclusive groups are the per-past loop's."""
     from ptmarkov import default_break
-    from oracles import _break_vectors
     rep = markov_test(b2_pure_pt3)
     ref = markov_test_loop(b2_pure_pt3, basis2)
     assert rep.breaks_tested == ref.breaks_tested == ((2, 3),)
     assert rep.witness[0].preparation == 0
-    outs = b2_pure_pt3.contract([basis2.choi_vectors] * 2
-                                + [_break_vectors(default_break(2))], 3)
+    brk = default_break(2)
+    past = np.stack([e.superoperator.reshape(-1) for e in basis2.elements])
+    # r-major, as the oracles' break vectors
+    breaks = np.stack([brk.map(r, s).superoperator.reshape(-1)
+                       for r in range(4) for s in range(4)])
+    outs = b2_pure_pt3.contract([past] * 2 + [breaks], 3)
     probs = np.einsum("prsaa->prs", outs.reshape(-1, 4, 4, 2, 2)).real
     assert (probs[:, :, 1:] <= 1e-10).sum(axis=(0, 1)).tolist() == [256] * 3
     assert rep.skipped_conditionals == ref.skipped_conditionals == 1024
@@ -1411,6 +1416,33 @@ def test_classical_kolmogorov_wrong_shape_raises(b3_pt):
     cp = classical_process(b3_pt, [inst, inst], final_povm=[P0, P1])
     with pytest.raises(DimensionMismatch, match="shape"):
         classical_markov_check(cp, marginal_tables={(0,): [0.5]})
+
+
+@pytest.mark.parametrize("key", [(7,), (-1,), (0, 5), (0, 0)],
+                         ids=["past-end", "negative", "extra", "repeated"])
+def test_classical_kolmogorov_key_outside_the_table_raises(key, b3_pt):
+    """A marginal key must name distinct time indices of the table: one
+    past its last axis, a negative one or a repeated one is refused, not
+    read as the grand total or as a shorter key."""
+    inst = computational_reprepare_instrument(2)
+    cp = classical_process(b3_pt, [inst, inst], final_povm=[P0, P1])
+    drop = tuple(i for i in range(3) if i not in key)
+    sub = cp.table.sum(axis=drop) if drop else cp.table
+    with pytest.raises(DimensionMismatch, match=re.escape(str(key))):
+        classical_markov_check(cp, marginal_tables={key: sub})
+
+
+@pytest.mark.parametrize("kraus", [[np.eye(3, 2)],
+                                   [np.eye(2, 3), np.eye(2, 3, 2)[::-1]]],
+                         ids=["out-dim-3", "in-dim-3"])
+def test_classical_process_refuses_an_instrument_of_another_dim(kraus, b3_pt):
+    """A qubit-to-qutrit isometry or a qutrit-to-qubit channel, as a
+    one-member instrument on a qubit tensor, is refused, naming the
+    instrument, before any contraction."""
+    other = Instrument(members=(QuantumMap.from_kraus(kraus),))
+    inst = computational_reprepare_instrument(2)
+    with pytest.raises(DimensionMismatch, match="instrument 1"):
+        classical_process(b3_pt, [inst, other])
 
 
 @pytest.mark.parametrize("table", [[math.nan, 1.0], []], ids=["nan", "empty"])

@@ -39,6 +39,7 @@ from oracles import (
     closest_markov,
     comb_choi,
     compose,
+    contract_loop,
     depolarizing,
     entropy_of_spectrum,
     marginal_map_frame,
@@ -135,7 +136,7 @@ def test_contract_matches_apply(markov_pt3, b2_pure_pt3):
     rng = np.random.default_rng(31)
     for pt in (markov_pt3, b2_pure_pt3):
         maps = [[random_cptp(2, rng) for _ in range(n)] for n in (2, 3, 1)]
-        stacks = [np.stack([m.choi.reshape(-1) for m in slot])
+        stacks = [np.stack([m.superoperator.reshape(-1) for m in slot])
                   for slot in maps]
         outs = pt.contract(stacks)
         assert outs.shape == (6, 2, 2)
@@ -178,7 +179,7 @@ def test_contract_matches_apply_at_every_width_and_readout(name, request):
     ident = QuantumMap.identity(d)
     for widths in ((d ** 4, 2, 1), (1, d ** 4, 2)):
         maps = [[random_cptp(d, rng) for _ in range(n)] for n in widths[:k]]
-        stacks = [np.stack([m.choi.reshape(-1) for m in slot])
+        stacks = [np.stack([m.superoperator.reshape(-1) for m in slot])
                   for slot in maps]
         for l in range(1, k + 1):
             early = restrict_einsum(pt, range(l + 1))
@@ -189,6 +190,35 @@ def test_contract_matches_apply_at_every_width_and_readout(name, request):
                 for row, seq in enumerate(seqs):
                     want = early.apply([*seq] + [ident] * (l - m)).matrix
                     assert np.abs(outs[row] - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["markov_pt3", "qutrit"])
+def test_contract_takes_superoperator_rows(name, request):
+    """Stacks of ``QuantumMap.superoperator`` rows of random maps give, row
+    for row with slot 0 slowest, what the one-slot-at-a-time oracle gives
+    on their Choi matrices: qubit K = 3 and qutrit K = 2."""
+    pt = _qutrit_memory_pt() if name == "qutrit" \
+        else request.getfixturevalue(name)
+    d, k = pt.system_dim, pt.n_steps
+    rng = np.random.default_rng(33)
+    maps = [[random_cptp(d, rng) for _ in range(n)] for n in (2, 3, 2)[:k]]
+    outs = pt.contract([np.stack([m.superoperator.reshape(-1) for m in slot])
+                        for slot in maps])
+    seqs = list(itertools.product(*maps))
+    assert outs.shape == (len(seqs), d, d)
+    for row, seq in enumerate(seqs):
+        want = contract_loop(pt, [m.choi for m in seq])
+        assert np.abs(outs[row] - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(16,), (1, 4, 4), (1, 9)],
+                         ids=["1d", "3d", "width"])
+def test_contract_refuses_a_stack_of_the_wrong_shape(shape, markov_pt3):
+    """A stack that is not 2-D with d**4 columns is refused, naming its
+    slot, and not reshaped into some other reading."""
+    ok = np.eye(4).reshape(1, -1)
+    with pytest.raises(DimensionMismatch, match="slot 1"):
+        markov_pt3.contract([ok, np.zeros(shape)])
 
 
 def test_apply_slot_count_mismatch(b2_pt):
