@@ -237,7 +237,8 @@ class QuantumMap:
 
 @dataclass(frozen=True)
 class Instrument:
-    """A finite set of CP maps whose sum is trace preserving."""
+    """A finite set of CP maps, all with the first member's input and
+    output dimensions, whose sum is trace preserving."""
 
     members: tuple[QuantumMap, ...]
     labels: tuple[str, ...] = ()
@@ -251,9 +252,14 @@ class Instrument:
         if len(labels) != len(members):
             raise ValidationError("instrument labels must match member count")
         object.__setattr__(self, "labels", labels)
+        dims = (members[0].in_dim, members[0].out_dim)
+        for idx, m in enumerate(members):
+            if (m.in_dim, m.out_dim) != dims:
+                raise DimensionMismatch(
+                    f"instrument member {idx} maps {m.in_dim} -> "
+                    f"{m.out_dim}, member 0 maps {dims[0]} -> {dims[1]}")
         total = sum(m.choi for m in members)
-        avg = QuantumMap.from_choi(total, in_dim=members[0].in_dim,
-                                   out_dim=members[0].out_dim)
+        avg = QuantumMap.from_choi(total, in_dim=dims[0], out_dim=dims[1])
         if not avg.tp_defect <= HERMITIAN_ATOL:
             raise ValidationError(
                 f"instrument members do not sum to a TP map "

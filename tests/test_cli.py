@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import os
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -1011,14 +1013,28 @@ def test_report_reproducible_modulo_wall_time(tmp_path):
         json.dumps(reports[1], sort_keys=True)
 
 
-def test_report_sha256_is_the_file_digest(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def b2_files(tmp_path_factory):
+    """B.2 PTF1 files keyed by K: the K = 2 blob (16 KiB) is hashed inline
+    by ``ptf.load``, the K = 4 blob (4 MiB) on its worker thread."""
+    root = tmp_path_factory.mktemp("b2")
+    paths = {}
+    for k in (2, 4):
+        cfg = _write_config(root / f"b2-k{k}.json",
+                            times=[j * math.pi / 4 for j in range(k + 1)])
+        paths[k] = root / f"b2-k{k}.ptf"
+        assert main(["simulate", str(cfg), "-o", str(paths[k])]) == 0
+    assert (paths[2].stat().st_size < ptf.THREAD_DIGEST_BYTES
+            <= paths[4].stat().st_size)
+    return paths
+
+
+@pytest.mark.parametrize("k", [2, 4], ids=["k2-inline", "k4-thread"])
+def test_report_sha256_is_the_file_digest(b2_files, k, tmp_path, monkeypatch):
     """The load hashes the bytes it reads, so the report's digest is the
     file's, and the file is opened once."""
     import builtins
-    import hashlib
-    cfg = _write_config(tmp_path / "b2.json")
-    path = tmp_path / "b2.ptf"
-    main(["simulate", str(cfg), "-o", str(path)])
+    path = b2_files[k]
     opened = []
 
     def counted(file, *args, _orig=builtins.open, **kwargs):
@@ -1032,6 +1048,69 @@ def test_report_sha256_is_the_file_digest(tmp_path, monkeypatch):
     assert report["input"]["sha256"] == \
         hashlib.sha256(path.read_bytes()).hexdigest()
     assert opened.count(str(path)) == 1
+
+
+class _RecordedDigest:
+    """A SHA-256 that records the thread each ``update`` ran on."""
+
+    def __init__(self):
+        self.sha, self.threads = hashlib.sha256(), []
+
+    def update(self, data):
+        self.threads.append(threading.current_thread())
+        self.sha.update(data)
+
+
+@pytest.mark.parametrize("k", [2, 4], ids=["k2-inline", "k4-thread"])
+def test_load_digest_is_the_file_digest(b2_files, k):
+    """Header and blob are hashed in file order on both sides of
+    ``THREAD_DIGEST_BYTES``; the blob goes to a worker thread only above
+    it, and that thread has ended when ``load`` returns."""
+    before = threading.active_count()
+    digest = _RecordedDigest()
+    ptf.load(b2_files[k], digest)
+    assert threading.active_count() == before
+    assert digest.sha.hexdigest() == \
+        hashlib.sha256(b2_files[k].read_bytes()).hexdigest()
+    main_thread = threading.main_thread()
+    header, blob = digest.threads
+    assert header is main_thread
+    assert (blob is main_thread) == (k == 2)
+
+
+def test_refused_k4_load_leaves_no_thread(b2_files, tmp_path, capsys):
+    """A K = 4 blob with one NaN is refused with its message and exit
+    code, and the digest thread is joined before the refusal."""
+    raw = bytearray(b2_files[4].read_bytes())
+    blob_at = raw.index(b"\n") + 1
+    raw[blob_at + 8 * 1000:blob_at + 8 * 1001] = np.float64(np.nan).tobytes()
+    path = tmp_path / "nan.ptf"
+    path.write_bytes(bytes(raw))
+    before = threading.active_count()
+    with pytest.raises(FormatError, match="blob holds non-finite entries"):
+        ptf.load(path, hashlib.sha256())
+    assert threading.active_count() == before
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err == "error: blob holds non-finite entries\n"
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("k", [2, 4], ids=["k2-inline", "k4-thread"])
+def test_load_raises_what_the_digest_raised(b2_files, k):
+    """An exception from ``digest.update`` on the blob, on either side of
+    the threshold, is raised by ``load`` and not lost in the thread."""
+
+    class Broken(Exception):
+        pass
+
+    class BrokenDigest:
+        def update(self, data):
+            if isinstance(data, np.ndarray):
+                raise Broken("digest failed on the blob")
+    before = threading.active_count()
+    with pytest.raises(Broken, match="digest failed on the blob"):
+        ptf.load(b2_files[k], BrokenDigest())
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("name", ["b1", "b2", "b3"])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ptmarkov import (
     CausalBreak,
     DensityMatrix,
+    DimensionMismatch,
     Instrument,
     PtError,
     QuantumMap,
@@ -248,6 +249,17 @@ def test_instrument_requires_tp_sum():
     Instrument(members=(half, half))
     with pytest.raises(ValidationError):
         Instrument(members=(half,))
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 2), (3, 2)],  # Choi sizes 4 and 6: numpy could not add them
+    [(3, 2), (2, 3)],  # 2 -> 3 and 3 -> 2: both Choi matrices 6 x 6
+], ids=["choi-sizes-differ", "dims-swapped"])
+def test_instrument_refuses_members_of_other_dims(shapes):
+    members = [QuantumMap.from_kraus([np.eye(*shape) / np.sqrt(2)])
+               for shape in shapes]
+    with pytest.raises(DimensionMismatch, match="instrument member 1 maps"):
+        Instrument(members=tuple(members))
 
 
 def test_instrument_choi_sum_is_tp(basis2):
