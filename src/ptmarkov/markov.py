@@ -25,7 +25,7 @@ from .defaults import (
     SUPPORT_CUTOFF,
 )
 from .errors import DimensionMismatch, NotPositive, ValidationError
-from .linalg import Array, hermitize, partial_trace
+from .linalg import Array, hermitize
 from .process_tensor import ProcessTensor
 from .qops import Instrument, QuantumMap, default_break, ic_basis
 
@@ -406,9 +406,9 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     for every control sequence. Any IC basis and break would do, so both
     follow from the dimension d.
 
-    Each break contracts one preparation group at a time: the past basis
-    stacks and the n_out realizations of preparation s, the break slot
-    first (``ProcessTensor.contract`` runs latest slot first), so a group
+    Each break contracts one preparation group at a time: the cached
+    ``ic_basis(d).rows`` on the past slots and ``default_break(d).rows[s]``,
+    the n_out realizations of preparation s, on the break slot, so a group
     costs 1/n_prep of the whole break. The stop comes right after the
     group whose diameter passes the tolerance; the break's later groups
     are then never contracted to states. ``skipped_conditionals`` still
@@ -420,9 +420,8 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     Upsilon_k (Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009),
     and Tr P_s = 1, so row (past, r) has the same probability in every
     group, and each untested group counts what the stopping group counted.
-    ``ptf.load`` refuses tensors that break the comb condition, and every
-    model and ``from_tomography`` output meets it to rounding.
-    Every slot map enters ``contract`` as its flattened superoperator.
+    ``ptf.load`` and ``from_tomography`` refuse tensors that break it, and
+    every model meets it to rounding.
 
     The working set holds one array of a group's size: its raw outputs
     while ``_points`` reads them (for d > 2 they are normalized in place,
@@ -440,16 +439,8 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     _check_tol(tol)
     n_steps = pt.n_steps
     d = pt.system_dim
-    break_set = default_break(d)
-    basis_vecs = np.stack([e.superoperator.reshape(-1)
-                           for e in ic_basis(d).elements])
-    n_basis = len(basis_vecs)
-    n_out = break_set.n_outcomes
-    n_prep = break_set.n_preparations
-    # group s: its realizations (r, s), X -> tr(Pi_r X) P_s, as superoperators
-    break_vecs = np.einsum(
-        "sxy,rwz->srxyzw", np.stack(break_set.preparations),
-        np.stack(break_set.effects)).reshape(n_prep, n_out, -1)
+    basis_rows, break_rows = ic_basis(d).rows, default_break(d).rows
+    n_basis, (n_prep, n_out) = len(basis_rows), break_rows.shape[:2]
 
     def record(k: int, l: int, s: int, row: int) -> ConditioningRecord:
         past, r = divmod(int(row), n_out)
@@ -466,10 +457,10 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     for k, l in [(k, l) for k in range(n_steps - 1, -1, -1)
                  for l in range(k + 1, n_steps + 1)]:
         breaks_tested.append((k, l))
-        pasts = [basis_vecs] * k
+        pasts = [basis_rows] * k
         for s in range(n_prep):
             # rows (past, r); past[0] varies slowest
-            below, top = _group_diameter(pt, pasts + [break_vecs[s]], l)
+            below, top = _group_diameter(pt, pasts + [break_rows[s]], l)
             skipped += below
             if top is None:
                 inconclusive.append((k, l, s))
@@ -540,20 +531,17 @@ def divisibility_test(pt: ProcessTensor,
 # the closest memoryless process and the measures
 # ---------------------------------------------------------------------------
 
-def _block_legs(n_steps: int) -> list[tuple[int, ...]]:
-    """Leg-index blocks of the memoryless product structure: adjacent pairs
-    (final output with the last slot output, each slot input with the
-    previous slot output) and the earliest input leg alone."""
-    blocks = [(2 * m, 2 * m + 1) for m in range(n_steps)]
-    blocks.append((2 * n_steps,))
-    return blocks
-
-
-def _block_marginals(pt: ProcessTensor, m: Array) -> list[Array]:
-    """Block marginals of ``m``, an operator on the legs of ``pt``."""
-    dims = (pt.system_dim,) * (2 * pt.n_steps + 1)
-    return [partial_trace(m, dims, block)
-            for block in _block_legs(pt.n_steps)]
+def _product_blocks(pt: ProcessTensor) -> list[Array]:
+    """The memoryless product's blocks (O_K, O_{K-1}), (I_{j+1}, O_j) and
+    I_0, each up to scale: comb form l >= 1 (the legs after its readout leg
+    traced out) with slot l-1's I leg and all earlier legs traced; form 0."""
+    d, blocks = pt.system_dim, []
+    for l in range(pt.n_steps, 0, -1):
+        # readout leg, slot l-1's O and I legs, then legs of slots l-2 ... 0
+        labels = [0, 1, 2, 3, 4, 4] + [5 + i // 2 for i in range(4 * l - 4)]
+        form = pt.contraction_form(l).reshape((d,) * len(labels))
+        blocks.append(np.einsum(form, labels, [0, 2, 1, 3]).reshape(d * d, -1))
+    return blocks + [pt.contraction_form(0).reshape(d, d)]
 
 
 def _entropy(w: Array) -> float:
@@ -582,13 +570,12 @@ def non_markovianity(pt: ProcessTensor,
     from the spectrum of a d**2 x d**2 (or d x d) marginal. The relative
     entropy is +inf when rho has weight outside the support of sigma;
     that cannot happen here, since the support of rho lies inside the
-    support of the product of its marginals. It reads ``pt.choi`` as
-    stored, since a ProcessTensor is Hermitian by construction.
+    support of the product of its marginals (``_product_blocks``).
     """
     # first, so that a cutoff outside [0, 1) is refused before any spectrum
     bond_dims = tuple(bond_dimension(pt, cutoff=bond_cutoff))
     tr = pt.trace
-    marginals = _block_marginals(pt, pt.choi)
+    marginals = _product_blocks(pt)
     traces = [tr] + [float(np.trace(m).real) for m in marginals]
     if not all(math.isfinite(t) and t > 0 for t in traces):
         raise ValidationError(

@@ -25,11 +25,15 @@ Contraction of slot Chois A_j against the tensor follows
 which reproduces ordinary channel composition on product tensors and defines
 the multilinear action in general.
 
-Every reader of the tensor goes through ``contraction_form``, one layout
-of it: the legs in stored order, each leg's row and column index side by
-side, so a slot axis is (O_row, O_col, I_row, I_col) and every temporal
-cut's unfolding is a reshape. Earlier steps are read off through the
-causal-comb condition Tr_{O_l} Upsilon_l = 1_{O_{l-1}} (x) Upsilon_{l-1}
+Every reader of the tensor goes through ``contraction_form`` or the
+cached ``trace`` and ``spectrum``. The form is one layout of the tensor:
+the legs in stored order, each leg's row and column index side by side,
+so a slot axis is (O_row, O_col, I_row, I_col) and every temporal cut's
+unfolding is a reshape. ``choi`` as stored is read only by the load checks
+(``checked_comb``: the Hermiticity scan, ``trace``, ``spectrum`` and the
+K form, which a tensor built in process makes on first use) and by
+``ptf.save``. Earlier steps are read off through the causal-comb
+condition Tr_{O_l} Upsilon_l = 1_{O_{l-1}} (x) Upsilon_{l-1}
 (Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009): one comb
 step builds each lower ``contraction_form`` and the gap that
 ``causality_defect`` reports. ``ProcessTensor.contract`` is the one
@@ -60,6 +64,7 @@ import numpy as np
 from .defaults import PROBABILITY_FLOOR, PSD_CLIP, TENSOR_BYTES_GUARD
 from .errors import (
     DimensionMismatch,
+    PtError,
     SweepGuardError,
     TomographyDataError,
     UnresolvableConditional,
@@ -74,6 +79,10 @@ __all__ = [
     "leg_labels",
     "from_tomography",
 ]
+
+# The trace convention of every tensor that ``checked_comb`` accepts, and
+# of the PTF1 header: trace d per step.
+TRACE_CONVENTION = "tp_choi_trace_d"
 
 
 def leg_labels(n_steps: int) -> tuple[str, ...]:
@@ -522,6 +531,41 @@ class ProcessTensor:
                 f"trace={self.trace:.6g})")
 
 
+def checked_comb(choi: Array, d: int, times: Sequence[float],
+                 error: type[PtError]) -> ProcessTensor:
+    """The tensor of ``choi`` if it is a causal comb, else ``error``: the
+    check of ``ptf.load`` (raising ``FormatError``) and of
+    ``from_tomography`` (raising ``TomographyDataError``)."""
+    try:
+        pt = ProcessTensor(choi, d, times)
+        with np.errstate(all="ignore"):
+            trace = pt.trace
+        if not math.isfinite(trace):
+            raise error(f"trace {trace} is not finite")
+        tol = PSD_CLIP * max(1.0, abs(trace))
+        # a certified lower bound; a dense fallback's full-size copy is
+        # freed before the contraction forms that the defect caches are built
+        min_eig = pt.min_eigenvalue
+        defect = pt.causality_defect()
+    except (PtError, np.linalg.LinAlgError) as exc:
+        # any non-finite entry fails the Hermiticity scan
+        if not np.isfinite(choi).all():
+            raise error("blob holds non-finite entries") from exc
+        raise error(str(exc)) from exc
+    # each check passes in its own direction, so a NaN fails it
+    if not defect <= tol:
+        raise error(f"not a causal comb: causality defect {defect:.3e} "
+                    f"exceeds {tol:.1e}")
+    if not min_eig >= -tol:
+        raise error(f"not positive semidefinite: eigenvalue "
+                    f"{min_eig:.3e} below {-tol:.1e}")
+    k = pt.n_steps
+    if not abs(pt.trace - d ** k) <= tol:
+        raise error(f"trace {pt.trace:.6g} is not d**k = {d ** k} "
+                    f"within {tol:.1e} ({TRACE_CONVENTION})")
+    return pt
+
+
 # ---------------------------------------------------------------------------
 # tomographic reconstruction
 # ---------------------------------------------------------------------------
@@ -534,13 +578,19 @@ def from_tomography(records, d: int, k: int,
     ``records`` holds pairs ``(key, output)`` where ``key`` is the tuple of
     basis-element indices applied at slots (0, ..., k-1) and ``output`` the
     (possibly subnormalized) final state. Every index tuple must appear
-    exactly once. The reconstruction is the dual-frame sum
+    exactly once, and every output must be finite. The reconstruction is
+    the dual-frame sum
 
         Upsilon = sum_mu  rho(mu) (x) D*_{mu_{k-1}} (x) ... (x) D*_{mu_0},
 
-    followed by a PSD repair that clips eigenvalues in [-PSD_CLIP, 0) and
-    a spot check of 16 evenly spaced records against the result.
+    followed by a PSD repair that clips eigenvalues in [-PSD_CLIP, 0),
+    ``checked_comb``, so a tensor that ``ptf.load`` would refuse is refused
+    here with the same message, and a spot check of 16 evenly spaced
+    records against the result. Every refusal is a TomographyDataError.
     """
+    times = checked_times(range(k + 1) if times is None else times)
+    if len(times) != k + 1:
+        raise DimensionMismatch(f"{len(times)} time tags for k={k}")
     basis = ic_basis(d)
     n = len(basis)
     shape = (n,) * k
@@ -558,6 +608,9 @@ def from_tomography(records, d: int, k: int,
         if m.shape != (d, d):
             raise TomographyDataError(
                 f"record output shape {m.shape} != ({d}, {d})")
+        if not np.isfinite(m).all():
+            raise TomographyDataError(
+                f"record output for key {key} is not finite")
         seen[key] = True
         table[key] = m
         count += 1
@@ -576,10 +629,13 @@ def from_tomography(records, d: int, k: int,
         row_out.extend((lbl, lbl + 1))
         col_out.extend((lbl + 2, lbl + 3))
         lbl += 4
-    ups = np.einsum(*operands, row_out + col_out, optimize=True)
     dim = d ** (2 * k + 1)
-    ups = ups.reshape(dim, dim)
-    ups = (ups + ups.conj().T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        ups = np.einsum(*operands, row_out + col_out, optimize=True)
+        ups = ups.reshape(dim, dim)
+        ups = (ups + ups.conj().T) / 2
+    if not np.isfinite(ups).all():  # finite records that overflow
+        raise TomographyDataError("reconstruction has non-finite entries")
 
     w, v = np.linalg.eigh(ups)
     if w.min() < -PSD_CLIP:
@@ -594,7 +650,7 @@ def from_tomography(records, d: int, k: int,
         if tr_after > 0:
             ups *= tr_before / tr_after
 
-    pt = ProcessTensor(ups, d, times if times is not None else range(k + 1))
+    pt = checked_comb(ups, d, times, TomographyDataError)
 
     flat = list(np.ndindex(shape))
     for key in flat[::max(1, len(flat) // 16)][:16]:

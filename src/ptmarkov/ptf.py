@@ -4,8 +4,9 @@ Layout: one UTF-8 JSON header line terminated by ``\\n``, then a binary
 blob of 2 * dim**2 little-endian IEEE-754 doubles (row-major entries,
 interleaved real/imaginary). Round-trips are bit exact.
 
-``load`` raises ``FormatError`` unless the tensor is a causal comb. It
-checks, in this order, that the entries are finite (read from the
+``load`` raises ``FormatError`` unless the tensor is a causal comb, by
+``process_tensor.checked_comb``, the check ``from_tomography`` runs too.
+It checks, in this order, that the entries are finite (read from the
 Hermiticity scan, which any non-finite entry fails), that the tensor is
 Hermitian, that its trace is finite, and that it is causal, PSD and of
 trace d**k (the ``tp_choi_trace_d`` convention), the last three within
@@ -53,11 +54,13 @@ import threading
 
 import numpy as np
 
-from .defaults import PSD_CLIP
-from .errors import FormatError, PtError
-from .process_tensor import ProcessTensor, check_matrix_size, leg_labels
-
-TRACE_CONVENTION = "tp_choi_trace_d"
+from .errors import FormatError
+from .process_tensor import (
+    TRACE_CONVENTION,
+    check_matrix_size,
+    checked_comb,
+    leg_labels,
+)
 
 # Blobs of at least this many bytes are hashed on a worker thread, which
 # runs beside the checks because OpenSSL's hashlib releases the GIL on
@@ -160,37 +163,6 @@ class _Feed(threading.Thread):
             self.error = exc
 
 
-def _checked(choi, d: int, k: int, times) -> ProcessTensor:
-    """The tensor of a blob that is a causal comb, else ``FormatError``."""
-    try:
-        pt = ProcessTensor(choi, d, times)
-        with np.errstate(all="ignore"):
-            trace = pt.trace
-        if not math.isfinite(trace):
-            raise FormatError(f"trace {trace} is not finite")
-        tol = PSD_CLIP * max(1.0, abs(trace))
-        # a certified lower bound; a dense fallback's full-size copy is
-        # freed before the contraction forms that the defect caches are built
-        min_eig = pt.min_eigenvalue
-        defect = pt.causality_defect()
-    except (PtError, np.linalg.LinAlgError) as exc:
-        # any non-finite entry fails the Hermiticity scan
-        if not np.isfinite(choi).all():
-            raise FormatError("blob holds non-finite entries") from exc
-        raise FormatError(str(exc)) from exc
-    # each check passes in its own direction, so a NaN fails it
-    if not defect <= tol:
-        raise FormatError(f"not a causal comb: causality defect {defect:.3e} "
-                          f"exceeds {tol:.1e}")
-    if not min_eig >= -tol:
-        raise FormatError(f"not positive semidefinite: eigenvalue "
-                          f"{min_eig:.3e} below {-tol:.1e}")
-    if not abs(pt.trace - d ** k) <= tol:
-        raise FormatError(f"trace {pt.trace:.6g} is not d**k = {d ** k} "
-                          f"within {tol:.1e} ({TRACE_CONVENTION})")
-    return pt
-
-
 def load(path, digest=None):
     """The checked tensor of a PTF1 file; ``digest``, a ``hashlib`` object
     if given, is updated with every byte of the file in order. A blob of at
@@ -237,14 +209,14 @@ def load(path, digest=None):
         check_matrix_size(dim, f"{k}-step tensor of dimension {d}")
         choi = _read_blob(fh, dim, dim)
     if digest is None:
-        return _checked(choi, d, k, times)
+        return checked_comb(choi, d, times, FormatError)
     feed = _Feed(digest, choi)
     if choi.nbytes >= THREAD_DIGEST_BYTES:
         feed.start()
     else:
         feed.run()
     try:
-        return _checked(choi, d, k, times)
+        return checked_comb(choi, d, times, FormatError)
     finally:
         if feed.ident is not None:
             feed.join()

@@ -13,7 +13,7 @@ Representation conventions (fixed package-wide):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -327,6 +327,15 @@ class CausalBreak:
         return QuantumMap.measure_and_prepare(
             self.effects[outcome], self.preparations[preparation])
 
+    @cached_property
+    def rows(self) -> Array:
+        """Read-only ``contract`` rows, ``map(r, s)``'s at [s, r]."""
+        rows = np.array([[self.map(r, s).superoperator.reshape(-1)
+                          for r in range(self.n_outcomes)]
+                         for s in range(self.n_preparations)])
+        rows.setflags(write=False)
+        return rows
+
 
 # ---------------------------------------------------------------------------
 # the informationally complete frame: states, causal break, operation basis
@@ -371,12 +380,13 @@ def _dual_frame(vectors: Array) -> Array:
 @dataclass(frozen=True)
 class OperationBasis:
     """d**4 linearly independent prepare-and-measure maps with their dual
-    frame, used for process tomography and the Markov-test sweep."""
+    frame and ``contract`` rows, for process tomography and the Markov test."""
 
     dimension: int
     elements: tuple[QuantumMap, ...]
     duals: tuple[Array, ...]
     gram: Array
+    rows: Array  # (n, d**4), each element's flattened superoperator
     label: str = "ic-default"
 
     def __len__(self):
@@ -394,7 +404,7 @@ class OperationBasis:
 def ic_basis(d: int) -> OperationBasis:
     """The default informationally complete operation basis, built once
     per dimension and shared, so every array in it is read-only: ``gram``,
-    ``duals`` and each element's Choi matrix (and, through
+    ``duals``, ``rows`` and each element's Choi matrix (and, through
     ``QuantumMap``, each representation derived from it).
 
     Element (mu, nu) at flat index ``mu * d**2 + nu`` is
@@ -413,7 +423,8 @@ def ic_basis(d: int) -> OperationBasis:
     if (svals > FRAME_CUTOFF * svals.max()).sum() < d ** 4:
         raise SingularFrame("operation frame Gram is rank deficient")
     dual_cols = _dual_frame(vecs)
-    for a in (gram, dual_cols, *(e.choi for e in elements)):
+    rows = np.stack([e.superoperator.reshape(-1) for e in elements])
+    for a in (gram, dual_cols, rows, *(e.choi for e in elements)):
         a.setflags(write=False)
     duals = tuple(dual_cols[:, i].reshape(d * d, d * d) for i in range(d ** 4))
     return OperationBasis(
@@ -421,6 +432,7 @@ def ic_basis(d: int) -> OperationBasis:
         elements=tuple(elements),
         duals=duals,
         gram=gram,
+        rows=rows,
         label=f"ic-default-d{d}",
     )
 

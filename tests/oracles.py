@@ -658,18 +658,28 @@ def classical_process_einsum(pt, instruments, final_povm=None):
 # and random measure-and-reprepare instruments
 # ---------------------------------------------------------------------------
 
+def block_marginals_dense(pt):
+    """The memoryless product's block marginals by ``partial_trace`` on the
+    stored Choi matrix: adjacent leg pairs (the final output with the last
+    slot output, each slot input with the previous slot output), then the
+    earliest input leg alone."""
+    from ptmarkov import partial_trace
+
+    d, k = pt.system_dim, pt.n_steps
+    blocks = [(2 * m, 2 * m + 1) for m in range(k)] + [(2 * k,)]
+    return [partial_trace(pt.choi, (d,) * (2 * k + 1), b) for b in blocks]
+
+
 def closest_markov(pt):
     """Discard intertemporal correlations: the tensor product of the step
     marginals (adjacent leg pairs) and the initial-state marginal (the
     last leg), renormalized to trace d per step and trace 1 for the
     initial state."""
-    from ptmarkov import ProcessTensor, partial_trace, tensor_product
+    from ptmarkov import ProcessTensor, tensor_product
 
     d, k = pt.system_dim, pt.n_steps
-    blocks = [(2 * m, 2 * m + 1) for m in range(k)] + [(2 * k,)]
     scaled = []
-    for i, block in enumerate(blocks):
-        m = partial_trace(pt.choi, (d,) * (2 * k + 1), block)
+    for i, m in enumerate(block_marginals_dense(pt)):
         target = float(d) if i < k else 1.0
         scaled.append(m * (target / np.trace(m).real))
     return ProcessTensor(tensor_product(*scaled), d, pt.times)

@@ -35,6 +35,7 @@ from oracles import (
     PP,
     apply_local_channel,
     b3_choi_analytic,
+    block_marginals_dense,
     causality_defect_dense,
     closest_markov,
     comb_choi,
@@ -389,6 +390,82 @@ def test_from_tomography_rejects_duplicates():
         from_tomography(records, 2, 1)
 
 
+def _b2_one_step_records(basis2, change=lambda mu, out: out):
+    """K = 1 records of B.2 on the grid (0, 0.5) from ``apply``, each
+    output passed through ``change(mu, output)``."""
+    pt = build_process_tensor(model_b2(omega=1.0), (0.0, 0.5))
+    return [((mu,), change(mu, pt.apply([e]).matrix))
+            for mu, e in enumerate(basis2.elements)]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda mu, out: (0.5 if mu % 4 == 0 else 0.25) * np.eye(2) / 2,
+     "not a causal comb: causality defect 1.768e-01 exceeds 1.5e-08"),
+    (lambda mu, out: np.zeros((2, 2)),
+     r"trace 0 is not d\*\*k = 2 within 1.0e-08 \(tp_choi_trace_d\)"),
+    (lambda mu, out: 1.5 * out,
+     r"trace 3 is not d\*\*k = 2 within 3.0e-08"),
+], ids=["acausal", "zero", "scaled"])
+def test_from_tomography_refuses_what_load_refuses(basis2, change, message):
+    """A reconstruction that is not a causal comb of trace d**k is refused
+    with the message ``ptf.load`` gives: outputs that no comb produces
+    (causality defect 0.177, trace 1.5), all-zero outputs and outputs
+    scaled by 1.5. The unscaled records reconstruct."""
+    records = _b2_one_step_records(basis2)
+    assert from_tomography(records, 2, 1).trace == pytest.approx(2.0)
+    with pytest.raises(TomographyDataError, match=f"^{message}"):
+        from_tomography(_b2_one_step_records(basis2, change), 2, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_from_tomography_refuses_non_finite_records(basis2, bad):
+    """A NaN or infinite record output is refused at ingestion, naming its
+    key, instead of reaching the eigensolve."""
+    def change(mu, out):
+        return out + bad if mu == 3 else out
+    with pytest.raises(TomographyDataError,
+                       match=r"record output for key \(3,\) is not finite"):
+        from_tomography(_b2_one_step_records(basis2, change), 2, 1)
+
+
+def test_from_tomography_refuses_overflowing_records(basis2):
+    """Finite records whose reconstruction overflows are refused."""
+    records = [((mu,), np.full((2, 2), 1e308)) for mu in range(16)]
+    with pytest.raises(TomographyDataError,
+                       match="reconstruction has non-finite entries"):
+        from_tomography(records, 2, 1)
+
+
+def test_from_tomography_refuses_inconsistent_records(basis2):
+    """Outputs of the transpose map after each basis element reconstruct
+    to a tensor with eigenvalue -0.7, beyond the PSD repair's clip band."""
+    rho = np.diag([0.7, 0.3])
+    records = [((mu,), e.apply(rho).T) for mu, e in enumerate(basis2.elements)]
+    with pytest.raises(TomographyDataError, match=(
+            r"reconstruction not PSD: eigenvalue -7.000e-01 below -1.0e-08 "
+            r"\(inconsistent records\)")):
+        from_tomography(records, 2, 1)
+
+
+def test_from_tomography_spot_check_catches_a_perturbed_record(basis2):
+    """The reconstruction is symmetrized, so an anti-Hermitian 1e-6 added
+    to record 5 still gives a comb, and the spot check finds the record it
+    does not reproduce."""
+    def change(mu, out):
+        return out + 1e-6 * np.array([[0, 1], [-1, 0]]) * (mu == 5)
+    with pytest.raises(TomographyDataError,
+                       match=r"reconstruction mismatch 1.000e-06 at key \(5,\)"):
+        from_tomography(_b2_one_step_records(basis2, change), 2, 1)
+
+
+def test_from_tomography_checks_the_time_tags_first(basis2):
+    records = _b2_one_step_records(basis2)
+    with pytest.raises(DimensionMismatch, match="3 time tags for k=1"):
+        from_tomography(records, 2, 1, times=(0.0, 1.0, 2.0))
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        from_tomography(records, 2, 1, times=(1.0, 0.0))
+
+
 def test_reconstruction_psd(b1_pt, b2_pt, b3_pt, markov_pt3):
     for pt in (b1_pt, b2_pt, b3_pt, markov_pt3):
         assert pt.min_eigenvalue >= -1e-8
@@ -708,19 +785,64 @@ def test_spectrum_agrees_with_dense_route(case, request):
     dense minimum, at or above -PSD_CLIP."""
     from ptmarkov import non_markovianity
     from ptmarkov.defaults import PSD_CLIP
-    from ptmarkov.markov import _block_marginals
     pt = request.getfixturevalue(case) if isinstance(case, str) \
         else _benchmark_tensor(*case)
     dense = spectrum_dense(pt)
-    tr = pt.trace
-    n_dense = sum(von_neumann_entropy(m / np.trace(m).real)
-                  for m in _block_marginals(pt, pt.choi)) \
-        - entropy_of_spectrum(dense / tr)
+    n_dense = _dense_measure(pt, dense)
     assert abs(non_markovianity(pt).n_value - max(0.0, n_dense)) <= 1e-12
     assert pt.spectrum.shape == dense.shape
     assert np.all(np.diff(pt.spectrum) >= 0)
     bound = pt.min_eigenvalue
     assert -PSD_CLIP <= bound <= dense[0] + 1e-13 * np.linalg.norm(pt.choi)
+
+
+def _dense_measure(pt, dense):
+    """N from partial traces of the stored Choi matrix and ``dense``, the
+    tensor's spectrum from a dense eigensolve."""
+    return sum(von_neumann_entropy(m / np.trace(m).real)
+               for m in block_marginals_dense(pt)) \
+        - entropy_of_spectrum(dense / pt.trace)
+
+
+def _qutrit_memory_pt():
+    """A seeded qutrit K = 2 dilation on a qubit environment."""
+    rng = np.random.default_rng(61)
+    model = SEModel(system_dim=3, env_dim=2,
+                    initial_joint=random_density(6, rng),
+                    step_unitaries=(random_unitary(6, rng),
+                                    random_unitary(6, rng)))
+    return build_process_tensor(model, (0.0, 1.0, 2.0))
+
+
+def _non_causal_pt():
+    """A seeded Hermitian PSD qubit K = 2 tensor of trace d**2 that is not
+    a causal comb."""
+    rng = np.random.default_rng(43)
+    a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    choi = a @ a.conj().T
+    pt = ProcessTensor(choi * (4 / np.trace(choi).real), 2, range(3))
+    assert pt.causality_defect() > 1e-3
+    return pt
+
+
+@pytest.mark.parametrize("case", list(_CORPUS) + ["qutrit", "non_causal"])
+def test_product_blocks_match_dense_partial_traces(case, request):
+    """The measure's block marginals, read off the comb forms, equal
+    partial traces of the stored Choi matrix to 1e-14 after trace
+    normalization, in the same order and shapes, on causal combs and on a
+    Hermitian tensor that is not one; and the measure agrees with the
+    dense route to 1e-12."""
+    from ptmarkov import non_markovianity
+    from ptmarkov.markov import _product_blocks
+    pt = {"qutrit": _qutrit_memory_pt, "non_causal": _non_causal_pt}.get(
+        case, lambda: request.getfixturevalue(case))()
+    got, want = _product_blocks(pt), block_marginals_dense(pt)
+    assert [g.shape for g in got] == [w.shape for w in want]
+    for g, w in zip(got, want):
+        assert np.abs(g / np.trace(g).real
+                      - w / np.trace(w).real).max() <= 1e-14
+    assert abs(non_markovianity(pt).n_value
+               - max(0.0, _dense_measure(pt, spectrum_dense(pt)))) <= 1e-12
 
 
 # Traced peak, in bytes, of the spectrum of the first memoryless K = 4

@@ -348,6 +348,30 @@ def test_default_break_is_built_once_and_read_only(d):
 
 
 @pytest.mark.parametrize("d", [2, 3])
+def test_frame_rows_are_cached_read_only_superoperators(d):
+    """The contraction rows of the basis, (n, d**4), and of the break,
+    (n_prep, n_out, d**4), are the stacked flattened superoperators of
+    their maps, built once and read-only."""
+    basis, brk = ic_basis(d), default_break(d)
+    cases = [
+        (basis.rows, [e.superoperator.reshape(-1) for e in basis.elements]),
+        (brk.rows, [[brk.map(r, s).superoperator.reshape(-1)
+                     for r in range(brk.n_outcomes)]
+                    for s in range(brk.n_preparations)]),
+    ]
+    for rows, maps in cases:
+        assert np.array_equal(rows, np.array(maps))
+        assert rows.shape == (*np.shape(maps)[:-1], d ** 4)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+    assert basis.rows.shape == (d ** 4, d ** 4)
+    assert brk.rows.shape == (d * d, d * d, d ** 4)
+    assert ic_basis(d).rows is basis.rows
+    assert default_break(d).rows is brk.rows
+
+
+@pytest.mark.parametrize("d", [2, 3])
 def test_computational_instrument_is_built_once_and_read_only(d):
     """`ptr analyze --classical` takes one computational instrument per
     dimension, shared, so its member Choi matrices cannot be written
