@@ -19,7 +19,8 @@ CPTP_DEFECT_TOL = 1e-8
 # extraction, rank counting).
 SUPPORT_CUTOFF = 1e-12
 
-# Relative singular-value cutoff when pseudo-inverting frame Grams.
+# Relative singular-value cutoff below which an operation frame's Gram
+# matrix counts as rank deficient.
 FRAME_CUTOFF = 1e-10
 
 # Conditional outcomes with probability at or below this floor are

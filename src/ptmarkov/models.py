@@ -114,9 +114,13 @@ def _dilation(model: SEModel, times: tuple[float, ...]):
     """Lay a model out on the grid ``times`` as ``(weights, unitaries)``:
     n ensemble weights and one checked (n, d*e, d*e) stack of joint
     unitaries per interval. Explicit step unitaries are an ensemble of one
-    with weight 1.
+    with weight 1. Raises ValidationError, before any ensemble sees the
+    grid, when t_K - t_0 overflows.
     """
     k, dim = len(times) - 1, model.system_dim * model.env_dim
+    # finite increasing tags bound every interval by the span
+    if not math.isfinite(times[-1] - times[0]):
+        raise ValidationError(f"time span overflows: times {times}")
     if model.ensemble is None:
         weights = np.ones(1)
         steps = [np.reshape(u, (1, dim, dim)) for u in model.step_unitaries]
@@ -233,7 +237,8 @@ def _wrapped_cauchy_nodes(times: tuple[float, ...], *, gamma: float,
     multiples. A uniform n-node trapezoid rule on the circle aliases moment
     m with error O(rho**(n - m)), so n - M >= 37 / (gamma*|g|*h) keeps
     every error at or below e**-37 = 8.5e-17. Raises QuadratureError on an
-    incommensurate grid or above 500 000 nodes, before laying any out.
+    incommensurate grid or above 500 000 nodes, an infinite count when
+    gamma*|g|*h underflows included, before laying any out.
     """
     dts = np.diff(np.asarray(times, dtype=float))
     if dts.size == 0:
@@ -248,11 +253,16 @@ def _wrapped_cauchy_nodes(times: tuple[float, ...], *, gamma: float,
         raise QuadratureError(
             f"grid intervals {dts.tolist()} are not commensurate; the "
             f"dephasing ensemble requires rationally related step lengths")
-    decay = gamma * abs(g) * h
-    n = int(mults.sum()) + math.ceil(37.0 / decay) + 1
-    if n > 500_000:
+    decay = float(gamma * abs(g) * h)
+    # compared as a float, so a decay that underflows gives an infinite
+    # count, not an OverflowError; ceil(tail) < tail + 1 makes the integer
+    # count below pass exactly when this does
+    tail = 37.0 / decay if decay > 0 else math.inf
+    if not mults.sum() + tail + 1 <= 500_000:
         raise QuadratureError(
-            f"grid requires {n} ensemble nodes; coarsen the time grid")
+            f"grid requires {mults.sum() + tail + 1:.6g} ensemble nodes; "
+            f"coarsen the time grid")
+    n = int(mults.sum()) + math.ceil(tail) + 1
     psi = (np.arange(n) + 0.5) * (2 * np.pi / n) - np.pi
     rho = np.exp(-decay)
     w = (1 - rho * rho) / (1 + rho * rho - 2 * rho * np.cos(psi)) / n

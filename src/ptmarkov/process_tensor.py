@@ -61,7 +61,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .defaults import PROBABILITY_FLOOR, PSD_CLIP, TENSOR_BYTES_GUARD
+from .defaults import (
+    PROBABILITY_FLOOR,
+    PSD_CLIP,
+    SUPPORT_CUTOFF,
+    TENSOR_BYTES_GUARD,
+)
 from .errors import (
     DimensionMismatch,
     PtError,
@@ -531,13 +536,16 @@ class ProcessTensor:
                 f"trace={self.trace:.6g})")
 
 
-def checked_comb(choi: Array, d: int, times: Sequence[float],
+def checked_comb(choi: Array | ProcessTensor, d: int,
+                 times: Sequence[float],
                  error: type[PtError]) -> ProcessTensor:
     """The tensor of ``choi`` if it is a causal comb, else ``error``: the
     check of ``ptf.load`` (raising ``FormatError``) and of
-    ``from_tomography`` (raising ``TomographyDataError``)."""
+    ``from_tomography`` (raising ``TomographyDataError``), which passes
+    the ProcessTensor it built, so the check reads its cached spectrum."""
     try:
-        pt = ProcessTensor(choi, d, times)
+        pt = choi if isinstance(choi, ProcessTensor) else \
+            ProcessTensor(choi, d, times)
         with np.errstate(all="ignore"):
             trace = pt.trace
         if not math.isfinite(trace):
@@ -549,7 +557,8 @@ def checked_comb(choi: Array, d: int, times: Sequence[float],
         defect = pt.causality_defect()
     except (PtError, np.linalg.LinAlgError) as exc:
         # any non-finite entry fails the Hermiticity scan
-        if not np.isfinite(choi).all():
+        if not isinstance(choi, ProcessTensor) and \
+                not np.isfinite(choi).all():
             raise error("blob holds non-finite entries") from exc
         raise error(str(exc)) from exc
     # each check passes in its own direction, so a NaN fails it
@@ -570,92 +579,87 @@ def checked_comb(choi: Array, d: int, times: Sequence[float],
 # tomographic reconstruction
 # ---------------------------------------------------------------------------
 
-def from_tomography(records, d: int, k: int,
-                    times: Sequence[float] | None = None) -> ProcessTensor:
-    """Reconstruct a K-step tensor from a complete sweep of the basis
-    ``ic_basis(d)``.
+def from_tomography(outputs, times: Sequence[float] | None = None
+                    ) -> ProcessTensor:
+    """Reconstruct a K-step tensor from its outputs on every sequence of
+    elements of ``ic_basis(d)``: ``contract`` run backwards.
 
-    ``records`` holds pairs ``(key, output)`` where ``key`` is the tuple of
-    basis-element indices applied at slots (0, ..., k-1) and ``output`` the
-    (possibly subnormalized) final state. Every index tuple must appear
-    exactly once, and every output must be finite. The reconstruction is
-    the dual-frame sum
+    ``outputs`` has shape (d**4,) * k + (d, d), and ``outputs[mu_0, ...,
+    mu_{k-1}]`` is the (possibly subnormalized) final state after element
+    mu_j at slot j, the array ``pt.contract([ic_basis(d).rows] * k)
+    .reshape((d**4,) * k + (d, d))`` gives; d and k are read off the
+    shape, and every entry must be finite. ``contract`` multiplies each
+    slot axis of the K form by the square, invertible ``rows``, so each
+    slot axis of ``outputs`` is multiplied by its inverse, one GEMM per
+    slot, and one transpose gives the Choi matrix, which is symmetrized.
 
-        Upsilon = sum_mu  rho(mu) (x) D*_{mu_{k-1}} (x) ... (x) D*_{mu_0},
-
-    followed by a PSD repair that clips eigenvalues in [-PSD_CLIP, 0),
-    ``checked_comb``, so a tensor that ``ptf.load`` would refuse is refused
-    here with the same message, and a spot check of 16 evenly spaced
-    records against the result. Every refusal is a TomographyDataError.
+    The PSD repair is judged on the certified ``min_eigenvalue``: below
+    -PSD_CLIP the records are refused as inconsistent; below
+    -SUPPORT_CUTOFF times the trace (noisy data) the negative eigenvalues
+    are clipped to zero and the trace is restored. Clean data is not
+    eigensolved again: ``checked_comb`` reads the same cached spectrum, so
+    a tensor that ``ptf.load`` would refuse is refused here with the same
+    message. Last, 16 evenly spaced sequences are contracted against their
+    outputs. Every refusal is a TomographyDataError, apart from the time
+    tags' ValidationError and DimensionMismatch.
     """
+    try:
+        outputs = np.asarray(outputs, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged or not numbers
+        raise TomographyDataError(f"outputs are not a numeric array: {exc}"
+                                  ) from exc
+    k = outputs.ndim - 2
+    d = outputs.shape[-1] if k >= 0 else 0
+    n = d ** 4
+    if d < 2 or outputs.shape != (n,) * k + (d, d):
+        raise TomographyDataError(
+            f"outputs of shape {outputs.shape}, expected (d**4,) * k + "
+            f"(d, d) for a dimension d >= 2")
     times = checked_times(range(k + 1) if times is None else times)
     if len(times) != k + 1:
         raise DimensionMismatch(f"{len(times)} time tags for k={k}")
-    basis = ic_basis(d)
-    n = len(basis)
-    shape = (n,) * k
-    table = np.zeros(shape + (d, d), dtype=complex)
-    seen = np.zeros(shape, dtype=bool)
-    count = 0
-    for key, out in records:
-        key = tuple(int(i) for i in key)
-        if len(key) != k or any(i < 0 or i >= n for i in key):
-            raise TomographyDataError(f"bad record key {key}")
-        if seen[key]:
-            raise TomographyDataError(f"duplicate record for key {key}")
-        m = out.matrix if isinstance(out, DensityMatrix) else \
-            np.asarray(out, dtype=complex)
-        if m.shape != (d, d):
-            raise TomographyDataError(
-                f"record output shape {m.shape} != ({d}, {d})")
-        if not np.isfinite(m).all():
-            raise TomographyDataError(
-                f"record output for key {key} is not finite")
-        seen[key] = True
-        table[key] = m
-        count += 1
-    if count != n ** k:
-        raise TomographyDataError(
-            f"incomplete record set: {count} of {n ** k} basis sequences")
+    finite = np.isfinite(outputs).all(axis=(-2, -1))
+    if not finite.all():
+        key = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise TomographyDataError(f"record output for key {key} is not finite")
 
-    dc = basis.dual_conj_tensors  # (n, d, d, d, d)
-    operands = [table, list(range(k)) + [k, k + 1]]
-    row_out, col_out = [k], [k + 1]
-    lbl = k + 2
-    # slot axes of ``table`` run chronologically; leg order wants slot k-1 first
-    for j in range(k - 1, -1, -1):
-        labels = [j, lbl, lbl + 1, lbl + 2, lbl + 3]
-        operands.extend([dc, labels])
-        row_out.extend((lbl, lbl + 1))
-        col_out.extend((lbl + 2, lbl + 3))
-        lbl += 4
-    dim = d ** (2 * k + 1)
+    rows = ic_basis(d).rows
+    inv_t = np.linalg.inv(rows).T
+    arr = outputs
     with np.errstate(over="ignore", invalid="ignore"):
-        ups = np.einsum(*operands, row_out + col_out, optimize=True)
-        ups = ups.reshape(dim, dim)
+        # slot 0 leads: undo its GEMM, which moves its axis to the end, so
+        # after k slots the axes are (O_K row, O_K col, slot 0, ..., k-1)
+        for _ in range(k):
+            arr = arr.reshape(n, -1).T @ inv_t
+        # slot j's axis is (O_j row, O_j col, I_j row, I_j col) at 2 + 4j
+        slots = range(2 + 4 * (k - 1), 1, -4)
+        order = [0, *(a for s in slots for a in (s, s + 2)),
+                 1, *(a for s in slots for a in (s + 1, s + 3))]
+        dim = d ** (2 * k + 1)
+        ups = arr.reshape((d,) * (4 * k + 2)).transpose(order).reshape(dim, dim)
         ups = (ups + ups.conj().T) / 2
     if not np.isfinite(ups).all():  # finite records that overflow
         raise TomographyDataError("reconstruction has non-finite entries")
 
-    w, v = np.linalg.eigh(ups)
-    if w.min() < -PSD_CLIP:
+    pt = ProcessTensor(ups, d, times)
+    lam = pt.min_eigenvalue
+    if not lam >= -PSD_CLIP:
         raise TomographyDataError(
-            f"reconstruction not PSD: eigenvalue {w.min():.3e} below "
+            f"reconstruction not PSD: eigenvalue {lam:.3e} below "
             f"-{PSD_CLIP:.1e} (inconsistent records)")
-    if w.min() < 0:
-        tr_before = ups.trace().real
-        w = np.clip(w, 0.0, None)
-        ups = (v * w) @ v.conj().T
+    if lam < -SUPPORT_CUTOFF * pt.trace:
+        w, v = np.linalg.eigh(ups)
+        ups = (v * np.clip(w, 0.0, None)) @ v.conj().T
         tr_after = ups.trace().real
         if tr_after > 0:
-            ups *= tr_before / tr_after
+            ups *= pt.trace / tr_after
+        pt = ProcessTensor(ups, d, times)
+    pt = checked_comb(pt, d, times, TomographyDataError)
 
-    pt = checked_comb(ups, d, times, TomographyDataError)
-
-    flat = list(np.ndindex(shape))
-    for key in flat[::max(1, len(flat) // 16)][:16]:
-        got = pt.contract(_rows(basis.elements[i] for i in key))[0]
-        err = np.abs(got - table[key]).max()
+    for flat in range(0, n ** k, max(1, n ** k // 16))[:16]:
+        key = tuple(int(i) for i in np.unravel_index(flat, (n,) * k))
+        got = pt.contract([rows[i:i + 1] for i in key])[0]
+        err = np.abs(got - outputs[key]).max()
         if err > 1e-9:
             raise TomographyDataError(
                 f"reconstruction mismatch {err:.3e} at key {key}")

@@ -371,45 +371,32 @@ def default_break(d: int) -> CausalBreak:
     return CausalBreak(effects=effects, preparations=tuple(projs))
 
 
-def _dual_frame(vectors: Array) -> Array:
-    """Columns biorthogonal to the frame columns: duals† frame = identity."""
-    gram = vectors.conj().T @ vectors
-    return vectors @ np.linalg.pinv(gram, rcond=FRAME_CUTOFF, hermitian=True)
-
-
 @dataclass(frozen=True)
 class OperationBasis:
-    """d**4 linearly independent prepare-and-measure maps with their dual
-    frame and ``contract`` rows, for process tomography and the Markov test."""
+    """d**4 linearly independent prepare-and-measure maps with their
+    ``contract`` rows, for process tomography and the Markov test."""
 
     dimension: int
     elements: tuple[QuantumMap, ...]
-    duals: tuple[Array, ...]
-    gram: Array
     rows: Array  # (n, d**4), each element's flattened superoperator
     label: str = "ic-default"
 
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def dual_conj_tensors(self) -> Array:
-        """(n, d, d, d, d) stack of conjugated duals, indexed
-        [out_row, in_row, out_col, in_col]; used in reconstruction sums."""
-        d = self.dimension
-        return np.stack([du.conj().reshape(d, d, d, d) for du in self.duals])
-
 
 @lru_cache(maxsize=8)
 def ic_basis(d: int) -> OperationBasis:
     """The default informationally complete operation basis, built once
-    per dimension and shared, so every array in it is read-only: ``gram``,
-    ``duals``, ``rows`` and each element's Choi matrix (and, through
-    ``QuantumMap``, each representation derived from it).
+    per dimension and shared, so every array in it is read-only: ``rows``
+    and each element's Choi matrix (and, through ``QuantumMap``, each
+    representation derived from it).
 
     Element (mu, nu) at flat index ``mu * d**2 + nu`` is
-    X -> tr(Pi_mu X) P_nu built from the frame states; the dual frame comes
-    from a pseudo-inverse of the Gram matrix.
+    X -> tr(Pi_mu X) P_nu built from the frame states. ``rows`` is square;
+    the squares of its singular values are those of the frame's Gram
+    matrix, and fewer than d**4 of them above FRAME_CUTOFF times the
+    largest raise SingularFrame, so ``from_tomography`` can invert it.
     """
     projs = ic_frame_states(d)
     n_frame = len(projs)
@@ -417,22 +404,15 @@ def ic_basis(d: int) -> OperationBasis:
     for mu in range(n_frame):
         for nu in range(n_frame):
             elements.append(QuantumMap.measure_and_prepare(projs[mu], projs[nu]))
-    vecs = np.stack([e.choi.reshape(-1) for e in elements], axis=1)
-    gram = vecs.conj().T @ vecs
-    svals = np.linalg.svd(gram, compute_uv=False)
-    if (svals > FRAME_CUTOFF * svals.max()).sum() < d ** 4:
-        raise SingularFrame("operation frame Gram is rank deficient")
-    dual_cols = _dual_frame(vecs)
     rows = np.stack([e.superoperator.reshape(-1) for e in elements])
-    for a in (gram, dual_cols, rows, *(e.choi for e in elements)):
+    gram_svals = np.linalg.svd(rows, compute_uv=False) ** 2
+    if (gram_svals > FRAME_CUTOFF * gram_svals.max()).sum() < d ** 4:
+        raise SingularFrame("operation frame Gram is rank deficient")
+    for a in (rows, *(e.choi for e in elements)):
         a.setflags(write=False)
-    duals = tuple(dual_cols[:, i].reshape(d * d, d * d) for i in range(d ** 4))
     return OperationBasis(
         dimension=d,
         elements=tuple(elements),
-        duals=duals,
-        gram=gram,
         rows=rows,
         label=f"ic-default-d{d}",
     )
-

@@ -151,14 +151,55 @@ def tomography_process_tensor(model, grid):
     reconstructed by ``from_tomography``."""
     from ptmarkov import from_tomography, ic_basis, simulate_sequence
 
-    basis = ic_basis(model.system_dim)
+    d = model.system_dim
+    basis = ic_basis(d)
     k = len(grid) - 1
-    records = []
+    outputs = np.empty((len(basis),) * k + (d, d), dtype=complex)
     for key in itertools.product(range(len(basis)), repeat=k):
         out, _ = simulate_sequence(model, grid,
                                    [basis.elements[i] for i in key])
-        records.append((key, out))
-    return from_tomography(records, model.system_dim, k, times=grid)
+        outputs[key] = out.matrix
+    return from_tomography(outputs, times=grid)
+
+
+def operation_duals(basis):
+    """Columns D_mu biorthogonal to the element Choi matrices C_nu,
+    <D_mu, C_nu> = delta_{mu nu}, flattened in Choi order, from a
+    pseudo-inverse of the frame's Gram matrix."""
+    vecs = np.stack([e.choi.reshape(-1) for e in basis.elements], axis=1)
+    return vecs @ np.linalg.pinv(vecs.conj().T @ vecs, rcond=1e-10,
+                                 hermitian=True)
+
+
+def tomography_dual_frame(outputs):
+    """The symmetrized dual-frame sum
+
+        Upsilon = sum_mu rho(mu) (x) D*_{mu_{k-1}} (x) ... (x) D*_{mu_0}
+
+    of an outputs array of ``from_tomography``'s shape, by one labelled
+    ``np.einsum`` over the Choi-order duals: the reconstruction that the
+    inverse of the contraction rows replaced, without its PSD repair or
+    checks."""
+    from ptmarkov import ic_basis
+
+    outputs = np.asarray(outputs, dtype=complex)
+    k, d = outputs.ndim - 2, outputs.shape[-1]
+    duals = operation_duals(ic_basis(d))
+    dc = duals.T.conj().reshape(-1, d, d, d, d)  # [out_row, in_row, ...]
+    operands = [outputs, list(range(k)) + [k, k + 1]]
+    row_out, col_out = [k], [k + 1]
+    lbl = k + 2
+    # slot axes of ``outputs`` run chronologically; leg order wants slot
+    # k-1 first
+    for j in range(k - 1, -1, -1):
+        operands.extend([dc, [j, lbl, lbl + 1, lbl + 2, lbl + 3]])
+        row_out.extend((lbl, lbl + 1))
+        col_out.extend((lbl + 2, lbl + 3))
+        lbl += 4
+    dim = d ** (2 * k + 1)
+    ups = np.einsum(*operands, row_out + col_out, optimize=True)
+    ups = ups.reshape(dim, dim)
+    return (ups + ups.conj().T) / 2
 
 
 def restrict_einsum(pt, subset):

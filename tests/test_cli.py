@@ -178,6 +178,33 @@ def test_simulate_b1_ensemble_refused_exit_2(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("model, params, times, message", [
+    ("b1", {"gamma": 1e-200, "g": 1e-200}, [0, 1],
+     "grid requires inf ensemble nodes"),
+    ("b1", {"gamma": 1e-300, "g": 1.0}, [0, 1],
+     "grid requires 3.7e+301 ensemble nodes"),
+    ("b1", {"gamma": 1.0, "g": 1.0}, [-1e308, 1e308], "time span overflows"),
+    ("b2", {"omega": 1.0}, [-1e308, 1e308], "time span overflows"),
+], ids=["b1-underflow", "b1-readable-count", "b1-span", "b2-span"])
+def test_simulate_overflowing_grid_exit_2(tmp_path, capsys, model, params,
+                                          times, message):
+    """A decay gamma*|g|*h that underflows, or an interval t1 - t0 that
+    overflows, is a config error with a readable message, not a raw
+    OverflowError, ValueError or NaN unitary defect."""
+    cfg = _write_config(tmp_path / "c.json", model=model, params=params,
+                        times=times)
+    out = tmp_path / "x.ptf"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert len(err) < 200 and not out.exists()
+
+
+def test_examples_b1_underflowing_decay_exit_2(capsys):
+    assert main(["examples", "b1", "--gamma-g", "1e-320"]) == 2
+    assert "grid requires inf ensemble nodes" in capsys.readouterr().err
+
+
 def test_parser_is_reused_without_state():
     """`main` builds its parser once; a flag of one call does not carry
     into the next."""

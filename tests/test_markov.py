@@ -30,6 +30,7 @@ from ptmarkov import (
     tensor_product,
     trace_norm_distance,
 )
+from ptmarkov.defaults import MARKOV_TOL
 from ptmarkov.random_ops import (
     computational_reprepare_instrument,
     random_control_sequence,
@@ -1241,40 +1242,79 @@ def test_lemma_direction_on_corpus(markov_pt2, markov_pt3, b1_pt, b2_pt,
 
 
 def _random_dilation(kind, size, k, rng):
-    """A memoryless dilation of Kraus rank ``size``, or ``k`` random joint
-    unitaries on an environment of dimension ``size`` from a random,
-    generally correlated, initial joint state."""
+    """A memoryless dilation of Kraus rank ``size`` ("markov"), or ``k``
+    random unitaries on a qubit and an environment of dimension ``size``:
+    coupling ones from a random, generally correlated, initial joint state
+    ("joint") or from a product state ("product"), or local ones,
+    U_S (x) U_E, from a correlated state ("local")."""
     if kind == "markov":
         return model_markov(random_control_sequence(2, k, rng, kraus_rank=size),
                             random_density(2, rng))
-    return SEModel(system_dim=2, env_dim=size,
-                   initial_joint=random_density(2 * size, rng),
-                   step_unitaries=tuple(random_unitary(2 * size, rng)
-                                        for _ in range(k)))
+    if kind == "product":
+        joint = np.kron(random_density(2, rng), random_density(size, rng))
+    else:
+        joint = random_density(2 * size, rng)
+    if kind == "local":
+        unitaries = tuple(np.kron(random_unitary(2, rng),
+                                  random_unitary(size, rng))
+                          for _ in range(k))
+    else:
+        unitaries = tuple(random_unitary(2 * size, rng) for _ in range(k))
+    return SEModel(system_dim=2, env_dim=size, initial_joint=joint,
+                   step_unitaries=unitaries)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
-       kind=st.sampled_from(("markov", "joint")), size=st.integers(1, 3))
+       kind=st.sampled_from(("markov", "joint", "product", "local")),
+       size=st.integers(1, 3))
 def test_theorem_verdicts_agree_on_random_dilations(seed, k, kind,
                                                     size):
-    """The paper's theorem: a process is operationally Markovian iff its
-    tensor is a product of step Chois. So the causal-break test, N <= 1e-8
-    and unit bond dimensions agree, and Markovian implies divisible. At
-    K = 3 the entropy S(rho) comes from the sketch when the tensor's rank
-    is at most 16 and from the dense eigensolve otherwise; at K <= 2 it is
-    always dense. A one-step process is tested by its causal break at
-    slot 0, which sees initial system-environment correlations."""
+    """The paper's equivalences, at the default tol MARKOV_TOL (1e-8): a
+    process is operationally Markovian iff its tensor is a product of step
+    Chois, so ``markov_test`` finds it Markovian iff N = 0 iff every
+    temporal bond dimension is 1; and a Markovian process is CP-divisible
+    and its computational-basis classical process is a Markov chain (the
+    converses do not hold, so only this direction is asserted). The
+    process is Markovian exactly when the environment cannot carry
+    memory: it is fresh at each step, trivial, touched by local steps
+    only, or met by one step from a product state. At K = 3 the entropy
+    S(rho) comes from the sketch when the tensor's rank is at most 16 and
+    from the dense eigensolve otherwise; at K <= 2 it is always dense. A
+    one-step process is tested by its causal break at slot 0, which sees
+    initial system-environment correlations.
+
+    Margins, over 1440 tensors (seeds 0-39 of every case): the Markovian
+    ones had N at most 2.9e-14, divisibility and CP defects at most
+    2.0e-15 and classical violation at most 2.2e-16, and the others had
+    causal-break deviation at least 0.11 and N at least 0.047, so these
+    are asserted 100 times clear of MARKOV_TOL. The Markovian deviation
+    is not: it was at most 3.6e-11 for coupled or local steps, but
+    unitary steps ("markov" at Kraus rank 1, K = 3) reached 1.1e-9 (seed
+    4), 9 times under MARKOV_TOL, so it is asserted through the verdict
+    alone."""
     pt = build_process_tensor(
         _random_dilation(kind, size, k, np.random.default_rng(seed)),
         range(k + 1))
     mk = markov_test(pt)
     rep = non_markovianity(pt)
-    small_n = rep.n_value <= 1e-8
-    assert small_n == all(b == 1 for b in rep.bond_dims)
-    assert mk.is_markov == small_n
-    if mk.is_markov:
-        assert divisibility_test(pt).max_defect <= 10 * mk.tolerance
+    markovian = kind in ("markov", "local") or size == 1 or (
+        kind == "product" and k == 1)
+    assert mk.is_markov == markovian
+    assert mk.is_markov == (rep.n_value <= MARKOV_TOL) == all(
+        b == 1 for b in rep.bond_dims)
+    if not mk.is_markov:
+        assert min(mk.max_deviation, rep.n_value) >= 100 * MARKOV_TOL
+        return
+    div = divisibility_test(pt)
+    cp_defects = [defect for _, _, defect in div.pair_cp_defects]
+    assert max(rep.n_value, div.max_defect, *cp_defects) <= MARKOV_TOL / 100
+    computational = [np.diag(row) for row in np.eye(2, dtype=complex)]
+    classical = classical_markov_check(
+        classical_process(pt, [computational_reprepare_instrument(2)] * k,
+                          final_povm=computational), tol=MARKOV_TOL)
+    assert classical.is_markov
+    assert classical.max_violation <= MARKOV_TOL / 100
 
 
 def test_markov_test_sees_initial_correlations_at_one_step():

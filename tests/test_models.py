@@ -202,6 +202,20 @@ def test_b1_incommensurate_grid_raises():
         simulate_sequence(model, (0.0, 1.0, 1.0 + math.pi * 1e-4), [IDENT, IDENT])
 
 
+def test_overflowing_span_is_refused_before_the_ensemble():
+    """Finite, increasing time tags whose span t_K - t_0 overflows are
+    refused once, before any ensemble sees the grid."""
+    def ensemble(times):
+        raise AssertionError("ensemble called on an overflowing grid")
+    model = SEModel(system_dim=2, env_dim=1, initial_joint=np.eye(2) / 2,
+                    ensemble=ensemble)
+    grid = (-1e308, 0.0, 1e308)
+    with pytest.raises(ValidationError, match="time span overflows"):
+        simulate_sequence(model, grid, [IDENT, IDENT])
+    with pytest.raises(ValidationError, match="time span overflows"):
+        build_process_tensor(model, grid)
+
+
 def test_b1_over_cap_grid_raises_before_allocating():
     """A grid whose moments need more than 500 000 nodes (3.7 M at
     gamma*g*dt = 1e-5) raises QuadratureError in a single run and in the

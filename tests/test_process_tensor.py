@@ -17,12 +17,14 @@ from ptmarkov import (
     default_break,
     divisibility_test,
     from_tomography,
+    ic_basis,
     markov_test,
     model_b2,
     model_markov,
     simulate_sequence,
     tensor_product,
 )
+from ptmarkov.defaults import PSD_CLIP, SUPPORT_CUTOFF
 from ptmarkov.random_ops import (
     random_cptp,
     random_control_sequence,
@@ -48,6 +50,7 @@ from oracles import (
     restrict_einsum,
     sketch_residual_full,
     spectrum_dense,
+    tomography_dual_frame,
     tomography_process_tensor,
     traced_peak,
     von_neumann_entropy,
@@ -378,24 +381,38 @@ def test_b3_reconstruction_against_random_slot_maps(b3_pt, b3_states):
         assert np.abs(out.matrix - rho_s).max() <= 1e-9
 
 
+def _contract_outputs(pt):
+    """The outputs array that ``from_tomography`` takes: the tensor
+    contracted with ``ic_basis(d).rows`` on every slot."""
+    d, k = pt.system_dim, pt.n_steps
+    return pt.contract([ic_basis(d).rows] * k).reshape((d ** 4,) * k + (d, d))
+
+
 def test_from_tomography_rejects_incomplete():
-    records = [((0, 0), np.eye(2) / 2)]
-    with pytest.raises(TomographyDataError):
-        from_tomography(records, 2, 2)
+    """The outputs array is the whole sweep, with d and k read off its
+    shape, so an incomplete or mis-sized sweep is refused by its shape
+    alone (a key can no longer be missing or repeated), and a ragged or
+    non-numeric one before it has a shape."""
+    full = _b2_one_step_outputs()
+    for bad in (full[:15], np.stack([full] * 16)[:, :15], full[..., :1],
+                full[:, 0], np.zeros((16, 3, 3)), np.zeros((1, 1)),
+                np.zeros(4)):
+        with pytest.raises(TomographyDataError, match=(
+                rf"outputs of shape \({', '.join(map(str, bad.shape))},?\), "
+                r"expected \(d\*\*4,\) \* k \+ \(d, d\)")):
+            from_tomography(bad)
+    for bad in ([np.eye(2), np.eye(3)], [[1, 0], [0, "a"]]):
+        with pytest.raises(TomographyDataError,
+                           match="outputs are not a numeric array"):
+            from_tomography(bad)
 
 
-def test_from_tomography_rejects_duplicates():
-    records = [((0,), np.eye(2) / 2), ((0,), np.eye(2) / 2)]
-    with pytest.raises(TomographyDataError):
-        from_tomography(records, 2, 1)
-
-
-def _b2_one_step_records(basis2, change=lambda mu, out: out):
-    """K = 1 records of B.2 on the grid (0, 0.5) from ``apply``, each
-    output passed through ``change(mu, output)``."""
+def _b2_one_step_outputs(change=lambda mu, out: out):
+    """K = 1 outputs of B.2 on the grid (0, 0.5) from ``apply``, each
+    passed through ``change(mu, output)``."""
     pt = build_process_tensor(model_b2(omega=1.0), (0.0, 0.5))
-    return [((mu,), change(mu, pt.apply([e]).matrix))
-            for mu, e in enumerate(basis2.elements)]
+    return np.array([change(mu, pt.apply([e]).matrix)
+                     for mu, e in enumerate(ic_basis(2).elements)])
 
 
 @pytest.mark.parametrize("change, message", [
@@ -406,64 +423,147 @@ def _b2_one_step_records(basis2, change=lambda mu, out: out):
     (lambda mu, out: 1.5 * out,
      r"trace 3 is not d\*\*k = 2 within 3.0e-08"),
 ], ids=["acausal", "zero", "scaled"])
-def test_from_tomography_refuses_what_load_refuses(basis2, change, message):
+def test_from_tomography_refuses_what_load_refuses(change, message):
     """A reconstruction that is not a causal comb of trace d**k is refused
     with the message ``ptf.load`` gives: outputs that no comb produces
     (causality defect 0.177, trace 1.5), all-zero outputs and outputs
-    scaled by 1.5. The unscaled records reconstruct."""
-    records = _b2_one_step_records(basis2)
-    assert from_tomography(records, 2, 1).trace == pytest.approx(2.0)
+    scaled by 1.5. The unscaled outputs reconstruct."""
+    assert from_tomography(_b2_one_step_outputs()).trace == pytest.approx(2.0)
     with pytest.raises(TomographyDataError, match=f"^{message}"):
-        from_tomography(_b2_one_step_records(basis2, change), 2, 1)
+        from_tomography(_b2_one_step_outputs(change))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
-def test_from_tomography_refuses_non_finite_records(basis2, bad):
-    """A NaN or infinite record output is refused at ingestion, naming its
-    key, instead of reaching the eigensolve."""
+def test_from_tomography_refuses_non_finite_records(bad):
+    """A NaN or infinite output is refused before the reconstruction,
+    naming its key, instead of reaching the eigensolve."""
     def change(mu, out):
         return out + bad if mu == 3 else out
     with pytest.raises(TomographyDataError,
                        match=r"record output for key \(3,\) is not finite"):
-        from_tomography(_b2_one_step_records(basis2, change), 2, 1)
+        from_tomography(_b2_one_step_outputs(change))
 
 
-def test_from_tomography_refuses_overflowing_records(basis2):
-    """Finite records whose reconstruction overflows are refused."""
-    records = [((mu,), np.full((2, 2), 1e308)) for mu in range(16)]
+def test_from_tomography_refuses_overflowing_records():
+    """Finite outputs whose reconstruction overflows are refused."""
     with pytest.raises(TomographyDataError,
                        match="reconstruction has non-finite entries"):
-        from_tomography(records, 2, 1)
+        from_tomography(np.full((16, 2, 2), 1e308))
 
 
 def test_from_tomography_refuses_inconsistent_records(basis2):
     """Outputs of the transpose map after each basis element reconstruct
     to a tensor with eigenvalue -0.7, beyond the PSD repair's clip band."""
     rho = np.diag([0.7, 0.3])
-    records = [((mu,), e.apply(rho).T) for mu, e in enumerate(basis2.elements)]
+    outputs = np.array([e.apply(rho).T for e in basis2.elements])
     with pytest.raises(TomographyDataError, match=(
             r"reconstruction not PSD: eigenvalue -7.000e-01 below -1.0e-08 "
             r"\(inconsistent records\)")):
-        from_tomography(records, 2, 1)
+        from_tomography(outputs)
 
 
-def test_from_tomography_spot_check_catches_a_perturbed_record(basis2):
+def test_from_tomography_spot_check_catches_a_perturbed_record():
     """The reconstruction is symmetrized, so an anti-Hermitian 1e-6 added
-    to record 5 still gives a comb, and the spot check finds the record it
+    to output 5 still gives a comb, and the spot check finds the output it
     does not reproduce."""
     def change(mu, out):
         return out + 1e-6 * np.array([[0, 1], [-1, 0]]) * (mu == 5)
     with pytest.raises(TomographyDataError,
                        match=r"reconstruction mismatch 1.000e-06 at key \(5,\)"):
-        from_tomography(_b2_one_step_records(basis2, change), 2, 1)
+        from_tomography(_b2_one_step_outputs(change))
 
 
-def test_from_tomography_checks_the_time_tags_first(basis2):
-    records = _b2_one_step_records(basis2)
+def test_from_tomography_checks_the_time_tags_first():
+    outputs = _b2_one_step_outputs()
+    outputs[3] = math.nan
     with pytest.raises(DimensionMismatch, match="3 time tags for k=1"):
-        from_tomography(records, 2, 1, times=(0.0, 1.0, 2.0))
+        from_tomography(outputs, times=(0.0, 1.0, 2.0))
     with pytest.raises(ValidationError, match="strictly increasing"):
-        from_tomography(records, 2, 1, times=(1.0, 0.0))
+        from_tomography(outputs, times=(1.0, 0.0))
+
+
+def _qutrit_dilation_tensor(k):
+    rng = np.random.default_rng(61)
+    model = SEModel(system_dim=3, env_dim=2,
+                    initial_joint=random_density(6, rng),
+                    step_unitaries=tuple(random_unitary(6, rng)
+                                         for _ in range(k)))
+    return build_process_tensor(model, range(k + 1))
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_from_tomography_matches_the_dual_frame_sum(d, k):
+    """Inverting the contraction rows slot by slot gives the tensor that
+    the dual-frame sum of the same outputs gives, to 1e-12: B.2 from a
+    random state for qubits, a random joint dilation for qutrits."""
+    if d == 2:
+        pt = _benchmark_tensor("b2", k, seed=7)
+    else:
+        pt = _qutrit_dilation_tensor(k)
+    outputs = _contract_outputs(pt)
+    got = from_tomography(outputs, times=pt.times)
+    assert got.times == pt.times
+    assert np.abs(got.choi - tomography_dual_frame(outputs)).max() <= 1e-12
+    assert np.abs(got.choi - pt.choi).max() <= 1e-12
+
+
+def test_from_tomography_inverts_contract_at_k4():
+    """A B.2 K = 4 round trip: the 65 536 outputs of one ``contract`` call
+    reconstruct the tensor they came from."""
+    pt = build_process_tensor(model_b2(omega=1.0), (0.0, 0.7, 1.4, 2.1, 2.8))
+    got = from_tomography(_contract_outputs(pt), times=pt.times)
+    assert np.abs(got.choi - pt.choi).max() <= 1e-12
+    assert got.causality_defect() <= 1e-12
+
+
+def _spy(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` and pass them on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_from_tomography_solves_the_spectrum_of_clean_data_once(
+        monkeypatch, k):
+    """Clean outputs leave the certified minimum above -SUPPORT_CUTOFF
+    times the trace, so no dense ``eigh`` runs, and the comb check reads
+    the spectrum that the PSD judgement cached: one spectrum solve, dense
+    at K = 1 and sketched at K = 3."""
+    import ptmarkov.process_tensor as ptmod
+
+    pt = _benchmark_tensor("markov", k, seed=3)
+    outputs = _contract_outputs(pt)
+    eigh = _spy(monkeypatch, np.linalg, "eigh")
+    spectra = _spy(monkeypatch, ptmod, "_low_rank_spectrum")
+    got = from_tomography(outputs, times=pt.times)
+    assert (eigh, spectra) == ([], ["_low_rank_spectrum"])
+    assert np.abs(got.choi - pt.choi).max() <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-9])
+def test_from_tomography_clips_the_band(monkeypatch, eps):
+    """An eigenvalue -eps planted with SUPPORT_CUTOFF * trace < eps <
+    PSD_CLIP (here 2e-12 < eps < 1e-8) is clipped to zero by one dense
+    ``eigh``, and the trace of the reconstruction is kept. B.2 from a pure
+    state has rank 4 of 8, so the plant moves a zero eigenvalue."""
+    pt = build_process_tensor(model_b2(omega=1.0, rho_s=P0), (0.0, 0.5))
+    w, v = np.linalg.eigh(pt.choi)
+    planted = pt.choi - (w[0] + eps) * np.outer(v[:, 0], v[:, 0].conj())
+    noisy = ProcessTensor(planted, 2, pt.times)
+    assert noisy.min_eigenvalue == pytest.approx(-eps, rel=1e-6)
+    assert SUPPORT_CUTOFF * noisy.trace < eps < PSD_CLIP
+    eigh = _spy(monkeypatch, np.linalg, "eigh")
+    got = from_tomography(_contract_outputs(noisy), times=pt.times)
+    assert eigh == ["eigh"]
+    assert got.min_eigenvalue >= -1e-15
+    assert abs(got.trace - noisy.trace) <= 1e-14
+    assert np.abs(got.choi - planted).max() <= 2 * eps
 
 
 def test_reconstruction_psd(b1_pt, b2_pt, b3_pt, markov_pt3):

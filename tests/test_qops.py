@@ -33,6 +33,7 @@ from oracles import (
     compose,
     depolarizing,
     link_compose_choi,
+    operation_duals,
     random_reprepare_instrument,
 )
 
@@ -292,9 +293,10 @@ def test_causal_break_rejects_bad_povm():
 # ---------------------------------------------------------------------------
 
 def _frame_coefficients(qmap, basis):
-    """Coefficients <D_i, Choi> of a map against the dual frame."""
-    target = qmap.choi.reshape(-1)
-    return np.array([np.vdot(du.reshape(-1), target) for du in basis.duals])
+    """Coefficients c of a map in the basis, sum_i c_i rows_i = its
+    flattened superoperator, through the inverse of ``rows``: the dual
+    frame that ``from_tomography`` uses."""
+    return qmap.superoperator.reshape(-1) @ np.linalg.inv(basis.rows)
 
 
 def test_frame_states_qubit():
@@ -306,8 +308,13 @@ def test_frame_states_qubit():
 
 
 def test_ic_basis_counts_and_gram_rank(basis2):
+    """The Gram matrix of the element Chois is that of the contraction
+    rows, which a reshuffle only permutes, and it has full rank 16."""
     assert len(basis2) == 16
-    svals = np.linalg.svd(basis2.gram, compute_uv=False)
+    vecs = np.stack([e.choi.reshape(-1) for e in basis2.elements])
+    gram = basis2.rows.conj() @ basis2.rows.T
+    assert np.abs(gram - vecs.conj() @ vecs.T).max() <= 1e-14
+    svals = np.linalg.svd(gram, compute_uv=False)
     assert (svals > 1e-10 * svals.max()).sum() == 16
 
 
@@ -324,13 +331,13 @@ def test_ic_basis_frame_reconstruction(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_ic_basis_is_built_once_and_read_only(d):
     """One basis per dimension, shared by every caller, so its arrays
-    cannot be written through: the Gram matrix, the duals, and each
-    element's Choi matrix and the representations derived from it."""
+    cannot be written through: the contraction rows, and each element's
+    Choi matrix and the representations derived from it."""
     basis = ic_basis(d)
     assert ic_basis(d) is basis
     elements = [a for e in basis.elements
                 for a in (e.choi, e.superoperator, *e.kraus)]
-    for a in (basis.gram, *basis.duals, *elements):
+    for a in (basis.rows, *elements):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 0
@@ -384,7 +391,14 @@ def test_computational_instrument_is_built_once_and_read_only(d):
 
 
 def test_ic_basis_duals_biorthogonal(basis2):
-    for i, dual in enumerate(basis2.duals):
+    """The columns of the inverse of ``rows`` are the dual frame: read in
+    Choi order and conjugated, they are the duals of the Gram
+    pseudo-inverse, biorthogonal to the element Choi matrices."""
+    inv = np.linalg.inv(basis2.rows)
+    duals = operation_duals(basis2)
+    for i in range(16):
+        dual = choi_from_superop(inv[:, i].conj().reshape(4, 4), 2)
+        assert np.abs(dual.reshape(-1) - duals[:, i]).max() <= 1e-10
         for j, elem in enumerate(basis2.elements):
             ip = np.vdot(dual.reshape(-1), elem.choi.reshape(-1))
             assert abs(ip - (1.0 if i == j else 0.0)) <= 1e-10

@@ -113,7 +113,7 @@ def test_analysis_keywords_are_pinned():
 # superoperator argument coming back is a deliberate edit of these tables.
 FRAME_POSITIONALS = {
     "markov_test": ("pt",),
-    "from_tomography": ("records", "d", "k"),
+    "from_tomography": ("outputs",),
     "ProcessTensor.conditional_state": ("self", "k", "prep_index",
                                         "povm_outcome"),
 }
@@ -128,6 +128,17 @@ def test_frame_follows_from_the_dimension():
     assert tuple(p.name for p in _parameters("QuantumMap.__init__")
                  if p.kind is inspect.Parameter.KEYWORD_ONLY) == \
         QUANTUM_MAP_KEYWORDS
+
+
+# The fields of the operation basis: its contraction rows are the one
+# layout of the frame. A dual frame or Gram field coming back is a
+# deliberate edit.
+OPERATION_BASIS_FIELDS = ("dimension", "elements", "rows", "label")
+
+
+def test_operation_basis_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(ptmarkov.OperationBasis)) \
+        == OPERATION_BASIS_FIELDS
 
 
 # The fields of a model. Adding or removing one is a deliberate edit.
