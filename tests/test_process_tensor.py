@@ -407,6 +407,20 @@ def test_from_tomography_rejects_incomplete():
             from_tomography(bad)
 
 
+def test_from_tomography_rejects_duplicates():
+    """A sweep with one output repeated is one record too long and is
+    refused by its shape; keyed records with a repeated key are not an
+    outputs array and are refused before any reconstruction."""
+    full = _b2_one_step_outputs()
+    with pytest.raises(TomographyDataError,
+                       match=r"outputs of shape \(17, 2, 2\)"):
+        from_tomography(np.concatenate([full, full[:1]]))
+    records = [((0,), np.eye(2) / 2), ((0,), np.eye(2) / 2)]
+    with pytest.raises(TomographyDataError,
+                       match="outputs are not a numeric array"):
+        from_tomography(records)
+
+
 def _b2_one_step_outputs(change=lambda mu, out: out):
     """K = 1 outputs of B.2 on the grid (0, 0.5) from ``apply``, each
     passed through ``change(mu, output)``."""
