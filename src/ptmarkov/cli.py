@@ -75,6 +75,8 @@ def _parse_state(spec, what: str) -> np.ndarray:
     except (TypeError, ValueError):
         raise ConfigError(
             f"{what}: expected a named state or a nested [re, im] matrix")
+    except OverflowError:  # an integer beyond float range is not finite
+        arr = np.array(math.inf)
     # JSON's NaN and Infinity literals parse to floats
     if not np.isfinite(arr).all():
         raise ConfigError(f"config key {what!r}: state entries must be "
@@ -216,13 +218,9 @@ def cmd_simulate(args) -> int:
 ANALYSES = ("markov", "divisibility", "measure", "bonddim", "classical")
 
 
-def _analysis_flags(args) -> list[str]:
-    return [n for n in ANALYSES if getattr(args, n)] or list(ANALYSES)
-
-
 def _write_csv(path, header: str, rows) -> None:
-    """One line per row: its series name, then the repr of each value."""
-    lines = [header, *(",".join([series, *map(repr, values)])
+    """One line per row: its series name, then each value as a float."""
+    lines = [header, *(",".join([series, *(repr(float(v)) for v in values)])
                        for series, *values in rows)]
     ptf._write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {path}")
@@ -240,7 +238,7 @@ def cmd_analyze(args) -> int:
     pt = ptf.load(args.file, digest)
     d = pt.system_dim
     basis = ic_basis(d)
-    analyses = _analysis_flags(args)
+    analyses = [n for n in ANALYSES if getattr(args, n)] or list(ANALYSES)
     report: dict = {
         "format": "ptr-report-v1",
         "input": {
@@ -435,12 +433,8 @@ def _examples_b3(args, csv_rows) -> bool:
 
 def cmd_examples(args) -> int:
     csv_rows = [] if args.csv else None
-    if args.name == "b1":
-        ok = _examples_b1(args, csv_rows)
-    elif args.name == "b2":
-        ok = _examples_b2(args, csv_rows)
-    else:
-        ok = _examples_b3(args, csv_rows)
+    run = {"b1": _examples_b1, "b2": _examples_b2, "b3": _examples_b3}
+    ok = run[args.name](args, csv_rows)
     if args.csv:
         _write_csv(args.csv, "series,x,y,marker", csv_rows)
     return 0 if ok else 1

@@ -6,8 +6,8 @@ processes.
 A process is operationally Markovian when the state after a causal break
 depends only on the freshly prepared input, for every break position,
 measurement outcome, and earlier control sequence. The test below sweeps an
-informationally complete set of past controls and break outcomes; linearity
-of the process tensor makes that finite sweep sufficient.
+informationally complete set of past controls and break outcomes, read out
+one step after each break; linearity makes that finite sweep sufficient.
 """
 
 from __future__ import annotations
@@ -365,15 +365,14 @@ def _dual_tree(p: Array, kept: Array, leaf, reach, best: float, wi: int,
     return best, wi, wj
 
 
-def _group_diameter(pt: ProcessTensor, stacks: Sequence[Array], l: int
+def _group_diameter(pt: ProcessTensor, stacks: Sequence[Array]
                     ) -> tuple[int, tuple[float, int, int] | None]:
-    """One preparation group, contracted from ``stacks`` at readout step
-    l: how many of its realizations have a probability at or below the
-    floor, and the ``_diameter`` of the normalized outputs of the others
-    with its pair as output rows, or None when none is left. The raw
-    outputs are dropped before the diameter runs, and nothing of the
-    group's size outlives the call."""
-    outs = pt.contract(stacks, l)
+    """One preparation group, contracted from ``stacks`` and read out at
+    the next time: how many of its realizations have a probability at or
+    below the floor, and the ``_diameter`` of the others' normalized
+    outputs with its pair as output rows, or None when none is left. The
+    raw outputs are dropped before the diameter runs."""
+    outs = pt.contract(stacks, len(stacks))
     probs = np.einsum("naa->n", outs).real
     rows = np.flatnonzero(probs > PROBABILITY_FLOOR)
     below = probs.size - rows.size
@@ -389,52 +388,56 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
                 exhaustive: bool = False) -> MarkovReport:
     """Causal-break sweep for operational Markovianity.
 
-    For every break position k in [0, K-1] and readout step l > k, every
-    sequence of elements of ``ic_basis(d)`` on the earlier slots and every
-    POVM outcome of the break ``default_break(d)`` are realized;
-    conditional states sharing a preparation are compared pairwise in
-    trace distance. Break positions are scanned from the latest downward
-    and the sweep stops at the first deviation above tolerance unless
-    ``exhaustive`` is set. A break at slot 0 has no past: its groups
-    compare the states after each outcome r, which differ when the initial
-    system-environment state is correlated, so a one-step process is
-    tested too; a process with no step has no break and is reported
-    Markovian.
+    For every break position k in [0, K-1], every sequence of elements of
+    ``ic_basis(d)`` on the earlier slots and every POVM outcome of the
+    break ``default_break(d)`` are realized and read out at the next time,
+    t_{k+1}; conditional states sharing a preparation are compared
+    pairwise in trace distance. Break positions are scanned from the
+    latest downward and the sweep stops at the first deviation above
+    tolerance unless ``exhaustive`` is set. A break at slot 0 has no past:
+    its groups compare the states after each outcome r, which differ when
+    the initial system-environment state is correlated, so a one-step
+    process is tested too; a process with no step has no break and is
+    reported Markovian.
 
-    Informational completeness of the basis and of the break POVM makes the
-    sweep sufficient: equality across the swept controls implies equality
-    for every control sequence. Any IC basis and break would do, so both
-    follow from the dimension d.
+    The K one-step breaks decide the verdict: a process is Markovian iff
+    its tensor is the product of its step maps and the initial state
+    (Pollock et al., PRL 120, 040405, 2018). Suppose every break k gives
+    one state Lambda_k(P_s) at t_{k+1} for each preparation P_s, whatever
+    the IC past and the outcome r. The realizations (r, s) span every slot
+    map and the IC past spans every earlier control sequence, so by
+    linearity the output at t_{k+1} is Lambda_k(A_k(rho_k)) for any slot
+    map A_k, rho_k the output at t_k of any earlier controls. By induction
+    the output for any A_0 ... A_{K-1} is Lambda_{K-1} o A_{K-1} o ... o
+    Lambda_0 o A_0(rho_0): the tensor is a product, and no later readout
+    can show memory. A realization's probability is the same at every
+    readout step (below), so a later readout skips no other conditional
+    and leaves no other group inconclusive. Any IC basis and break would
+    do, so both follow from the dimension d.
 
-    Each break contracts one preparation group at a time: the cached
-    ``ic_basis(d).rows`` on the past slots and ``default_break(d).rows[s]``,
-    the n_out realizations of preparation s, on the break slot, so a group
-    costs 1/n_prep of the whole break. The stop comes right after the
-    group whose diameter passes the tolerance; the break's later groups
-    are then never contracted to states. ``skipped_conditionals`` still
-    counts every conditional at or below the probability floor in every
-    tested break, and the untested groups need no contraction for it: on
-    a causal comb a realization's probability depends on neither the
-    preparation s nor the readout step l. Tracing the readout leg and the
-    identity slots after the break reduces Upsilon_l to 1_{O_k} (x)
-    Upsilon_k (Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009),
-    and Tr P_s = 1, so row (past, r) has the same probability in every
-    group, and each untested group counts what the stopping group counted.
-    ``ptf.load`` and ``from_tomography`` refuse tensors that break it, and
-    every model meets it to rounding.
+    Each break contracts one preparation group at a time, with no
+    identity slot: the cached ``ic_basis(d).rows`` on the past slots and
+    ``default_break(d).rows[s]``, the n_out realizations of preparation s,
+    on the break slot. The sweep stops right after the group whose
+    diameter passes the tolerance, and the break's later groups are never
+    contracted. ``skipped_conditionals`` still counts their conditionals
+    at or below the floor, with no contraction: tracing the readout leg,
+    and the identity slots of any later readout, reduces the comb to
+    1_{O_k} (x) Upsilon_k (Chiribella, D'Ariano and Perinotti, PRA 80,
+    022339, 2009), and Tr P_s = 1, so row (past, r) has the same
+    probability in every group and at every readout step, and each
+    untested group counts what the stopping group counted. ``ptf.load``
+    and ``from_tomography`` refuse tensors that break the comb condition,
+    and every model meets it to rounding.
 
-    The working set holds one array of a group's size: its raw outputs
-    while ``_points`` reads them (for d > 2 they are normalized in place,
-    or copied once when some fall below the floor), and only the points
-    while ``_diameter`` runs, whose temporaries have a fixed size
-    (``_dual_tree``). Nothing of the group's size outlives the group.
-
-    Each group's diameter is exact, not estimated, from one routine for
-    every d (``_diameter``). The group's computed states run in (past,
-    outcome) order, past sequences in ``itertools.product`` order, and its
-    witness is the first pair (i, j) at the largest distance; for qubits,
-    at the largest squared Bloch distance. For d > 2 the search bounds
-    trace distances by sqrt(d) times Frobenius distances.
+    One array of a group's size is alive at a time: its raw outputs while
+    ``_points`` reads them (for d > 2 normalized in place, or copied once
+    when some fall below the floor), then only the points while
+    ``_diameter`` runs, whose temporaries have a fixed size. Each group's
+    diameter is exact, from one routine for every d; its states run in
+    (past, outcome) order, past sequences in ``itertools.product`` order,
+    and its witness is the first pair (i, j) at the largest distance (for
+    qubits, at the largest squared Bloch distance).
     """
     _check_tol(tol)
     n_steps = pt.n_steps
@@ -442,10 +445,10 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     basis_rows, break_rows = ic_basis(d).rows, default_break(d).rows
     n_basis, (n_prep, n_out) = len(basis_rows), break_rows.shape[:2]
 
-    def record(k: int, l: int, s: int, row: int) -> ConditioningRecord:
+    def record(k: int, s: int, row: int) -> ConditioningRecord:
         past, r = divmod(int(row), n_out)
         return ConditioningRecord(
-            break_slot=k, readout_step=l, povm_outcome=r, preparation=s,
+            break_slot=k, readout_step=k + 1, povm_outcome=r, preparation=s,
             past=tuple(int(m) for m in np.unravel_index(past, (n_basis,) * k)))
 
     best = 0.0
@@ -454,21 +457,20 @@ def markov_test(pt: ProcessTensor, tol: float = MARKOV_TOL,
     inconclusive: list[tuple[int, int, int]] = []
     breaks_tested: list[tuple[int, int]] = []
 
-    for k, l in [(k, l) for k in range(n_steps - 1, -1, -1)
-                 for l in range(k + 1, n_steps + 1)]:
-        breaks_tested.append((k, l))
+    for k in range(n_steps - 1, -1, -1):
+        breaks_tested.append((k, k + 1))
         pasts = [basis_rows] * k
         for s in range(n_prep):
             # rows (past, r); past[0] varies slowest
-            below, top = _group_diameter(pt, pasts + [break_rows[s]], l)
+            below, top = _group_diameter(pt, pasts + [break_rows[s]])
             skipped += below
             if top is None:
-                inconclusive.append((k, l, s))
+                inconclusive.append((k, k + 1, s))
                 continue
             dev, i, j = top
             if dev > best:
                 best = dev
-                witness = (record(k, l, s, i), record(k, l, s, j))
+                witness = (record(k, s, i), record(k, s, j))
             if best > tol and not exhaustive:
                 skipped += (n_prep - s - 1) * below
                 break

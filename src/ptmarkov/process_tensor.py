@@ -120,7 +120,10 @@ def checked_controls(controls: Iterable, n_slots: int,
 def checked_times(times: Iterable[float]) -> tuple[float, ...]:
     """Time tags t_0 ... t_K as floats; raises ValidationError unless
     there is at least one, all are finite and they strictly increase."""
-    times = tuple(float(t) for t in times)
+    try:
+        times = tuple(float(t) for t in times)
+    except OverflowError:  # an integer beyond float range
+        raise ValidationError("times must be finite, not beyond float range")
     if not times:
         raise ValidationError("need at least one time tag")
     if not all(math.isfinite(t) for t in times):

@@ -47,9 +47,9 @@ to 1e-8. Nothing is synced to disk.
 from __future__ import annotations
 
 import json
-import math
 import os
 import stat
+import sys
 import threading
 
 import numpy as np
@@ -184,7 +184,7 @@ def load(path, digest=None):
             raise FormatError(f"k must be a nonnegative integer, got {k!r}")
         if not isinstance(times, list) or not all(
                 isinstance(t, (int, float)) and not isinstance(t, bool)
-                and math.isfinite(t) for t in times):
+                and abs(t) <= sys.float_info.max for t in times):
             raise FormatError(f"times must be a list of finite numbers, "
                               f"got {times!r}")
         if len(times) != k + 1:

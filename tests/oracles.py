@@ -570,9 +570,13 @@ def conditional_output_loop(pt, basis, break_set, k, l, past, r, s):
 
 
 def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
-                     prob_floor=None):
+                     prob_floor=None, next_only=False, diameter=None):
     """The causal-break sweep with a Python loop over every past sequence
-    and the all-pairs diameter; returns a ``MarkovReport``."""
+    and the all-pairs diameter; returns a ``MarkovReport``. It reads each
+    break k out at every step l > k, or with ``next_only`` at l = k + 1
+    alone, as ``markov_test`` does. ``diameter`` maps an (n, d, d) stack
+    of normalized states to (value, i, j); the default is the all-pairs
+    Bloch scan for qubits and the batched SVD scan for d > 2."""
     from ptmarkov.defaults import MARKOV_TOL, PROBABILITY_FLOOR
     from ptmarkov.markov import ConditioningRecord, MarkovReport
     from ptmarkov.qops import default_break
@@ -594,8 +598,11 @@ def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
     inconclusive = []
     breaks_tested = []
     stop = False
+    if diameter is None:
+        diameter = diameter_qubit_all_pairs if d == 2 \
+            else diameter_general_batched
     for k in range(n_steps - 1, -1, -1):
-        for l in range(k + 1, n_steps + 1):
+        for l in range(k + 1, k + 2 if next_only else n_steps + 1):
             breaks_tested.append((k, l))
             form = reduced_form_loop(pt, k, l)
             states_by_prep = {s: [] for s in range(n_prep)}
@@ -621,11 +628,7 @@ def markov_test_loop(pt, basis, break_set=None, tol=None, exhaustive=False,
                 if not group:
                     inconclusive.append((k, l, s))
                     continue
-                stack = np.stack(group)
-                if d == 2:
-                    dev, i, j = diameter_qubit_all_pairs(stack)
-                else:
-                    dev, i, j = diameter_general_loop(stack)
+                dev, i, j = diameter(np.stack(group))
                 if dev > best:
                     best = dev
                     witness = (records_by_prep[s][i], records_by_prep[s][j])

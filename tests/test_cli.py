@@ -231,6 +231,32 @@ def test_simulate_non_finite_times_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_huge_integer_time_exit_3(tmp_path, capsys):
+    """A header time tag that JSON reads as a 400-digit integer is beyond
+    float range: the file is malformed, exit 3, not a traceback."""
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    header["times"] = [0, 1, 10 ** 400]
+    _write_ptf(path, header, raw)
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: times must be a list of finite numbers")
+
+
+@pytest.mark.parametrize("model, key", [("b2", "rho_s"), ("b3", "rho_e"),
+                                        ("markov", "rho0")])
+def test_simulate_huge_integer_state_entry_exit_2(tmp_path, capsys, model,
+                                                  key):
+    """A 400-digit integer in a state entry is beyond float range: a
+    config error naming the key, and no file is written."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.ptf"
+    cfg.write_text(json.dumps({"model": model, "times": [0, 1, 2], "params": {
+        key: [[[1, 0], [0, 0]], [[0, 0], [-10 ** 400, 0]]]}}))
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config key {key!r}: state entries must be finite")
+    assert not out.exists()
+
+
 def test_analyze_oversize_header_exit_2(tmp_path, capsys):
     """A K = 6 qubit header is refused by the size guard, before its blob
     is read."""
@@ -825,8 +851,11 @@ def test_cli_malformed_input_exit_2(tmp_path, capsys, argv):
     assert captured.out == "" and not out.exists()
 
 
+# 400-digit integers lie beyond float range
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.integers(10 ** 399, 10 ** 400 - 1)
+    | st.integers(-10 ** 400 + 1, -10 ** 399),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=8)
@@ -1146,7 +1175,10 @@ def test_examples_pass(name, tmp_path, capsys):
     assert main(["examples", name, "--csv", str(csv)]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert csv.read_text().startswith("series,x,y,marker\n")
+    header, *lines = csv.read_text().splitlines()
+    assert header == "series,x,y,marker" and lines
+    for line in lines:  # plain floats, no numpy reprs
+        assert len([float(cell) for cell in line.split(",")[1:]]) == 3
 
 
 # ---------------------------------------------------------------------------

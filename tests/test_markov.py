@@ -130,8 +130,10 @@ def test_one_step_process_is_vacuously_markov():
 
 
 def test_markov_test_breaks_scanned(b3_pt):
+    """Each break is read out at the next time only."""
     rep = markov_test(b3_pt, exhaustive=True)
-    assert rep.breaks_tested == ((1, 2), (0, 1), (0, 2))
+    assert rep.breaks_tested == ((1, 2), (0, 1))
+    assert {(w.break_slot, w.readout_step) for w in rep.witness} == {(1, 2)}
 
 
 def test_markov_test_inconclusive_on_degenerate_data(b3_pt):
@@ -592,8 +594,8 @@ def test_general_diameter_bit_identical_on_qutrit_sweeps(kind, qutrit_sweeps):
     equal the batched all-pairs scan's, bit for bit."""
     from ptmarkov.markov import _diameter
     _, report, groups = qutrit_sweeps[kind]
-    assert len(groups) == 27 and report.is_markov is (kind == "markov")
-    assert [len(points) for points, _ in groups] == [729] * 9 + [9] * 18
+    assert len(groups) == 18 and report.is_markov is (kind == "markov")
+    assert [len(points) for points, _ in groups] == [729] * 9 + [9] * 9
     for points, want in groups:
         assert _diameter(points) == want
 
@@ -700,7 +702,7 @@ def test_qutrit_markov_test_runs_few_svds(monkeypatch):
     markov_test(pt, exhaustive=True)
     sizes = [len(states) for states, _ in groups]
     all_pairs = sum(n * (n - 1) // 2 for n in sizes)
-    assert len(sizes) == 27 and 0 < sum(matrices) < all_pairs / 4
+    assert len(sizes) == 18 and 0 < sum(matrices) < all_pairs / 4
 
 
 @pytest.mark.parametrize("kind", ["markov", "joint"])
@@ -727,7 +729,7 @@ def _trace_norm_eig(a, b):
 def test_markov_test_matches_per_past_loop(name, exhaustive, basis2, request):
     pt = request.getfixturevalue(name)
     rep = markov_test(pt, exhaustive=exhaustive)
-    ref = markov_test_loop(pt, basis2, exhaustive=exhaustive)
+    ref = markov_test_loop(pt, basis2, exhaustive=exhaustive, next_only=True)
     _assert_matches_loop(pt, rep, ref, basis2)
     if name == "b2_pure_pt3":
         assert rep.skipped_conditionals > 0
@@ -786,6 +788,22 @@ def test_markov_test_contracts_one_group_before_its_stop(monkeypatch):
     assert not rep.is_markov and rep.breaks_tested == ((3, 4),)
     assert rep.witness[0].preparation == 0
     assert calls == [(4, [16, 16, 16, 4])]
+
+
+def test_markov_test_fills_no_identity_slot(markov_pt3, monkeypatch):
+    """A spy on ``ProcessTensor.contract`` while a memoryless three-step
+    sweep runs every break: each group is read out at the next time, so
+    every call passes one stack per slot up to its readout step and no
+    slot is filled with the identity."""
+    contract, calls = ProcessTensor.contract, []
+
+    def spy(self, stacks, l=None):
+        calls.append((l, len(stacks)))
+        return contract(self, stacks, l)
+    monkeypatch.setattr(ProcessTensor, "contract", spy)
+    rep = markov_test(markov_pt3)
+    assert rep.is_markov and rep.breaks_tested == ((2, 3), (1, 2), (0, 1))
+    assert calls == [(l, l) for l in (3, 2, 1) for _ in range(4)]
 
 
 def test_stop_at_a_later_group_counts_the_groups_after_it(basis2):
@@ -1327,6 +1345,69 @@ def test_markov_test_sees_initial_correlations_at_one_step():
     rep = non_markovianity(pt)
     assert rep.n_value > 1e-2 and rep.bond_dims == (4,)
     assert not markov_test(pt).is_markov
+
+
+def _full_sweep(pt, exhaustive=False, **kwargs):
+    """The per-past loop's sweep over every readout step l > k: the
+    reference the one-step sweep must agree with."""
+    from ptmarkov import ic_basis
+    ref = markov_test_loop(pt, ic_basis(pt.system_dim), exhaustive=exhaustive,
+                           **kwargs)
+    k = pt.n_steps
+    assert ref.is_markov is False or len(ref.breaks_tested) == k * (k + 1) // 2
+    return ref
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+@pytest.mark.parametrize("name", ["b1_pt", "b2_pt", "b3_pt", "markov_pt2",
+                                  "markov_pt3", "b2_pure_pt3", "qutrit"])
+def test_next_readout_gives_the_full_sweeps_verdict(name, exhaustive,
+                                                     request):
+    """The paper's product theorem: the K one-step breaks decide the
+    verdict. On each corpus tensor and a memoryless qutrit K = 2 dilation
+    the one-step sweep, which tests exactly (K-1, K), ..., (0, 1), gives
+    the verdict of the per-past loop over every readout step. For the
+    qutrit the loop takes ``_diameter`` on its groups, whose value and
+    pair the qutrit sweep tests pin to the all-pairs scan."""
+    from ptmarkov.markov import _diameter
+    if name == "qutrit":
+        pt = _qutrit_dilation("markov")
+        kwargs = {"diameter": lambda states: _diameter(_points_of(states))}
+    else:
+        pt, kwargs = request.getfixturevalue(name), {}
+    rep = markov_test(pt, exhaustive=exhaustive)
+    ref = _full_sweep(pt, exhaustive, **kwargs)
+    assert rep.is_markov == ref.is_markov == (name in (
+        "markov_pt2", "markov_pt3", "qutrit"))
+    k = pt.n_steps
+    steps = tuple((j, j + 1) for j in range(k - 1, -1, -1))
+    assert rep.breaks_tested == (steps if rep.is_markov or exhaustive
+                                 else steps[:1])
+    assert all(w.readout_step == w.break_slot + 1 for w in rep.witness or ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
+       kind=st.sampled_from(("markov", "joint", "product", "local")),
+       size=st.integers(1, 3))
+def test_next_readout_verdicts_agree_on_random_dilations(seed, k, kind,
+                                                         size):
+    """On random dilations the one-step sweep gives the full sweep's
+    verdict, and on a Markovian tensor the per-past loop's one-step
+    deviation is no larger than its full sweep's, whose groups include
+    the one-step groups computed the same way: the later readouts only
+    add groups, and the product theorem says they cannot add memory."""
+    from ptmarkov import ic_basis
+    pt = build_process_tensor(
+        _random_dilation(kind, size, k, np.random.default_rng(seed)),
+        range(k + 1))
+    rep = markov_test(pt)
+    ref = _full_sweep(pt)
+    assert rep.is_markov == ref.is_markov
+    if rep.is_markov:
+        one_step = markov_test_loop(pt, ic_basis(2), next_only=True)
+        assert one_step.breaks_tested == rep.breaks_tested
+        assert one_step.max_deviation <= ref.max_deviation
 
 
 @pytest.mark.parametrize("kind", ["b2", "markov"])

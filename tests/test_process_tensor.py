@@ -1119,8 +1119,11 @@ def test_ptf_save_makes_no_full_size_copy(tmp_path):
     assert path.read_bytes().endswith(pt.choi.tobytes())
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10 ** 400,
+                                 -10 ** 400],
+                         ids=["inf", "-inf", "nan", "int400", "-int400"])
 def test_process_tensor_rejects_non_finite_times(bad):
+    """An integer beyond float range is no finite time either."""
     from ptmarkov import ValidationError
     choi = np.kron(IDENT.choi, np.eye(2) / 2)
     with pytest.raises(ValidationError, match="finite"):
