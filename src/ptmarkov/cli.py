@@ -88,7 +88,7 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, an int of too many digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

@@ -372,7 +372,7 @@ def _group_diameter(pt: ProcessTensor, stacks: Sequence[Array]
     below the floor, and the ``_diameter`` of the others' normalized
     outputs with its pair as output rows, or None when none is left. The
     raw outputs are dropped before the diameter runs."""
-    outs = pt.contract(stacks, len(stacks))
+    outs = pt.contract(stacks)
     probs = np.einsum("naa->n", outs).real
     rows = np.flatnonzero(probs > PROBABILITY_FLOOR)
     below = probs.size - rows.size

@@ -31,18 +31,19 @@ the legs in stored order, each leg's row and column index side by side,
 so a slot axis is (O_row, O_col, I_row, I_col) and every temporal cut's
 unfolding is a reshape. ``choi`` as stored is read only by the load checks
 (``checked_comb``: the Hermiticity scan, ``trace``, ``spectrum`` and the
-K form, which a tensor built in process makes on first use) and by
-``ptf.save``. Earlier steps are read off through the causal-comb
-condition Tr_{O_l} Upsilon_l = 1_{O_{l-1}} (x) Upsilon_{l-1}
-(Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009): one comb
-step builds each lower ``contraction_form`` and the gap that
-``causality_defect`` reports. ``ProcessTensor.contract`` is the one
-contraction kernel: a slot axis is the slot map's flattened superoperator
-(Zyczkowski and Bengtsson, Open Syst. Inf. Dyn. 11, 3, 2004), so it
-contracts stacks of superoperator rows as they come, latest slot first.
-The leading slot axis is the next one open, so each slot is one plain
-GEMM batched over the rows made so far, no axis of the form is moved or
-copied, and one output-sized transpose puts slot 0 slowest.
+K form, which a tensor built in process makes on first use), by
+``from_tomography``'s PSD repair and by ``ptf.save``. Earlier steps are
+read off through the causal-comb condition Tr_{O_l} Upsilon_l =
+1_{O_{l-1}} (x) Upsilon_{l-1} (Chiribella, D'Ariano and Perinotti, PRA
+80, 022339, 2009): one comb step builds each lower ``contraction_form``
+and the gap that ``causality_defect`` reports. ``ProcessTensor.contract``
+is the one contraction kernel: a slot axis is the slot map's flattened
+superoperator (Zyczkowski and Bengtsson, Open Syst. Inf. Dyn. 11, 3,
+2004), so it contracts stacks of superoperator rows as they come, latest
+slot first, and reads out right after the last one. The leading slot axis
+is the next one open, so each slot is one plain GEMM batched over the rows
+made so far, no axis of the form is moved or copied, and one output-sized
+transpose puts slot 0 slowest.
 
 Control sequences
 -----------------
@@ -415,36 +416,31 @@ class ProcessTensor:
 
     # -- contraction ----------------------------------------------------------
 
-    def contract(self, stacks: Sequence[Array], l: int | None = None) -> Array:
-        """Raw outputs at readout step l (default: the final step K) for
-        every combination of the rows of ``stacks``.
+    def contract(self, stacks: Sequence[Array]) -> Array:
+        """Raw outputs at readout step l = ``len(stacks)``, right after the
+        last stack, for every combination of the rows of ``stacks``.
 
         ``stacks[j]`` is an (n_j, d**4) stack of slot-j superoperators,
         each flattened as ``QuantumMap.superoperator.reshape(-1)`` gives
         it: (O_row, O_col, I_row, I_col), the form's own slot axis, so no
-        stack is reordered. Slots ``len(stacks)`` ... l-1 get the
-        identity's one row. The stacks are contracted into
-        ``contraction_form(l)`` latest slot first: one ``matmul`` of the
-        stack against the leading open slot axis, batched over the rows
-        made so far, and the last slot one GEMM of all those rows, so no
-        axis of the form is moved or copied. Returns an (n_0 * ... *
-        n_{l-1}, d, d) array with slot 0 varying slowest. Raises
-        DimensionMismatch for more than l stacks or a stack that is not
-        2-D with d**4 columns.
+        stack is reordered. They are contracted into ``contraction_form(l)``
+        latest slot first: one ``matmul`` of the stack against the leading
+        open slot axis, batched over the rows made so far, and the last
+        slot one GEMM of all those rows, so no axis of the form is moved or
+        copied. Returns an (n_0 * ... * n_{l-1}, d, d) array with slot 0
+        varying slowest. Raises DimensionMismatch for more stacks than
+        steps or a stack that is not 2-D with d**4 columns.
         """
-        l = self.n_steps if l is None else int(l)
-        if len(stacks) > l:
+        if len(stacks) > self.n_steps:
             raise DimensionMismatch(
-                f"{len(stacks)} slot stacks for readout step {l}")
+                f"{len(stacks)} slot stacks for {self.n_steps} steps")
         d = self.system_dim
         for j, stack in enumerate(stacks):
             shape = getattr(stack, "shape", None)
             if shape is None or len(shape) != 2 or shape[1] != d ** 4:
                 raise DimensionMismatch(
                     f"slot {j} stack of shape {shape}, expected (n, {d ** 4})")
-        ident = np.eye(d * d).reshape(1, -1)
-        stacks = [*stacks, *[ident] * (l - len(stacks))]
-        arr, counts = self.contraction_form(l), [d * d]
+        arr, counts = self.contraction_form(len(stacks)), [d * d]
         for stack in reversed(stacks):
             arr = arr.reshape(math.prod(counts), stack.shape[1], -1)
             # the last open axis: one GEMM in place of a batch of products
@@ -476,13 +472,10 @@ class ProcessTensor:
         past, future = list(past), list(future)
         if len(past) != k:
             raise DimensionMismatch(f"past must cover slots 0..{k - 1}")
-        l = k + 1 + len(future)
-        if l > n_steps:
-            raise DimensionMismatch(
-                f"readout step {l} beyond final step {n_steps}")
+        l = k + 1 + len(future)  # contract refuses l > n_steps
         break_map = default_break(d).map(povm_outcome, prep_index)
         maps = checked_controls(past + [break_map] + future, l, d)
-        out = self.contract(_rows(maps), l)[0]
+        out = self.contract(_rows(maps))[0]
         p = float(np.trace(out).real)
         if p <= PROBABILITY_FLOOR:
             raise UnresolvableConditional(
@@ -505,8 +498,8 @@ class ProcessTensor:
         """The dynamics map from slot j's output to the state at t_l.
 
         The d**2 matrix units |a><b| are prepared at slot j (discarding its
-        input, X -> tr(X) |a><b|) in one ``contract`` call, and
-        identity controls fill every other slot before l. Output (a, b) is
+        input, X -> tr(X) |a><b|) in one ``contract`` call, and the
+        identity's row fills every other slot before l. Output (a, b) is
         the map's image of |a><b|, so the outputs are the columns of its
         Choi matrix.
         """
@@ -517,7 +510,8 @@ class ProcessTensor:
         # row (a, b): X -> tr(X) |a><b|, entry ((x, y), (z, w)) delta_ax
         # delta_by delta_zw
         preps = np.outer(np.eye(d * d), np.eye(d)).reshape(d * d, -1)
-        outs = self.contract([np.eye(d * d).reshape(1, -1)] * j + [preps], l)
+        ident = np.eye(d * d).reshape(1, -1)
+        outs = self.contract([ident] * j + [preps] + [ident] * (l - j - 1))
         # Choi[(x, a), (y, b)] = outs[(a, b), x, y]
         choi = outs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, -1)
         return QuantumMap.from_choi(hermitize(choi, atol=1e-8),
@@ -594,7 +588,8 @@ def from_tomography(outputs, times: Sequence[float] | None = None
     shape, and every entry must be finite. ``contract`` multiplies each
     slot axis of the K form by the square, invertible ``rows``, so each
     slot axis of ``outputs`` is multiplied by its inverse, one GEMM per
-    slot, and one transpose gives the Choi matrix, which is symmetrized.
+    slot, and one transpose gives the Choi matrix, raw: the constructor's
+    Hermiticity scan refuses an asymmetry above 1e-8, as for a loaded file.
 
     The PSD repair is judged on the certified ``min_eigenvalue``: below
     -PSD_CLIP the records are refused as inconsistent; below
@@ -628,7 +623,7 @@ def from_tomography(outputs, times: Sequence[float] | None = None
 
     rows = ic_basis(d).rows
     inv_t = np.linalg.inv(rows).T
-    arr = outputs
+    arr = outputs if k else outputs.copy()  # the tensor views no input
     with np.errstate(over="ignore", invalid="ignore"):
         # slot 0 leads: undo its GEMM, which moves its axis to the end, so
         # after k slots the axes are (O_K row, O_K col, slot 0, ..., k-1)
@@ -640,23 +635,27 @@ def from_tomography(outputs, times: Sequence[float] | None = None
                  1, *(a for s in slots for a in (s + 1, s + 3))]
         dim = d ** (2 * k + 1)
         ups = arr.reshape((d,) * (4 * k + 2)).transpose(order).reshape(dim, dim)
-        ups = (ups + ups.conj().T) / 2
-    if not np.isfinite(ups).all():  # finite records that overflow
-        raise TomographyDataError("reconstruction has non-finite entries")
-
-    pt = ProcessTensor(ups, d, times)
+    del arr
+    try:
+        pt = ProcessTensor(ups, d, times)
+    except ValidationError as exc:  # the scan, which overflow fails too
+        raise TomographyDataError(
+            str(exc) if np.isfinite(ups).all() else
+            "reconstruction has non-finite entries") from exc
+    del ups  # pt.choi is the array or, if it was symmetrized, a new one
     lam = pt.min_eigenvalue
     if not lam >= -PSD_CLIP:
         raise TomographyDataError(
             f"reconstruction not PSD: eigenvalue {lam:.3e} below "
             f"-{PSD_CLIP:.1e} (inconsistent records)")
     if lam < -SUPPORT_CUTOFF * pt.trace:
-        w, v = np.linalg.eigh(ups)
+        w, v = np.linalg.eigh(pt.choi)  # Hermitian: eigh reads one triangle
         ups = (v * np.clip(w, 0.0, None)) @ v.conj().T
         tr_after = ups.trace().real
         if tr_after > 0:
             ups *= pt.trace / tr_after
         pt = ProcessTensor(ups, d, times)
+        del ups, v
     pt = checked_comb(pt, d, times, TomographyDataError)
 
     for flat in range(0, n ** k, max(1, n ** k // 16))[:16]:

@@ -134,7 +134,7 @@ def _read_header(fh, fmt: str, digest=None) -> dict:
         digest.update(line)
     try:
         header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, an int of too many digits
         raise FormatError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("header is not a JSON object")

@@ -202,6 +202,28 @@ def tomography_dual_frame(outputs):
     return (ups + ups.conj().T) / 2
 
 
+
+def tomography_symmetrized(outputs):
+    """The reconstruction of an outputs array of ``from_tomography``'s
+    shape by the route that symmetrized it before ``ProcessTensor`` saw
+    it: each slot axis times the inverse transpose of ``ic_basis(d).rows``,
+    one transpose to the Choi matrix, then ``(ups + ups^dagger) / 2``;
+    without its PSD repair or checks."""
+    from ptmarkov import ic_basis
+
+    arr = np.asarray(outputs, dtype=complex)
+    k, d = arr.ndim - 2, arr.shape[-1]
+    n = d ** 4
+    inv_t = np.linalg.inv(ic_basis(d).rows).T
+    for _ in range(k):
+        arr = arr.reshape(n, -1).T @ inv_t
+    slots = range(2 + 4 * (k - 1), 1, -4)
+    order = [0, *(a for s in slots for a in (s, s + 2)),
+             1, *(a for s in slots for a in (s + 1, s + 3))]
+    dim = d ** (2 * k + 1)
+    ups = arr.reshape((d,) * (4 * k + 2)).transpose(order).reshape(dim, dim)
+    return (ups + ups.conj().T) / 2
+
 def restrict_einsum(pt, subset):
     """Tensor on a subset of the time grid by one einsum over the full
     tensor: future legs traced, identity controls paired into skipped

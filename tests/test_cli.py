@@ -242,6 +242,41 @@ def test_analyze_huge_integer_time_exit_3(tmp_path, capsys):
         "error: times must be a list of finite numbers")
 
 
+def test_simulate_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
+    """A 5000-digit integer is past Python's limit on integer string
+    conversion (4300 digits), which ``json.load`` raises as a plain
+    ValueError: a config error, exit 2, and no file is written."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.ptf"
+    cfg.write_text('{"model": "b2", "params": {"omega": ' + "1" * 5000
+                   + '}, "times": [0, 1]}')
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg} is not valid JSON: Exceeds")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_non_utf8_config_exit_2(tmp_path, capsys):
+    """A config that is not UTF-8 is a config error, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"model": "b2", "params": {"omega": 1.0\xff}}')
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.ptf")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config {cfg} is not valid JSON: 'utf-8' codec")
+
+
+def test_analyze_integer_past_the_digit_limit_exit_3(tmp_path, capsys):
+    """A PTF1 header whose ``k`` has 5000 digits is unreadable: exit 3,
+    not a traceback."""
+    path, header, raw = _saved_identity_ptf(tmp_path)
+    line = json.dumps(header).replace('"k": 2', '"k": ' + "1" * 5000)
+    path.write_bytes(line.encode("utf-8") + b"\n" + raw.tobytes())
+    assert main(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable header: Exceeds")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("model, key", [("b2", "rho_s"), ("b3", "rho_e"),
                                         ("markov", "rho0")])
 def test_simulate_huge_integer_state_entry_exit_2(tmp_path, capsys, model,

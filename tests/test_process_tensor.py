@@ -52,6 +52,7 @@ from oracles import (
     spectrum_dense,
     tomography_dual_frame,
     tomography_process_tensor,
+    tomography_symmetrized,
     traced_peak,
     von_neumann_entropy,
 )
@@ -135,9 +136,12 @@ def test_tp_controls_give_unit_trace(b1_pt, b2_pt, b3_pt):
 
 def test_contract_matches_apply(markov_pt3, b2_pure_pt3):
     """Batched stacks give, row for row with slot 0 slowest, the outputs of
-    per-sequence ``apply``; slots past the stacks hold the identity, at the
-    final step and at an earlier readout step."""
+    per-sequence ``apply``, read out right after the last stack: at the
+    final step and, with the identity's row on the slots after the first,
+    at an earlier readout step. No stack reads out the initial state, and
+    one stack more than steps is refused."""
     rng = np.random.default_rng(31)
+    ident = IDENT.superoperator.reshape(1, -1)
     for pt in (markov_pt3, b2_pure_pt3):
         maps = [[random_cptp(2, rng) for _ in range(n)] for n in (2, 3, 1)]
         stacks = [np.stack([m.superoperator.reshape(-1) for m in slot])
@@ -147,15 +151,16 @@ def test_contract_matches_apply(markov_pt3, b2_pure_pt3):
         for row, seq in enumerate(itertools.product(*maps)):
             assert np.abs(outs[row] - pt.apply(seq).matrix).max() <= 1e-14
         for l in (1, 2, 3):
-            outs = pt.contract(stacks[:1], l)
+            outs = pt.contract(stacks[:1] + [ident] * (l - 1))
             early = restrict_einsum(pt, range(l + 1))
             for row, m in enumerate(maps[0]):
                 want = early.apply([m] + [IDENT] * (l - 1)).matrix
                 assert np.abs(outs[row] - want).max() <= 1e-14
-        assert np.abs(pt.contract([], 0)[0]
+        assert np.abs(pt.contract([])[0]
                       - restrict_einsum(pt, [0]).choi).max() <= 1e-15
-        with pytest.raises(DimensionMismatch):
-            pt.contract(stacks, 2)
+        with pytest.raises(DimensionMismatch,
+                           match="4 slot stacks for 3 steps"):
+            pt.contract(stacks + [ident])
 
 
 def _qutrit_memory_pt():
@@ -174,13 +179,14 @@ def test_contract_matches_apply_at_every_width_and_readout(name, request):
     """Stacks of widths 1, 2 and d**4 give, row for row with slot 0
     slowest, what per-sequence ``apply`` gives on the one-einsum
     restriction of the oracles: at every readout step l and for every
-    count of leading stacks, with the identity on the slots past them;
-    qubit K = 3 and qutrit K = 2."""
+    count of leading stacks, with the identity's row on the slots past
+    them; qubit K = 3 and qutrit K = 2."""
     pt = _qutrit_memory_pt() if name == "qutrit" \
         else request.getfixturevalue(name)
     d, k = pt.system_dim, pt.n_steps
     rng = np.random.default_rng(32)
     ident = QuantumMap.identity(d)
+    fill = ident.superoperator.reshape(1, -1)
     for widths in ((d ** 4, 2, 1), (1, d ** 4, 2)):
         maps = [[random_cptp(d, rng) for _ in range(n)] for n in widths[:k]]
         stacks = [np.stack([m.superoperator.reshape(-1) for m in slot])
@@ -188,7 +194,7 @@ def test_contract_matches_apply_at_every_width_and_readout(name, request):
         for l in range(1, k + 1):
             early = restrict_einsum(pt, range(l + 1))
             for m in range(l + 1):
-                outs = pt.contract(stacks[:m], l)
+                outs = pt.contract(stacks[:m] + [fill] * (l - m))
                 seqs = list(itertools.product(*maps[:m]))
                 assert outs.shape == (len(seqs), d, d)
                 for row, seq in enumerate(seqs):
@@ -459,9 +465,17 @@ def test_from_tomography_refuses_non_finite_records(bad):
 
 
 def test_from_tomography_refuses_overflowing_records():
-    """Finite outputs whose reconstruction overflows are refused."""
+    """Finite outputs whose reconstruction overflows are refused: output
+    8 of opposite sign makes the inverse GEMM sum past float range. Equal
+    outputs of 1e308 reconstruct to finite entries whose rounding-level
+    asymmetry, about 2e292, is refused as ``ptf.load`` refuses it."""
+    outputs = np.full((16, 2, 2), 1e308)
+    outputs[8] = -1e308
     with pytest.raises(TomographyDataError,
                        match="reconstruction has non-finite entries"):
+        from_tomography(outputs)
+    with pytest.raises(TomographyDataError,
+                       match=r"^choi asymmetry 1.996e\+292 exceeds 1e-8$"):
         from_tomography(np.full((16, 2, 2), 1e308))
 
 
@@ -477,14 +491,28 @@ def test_from_tomography_refuses_inconsistent_records(basis2):
 
 
 def test_from_tomography_spot_check_catches_a_perturbed_record():
-    """The reconstruction is symmetrized, so an anti-Hermitian 1e-6 added
-    to output 5 still gives a comb, and the spot check finds the output it
-    does not reproduce."""
+    """An anti-Hermitian 5e-9 added to output 5 leaves the reconstruction
+    within the Hermiticity scan's 1e-8, which symmetrizes it into a comb,
+    and the spot check finds the output it does not reproduce."""
     def change(mu, out):
-        return out + 1e-6 * np.array([[0, 1], [-1, 0]]) * (mu == 5)
+        return out + 5e-9 * np.array([[0, 1], [-1, 0]]) * (mu == 5)
     with pytest.raises(TomographyDataError,
-                       match=r"reconstruction mismatch 1.000e-06 at key \(5,\)"):
+                       match=r"reconstruction mismatch 5.000e-09 at key \(5,\)"):
         from_tomography(_b2_one_step_outputs(change))
+
+
+def test_from_tomography_refuses_asymmetric_records():
+    """An anti-Hermitian 1e-6 added to the output at key (0, 5), which the
+    spot check does not read, gives the reconstruction an asymmetry of
+    twice that, and it is refused with the message ``ptf.load`` gives,
+    instead of being averaged away."""
+    outputs = _contract_outputs(
+        build_process_tensor(model_b2(omega=1.0), (0.0, 0.5, 1.0)))
+    assert from_tomography(outputs).trace == pytest.approx(4.0)
+    outputs[0, 5] += 1e-6 * np.array([[0, 1], [-1, 0]])
+    with pytest.raises(TomographyDataError,
+                       match=r"^choi asymmetry 2.000e-06 exceeds 1e-8$"):
+        from_tomography(outputs)
 
 
 def test_from_tomography_checks_the_time_tags_first():
@@ -495,6 +523,18 @@ def test_from_tomography_checks_the_time_tags_first():
     with pytest.raises(ValidationError, match="strictly increasing"):
         from_tomography(outputs, times=(1.0, 0.0))
 
+
+def test_from_tomography_keeps_no_view_of_the_outputs():
+    """The raw reconstruction goes to the constructor, which keeps an
+    exactly Hermitian array as it is: at k = 0 no GEMM makes a new one,
+    so the outputs are copied first and a later write to them leaves the
+    tensor alone."""
+    for outputs in (np.diag([0.75, 0.25]).astype(complex),
+                    _b2_one_step_outputs()):
+        pt = from_tomography(outputs)
+        assert not np.shares_memory(pt.choi, outputs)
+        outputs[..., 0, 0] = 5.0
+        assert pt.trace == pytest.approx(2 ** (outputs.ndim - 2))
 
 def _qutrit_dilation_tensor(k):
     rng = np.random.default_rng(61)
@@ -508,8 +548,9 @@ def _qutrit_dilation_tensor(k):
 @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_from_tomography_matches_the_dual_frame_sum(d, k):
     """Inverting the contraction rows slot by slot gives the tensor that
-    the dual-frame sum of the same outputs gives, to 1e-12: B.2 from a
-    random state for qubits, a random joint dilation for qutrits."""
+    the dual-frame sum of the same outputs gives, to 1e-12, and bit for
+    bit the one of the route that symmetrized before the constructor: B.2
+    from a random state for qubits, a random joint dilation for qutrits."""
     if d == 2:
         pt = _benchmark_tensor("b2", k, seed=7)
     else:
@@ -517,6 +558,7 @@ def test_from_tomography_matches_the_dual_frame_sum(d, k):
     outputs = _contract_outputs(pt)
     got = from_tomography(outputs, times=pt.times)
     assert got.times == pt.times
+    assert got.choi.tobytes() == tomography_symmetrized(outputs).tobytes()
     assert np.abs(got.choi - tomography_dual_frame(outputs)).max() <= 1e-12
     assert np.abs(got.choi - pt.choi).max() <= 1e-12
 
